@@ -13,16 +13,21 @@ Everything is evaluated by the three-term recurrence
 
 seeded appropriately (U_{-2} = -1, U_{-1} = 0), never by sinh/sin ratios,
 so one code path covers the oscillatory (|x| < 1), boundary (|x| = 1) and
-hyperbolic (|x| > 1) regimes.  A separate log-scaled path exists for the
-hyperbolic regime when the recurrence would overflow float64.
+hyperbolic (|x| > 1) regimes.  That recurrence is the lattice sweep of
+:mod:`gylat.transfer` with the constant weight 2x (2 - lambda for the
+polynomials in lambda), so it runs on the same kernel.  A separate
+log-scaled path exists for the hyperbolic regime when the recurrence would
+overflow float64.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 from .core import CharPoly, Mat2
+from .transfer import _sweep
 
 # Beyond this value of n*acosh|x| the recurrence leaves float64 range soon
 # enough that callers should switch to the log-scaled path.
@@ -42,10 +47,7 @@ def cheb_u(n: int, x):
         return zero - 1
     if n == -1:
         return zero
-    prev, cur = zero, zero + 1  # U_{-1}, U_0
-    for _ in range(n):
-        prev, cur = cur, 2 * x * cur - prev
-    return cur
+    return _sweep(repeat(2 * x, n), zero, zero + 1)[1]  # from U_{-1}, U_0
 
 
 def cheb_u_pair(n: int, x):
@@ -53,10 +55,7 @@ def cheb_u_pair(n: int, x):
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     zero = x - x
-    prev, cur = zero, zero + 1
-    for _ in range(n):
-        prev, cur = cur, 2 * x * cur - prev
-    return prev, cur
+    return _sweep(repeat(2 * x, n), zero, zero + 1)[:2]
 
 
 def cheb_v(n: int, x):
@@ -95,18 +94,12 @@ def cheb_matrix_power(n: int, x) -> Mat2:
     return Mat2(-unm2, um1, -um1, un)
 
 
-def _poly_step(p_prev: CharPoly, p_cur: CharPoly) -> CharPoly:
-    """Advance P_{k+1} = (2 - lambda) P_k - P_{k-1}, i.e. x = 1 - lambda/2."""
-    shifted = CharPoly([0] + p_cur.coeffs, backend=p_cur.backend)  # lambda * P_k
-    return 2 * p_cur - shifted - p_prev
-
-
 def _poly_by_recurrence(n: int, seed_prev, seed_cur) -> CharPoly:
+    """n steps of P_{k+1} = (2 - lambda) P_k - P_{k-1}, i.e. x = 1 - lambda/2."""
+    two_x = CharPoly([2, -1], backend="exact")
     prev = CharPoly(seed_prev, backend="exact")
     cur = CharPoly(seed_cur, backend="exact")
-    for _ in range(n):
-        prev, cur = cur, _poly_step(prev, cur)
-    return cur
+    return _sweep(repeat(two_x, n), prev, cur)[1]
 
 
 def cheb_u_poly(n: int) -> CharPoly:

@@ -4,9 +4,6 @@ continuum sweeps.
 Output is byte-deterministic for a fixed invocation: field order is fixed
 (documented in docs/cli_schema.md, schema version 1) and floats are
 rendered with 17 significant digits.  CSV output is the flattened JSON.
-Sweeps run points in parallel (capped by the GYLAT_THREADS environment
-variable); each point itself is single-threaded, so parallelism never
-changes the numbers.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical-consistency failure.
 """
@@ -16,9 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import chebyshev as cheb
@@ -207,17 +202,6 @@ def _mass(args, spec: LatticeSpec) -> MassParam:
     return MassParam.physical(args.mass, spec)
 
 
-def _max_workers() -> int:
-    env = os.environ.get("GYLAT_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"GYLAT_THREADS must be an integer, got {env!r}") from exc
-        return max(1, n)
-    return min(8, os.cpu_count() or 1)
-
-
 def _parse_sweep(text: str) -> tuple[str, float, float, int]:
     try:
         param, lo, hi, n = text.split(":")
@@ -395,8 +379,7 @@ def cmd_casimir(args) -> tuple[dict | list, int]:
             (LatticeSpec.circle(max(2, round(spec.L / h)), L=spec.L) if bc.is_circle
              else LatticeSpec.interval(max(1, round(spec.L / h) - 1), L=spec.L))
             for h in fit.h_values]
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            points = list(pool.map(lambda s: _casimir_point(bc, s), specs))
+        points = [_casimir_point(bc, s) for s in specs]
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": "casimir",

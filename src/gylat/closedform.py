@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from .chebyshev import cheb_t_log, cheb_u_log
 from .core import (
@@ -23,11 +24,9 @@ from .core import (
     BoundaryCondition,
     LatticeSpec,
     LogDet,
-    Potential,
     Spectrum,
-    Vec2,
 )
-from .transfer import propagate
+from .transfer import _sweep
 
 
 @dataclass(frozen=True)
@@ -211,7 +210,7 @@ def robin_matrix_element(nu: int, alpha: float, beta: float,
                          mass: MassParam | None = None, lam: float = 0.0) -> float:
     """Boundary matrix element out_adjoint . M^nu . in_vector, constant v = mu^2.
 
-    Computed by direct 2x2 iteration; equals
+    Computed by direct iteration of the recurrence; equals
     (a+b+ab) U_nu(x) - (a+b+lambda-mu^2) U_{nu-1}(x) at x = 1+(mu^2-lambda)/2.
     Its zeros are the free Robin eigenvalues; at lambda = 0, dividing by
     (1+a)(1+b) gives the dimensionless determinant, (ab(nu+1)+a+b) / ((1+a)(1+b))
@@ -220,10 +219,9 @@ def robin_matrix_element(nu: int, alpha: float, beta: float,
     if nu < 0:
         raise ValueError("need nu >= 0")
     mass = mass or MassParam.massless()
-    v = mass.mu * mass.mu
-    vin = Vec2(1.0, 1.0 + alpha)
-    ups = propagate(Potential.constant(nu, v), float(lam), vin)[-1]
-    return -1.0 * ups.a + (1.0 + beta) * ups.b
+    w = mass.mu * mass.mu + 2 - float(lam)
+    a, b, _ = _sweep(repeat(w, nu), 1.0, 1.0 + alpha)  # from the in-vector
+    return (1.0 + beta) * b - a
 
 
 def continuum_limit_targets(bc: BoundaryCondition, mubar: float = 0.0,

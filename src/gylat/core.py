@@ -623,20 +623,18 @@ class LogDet:
     @property
     def value(self) -> float:
         """exp back to a plain float; overflows to +-inf for large logs."""
-        if self.sign == 0:
-            return 0.0
-        try:
-            mag = math.exp(self.log_abs)
-        except OverflowError:
-            mag = math.inf
-        return self.sign * mag
+        return self.scaled_value(0.0)
 
     @property
     def log10_abs(self) -> float:
         return self.log_abs / math.log(10.0)
 
     def scaled_value(self, log_scale: float) -> float:
-        """sign * exp(log_abs + log_scale); used for h^p * Det limits."""
+        """sign * exp(log_abs + log_scale), +-inf on overflow; used for h^p * Det limits."""
         if self.sign == 0:
             return 0.0
-        return self.sign * math.exp(self.log_abs + log_scale)
+        try:
+            mag = math.exp(self.log_abs + log_scale)
+        except OverflowError:
+            mag = math.inf
+        return self.sign * mag

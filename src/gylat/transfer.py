@@ -18,6 +18,13 @@ whose roots are the nu dimensionless eigenvalues and whose value at
 lambda = 0, normalised by the leading coefficient, gives the determinant.
 On the circle the eigenvalue condition is tr K(lambda; nu) = 2 cos(2 pi tau)
 instead.
+
+Every route runs on one kernel, :func:`_sweep`, which advances the scalar
+recurrence y(j+1) = w_j y(j) - y(j-1) over diagonal weights
+w_j = v_j + 2 - lambda.  Each column of K is one sweep from a unit seed, so
+no route multiplies 2x2 matrices site by site.  The kernel takes weights
+rather than (v, lambda), so each caller keeps its own arithmetic: floats
+with log-rescaling, exact ints and Fractions, or CharPoly entries.
 """
 
 from __future__ import annotations
@@ -65,14 +72,34 @@ def casoratian(a: Vec2, b: Vec2):
     return a.a * b.b - a.b * b.a
 
 
+def _sweep(ws, a, b, rescale=False, path=None):
+    """Advance (a, b) = (y(j-1), y(j)) by y(j+1) = w_j y(j) - y(j-1) over ``ws``.
+
+    Returns the terminal pair and the log of its scale, (a, b, log_scale).
+    Entries may be any ring scalars (float, int, Fraction, CharPoly).  With
+    ``rescale`` (floats only) the pair is divided by |b| whenever |b| exceeds
+    _RESCALE_AT, so the true pair is exp(log_scale) * (a, b); ``a`` is the
+    previous ``b``, so this is the max(|a|, |b|) test.  With ``path`` each
+    new ``b`` is appended to it.
+    """
+    log_scale = 0.0
+    for w in ws:
+        a, b = b, w * b - a
+        if rescale and abs(b) > _RESCALE_AT:
+            m = abs(b)
+            a /= m
+            b /= m
+            log_scale += math.log(m)
+        if path is not None:
+            path.append(b)
+    return a, b, log_scale
+
+
 def propagate(potential: Potential, lam, v0: Vec2) -> list[Vec2]:
     """All phase-space vectors Upsilon(j) = M(j)...M(1) v0 for j = 0..nu."""
-    out = [v0]
-    cur = v0
-    for v in potential:
-        cur = step_matrix(v, lam) @ cur
-        out.append(cur)
-    return out
+    ys = [v0.a, v0.b]
+    _sweep((v + 2 - lam for v in potential), v0.a, v0.b, path=ys)
+    return [Vec2(ys[j], ys[j + 1]) for j in range(len(ys) - 1)]
 
 
 class Propagator:
@@ -80,17 +107,17 @@ class Propagator:
 
     K(lambda; j, j) is the identity; requests with j < j' are rejected
     (causal propagation).  Entries may be scalars or CharPoly, depending on
-    ``lam``.  Prefix products K(j, 0) are cached lazily.
+    ``lam``.  Each request sweeps its two columns afresh; nothing is cached.
     """
 
     def __init__(self, potential: Potential, lam):
         self.potential = potential
         self.lam = lam
         self._one = (lam - lam) + 1
-        self._prefix = [Mat2.identity(self._one)]
 
     def step(self, j: int) -> Mat2:
-        return step_matrix(self.potential.values[j - 1], self.lam)
+        """The one-site step matrix M(j)."""
+        return self.matrix(j, j - 1)
 
     def matrix(self, j: int, jprime: int = 0) -> Mat2:
         nu = len(self.potential)
@@ -98,15 +125,12 @@ class Propagator:
             raise ValueError(f"indices ({j}, {jprime}) outside 0..{nu}")
         if j < jprime:
             raise ValueError(f"acausal propagator request: j = {j} < j' = {jprime}")
-        if jprime == 0:
-            while len(self._prefix) <= j:
-                k = len(self._prefix)
-                self._prefix.append(self.step(k) @ self._prefix[k - 1])
-            return self._prefix[j]
-        acc = Mat2.identity(self._one)
-        for k in range(jprime + 1, j + 1):
-            acc = self.step(k) @ acc
-        return acc
+        ws = [v + 2 - self.lam for v in self.potential.values[jprime:j]]
+        one = self._one
+        zero = one - one
+        a1, b1, _ = _sweep(ws, one, zero)
+        a2, b2, _ = _sweep(ws, zero, one)
+        return Mat2(a1, a2, b1, b2)
 
 
 def char_poly(potential: Potential, bc: BoundaryCondition, exact: bool = False) -> CharPoly:
@@ -121,23 +145,22 @@ def char_poly(potential: Potential, bc: BoundaryCondition, exact: bool = False) 
     lam = CharPoly.lam(exact=exact)
     # A float scalar would silently drag the arithmetic back to the float
     # backend, so lift the potential into exact scalars up front.
-    vals = [_exactify(v) for v in potential] if exact else list(potential)
+    ws = [v + 2 - lam for v in (map(_exactify, potential) if exact else potential)]
     if bc.is_interval:
         vin = bc.in_vector()
         out = bc.out_adjoint()
         if exact:
             vin = Vec2(_exactify(vin.a), _exactify(vin.b))
             out = Vec2(_exactify(out.a), _exactify(out.b))
-        cur = Vec2(CharPoly([vin.a], backend=backend), CharPoly([vin.b], backend=backend))
-        for v in vals:
-            cur = step_matrix(v, lam) @ cur
-        return out.a * cur.a + out.b * cur.b
+        a, b, _ = _sweep(ws, CharPoly([vin.a], backend=backend), CharPoly([vin.b], backend=backend))
+        return out.a * a + out.b * b
     if potential.nu < 1:
         raise ValueError("circle topology needs nu >= 1")
-    acc = Mat2.identity(CharPoly([1], backend=backend))
-    for v in vals:
-        acc = step_matrix(v, lam) @ acc
-    return acc.trace() - _twist_shift(bc.twist, exact)
+    one = CharPoly([1], backend=backend)
+    zero = one - one
+    # tr K = top of the (1, 0) column + bottom of the (0, 1) column
+    trace = _sweep(ws, one, zero)[0] + _sweep(ws, zero, one)[1]
+    return trace - _twist_shift(bc.twist, exact)
 
 
 def _twist_shift(tau: float, exact: bool):
@@ -157,40 +180,33 @@ def periodic_char_fn(potential: Potential, tau: float, lam: float) -> float:
     """tr K(lambda; nu) - 2 cos(2 pi tau); zeros are the twisted eigenvalues."""
     if potential.nu < 1:
         raise ValueError("circle topology needs nu >= 1")
-    acc = Mat2.identity(1.0)
-    for v in potential:
-        acc = step_matrix(float(v), float(lam)) @ acc
-    return acc.trace() - 2.0 * math.cos(2.0 * math.pi * tau)
+    lam = float(lam)
+    ws = [float(v) + 2 - lam for v in potential]
+    trace = _sweep(ws, 1.0, 0.0)[0] + _sweep(ws, 0.0, 1.0)[1]
+    return trace - 2.0 * math.cos(2.0 * math.pi * tau)
 
 
 def _scaled_scalar_p0(potential: Potential, bc: BoundaryCondition) -> tuple[float, float, float]:
     """P(0) by rescaled scalar propagation, as (mantissa, log_scale, ref).
 
     P(0) = mantissa * exp(log_scale); ``ref`` is the magnitude of the final
-    propagated components, the natural yardstick for a zero test.
+    propagated components (the Frobenius norm of K on the circle), on the
+    mantissa's scale: the natural yardstick for a zero test.
     """
-    log_scale = 0.0
+    ws = [float(v) + 2.0 for v in potential]
     if bc.is_interval:
         vin = bc.in_vector()
-        a, b = float(vin.a), float(vin.b)
-        for v in potential:
-            a, b = b, -a + (float(v) + 2.0) * b
-            m = max(abs(a), abs(b))
-            if m > _RESCALE_AT:
-                a /= m
-                b /= m
-                log_scale += math.log(m)
+        a, b, log_scale = _sweep(ws, float(vin.a), float(vin.b), rescale=True)
         out = bc.out_adjoint()
         return float(out.a) * a + float(out.b) * b, log_scale, max(abs(a), abs(b), 1e-300)
-    acc = Mat2.identity(1.0)
-    for v in potential:
-        acc = step_matrix(float(v), 0.0) @ acc
-        m = acc.norm()
-        if m > _RESCALE_AT:
-            acc = (1.0 / m) * acc
-            log_scale += math.log(m)
-    shift = 2.0 * math.cos(2.0 * math.pi * bc.twist) * math.exp(-min(log_scale, 745.0))
-    return acc.trace() - shift, log_scale, max(acc.norm(), 1e-300)
+    # the two columns of K, each with its own scale, brought to the larger one
+    a1, b1, s1 = _sweep(ws, 1.0, 0.0, rescale=True)
+    a2, b2, s2 = _sweep(ws, 0.0, 1.0, rescale=True)
+    log_scale = max(s1, s2)
+    f1, f2 = math.exp(s1 - log_scale), math.exp(s2 - log_scale)
+    shift = 2.0 * math.cos(2.0 * math.pi * bc.twist) * math.exp(-log_scale)
+    ref = math.sqrt(sum(x * x for x in (f1 * a1, f2 * a2, f1 * b1, f2 * b2)))  # |K|_F
+    return f1 * a1 + f2 * b2 - shift, log_scale, max(ref, 1e-300)
 
 
 def _leading_factor(bc: BoundaryCondition) -> float:
@@ -308,6 +324,7 @@ def eigenfunctions(potential: Potential, bc: BoundaryCondition, spectrum: Spectr
         raise ValueError(f"spectrum has {len(spectrum)} entries, potential has nu={nu}")
     table = np.empty((nu, nu))
     vin = bc.in_vector()
+    a0, b0 = float(vin.a), float(vin.b)
     for n, lam in enumerate(spectrum):
         lam = float(lam)
         for _ in range(3):
@@ -320,7 +337,8 @@ def eigenfunctions(potential: Potential, bc: BoundaryCondition, spectrum: Spectr
             lam -= step
             if abs(step) <= 1e-16 * max(1.0, abs(lam)):
                 break
-        ups = propagate(potential, lam, Vec2(float(vin.a), float(vin.b)))
-        # Upsilon(j) = (y(j), y(j+1)); y(j) for j = 1..nu is the top entry.
-        table[n, :] = [ups[j].a for j in range(1, nu + 1)]
+        # path collects y(2)..y(nu+1) after the seed y(1); the row is y(1)..y(nu)
+        ys = [b0]
+        _sweep((v + 2 - lam for v in potential), a0, b0, path=ys)
+        table[n, :] = ys[:nu]
     return table

@@ -3,9 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from gylat import Potential, dirichlet
 from gylat.cli import main
+from gylat.spectrum import tridiagonal_matrix
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +68,26 @@ class TestDet:
         assert abs(data["dimensionless_det"] - 3.0) < 1e-10
         assert data["closed_form_agreement"] is True
 
+    def test_overflowing_dimensionless_det_is_infinity(self, capsys, tmp_path):
+        # O(1) dimensionless potential at nu = 1000: Det * h^(2 nu) ~ 1e456
+        # overflows a float, while log10_abs stays exact
+        rng = np.random.default_rng(3)
+        v = rng.uniform(0.5, 2.0, 1000)
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps(v.tolist()))
+        code, out, err = run_cli(capsys, "det", "--bc", "dirichlet", "--nu", "1000", "--L", "1",
+                                 "--potential", str(path))
+        assert code == 0, err
+        assert '"dimensionless_det": Infinity' in out
+        data = json.loads(out)
+        assert data["dimensionless_det"] == math.inf
+        diag, off = tridiagonal_matrix(Potential(tuple(v)), dirichlet())
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        sign, logdet = np.linalg.slogdet(dense)
+        assert data["sign"] == sign == 1
+        expected = (logdet - 2000 * math.log(data["h"])) / math.log(10.0)
+        assert abs(data["log10_abs"] - expected) <= 1e-12 * abs(expected)
+
 
 class TestConfigErrors:
     def test_missing_spacing(self, capsys):
@@ -85,12 +108,6 @@ class TestConfigErrors:
         path.write_text("[1, 2]")
         code, out, err = run_cli(capsys, "det", "--bc", "dirichlet", "--nu", "3", "--h", "1",
                                  "--potential", str(path))
-        assert code == 2
-
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("GYLAT_THREADS", "soup")
-        code, out, err = run_cli(capsys, "casimir", "--bc", "periodic", "--nu", "8",
-                                 "--sweep", "h:0.05:0.5:6")
         assert code == 2
 
 
@@ -122,8 +139,7 @@ class TestCasimir:
         assert abs(data["energy"] - 1.5369360885246874) < 1e-12
         assert data["rel_diff"] < 1e-14
 
-    def test_sweep_constant(self, capsys, monkeypatch):
-        monkeypatch.setenv("GYLAT_THREADS", "2")
+    def test_sweep_constant(self, capsys):
         code, data = run_json(capsys, "casimir", "--bc", "dirichlet", "--L", "1", "--nu", "9",
                               "--sweep", "h:0.002:0.02:10")
         assert code == 0
