@@ -104,11 +104,7 @@ def _flatten(obj, prefix: str = "", out: dict | None = None) -> dict:
 def render_csv(obj) -> str:
     rows = obj if isinstance(obj, list) else [obj]
     flats = [_flatten(r) for r in rows]
-    keys: list[str] = []
-    for f in flats:
-        for k in f:
-            if k not in keys:
-                keys.append(k)
+    keys = list(dict.fromkeys(k for f in flats for k in f))
 
     def cell(v) -> str:
         if isinstance(v, bool):

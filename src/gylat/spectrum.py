@@ -2,11 +2,11 @@
 
 The oracle never touches the transfer-matrix code: it assembles the operator
 as a symmetric tridiagonal (interval) or Hermitian cyclic (circle) matrix in
-the dimensionless variables and solves it by Sturm-sequence bisection
-(tridiagonal) or dense symmetric diagonalisation of the doubled real form
-(cyclic).  Root finding for characteristic polynomials goes the other way -
-Sturm chains of the polynomial itself - so the two routes stay independent
-checks of one another.
+the dimensionless variables and solves it by Sturm-sequence bisection on
+IEEE pivot signs (tridiagonal) or dense diagonalisation of the nu x nu
+matrix itself (cyclic).  Root finding for characteristic polynomials goes
+the other way - Sturm chains of the polynomial itself - so the two routes
+stay independent checks of one another.
 """
 
 from __future__ import annotations
@@ -73,8 +73,9 @@ def tridiagonal_matrix(potential: Potential, bc: BoundaryCondition) -> tuple[np.
 def cyclic_matrix(potential: Potential, bc: BoundaryCondition) -> np.ndarray:
     """Dense Hermitian matrix for periodic/twisted conditions.
 
-    The twist phase exp(2 pi i tau) sits on the wrap-around couplings; for
-    nu = 1 and nu = 2 the wrap-around and nearest-neighbour couplings merge.
+    The twist phase exp(2 pi i tau), exactly +-1 at tau = 1 and 1/2 so that
+    those H are real, sits on the wrap-around couplings; for nu = 1 and
+    nu = 2 the wrap-around and nearest-neighbour couplings merge.
     """
     if not bc.is_circle:
         raise ValueError("cyclic form exists only for circle conditions")
@@ -82,16 +83,12 @@ def cyclic_matrix(potential: Potential, bc: BoundaryCondition) -> np.ndarray:
     if nu < 1:
         raise ValueError("need nu >= 1")
     theta = 2.0 * math.pi * bc.twist
-    phase = complex(math.cos(theta), math.sin(theta))
-    H = np.zeros((nu, nu), dtype=complex)
-    for j in range(nu):
-        H[j, j] = 2.0 + float(potential.values[j])
+    phase = {1.0: 1.0, 0.5: -1.0}.get(bc.twist, complex(math.cos(theta), math.sin(theta)))
+    H = np.diag((2.0 + potential.as_array()).astype(complex))
     if nu == 1:
         H[0, 0] -= phase + phase.conjugate()
         return H
-    for j in range(nu - 1):
-        H[j, j + 1] -= 1.0
-        H[j + 1, j] -= 1.0
+    H -= np.eye(nu, k=1) + np.eye(nu, k=-1)
     H[0, nu - 1] -= phase.conjugate()
     H[nu - 1, 0] -= phase
     return H
@@ -101,20 +98,26 @@ def cyclic_matrix(potential: Potential, bc: BoundaryCondition) -> np.ndarray:
 # Sturm-sequence bisection (tridiagonal, all off-diagonals -1)
 # ---------------------------------------------------------------------------
 
-def _sturm_counts(d: np.ndarray, xs: np.ndarray, pivmin: float) -> np.ndarray:
+def _sturm_counts(d: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Number of eigenvalues below each shift in xs (LDL pivot signs).
 
-    Zero pivots are replaced by -pivmin (and so counted) before the next
-    division, the standard safeguard against exact hits.
+    Pivots are carried negated, p_k = x - d_k - 1/p_{k-1}, and unguarded
+    (Demmel, Dhillon & Ren, ETNA 3 (1995) 116-149): an exact zero is +0 and
+    counts as negative, and a zero or tiny pivot makes the next one infinite
+    or huge with the other sign, so the pair adds one, as a -pivmin guard does.
     """
-    q = d[0] - xs
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
-    count = (q < 0).astype(np.int64)
-    for k in range(1, len(d)):
-        q = d[k] - xs - 1.0 / q  # off-diagonal squared is 1
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        count += q < 0
-    return count
+    q = xs - d[0]
+    r = np.empty_like(q)
+    pos = np.signbit(q)  # the pivot itself is positive
+    positive = pos.astype(np.int64)
+    with np.errstate(divide="ignore", over="ignore"):
+        for k in range(1, len(d)):
+            np.reciprocal(q, out=r)
+            np.subtract(xs, d[k], out=q)
+            q -= r
+            np.signbit(q, out=pos)
+            positive += pos
+    return len(d) - positive
 
 
 def _tridiagonal_eigenvalues(d: np.ndarray) -> np.ndarray:
@@ -123,13 +126,12 @@ def _tridiagonal_eigenvalues(d: np.ndarray) -> np.ndarray:
     # Gershgorin bounds; couplings contribute at most 2.
     lo = float(np.min(d)) - 2.0
     hi = float(np.max(d)) + 2.0
-    pivmin = 1e-290 * max(1.0, abs(lo), abs(hi))
     los = np.full(n, lo)
     his = np.full(n, hi)
     targets = np.arange(1, n + 1)
     for _ in range(_BISECTION_STEPS):
         mids = 0.5 * (los + his)
-        counts = _sturm_counts(d, mids, pivmin)
+        counts = _sturm_counts(d, mids)
         below = counts >= targets
         his = np.where(below, mids, his)
         los = np.where(below, los, mids)
@@ -145,8 +147,8 @@ def oracle_spectrum(potential: Potential, bc: BoundaryCondition,
     Interval conditions use Sturm-sequence bisection on the tridiagonal
     form (absolute accuracy ~1e-12; clustered eigenvalues come out as exact
     multiplicities because bisection is driven by Sturm counts).  Circle
-    conditions diagonalise the doubled real symmetric form
-    [[Re H, -Im H], [Im H, Re H]] and halve the doubled multiplicities.
+    conditions diagonalise the nu x nu Hermitian H, as a real symmetric
+    matrix when H is real (periodic and tau = 1/2).
     """
     nu = potential.nu
     if nu < 1:
@@ -160,11 +162,9 @@ def oracle_spectrum(potential: Potential, bc: BoundaryCondition,
     if nu > ORACLE_MAX_NU_CYCLIC:
         raise ValueError(f"oracle supports nu <= {ORACLE_MAX_NU_CYCLIC} for circle conditions")
     H = cyclic_matrix(potential, bc)
-    A = H.real
-    B = H.imag
-    doubled = np.block([[A, -B], [B, A]])
-    vals = np.linalg.eigvalsh(doubled)
-    return Spectrum(tuple(np.sort(vals)[::2]), spec)
+    if not H.imag.any():
+        H = H.real
+    return Spectrum(tuple(np.linalg.eigvalsh(H)), spec)
 
 
 def oracle_available(potential: Potential, bc: BoundaryCondition) -> bool:

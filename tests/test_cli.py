@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gylat import Potential, dirichlet
-from gylat.cli import main
+from gylat.cli import main, render_csv
 from gylat.spectrum import tridiagonal_matrix
 
 
@@ -190,6 +190,10 @@ class TestOutputDiscipline:
         assert "eigenvalues_dimensionless.0" in cols
         ix = cols.index("eigenvalues_dimensionless.0")
         assert abs(float(vals[ix]) - 1.0) < 1e-9
+
+    def test_csv_header_is_union_of_keys_in_first_seen_order(self):
+        rows = [{"a": 1, "b": {"x": 2.5}}, {"c": None, "a": True}, {"b": {"y": [3, 4.0]}}]
+        assert render_csv(rows) == "a,b.x,c,b.y.0,b.y.1\n1,2.5,,,\ntrue,,,,\n,,,3,4"
 
     def test_seventeen_digit_floats(self, capsys):
         _, out, _ = run_cli(capsys, "casimir", "--bc", "periodic", "--nu", "4")

@@ -1,10 +1,18 @@
-"""Eigenvalue oracle, polynomial roots, Euler-Rayleigh sums."""
+"""Eigenvalue oracle, polynomial roots, Euler-Rayleigh sums.
+
+The oracle's guarded Sturm counts, the bisection built on them and the
+doubled real form of the cyclic solve are kept below as references: the
+interval oracle must reproduce them exactly (``==``) and the cyclic one to
+rounding.
+"""
 
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gylat import (
     CharPoly,
@@ -23,7 +31,7 @@ from gylat import (
     robin_cosec_sum,
     twisted,
 )
-from gylat.spectrum import cyclic_matrix, tridiagonal_matrix
+from gylat.spectrum import _sturm_counts, cyclic_matrix, tridiagonal_matrix
 
 
 def random_bc(rng):
@@ -265,3 +273,126 @@ class TestDeterminantVsSpectrum:
             ld = determinant(pot, bc, spec)
             ref = math.fsum(math.log(abs(x)) for x in lambar)
             assert abs(ld.log_abs - ref) < 1e-9 * max(1.0, abs(ref))
+
+
+# -- the oracle against the guarded counts and the doubled form it replaced --
+
+def ref_pivmin(d):
+    return 1e-290 * max(1.0, abs(float(np.min(d)) - 2.0), abs(float(np.max(d)) + 2.0))
+
+
+def ref_sturm_counts(d, xs, pivmin):
+    """Eigenvalues below each shift; pivots smaller than pivmin become -pivmin."""
+    q = d[0] - xs
+    q = np.where(np.abs(q) < pivmin, -pivmin, q)
+    count = (q < 0).astype(np.int64)
+    for k in range(1, len(d)):
+        q = d[k] - xs - 1.0 / q
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        count += q < 0
+    return count
+
+
+def ref_bisection(d):
+    n = len(d)
+    lo = float(np.min(d)) - 2.0
+    hi = float(np.max(d)) + 2.0
+    los, his = np.full(n, lo), np.full(n, hi)
+    targets = np.arange(1, n + 1)
+    for _ in range(64):
+        mids = 0.5 * (los + his)
+        below = ref_sturm_counts(d, mids, ref_pivmin(d)) >= targets
+        his = np.where(below, mids, his)
+        los = np.where(below, los, mids)
+        if np.max(his - los) < 1e-14:
+            break
+    return 0.5 * (los + his)
+
+
+def ref_doubled_cyclic(H):
+    """Eigenvalues of Hermitian H from [[Re H, -Im H], [Im H, Re H]], halved."""
+    A, B = H.real, H.imag
+    return np.sort(np.linalg.eigvalsh(np.block([[A, -B], [B, A]])))[::2]
+
+
+ORDINARY = st.floats(-3.0, 5.0)
+TINY = st.sampled_from([0.0, 5e-324, -5e-324, -3e-320, 1e-310, 2.2250738585072014e-308,
+                        1e-300, -1e-300])
+
+
+@st.composite
+def diagonals_and_shifts(draw):
+    """Diagonals of ordinary, exactly-2 and subnormal entries, with shifts
+    that hit entries, the Gershgorin ends, 2 and dyadic bisection points.
+
+    The last entry stays away from zero: a tiny nonzero last pivot has no
+    successor to pair with.  It needs d_nu and the shift both tiny, which no
+    assembled operator produces (2 + v_j is 0 or above 1e-16 in size, and
+    bisection midpoints are dyadic points of the Gershgorin interval).
+    There the unguarded count follows the pivot's sign, where the guard
+    always counted it.
+    """
+    head = draw(st.lists(st.one_of(ORDINARY, TINY, st.just(2.0)), max_size=11))
+    last = st.one_of(st.floats(1e-3, 5.0), st.floats(-3.0, -1e-3), st.just(2.0))
+    d = np.array(head + [draw(last)])
+    lo, hi = float(np.min(d)) - 2.0, float(np.max(d)) + 2.0
+    xs = draw(st.lists(st.one_of(st.floats(lo, hi), TINY), max_size=6))
+    dyadic = [lo + (hi - lo) * k / 64 for k in range(65)]
+    return d, np.array(xs + list(d) + dyadic + [2.0])
+
+
+class TestSturmCounts:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=diagonals_and_shifts())
+    def test_equal_to_guarded_counts(self, case):
+        d, xs = case
+        with np.errstate(divide="ignore", over="ignore"):
+            want = ref_sturm_counts(d, xs, ref_pivmin(d))
+        assert np.array_equal(_sturm_counts(d, xs), want)
+
+    @pytest.mark.parametrize("nu", [1, 3, 5, 41])
+    def test_exact_zero_last_pivot_counts_as_below(self, nu):
+        # free Dirichlet, odd nu, at x = 2: every odd pivot is exactly zero,
+        # the last one included, and the eigenvalue at 2 counts as below
+        d = np.full(nu, 2.0)
+        xs = np.array([2.0])
+        want = ref_sturm_counts(d, xs, ref_pivmin(d))[0]
+        assert _sturm_counts(d, xs)[0] == want == (nu + 1) // 2
+
+
+def oracle_potentials(nu):
+    """Free, random O(1) and deep-well (down to -50) potentials."""
+    rng = np.random.default_rng(nu)
+    return [Potential.zeros(nu), Potential(tuple(rng.uniform(-1, 1, nu))),
+            Potential(tuple(rng.uniform(-50, 5, nu)))]
+
+
+class TestOracleAgainstReferences:
+    @pytest.mark.parametrize("nu", [1, 2, 50, 500])
+    @pytest.mark.parametrize("bc", [dirichlet(), neumann(), robin(0.3, -0.4)],
+                             ids=["dirichlet", "neumann", "robin"])
+    def test_interval_bit_identical(self, nu, bc):
+        for pot in oracle_potentials(nu):
+            d, _ = tridiagonal_matrix(pot, bc)
+            assert oracle_spectrum(pot, bc).lambdas == tuple(ref_bisection(d))
+
+    @pytest.mark.parametrize("nu", [1, 2, 3, 200])
+    @pytest.mark.parametrize("tau", [1.0, 0.5, 0.3])
+    def test_cyclic_matches_doubled_form(self, nu, tau):
+        bc = periodic() if tau == 1.0 else twisted(tau)
+        for pot in oracle_potentials(nu):
+            got = np.array(oracle_spectrum(pot, bc).lambdas)
+            want = ref_doubled_cyclic(cyclic_matrix(pot, bc))
+            assert len(got) == nu
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        # free spectrum 2 - 2 cos(2 pi (k + tau) / nu), periodic pairs kept
+        free = np.sort(2.0 - 2.0 * np.cos(2.0 * np.pi * (np.arange(nu) + tau) / nu))
+        got = np.array(oracle_spectrum(Potential.zeros(nu), bc).lambdas)
+        assert np.all(np.abs(got - free) <= 1e-12)
+
+    @pytest.mark.parametrize("nu", [1, 2, 3, 7])
+    def test_cyclic_matrix_real_at_exact_twists(self, nu):
+        pot = Potential(tuple(0.1 * j for j in range(nu)))
+        for bc in (periodic(), twisted(1.0), twisted(0.5)):
+            assert not cyclic_matrix(pot, bc).imag.any()
+        assert cyclic_matrix(pot, twisted(0.3)).imag.any() == (nu > 1)
