@@ -55,7 +55,7 @@ def cheb_u_pair(n: int, x):
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     zero = x - x
-    return _sweep(repeat(2 * x, n), zero, zero + 1)[:2]
+    return _sweep(repeat(2 * x, n), zero, zero + 1)
 
 
 def cheb_v(n: int, x):

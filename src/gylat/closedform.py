@@ -2,10 +2,17 @@
 
 With mass mubar the dimensionless mass is mu = h*mubar and the hyperbolic
 parameter gamma0 satisfies mu = 2 sinh(gamma0); the Chebyshev argument at
-lambda = 0 is x0 = cosh(2 gamma0) = 1 + mu^2/2.  Everything here is routed
-through the Chebyshev recurrences at that argument (log-scaled for large
-nu*gamma0), so the lambda = mu^2 point is exact and no trig/hyperbolic
-branch switching occurs.
+lambda = 0 is x0 = cosh(2 gamma0) = 1 + mu^2/2.  The determinants are
+evaluated from gamma0 itself, in the log domain, never from x0: x0 rounds
+mu^2/2 against 1, which would cost the relative accuracy of mu^2 once mu is
+small.  With x0 = cosh 2g,
+
+    U_n(x0) = sinh(2(n+1)g) / sinh(2g),
+    V_n(x0) = U_n - U_{n-1} = cosh((2n+1)g) / cosh(g),
+    T_n(x0) - cos(2 pi tau) = 2 sinh^2(n g) + 2 sin^2(pi tau),
+
+and none of them subtracts nearly equal numbers.  At mu = 0 they take their
+limits U_n = n+1, V_n = 1, T_n = 1.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 
-from .chebyshev import cheb_t_log, cheb_u_log
+from .chebyshev import _log_cosh, _log_sinh
 from .core import (
     DIRICHLET,
     NEUMANN,
@@ -124,12 +131,11 @@ def free_determinant(bc: BoundaryCondition, spec: LatticeSpec,
     mass = mass or MassParam.massless()
     nu = spec.nu
     h = spec.h
-    x0 = mass.x0
+    g = mass.gamma0
     if nu == 0:
         return LogDet(1, 0.0)
     if bc.kind == DIRICHLET:
-        s, lg = cheb_u_log(nu, x0)
-        return _logdet_from(s, lg, nu, h, complexified=complexified)
+        return _logdet_from(1, _log_u(nu, g), nu, h, complexified=complexified)
     if bc.kind in (NEUMANN, ROBIN):
         alpha, beta = bc.robin_alpha, bc.robin_beta
         if bc.kind == NEUMANN or (alpha == 0.0 and beta == 0.0):
@@ -138,13 +144,11 @@ def free_determinant(bc: BoundaryCondition, spec: LatticeSpec,
                     return LogDet(0, math.nan, 0)
                 # remove the uniform zero mode: product of the others is nu
                 return LogDet(1, math.log(nu) - (2.0 * nu - 2.0) * math.log(h), 1)
-            s, lg = cheb_u_log(nu - 1, x0)
-            return _logdet_from(s, lg + 2.0 * math.log(mass.mu), nu, h,
+            return _logdet_from(1, _log_u(nu - 1, g) + 2.0 * math.log(mass.mu), nu, h,
                                 complexified=complexified)
         return _robin_free_determinant(nu, alpha, beta, mass, h, complexified)
     # circle conditions
     tau = bc.twist
-    ct = math.cos(2.0 * math.pi * tau)
     if abs(tau - round(tau)) < 1e-15 and mass.mu == 0.0:
         if not prime:
             return LogDet(0, math.nan, 0)
@@ -154,29 +158,42 @@ def free_determinant(bc: BoundaryCondition, spec: LatticeSpec,
         if complexified:
             log_abs *= 2.0
         return LogDet(1, log_abs, 1)
-    st, lt = cheb_t_log(nu, x0)
-    if st <= 0:
-        raise AssertionError("T_nu(x0) must be positive for x0 >= 1")
-    # F(0) = 2 (T_nu(x0) - cos 2 pi tau) > 0 away from the tau = 1, mu = 0 point
-    diff_log = lt + math.log1p(-ct * math.exp(-lt)) if lt < 700 else lt
-    log_dimless = math.log(2.0) + diff_log
+    if g == 0.0:
+        # F(0) = 2 (T_nu(1) - cos 2 pi tau) with T_nu(1) = 1
+        log_dimless = math.log(2.0) + math.log1p(-math.cos(2.0 * math.pi * tau))
+    else:
+        # F(0) = 4 (sinh^2(nu g) + sin^2(pi tau)); tau - round(tau) makes the
+        # sine exactly 0 at tau = 1
+        terms = [(1.0, 2.0 * _log_sinh(nu * g))]
+        sine = abs(math.sin(math.pi * (tau - round(tau))))
+        if sine:
+            terms.append((1.0, 2.0 * math.log(sine)))
+        log_dimless = math.log(4.0) + _signed_log_sum(terms)[1]
     return _logdet_from(1, log_dimless, nu, h, complexified=complexified)
+
+
+def _log_u(n: int, g: float) -> float:
+    """log U_n(cosh 2g) for n >= 0, g >= 0; U_n(1) = n + 1."""
+    if g == 0.0:
+        return math.log(n + 1)
+    return _log_sinh(2.0 * (n + 1) * g) - _log_sinh(2.0 * g)
 
 
 def _robin_free_determinant(nu: int, alpha: float, beta: float, mass: MassParam,
                             h: float, complexified: bool) -> LogDet:
-    """(alpha+beta+alpha*beta) U_nu - (alpha+beta-mu^2) U_{nu-1}, normalised."""
+    """((a+b) V_nu + ab U_nu + mu^2 U_{nu-1}) / ((1+a)(1+b)), normalised.
+
+    This is (a+b+ab) U_nu - (a+b-mu^2) U_{nu-1} with U_nu - U_{nu-1} = V_nu
+    taken out, so no two large terms cancel when a, b >= 0.
+    """
     norm = (1.0 + alpha) * (1.0 + beta)
     if abs(norm) < 1e-12:
         raise ValueError("degenerate Robin parameter (alpha or beta = -1); "
                          "use transfer.determinant's polynomial route")
-    x0 = mass.x0
-    mu2 = mass.mu * mass.mu
-    c1 = alpha + beta + alpha * beta
-    c2 = -(alpha + beta - mu2)
-    s1, l1 = cheb_u_log(nu, x0)
-    s2, l2 = cheb_u_log(nu - 1, x0)
-    sign, log_p0 = _signed_log_sum(c1 * s1, l1, c2 * s2, l2)
+    g = mass.gamma0
+    log_v = _log_cosh((2.0 * nu + 1.0) * g) - _log_cosh(g)
+    sign, log_p0 = _signed_log_sum([(alpha + beta, log_v), (alpha * beta, _log_u(nu, g)),
+                                    (mass.mu * mass.mu, _log_u(nu - 1, g))])
     if sign == 0:
         return LogDet(0, math.nan, 0)
     sign = sign if norm > 0 else -sign
@@ -184,26 +201,16 @@ def _robin_free_determinant(nu: int, alpha: float, beta: float, mass: MassParam,
                         complexified=complexified)
 
 
-def _signed_log_sum(c1: float, l1: float, c2: float, l2: float) -> tuple[int, float]:
-    """sign and log|c1 e^l1 + c2 e^l2| without leaving the log domain."""
-    if c1 == 0.0 and c2 == 0.0:
+def _signed_log_sum(terms) -> tuple[int, float]:
+    """sign and log|sum c e^l| over (c, l) pairs without leaving the log domain."""
+    scaled = [(c, l + math.log(abs(c))) for c, l in terms if c != 0.0]
+    if not scaled:
         return 0, math.nan
-    if c1 == 0.0:
-        return (1 if c2 > 0 else -1), l2 + math.log(abs(c2))
-    if c2 == 0.0:
-        return (1 if c1 > 0 else -1), l1 + math.log(abs(c1))
-    a1 = l1 + math.log(abs(c1))
-    a2 = l2 + math.log(abs(c2))
-    if a1 < a2:
-        a1, a2, c1, c2 = a2, a1, c2, c1
-    rest = math.copysign(math.exp(a2 - a1), c1 * c2)
-    total = 1.0 + rest
-    if total <= 0.0:
-        if total == 0.0:
-            return 0, math.nan
-        # cancellation to the wrong sign cannot happen: |rest| <= 1
+    top = max(a for _, a in scaled)
+    total = math.fsum(math.copysign(math.exp(a - top), c) for c, a in scaled)
+    if total == 0.0:
         return 0, math.nan
-    return (1 if c1 > 0 else -1), a1 + math.log(total)
+    return (1 if total > 0 else -1), top + math.log(abs(total))
 
 
 def robin_matrix_element(nu: int, alpha: float, beta: float,
@@ -220,7 +227,7 @@ def robin_matrix_element(nu: int, alpha: float, beta: float,
         raise ValueError("need nu >= 0")
     mass = mass or MassParam.massless()
     w = mass.mu * mass.mu + 2 - float(lam)
-    a, b, _ = _sweep(repeat(w, nu), 1.0, 1.0 + alpha)  # from the in-vector
+    a, b = _sweep(repeat(w, nu), 1.0, 1.0 + alpha)  # from the in-vector
     return (1.0 + beta) * b - a
 
 

@@ -146,7 +146,7 @@ class Potential:
         return tuple(v / (h * h) for v in self.values)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        return np.fromiter(self.values, dtype=float, count=len(self.values))
 
     def is_free(self) -> bool:
         return all(v == 0 for v in self.values)

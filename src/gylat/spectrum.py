@@ -133,8 +133,13 @@ def _tridiagonal_eigenvalues(d: np.ndarray) -> np.ndarray:
         mids = 0.5 * (los + his)
         counts = _sturm_counts(d, mids)
         below = counts >= targets
-        his = np.where(below, mids, his)
-        los = np.where(below, los, mids)
+        new_his = np.where(below, mids, his)
+        new_los = np.where(below, los, mids)
+        # a round that moves no bracket end repeats itself forever; brackets
+        # at |lambda| >= 64 stop one ulp wide, above the absolute 1e-14
+        if np.array_equal(new_his, his) and np.array_equal(new_los, los):
+            break
+        his, los = new_his, new_los
         if np.max(his - los) < 1e-14:
             break
     return 0.5 * (los + his)

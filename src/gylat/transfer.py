@@ -19,12 +19,20 @@ lambda = 0, normalised by the leading coefficient, gives the determinant.
 On the circle the eigenvalue condition is tr K(lambda; nu) = 2 cos(2 pi tau)
 instead.
 
-Every route runs on one kernel, :func:`_sweep`, which advances the scalar
-recurrence y(j+1) = w_j y(j) - y(j-1) over diagonal weights
-w_j = v_j + 2 - lambda.  Each column of K is one sweep from a unit seed, so
-no route multiplies 2x2 matrices site by site.  The kernel takes weights
-rather than (v, lambda), so each caller keeps its own arithmetic: floats
-with log-rescaling, exact ints and Fractions, or CharPoly entries.
+The exact, polynomial and path routes run on one kernel, :func:`_sweep`,
+which advances the scalar recurrence y(j+1) = w_j y(j) - y(j-1) over
+diagonal weights w_j = v_j + 2 - lambda.  Each column of K is one sweep from
+a unit seed, so no route multiplies 2x2 matrices site by site.  The kernel
+takes weights rather than (v, lambda), so each caller keeps its own
+arithmetic: floats, exact ints and Fractions, or CharPoly entries.
+
+The float determinant at lambda = 0 takes its own route,
+:func:`_blocked_difference_sweep`.  It carries (y(j), Delta(j) =
+y(j) - y(j-1)), stepped as Delta += v_j y, y += Delta, so the rounded
+weight 2 + v_j is never formed.  By the composition law
+K(j, j'') = K(j, j') K(j', j''), the sites are cut into about sqrt(nu)
+blocks whose matrices advance together as numpy arrays, and the blocks are
+then chained in Python with exact power-of-two renormalisation.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import numpy as np
 
 from .core import (
     CIRCLE,
+    DIRICHLET,
     BoundaryCondition,
     CharPoly,
     LatticeSpec,
@@ -48,16 +57,20 @@ from .core import (
 )
 
 # Above this nu, polynomial propagation risks float64 coefficient overflow
-# (coefficients grow like 4^nu); determinant() switches to scalar
-# log-rescaled propagation at lambda = 0.
+# (coefficients grow like 4^nu); determinant() reads P(0) off the scaled
+# difference-form sweep at every nu and needs the polynomial only for
+# degenerate Robin conditions, up to this nu.
 POLY_PROPAGATION_MAX_NU = 400
 
 # |lambda_bar| below this fraction of max_n |lambda_bar_n| counts as a zero
 # mode when forming primed determinants.
 ZERO_MODE_RTOL = 1e-10
 
-# Mantissas are renormalised once they exceed this during scalar propagation.
-_RESCALE_AT = 1e150
+# A block of the difference-form sweep may grow its columns by at most this
+# many bits (about 1e150), so chaining it onto an O(1) state cannot overflow.
+_BLOCK_GROWTH_BITS = 500
+
+_LN2 = math.log(2.0)
 
 
 def step_matrix(v, lam) -> Mat2:
@@ -72,27 +85,18 @@ def casoratian(a: Vec2, b: Vec2):
     return a.a * b.b - a.b * b.a
 
 
-def _sweep(ws, a, b, rescale=False, path=None):
+def _sweep(ws, a, b, path=None):
     """Advance (a, b) = (y(j-1), y(j)) by y(j+1) = w_j y(j) - y(j-1) over ``ws``.
 
-    Returns the terminal pair and the log of its scale, (a, b, log_scale).
-    Entries may be any ring scalars (float, int, Fraction, CharPoly).  With
-    ``rescale`` (floats only) the pair is divided by |b| whenever |b| exceeds
-    _RESCALE_AT, so the true pair is exp(log_scale) * (a, b); ``a`` is the
-    previous ``b``, so this is the max(|a|, |b|) test.  With ``path`` each
-    new ``b`` is appended to it.
+    Returns the terminal pair (a, b).  Entries may be any ring scalars
+    (float, int, Fraction, CharPoly).  With ``path`` each new ``b`` is
+    appended to it.
     """
-    log_scale = 0.0
     for w in ws:
         a, b = b, w * b - a
-        if rescale and abs(b) > _RESCALE_AT:
-            m = abs(b)
-            a /= m
-            b /= m
-            log_scale += math.log(m)
         if path is not None:
             path.append(b)
-    return a, b, log_scale
+    return a, b
 
 
 def propagate(potential: Potential, lam, v0: Vec2) -> list[Vec2]:
@@ -128,8 +132,8 @@ class Propagator:
         ws = [v + 2 - self.lam for v in self.potential.values[jprime:j]]
         one = self._one
         zero = one - one
-        a1, b1, _ = _sweep(ws, one, zero)
-        a2, b2, _ = _sweep(ws, zero, one)
+        a1, b1 = _sweep(ws, one, zero)
+        a2, b2 = _sweep(ws, zero, one)
         return Mat2(a1, a2, b1, b2)
 
 
@@ -152,7 +156,7 @@ def char_poly(potential: Potential, bc: BoundaryCondition, exact: bool = False) 
         if exact:
             vin = Vec2(_exactify(vin.a), _exactify(vin.b))
             out = Vec2(_exactify(out.a), _exactify(out.b))
-        a, b, _ = _sweep(ws, CharPoly([vin.a], backend=backend), CharPoly([vin.b], backend=backend))
+        a, b = _sweep(ws, CharPoly([vin.a], backend=backend), CharPoly([vin.b], backend=backend))
         return out.a * a + out.b * b
     if potential.nu < 1:
         raise ValueError("circle topology needs nu >= 1")
@@ -186,27 +190,82 @@ def periodic_char_fn(potential: Potential, tau: float, lam: float) -> float:
     return trace - 2.0 * math.cos(2.0 * math.pi * tau)
 
 
+def _blocked_difference_sweep(u: np.ndarray, cols: list[float],
+                              block: int | None = None) -> tuple[list[float], int]:
+    """Advance difference-form columns over every site, block by block.
+
+    ``cols`` = [y1, d1, y2, d2] holds two columns (y(j), Delta(j)) at j = 1;
+    each site steps them by Delta += u_j y, y += Delta, the step matrix
+    [[1 + u_j, 1], [u_j, 1]].  Returns the columns at j = nu + 1 as
+    (mantissas, e), the true columns being mantissas * 2**e.
+
+    The sites are cut into blocks of about sqrt(nu) (``block`` overrides
+    that), capped so that a block's growth bound prod(|u_j| + 2) stays below
+    2**_BLOCK_GROWTH_BITS.  The unit columns of every block advance together
+    as numpy arrays; the block matrices are then chained onto ``cols`` in
+    Python, with the largest entry brought to [0.5, 1) by an exact power of
+    two after each block, so exact zeros stay exact.
+    """
+    nu = len(u)
+    if nu == 0:
+        return cols, 0
+    growth = math.log2(2.0 + float(np.max(np.abs(u))))  # bits one site may add
+    cap = int(_BLOCK_GROWTH_BITS / growth) if growth < _BLOCK_GROWTH_BITS else 1
+    nblocks = -(-nu // max(1, min(block or math.isqrt(nu), cap)))
+    length = -(-nu // nblocks)
+    short = nblocks * length - nu  # the first ``short`` blocks have length - 1 sites
+    grid = np.zeros((length, nblocks))  # grid[k, i] = u at step k of block i
+    cut = short * (length - 1)
+    grid[1:, :short] = u[:cut].reshape(short, length - 1).T
+    grid[:, short:] = u[cut:].reshape(nblocks - short, length).T
+    # both columns after each block's first step, S(u) applied to I; a short
+    # block skips that step (its grid[0] is 0, and y of column 2 is reset)
+    ys = np.ones((2, nblocks))
+    ds = np.ones((2, nblocks))
+    ys[0] += grid[0]
+    ds[0] = grid[0]
+    ys[1, :short] = 0.0
+    for row in grid[1:]:
+        ds += row * ys
+        ys += ds
+    y1, d1, y2, d2 = cols
+    exponent = 0
+    for p, q, r, s in zip(ys[0].tolist(), ys[1].tolist(), ds[0].tolist(), ds[1].tolist()):
+        y1, d1 = p * y1 + q * d1, r * y1 + s * d1
+        y2, d2 = p * y2 + q * d2, r * y2 + s * d2
+        e = math.frexp(max(abs(y1), abs(d1), abs(y2), abs(d2)))[1]
+        y1, d1, y2, d2 = (math.ldexp(y1, -e), math.ldexp(d1, -e),
+                          math.ldexp(y2, -e), math.ldexp(d2, -e))
+        exponent += e
+    return [y1, d1, y2, d2], exponent
+
+
 def _scaled_scalar_p0(potential: Potential, bc: BoundaryCondition) -> tuple[float, float, float]:
-    """P(0) by rescaled scalar propagation, as (mantissa, log_scale, ref).
+    """P(0) by the blocked difference-form sweep, as (mantissa, log_scale, ref).
 
     P(0) = mantissa * exp(log_scale); ``ref`` is the magnitude of the final
-    propagated components (the Frobenius norm of K on the circle), on the
-    mantissa's scale: the natural yardstick for a zero test.
+    components (y(nu), y(nu+1)) (the Frobenius norm of K on the circle), on
+    the mantissa's scale: the natural yardstick for a zero test.
     """
-    ws = [float(v) + 2.0 for v in potential]
+    u = potential.as_array()
     if bc.is_interval:
-        vin = bc.in_vector()
-        a, b, log_scale = _sweep(ws, float(vin.a), float(vin.b), rescale=True)
-        out = bc.out_adjoint()
-        return float(out.a) * a + float(out.b) * b, log_scale, max(abs(a), abs(b), 1e-300)
-    # the two columns of K, each with its own scale, brought to the larger one
-    a1, b1, s1 = _sweep(ws, 1.0, 0.0, rescale=True)
-    a2, b2, s2 = _sweep(ws, 0.0, 1.0, rescale=True)
-    log_scale = max(s1, s2)
-    f1, f2 = math.exp(s1 - log_scale), math.exp(s2 - log_scale)
-    shift = 2.0 * math.cos(2.0 * math.pi * bc.twist) * math.exp(-log_scale)
-    ref = math.sqrt(sum(x * x for x in (f1 * a1, f2 * a2, f1 * b1, f2 * b2)))  # |K|_F
-    return f1 * a1 + f2 * b2 - shift, log_scale, max(ref, 1e-300)
+        # (y(1), Delta(1)) from y(0) = 0, y(1) = 1, or y(0) = 1, Delta y(0) = alpha
+        alpha = float(bc.robin_alpha)
+        seed = [1.0, 1.0] if bc.kind == DIRICHLET else [1.0 + alpha, alpha]
+        (y, d, _, _), e = _blocked_difference_sweep(u, seed + [0.0, 0.0])
+        # out_adjoint . (y(nu), y(nu+1)) = y for Dirichlet, else Delta + beta y
+        p0 = y if bc.kind == DIRICHLET else d + float(bc.robin_beta) * y
+        ref = max(abs(y - d), abs(y))
+    else:
+        (p, r, q, s), e = _blocked_difference_sweep(u, [1.0, 0.0, 0.0, 1.0])
+        # K = S^-1 D S with D = [[p, q], [r, s]] and S (y(j-1), y(j)) = (y, Delta)
+        ref = math.hypot(s - q, p + q - r - s, q, p + q)
+        p0 = p + s - math.ldexp(_twist_shift(bc.twist, False), -e)
+    if e <= _BLOCK_GROWTH_BITS:
+        # P(0) < 2^500 fits a float: fold the scale back, so that exact
+        # small determinants stay exact (log(0.5) + 3 log 2 is not log 4)
+        return math.ldexp(p0, e), 0.0, max(math.ldexp(ref, e), 1e-300)
+    return p0, e * _LN2, max(ref, 1e-300)
 
 
 def _leading_factor(bc: BoundaryCondition) -> float:
@@ -244,9 +303,10 @@ def determinant(potential: Potential, bc: BoundaryCondition, spec: LatticeSpec,
         return _primed_determinant(potential, bc, spec)
 
     log_h2nu = -2.0 * nu * math.log(spec.h)
-    # P(0) always comes from the rescaled scalar propagation: it cannot
-    # overflow and its running magnitude is the right yardstick for "the
-    # determinant vanishes" (the polynomial's large mid coefficients are not).
+    # P(0) always comes from the blocked difference-form sweep: it cannot
+    # overflow, it never rounds the weights 2 + v_j, and its final magnitude
+    # is the right yardstick for "the determinant vanishes" (the
+    # polynomial's large mid coefficients are not).
     p0, log_scale, ref = _scaled_scalar_p0(potential, bc)
     if abs(p0) <= 1e-11 * ref:
         return LogDet(0, math.nan, 0)

@@ -68,6 +68,15 @@ class TestDet:
         assert abs(data["dimensionless_det"] - 3.0) < 1e-10
         assert data["closed_form_agreement"] is True
 
+    def test_massive_neumann_at_large_nu(self, capsys):
+        # the sweep never rounds 2 + mu^2 and the closed form never rounds
+        # x0 = 1 + mu^2/2, so they agree far inside the 1e-8 check
+        code, data = run_json(capsys, "det", "--bc", "neumann", "--mass", "0.75",
+                              "--nu", "150000", "--L", "1")
+        assert code == 0
+        assert data["closed_form_agreement"] is True
+        assert data["closed_form_rel_diff"] <= 1e-9
+
     def test_overflowing_dimensionless_det_is_infinity(self, capsys, tmp_path):
         # O(1) dimensionless potential at nu = 1000: Det * h^(2 nu) ~ 1e456
         # overflows a float, while log10_abs stays exact

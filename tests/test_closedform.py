@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from gylat import (
@@ -169,6 +170,45 @@ class TestFreeDeterminant:
                 assert ld.sign == 0
             else:
                 assert abs(ld.value - want) < 1e-9 * abs(want)
+
+
+def mp_free_det(bc, nu, mu):
+    """Dimensionless free determinant from x0 = 1 + mu^2/2 in 50-digit mpmath."""
+    mu2 = mpmath.mpf(mu) ** 2
+    x0 = 1 + mu2 / 2
+
+    def u(n):
+        t = mpmath.acosh(x0)
+        return mpmath.sinh((n + 1) * t) / mpmath.sinh(t)
+    if bc.kind == "dirichlet":
+        return u(nu)
+    if bc.is_circle:
+        tn = mpmath.cosh(nu * mpmath.acosh(x0))
+        return 2 * (tn - mpmath.cos(2 * mpmath.pi * mpmath.mpf(bc.twist)))
+    a, b = mpmath.mpf(bc.robin_alpha), mpmath.mpf(bc.robin_beta)
+    return ((a + b + a * b) * u(nu) - (a + b - mu2) * u(nu - 1)) / ((1 + a) * (1 + b))
+
+
+class TestMassiveAgainstMpmath:
+    """Every closed form from gamma0, small and large nu mu, against mpmath.
+
+    mu = 0.75/nu and 3/nu are the continuum-limit masses, where x0 rounds
+    mu^2/2 against 1; twisted(0.999) sits next to the periodic cancellation.
+    """
+
+    @pytest.mark.parametrize("nu", [1, 7, 1000, 150_000])
+    @pytest.mark.parametrize("bc", [dirichlet(), neumann(), robin(0.3, 1.2), robin(1e-5, 2e-5),
+                                    periodic(), twisted(0.3), twisted(0.999)],
+                             ids=lambda bc: f"{bc.kind}-{bc.alpha}-{bc.twist}")
+    def test_log_det(self, nu, bc):
+        spec = spec_for(bc, nu)
+        for mu in (0.75 / nu, 3.0 / nu, 0.5):
+            ld = free_determinant(bc, spec, MassParam.dimensionless(mu, spec))
+            with mpmath.workdps(50):
+                want = mp_free_det(bc, nu, mu)
+                assert ld.sign == (1 if want > 0 else -1)
+                want = float(mpmath.log(abs(want)))
+            assert abs(ld.log_abs - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestRobinMatrixElement:

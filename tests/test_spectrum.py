@@ -31,6 +31,7 @@ from gylat import (
     robin_cosec_sum,
     twisted,
 )
+from gylat import spectrum
 from gylat.spectrum import _sturm_counts, cyclic_matrix, tridiagonal_matrix
 
 
@@ -375,6 +376,21 @@ class TestOracleAgainstReferences:
         for pot in oracle_potentials(nu):
             d, _ = tridiagonal_matrix(pot, bc)
             assert oracle_spectrum(pot, bc).lambdas == tuple(ref_bisection(d))
+
+    def test_bisection_stops_when_brackets_stop_moving(self, monkeypatch):
+        # brackets around |lambda| >= 64 end one ulp (1.4e-14) wide, above the
+        # absolute 1e-14 stop, so only the no-progress test ends the loop early
+        pot = Potential(tuple(np.random.default_rng(200).uniform(60.0, 70.0, 200)))
+        d, _ = tridiagonal_matrix(pot, dirichlet())
+        calls = []
+
+        def counting(d, xs):
+            calls.append(1)
+            return _sturm_counts(d, xs)
+        monkeypatch.setattr(spectrum, "_sturm_counts", counting)
+        got = oracle_spectrum(pot, dirichlet()).lambdas
+        assert len(calls) < 64
+        assert got == tuple(ref_bisection(d))
 
     @pytest.mark.parametrize("nu", [1, 2, 3, 200])
     @pytest.mark.parametrize("tau", [1.0, 0.5, 0.3])

@@ -1,16 +1,19 @@
-"""The shared sweep kernel against the step-matrix product it replaced.
+"""The sweep kernels against the references they replaced.
 
-Every route (propagate, Propagator, char_poly, the scalar P(0) sweep and the
-Chebyshev recurrences) runs on ``transfer._sweep``.  The references below
+The exact, polynomial and path routes (propagate, Propagator, char_poly and
+the Chebyshev recurrences) run on ``transfer._sweep``.  The references below
 multiply ``step_matrix`` factors site by site, the textbook form of the
 transfer-matrix product, and the kernel must reproduce them exactly (``==``)
-on floats, ints, Fractions and CharPoly entries.  The last class checks
-determinants at user sizes, deep in the rescaling regime, against LAPACK.
+on floats, ints, Fractions and CharPoly entries.  The float P(0) of
+``determinant`` comes from the blocked difference-form sweep, which rounds
+differently by design: it is checked against exact integer arithmetic, the
+sequential difference-form loop, mpmath, and LAPACK at user sizes.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,7 +38,12 @@ from gylat import (
 from gylat import chebyshev as cheb
 from gylat.core import _exactify
 from gylat.spectrum import cyclic_matrix, tridiagonal_matrix
-from gylat.transfer import Propagator, _RESCALE_AT, _scaled_scalar_p0, _twist_shift
+from gylat.transfer import (
+    Propagator,
+    _blocked_difference_sweep,
+    _scaled_scalar_p0,
+    _twist_shift,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -88,20 +96,50 @@ def ref_char_poly(potential, bc, exact=False):
     return acc.trace() - _twist_shift(bc.twist, exact)
 
 
-def ref_interval_p0(potential, bc):
-    """(mantissa, log_scale, ref) of P(0) by rescaled step-matrix stepping."""
-    vin = bc.in_vector()
-    cur = Vec2(float(vin.a), float(vin.b))
-    log_scale = 0.0
-    for v in potential:
-        cur = step_matrix(float(v), 0.0) @ cur
-        m = max(abs(cur.a), abs(cur.b))
-        if m > _RESCALE_AT:
-            cur = Vec2(cur.a / m, cur.b / m)
-            log_scale += math.log(m)
-    out = bc.out_adjoint()
-    return (float(out.a) * cur.a + float(out.b) * cur.b, log_scale,
-            max(abs(cur.a), abs(cur.b), 1e-300))
+def exact_interval_p0(potential, bc) -> Fraction:
+    """P(0) = out_adjoint . (y(nu), y(nu+1)) in exact integer arithmetic.
+
+    The float weights w_j = 2 + v_j are lifted exactly to W_j / 2^E, and the
+    seeds to integers over D; Y(j) = D 2^(E j) y(j) then obeys
+    Y(j+1) = W_j Y(j) - 2^(2E) Y(j-1) in Python integers.
+    """
+    ws = [Fraction(float(v)) + 2 for v in potential]
+    E = max((w.denominator.bit_length() - 1 for w in ws), default=0)
+    W = [w.numerator << (E - w.denominator.bit_length() + 1) for w in ws]
+    vin, out = bc.in_vector(), bc.out_adjoint()
+    y0, y1 = Fraction(float(vin.a)), Fraction(float(vin.b))
+    D = math.lcm(y0.denominator, y1.denominator)
+    prev, cur = int(y0 * D), int(y1 * D) << E
+    unit = 1 << (2 * E)
+    for w in W:
+        prev, cur = cur, w * cur - unit * prev
+    nu = len(W)
+    y_nu = Fraction(prev, D << (E * nu))
+    y_next = Fraction(cur, D << (E * (nu + 1)))
+    return Fraction(float(out.a)) * y_nu + Fraction(float(out.b)) * y_next
+
+
+def p0_error(got, want: Fraction) -> float:
+    """|mantissa - P(0) exp(-log_scale)| over the zero-test yardstick."""
+    mantissa, log_scale, ref = got
+    with mpmath.workdps(50):
+        scaled = mpmath.mpf(want.numerator) / want.denominator * mpmath.exp(-log_scale)
+        return float(abs(mantissa - scaled)) / ref
+
+
+def ref_difference_sweep(u, cols):
+    """The difference-form columns stepped site by site, renormalised by 2^e."""
+    y1, d1, y2, d2 = cols
+    exponent = 0
+    for x in u:
+        d1 += x * y1
+        y1 += d1
+        d2 += x * y2
+        y2 += d2
+        e = math.frexp(max(abs(y1), abs(d1), abs(y2), abs(d2)))[1]
+        y1, d1, y2, d2 = (math.ldexp(t, -e) for t in (y1, d1, y2, d2))
+        exponent += e
+    return [y1, d1, y2, d2], exponent
 
 
 def ref_cheb_u_pair(n, x):
@@ -183,16 +221,47 @@ class TestPropagation:
     @given(seed=st.integers(0, 2**32 - 1), nu=st.integers(0, 800),
            bc=st.sampled_from([dirichlet(), neumann(), robin(0.5, -0.7), robin(2.0, 1.0)]))
     def test_interval_p0(self, seed, nu, bc):
-        # from nu ~ 300 on these weights cross _RESCALE_AT, so rescaling is compared too
+        # from nu ~ 300 on P(0) leaves float range, so the scale is checked too
         values = np.random.default_rng(seed).uniform(-1.0, 2.5, nu)
         pot = Potential(tuple(values.tolist()))
-        assert _scaled_scalar_p0(pot, bc) == ref_interval_p0(pot, bc)
+        assert p0_error(_scaled_scalar_p0(pot, bc), exact_interval_p0(pot, bc)) <= 1e-11
 
     def test_interval_p0_rescales(self):
         pot = Potential.constant(2000, 1.0)  # y grows like 2.6^j
         got = _scaled_scalar_p0(pot, dirichlet())
-        assert got[1] > 3.0 * math.log(_RESCALE_AT)
-        assert got == ref_interval_p0(pot, dirichlet())
+        assert got[1] > 1900.0
+        assert p0_error(got, exact_interval_p0(pot, dirichlet())) <= 1e-11
+
+
+class TestBlockedDifferenceSweep:
+    """Block length 1, the default sqrt(nu), and the growth cap (|u| ~ 1e30
+    allows 5 sites per block) against the sequential difference form."""
+
+    @SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), nu=st.integers(0, 600),
+           scale=st.sampled_from([1e-6, 1.0, 3.0, 1e30]), block=st.sampled_from([1, None]),
+           cols=st.sampled_from([[1.0, 0.0, 0.0, 1.0], [1.0, 1.0, 0.0, 0.0],
+                                 [1.3, 0.3, 0.0, 0.0]]))
+    def test_matches_sequential(self, seed, nu, scale, block, cols):
+        u = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, nu)
+        got, e = _blocked_difference_sweep(u, list(cols), block)
+        want, e_ref = ref_difference_sweep(u.tolist(), cols)
+        got = [math.ldexp(x, e - e_ref) for x in got]
+        top = max(abs(x) for x in want)
+        # both routes round; oscillatory sites (|u| < 4) cost them digits
+        # alike, up to 7e-12 of the largest entry over 2000 random draws
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-10 * top
+
+    def test_free_is_exact(self):
+        # u = 0: every block is [[1, L], [0, 1]], so the columns stay integers
+        for nu in (1, 7, 100, 1000):
+            got, e = _blocked_difference_sweep(np.zeros(nu), [1.0, 0.0, 0.0, 1.0])
+            assert [math.ldexp(x, e) for x in got] == [1.0, 0.0, float(nu), 1.0]
+
+    def test_huge_sites_do_not_overflow(self):
+        u = np.full(50, 1e300)
+        got, e = _blocked_difference_sweep(u, [1.0, 1.0, 0.0, 0.0])
+        assert all(math.isfinite(x) for x in got) and e > 50 * 996
 
 
 class TestChebyshev:
@@ -256,3 +325,62 @@ class TestDeterminantAtUserSizes:
         assert ld.sign == round(sign.real) == -1
         dimensionless = ld.log_abs + 2.0 * nu * math.log(spec.h)
         assert abs(dimensionless - logdet) <= 1e-12 * abs(logdet)
+
+
+def mp_circle_p0(values, tau):
+    """tr K - 2 cos(2 pi tau) by the w-form recurrence in 60-digit mpmath."""
+    with mpmath.workdps(60):
+        trace = 0
+        for a, b, top in ((1, 0, True), (0, 1, False)):
+            a, b = mpmath.mpf(a), mpmath.mpf(b)
+            for v in values:
+                a, b = b, (2 + mpmath.mpf(v)) * b - a
+            trace += a if top else b
+        return trace - 2 * mpmath.cos(2 * mpmath.pi * mpmath.mpf(tau))
+
+
+class TestSignChangingCircle:
+    """v = h^2 uniform(-60, 60): the circle determinant is O(1) while the
+    columns of K grow like nu; the rounded weight 2 + v_j cost the w-form
+    sweep ~1e-8 of log|det| here."""
+
+    @pytest.mark.parametrize("bc", [periodic(), twisted(0.3)], ids=lambda bc: bc.kind)
+    def test_against_lapack(self, bc):
+        nu = 2000
+        spec = LatticeSpec.circle(nu, h=1.0)
+        values = (np.random.default_rng(nu).uniform(-60.0, 60.0, nu) / (nu * nu)).tolist()
+        pot = Potential(tuple(values))
+        sign, logdet = np.linalg.slogdet(cyclic_matrix(pot, bc))
+        ld = determinant(pot, bc, spec)
+        assert ld.sign == round(sign.real)
+        assert abs(ld.log_abs - logdet) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("bc", [periodic(), twisted(0.3)], ids=lambda bc: bc.kind)
+    def test_against_mpmath(self, bc, seed):
+        # LAPACK factors the rounded matrix and drifts by up to ~1e-9 on some
+        # of these draws; the 60-digit recurrence on the exact v_j does not
+        nu = 2000
+        values = (np.random.default_rng(seed).uniform(-60.0, 60.0, nu) / (nu * nu)).tolist()
+        ld = determinant(Potential(tuple(values)), bc, LatticeSpec.circle(nu, h=1.0))
+        want = mp_circle_p0(values, bc.twist)
+        assert ld.sign == (1 if want > 0 else -1)
+        assert abs(ld.log_abs - float(mpmath.log(abs(want)))) <= 1e-12
+
+
+@pytest.mark.parametrize("bc", [dirichlet(), neumann()], ids=lambda bc: bc.kind)
+def test_constant_mass_against_sinh_formula(bc):
+    # Det = U_nu(x0) (Dirichlet), mu^2 U_{nu-1}(x0) (Neumann), U_n(cosh 2g) =
+    # sinh(2(n+1)g)/sinh(2g) with sinh g = mu/2; h = 1 keeps log|det| O(1)
+    nu = 100_000
+    mu2 = (0.75 / (nu + 1)) ** 2
+    ld = determinant(Potential.constant(nu, mu2), bc, LatticeSpec.interval(nu, h=1.0))
+    with mpmath.workdps(40):
+        g = mpmath.asinh(mpmath.sqrt(mpmath.mpf(mu2)) / 2)
+        if bc.kind == "dirichlet":
+            want = mpmath.sinh(2 * (nu + 1) * g) / mpmath.sinh(2 * g)
+        else:
+            want = mpmath.mpf(mu2) * mpmath.sinh(2 * nu * g) / mpmath.sinh(2 * g)
+        want = float(mpmath.log(want))
+    assert ld.sign == 1
+    assert abs(ld.log_abs - want) <= 1e-11
