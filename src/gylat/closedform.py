@@ -158,17 +158,16 @@ def free_determinant(bc: BoundaryCondition, spec: LatticeSpec,
         if complexified:
             log_abs *= 2.0
         return LogDet(1, log_abs, 1)
-    if g == 0.0:
-        # F(0) = 2 (T_nu(1) - cos 2 pi tau) with T_nu(1) = 1
-        log_dimless = math.log(2.0) + math.log1p(-math.cos(2.0 * math.pi * tau))
-    else:
-        # F(0) = 4 (sinh^2(nu g) + sin^2(pi tau)); tau - round(tau) makes the
-        # sine exactly 0 at tau = 1
-        terms = [(1.0, 2.0 * _log_sinh(nu * g))]
-        sine = abs(math.sin(math.pi * (tau - round(tau))))
-        if sine:
-            terms.append((1.0, 2.0 * math.log(sine)))
-        log_dimless = math.log(4.0) + _signed_log_sum(terms)[1]
+    # F(0) = 4 (sinh^2(nu g) + sin^2(pi tau)); tau - round(tau) makes the
+    # sine exactly 0 at integer tau and keeps it accurate as tau -> 1.  The
+    # zero-mode return above leaves at least one term nonzero.
+    terms = []
+    if g > 0.0:
+        terms.append((1.0, 2.0 * _log_sinh(nu * g)))
+    sine = abs(math.sin(math.pi * (tau - round(tau))))
+    if sine:
+        terms.append((1.0, 2.0 * math.log(sine)))
+    log_dimless = math.log(4.0) + _signed_log_sum(terms)[1]
     return _logdet_from(1, log_dimless, nu, h, complexified=complexified)
 
 

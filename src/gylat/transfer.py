@@ -70,6 +70,10 @@ ZERO_MODE_RTOL = 1e-10
 # many bits (about 1e150), so chaining it onto an O(1) state cannot overflow.
 _BLOCK_GROWTH_BITS = 500
 
+# A swept P(0) below 2**_FOLD_BITS is returned unscaled (log_scale 0), so that
+# exact small determinants stay exact; 2**500 ~ 1e150 leaves room to square it.
+_FOLD_BITS = 500
+
 _LN2 = math.log(2.0)
 
 
@@ -200,7 +204,7 @@ def _blocked_difference_sweep(u: np.ndarray, cols: list[float],
     (mantissas, e), the true columns being mantissas * 2**e.
 
     The sites are cut into blocks of about sqrt(nu) (``block`` overrides
-    that), capped so that a block's growth bound prod(|u_j| + 2) stays below
+    that; it is a test hook for checking other lengths), capped so that a block's growth bound prod(|u_j| + 2) stays below
     2**_BLOCK_GROWTH_BITS.  The unit columns of every block advance together
     as numpy arrays; the block matrices are then chained onto ``cols`` in
     Python, with the largest entry brought to [0.5, 1) by an exact power of
@@ -261,9 +265,8 @@ def _scaled_scalar_p0(potential: Potential, bc: BoundaryCondition) -> tuple[floa
         # K = S^-1 D S with D = [[p, q], [r, s]] and S (y(j-1), y(j)) = (y, Delta)
         ref = math.hypot(s - q, p + q - r - s, q, p + q)
         p0 = p + s - math.ldexp(_twist_shift(bc.twist, False), -e)
-    if e <= _BLOCK_GROWTH_BITS:
-        # P(0) < 2^500 fits a float: fold the scale back, so that exact
-        # small determinants stay exact (log(0.5) + 3 log 2 is not log 4)
+    if e <= _FOLD_BITS:
+        # fold the scale back: log(0.5) + 3 log 2 is not log 4
         return math.ldexp(p0, e), 0.0, max(math.ldexp(ref, e), 1e-300)
     return p0, e * _LN2, max(ref, 1e-300)
 

@@ -210,6 +210,16 @@ class TestMassiveAgainstMpmath:
                 want = float(mpmath.log(abs(want)))
             assert abs(ld.log_abs - want) <= 1e-12 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("tau", [1e-7, 0.3, 0.5, 0.999, 0.999999, 0.9999999])
+    def test_massless_twisted_near_periodic(self, tau):
+        # 4 sin^2(pi (tau - 1)) does not cancel as tau -> 1, as 2 - 2 cos would
+        spec = LatticeSpec.circle(10, h=1.0)
+        ld = free_determinant(twisted(tau), spec)
+        with mpmath.workdps(50):
+            want = float(mpmath.log(mp_free_det(twisted(tau), 10, 0.0)))
+        assert ld.sign == 1
+        assert abs(ld.log_abs - want) <= 1e-14 * max(1.0, abs(want))
+
 
 class TestRobinMatrixElement:
     def test_neumann_reduction(self):

@@ -297,10 +297,10 @@ class TestChebyshev:
         assert cheb.cheb_t_poly(n).coeffs == [Fraction(c, 2) for c in k.trace().coeffs]
 
 
-# -- user sizes: deep in the rescaling regime --------------------------------
+# -- user sizes: P(0) far outside float range ---------------------------------
 
 class TestDeterminantAtUserSizes:
-    """O(1) potentials make P(0) ~ 1e230..1e910, far past _RESCALE_AT.
+    """O(1) potentials make P(0) ~ 1e230..1e910, far outside float range.
 
     Three deep wells push three eigenvalues below zero, so the sign is -1.
     """
