@@ -36,7 +36,7 @@ from .core import (
 )
 from .spectrum import cosecant_sum, inverse_power_sums, oracle_spectrum, robin_cosec_sum
 from .transfer import char_poly, determinant, eigenfunctions
-from .vacuum import extract_constant, free_energy_closed, vacuum_energy
+from .vacuum import _admissible_lattice, extract_constant, free_energy_closed, vacuum_energy
 
 SCHEMA_VERSION = 1
 CONSISTENCY_RTOL = 1e-8
@@ -371,11 +371,7 @@ def cmd_casimir(args) -> tuple[dict | list, int]:
         hs = _geometric(lo, hi, n)
         tau = args.tau if bc.kind == TWISTED else None
         fit = extract_constant(bc, spec.L, hs, tau=tau)
-        specs = [
-            (LatticeSpec.circle(max(2, round(spec.L / h)), L=spec.L) if bc.is_circle
-             else LatticeSpec.interval(max(1, round(spec.L / h) - 1), L=spec.L))
-            for h in fit.h_values]
-        points = [_casimir_point(bc, s) for s in specs]
+        points = [_casimir_point(bc, _admissible_lattice(bc, spec.L, h)) for h in fit.h_values]
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": "casimir",

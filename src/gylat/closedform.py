@@ -187,8 +187,8 @@ def _robin_free_determinant(nu: int, alpha: float, beta: float, mass: MassParam,
     """
     norm = (1.0 + alpha) * (1.0 + beta)
     if abs(norm) < 1e-12:
-        raise ValueError("degenerate Robin parameter (alpha or beta = -1); "
-                         "use transfer.determinant's polynomial route")
+        raise ValueError("degenerate Robin parameter (alpha or beta = -1) has no "
+                         "closed form; transfer.determinant handles it")
     g = mass.gamma0
     log_v = _log_cosh((2.0 * nu + 1.0) * g) - _log_cosh(g)
     sign, log_p0 = _signed_log_sum([(alpha + beta, log_v), (alpha * beta, _log_u(nu, g)),

@@ -27,12 +27,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Relative threshold below which a float coefficient counts as zero when
-# determining the degree of a characteristic polynomial.  Robin conditions
-# with alpha = -1 or beta = -1 legitimately drop the degree, so this cannot
-# be an exact-zero test in float mode.
-COEFF_ZERO_RTOL = 1e-12
-
 INTERVAL = "interval"
 CIRCLE = "circle"
 
@@ -309,7 +303,10 @@ class CharPoly:
 
     Coefficients are stored ascending, ``coeffs[k]`` multiplying lambda**k.
     ``backend`` is "float" or "exact"; exact coefficients are ints or
-    Fractions and all arithmetic on them is exact.
+    Fractions and all arithmetic on them is exact.  Both backends drop
+    exactly-zero top coefficients and nothing else, so the degree is the
+    index of the last nonzero coefficient (exact alpha or beta = -1 Robin
+    conditions yield exact zeros and lose their degrees).
     """
 
     __slots__ = ("coeffs", "backend")
@@ -322,16 +319,12 @@ class CharPoly:
             backend = "exact" if all(isinstance(c, (int, Fraction, np.integer)) for c in coeffs) else "float"
         if backend == "exact":
             coeffs = [_exactify(c) for c in coeffs]
-            while len(coeffs) > 1 and coeffs[-1] == 0:
-                coeffs.pop()
         elif backend == "float":
             coeffs = [float(c) for c in coeffs]
-            top = max(abs(c) for c in coeffs)
-            cut = COEFF_ZERO_RTOL * top
-            while len(coeffs) > 1 and abs(coeffs[-1]) <= cut:
-                coeffs.pop()
         else:
             raise ValueError(f"unknown backend {backend!r}")
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs.pop()
         self.coeffs = coeffs
         self.backend = backend
 

@@ -53,19 +53,22 @@ def _orderwise_terminals(potential: Potential, order: int, free: list[CharPoly],
     U_m(1 - lambda/2).  Returns terms[k][j] = order-k part of y(j).
     """
     nu = potential.nu
-    zero = CharPoly([0], backend=free[0].backend)
+    vals = potential.values
+    zero = free[0] - free[0]
     # terms[k][j]: j runs 0..nu+1
     terms: list[list[CharPoly]] = [[zero] * (nu + 2) for _ in range(order + 1)]
     terms[0][0] = zero + seed0
     for j in range(nu + 1):
         terms[0][j + 1] = free[j]
+    sites = [j1 for j1 in range(1, nu + 1) if vals[j1 - 1] != 0]
     for k in range(1, order + 1):
+        prev = terms[k - 1]
         for j in range(nu + 1):
             acc = zero
-            for j1 in range(1, j + 1):
-                if potential.values[j1 - 1] == 0:
-                    continue
-                acc = acc + u[j - j1] * (potential.values[j1 - 1] * terms[k - 1][j1])
+            for j1 in sites:
+                if j1 > j:
+                    break
+                acc = acc + (u[j - j1] * vals[j1 - 1]) * prev[j1]
             terms[k][j + 1] = acc
     return terms
 
@@ -118,24 +121,14 @@ def neumann_trace_series(potential: Potential, order=FULL_ORDER,
 
 
 def _det_series(potential: Potential, order: int, neumann: bool):
-    """Scalar series at lambda = 0: U_n -> n+1, V_n -> 1."""
+    """Order-by-order determinant at lambda = 0, where U_m -> m+1, V_m -> 1."""
     nu = potential.nu
-    vals = potential.values
-    # rows[k][j] = order-k part of y(j), j = 0..nu+1
-    rows = [[0] * (nu + 2) for _ in range(order + 1)]
-    for j in range(nu + 1):
-        rows[0][j + 1] = 1 if neumann else j + 1
-    for k in range(1, order + 1):
-        for j in range(nu + 1):
-            acc = 0
-            for j1 in range(1, j + 1):
-                acc += (j - j1 + 1) * vals[j1 - 1] * rows[k - 1][j1]
-            rows[k][j + 1] = acc
+    u = [m + 1 for m in range(nu + 1)]
+    # y(0) is read only at nu = 0, where seed 0 keeps the empty product 1
+    terms = _orderwise_terminals(potential, order, [1] * (nu + 1) if neumann else u, u, seed0=0)
     if neumann:
-        per_order = [rows[k][nu + 1] - rows[k][nu] for k in range(order + 1)]
-    else:
-        per_order = [rows[k][nu + 1] for k in range(order + 1)]
-    return per_order
+        return [t[nu + 1] - t[nu] for t in terms]
+    return [t[nu + 1] for t in terms]
 
 
 def dirichlet_det_series(potential: Potential, order=FULL_ORDER):

@@ -5,8 +5,9 @@ as a symmetric tridiagonal (interval) or Hermitian cyclic (circle) matrix in
 the dimensionless variables and solves it by Sturm-sequence bisection on
 IEEE pivot signs (tridiagonal) or dense diagonalisation of the nu x nu
 matrix itself (cyclic).  Root finding for characteristic polynomials goes
-the other way - Sturm chains of the polynomial itself - so the two routes
-stay independent checks of one another.
+the other way - Sturm chains of the polynomial itself, with every sign
+decided in integer arithmetic - so the two routes stay independent checks
+of one another.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .core import (
     LatticeSpec,
     Potential,
     Spectrum,
-    _exactify,
 )
 
 # Caps beyond which the oracle refuses (callers get an explicit error
@@ -172,218 +172,155 @@ def oracle_spectrum(potential: Potential, bc: BoundaryCondition,
     return Spectrum(tuple(np.linalg.eigvalsh(H)), spec)
 
 
-def oracle_available(potential: Potential, bc: BoundaryCondition) -> bool:
-    cap = ORACLE_MAX_NU if bc.is_interval else ORACLE_MAX_NU_CYCLIC
-    return 1 <= potential.nu <= cap
-
-
 # ---------------------------------------------------------------------------
 # Polynomial root finding via Sturm chains
 # ---------------------------------------------------------------------------
 
-def _poly_eval(coeffs: list[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _primitive(coeffs) -> list[int]:
+    """The coefficients times a positive rational: coprime integers, same signs.
 
-
-def _normalise(coeffs: list[Fraction]) -> list[Fraction]:
-    top = max(abs(c) for c in coeffs)
-    if top == 0:
-        return coeffs
-    return [c / top for c in coeffs]
-
-
-def _sturm_chain(coeffs: list[Fraction]) -> list[list[Fraction]]:
-    """Canonical Sturm chain of p; built exactly so termination is exact.
-
-    The last member is (up to sign and scale) gcd(p, p'), which is
-    non-constant precisely when p has multiple roots.
+    Float coefficients are exact dyadic rationals, so every backend lands here.
     """
-    p0 = _normalise(list(coeffs))
-    p1 = _normalise([k * c for k, c in enumerate(p0)][1:] or [Fraction(0)])
-    chain = [p0, p1]
+    fracs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (den // f.denominator) for f in fracs]
+    while len(ints) > 1 and ints[-1] == 0:
+        ints.pop()
+    content = math.gcd(*ints) or 1
+    return [c // content for c in ints]
+
+
+def _sign_at(p: list[int], n: int, d: int) -> int:
+    """Sign of p(n/d), d > 0, from the integer sum_k p_k n^k d^(deg-k)."""
+    acc = 0
+    dk = 1
+    for c in reversed(p):
+        acc = acc * n + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
+
+
+def _quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials with b primitive and b | a."""
+    rem = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = rem[k + len(b) - 1] // b[-1]
+        for i, bc in enumerate(b):
+            rem[k + i] -= c * bc
+    return q
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """p, p', then minus pseudo-remainders, each reduced to its primitive part.
+
+    The pseudo-remainder multiplies by |lc|, not lc, so every member keeps the
+    sign of the true Sturm member.  The last member is gcd(p, p') up to a
+    constant.
+    """
+    chain = [p, _primitive([k * c for k, c in enumerate(p)][1:])]
     while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        rem = list(a)
-        # rem <- a mod b
-        while len(rem) >= len(b) and any(c != 0 for c in rem):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            q = rem[-1] / b[-1]
-            shift = len(rem) - len(b)
-            for i, c in enumerate(b):
-                rem[shift + i] -= q * c
-            rem.pop()
-        while len(rem) > 1 and rem[-1] == 0:
-            rem.pop()
-        if not rem or all(c == 0 for c in rem):
+        rem, b = list(chain[-2]), chain[-1]
+        scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        while len(rem) >= len(b):
+            c = sign * rem.pop()
+            if c:
+                shift = len(rem) - len(b) + 1
+                rem = [x * scale for x in rem]
+                for i, bc in enumerate(b[:-1]):
+                    rem[shift + i] -= c * bc
+        rem = _primitive(rem)
+        if rem == [0]:
             break
-        chain.append(_normalise([-c for c in rem]))
+        chain.append([-c for c in rem])
     return chain
 
 
-def _chain_floats(chain: list[list[Fraction]]) -> list[list[float]]:
-    out = []
-    for member in chain:
-        top = max(abs(c) for c in member)
-        scale = float(top) if top != 0 else 1.0
-        out.append([float(c) / scale for c in member])
-    return out
+def _square_free_chains(p: list[int]) -> list[list[list[int]]]:
+    """Sturm chains of the square-free parts of p, g = gcd(p, p'), gcd(g, g'), ...
 
-
-def _poly_eval_with_noise(coeffs: list[float], x: float) -> tuple[float, float]:
-    """Horner value and a rounding-noise yardstick sum_k |c_k| |x|^k * eps."""
-    acc = 0.0
-    mag = 0.0
-    ax = abs(x)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-        mag = mag * ax + abs(c)
-    return acc, 1e-15 * (2 * len(coeffs)) * mag
-
-
-def _sign_variations(chain_f: list[list[float]], x: float) -> int:
-    signs = []
-    for member in chain_f:
-        v, noise = _poly_eval_with_noise(member, x)
-        # Values within rounding noise of zero are dropped like exact zeros.
-        if abs(v) > noise:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _count_roots(chain_f, a: float, b: float) -> int:
-    """Distinct real roots in (a, b]."""
-    return _sign_variations(chain_f, a) - _sign_variations(chain_f, b)
-
-
-def _isolate_roots(chain_f, lo: float, hi: float) -> list[tuple[float, float, int]]:
-    """Intervals (a, b] holding one distinct root each, narrowed to ~1e-4.
-
-    Count bisection is reliable well below that width (its limit is the
-    rounding-noise band of the chain evaluations); the exact-arithmetic
-    polish finishes the job.  Unresolvable clusters come out with their
-    count > 1.
+    A root of multiplicity m is a simple root of the first m of them.  Each
+    chain is p's own divided by its gcd tail, so no member vanishes at a
+    multiple root and sign variations count distinct roots in (a, b].
     """
-    total = _count_roots(chain_f, lo, hi)
-    found: list[tuple[float, float, int]] = []
-
-    def recurse(a: float, b: float, k: int):
-        if k == 0:
-            return
-        cluster_floor = 1e-12 * max(1.0, abs(a), abs(b))
-        if k == 1 or b - a <= cluster_floor:
-            aa, bb = a, b
-            while bb - aa > 1e-4 * max(1.0, abs(aa), abs(bb)):
-                mid = 0.5 * (aa + bb)
-                if mid <= aa or mid >= bb:
-                    break
-                if _count_roots(chain_f, aa, mid) >= 1:
-                    bb = mid
-                else:
-                    aa = mid
-            found.append((aa, bb, k))
-            return
-        mid = 0.5 * (a + b)
-        kl = _count_roots(chain_f, a, mid)
-        recurse(a, mid, kl)
-        recurse(mid, b, k - kl)
-
-    recurse(lo, hi, total)
-    return sorted(found)
+    chains = []
+    while len(p) > 1:
+        chain = _sturm_chain(p)
+        p = chain[-1]
+        chains.append([_quotient(m, p) for m in chain] if len(p) > 1 else chain)
+    return chains
 
 
-def _exact_sign(coeffs: list[Fraction], x: float) -> int:
-    acc = Fraction(0)
-    fx = Fraction(x)
-    for c in reversed(coeffs):
-        acc = acc * fx + c
-    return 0 if acc == 0 else (1 if acc > 0 else -1)
+def _variations(chain: list[list[int]], x: float) -> int:
+    """Sign changes along the chain at x, zeros dropped."""
+    n, d = x.as_integer_ratio()
+    signs = [s for s in (_sign_at(m, n, d) for m in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _polish_root_exact(coeffs: list[Fraction], a: float, b: float) -> float:
-    """Bisection on exact rational signs of p inside an isolating interval.
+def _root_bound(p: list[int]) -> float:
+    """A power of two above every |root| of p (Fujiwara's bound, in bit lengths)."""
+    top = abs(p[-1]).bit_length()
+    deg = len(p) - 1
+    exps = (-(-(abs(c).bit_length() - top + 1) // (deg - k)) for k, c in enumerate(p[:-1]) if c)
+    return math.ldexp(1.0, 1 + max(exps, default=0))
 
-    Exact signs cannot be fooled by rounding noise, so a simple root is
-    pinned to ~1e-14 relative no matter how flat p is in float arithmetic.
+
+def _narrow(q: list[int], a: float, b: float) -> tuple[float, float, float]:
+    """Bisect (a, b], holding one root of square-free q, down to adjacent floats.
+
+    Returns the float nearest the root and the final bracket (a, b].
     """
-    sa = _exact_sign(coeffs, a)
-    sb = _exact_sign(coeffs, b)
-    if sa == 0:
-        return a
-    if sb == 0:
-        return b
-    if sa == sb:
-        return 0.5 * (a + b)  # even multiplicity or mis-isolation; gcd path owns it
-    for _ in range(80):
+    sb = _sign_at(q, *b.as_integer_ratio())
+    while sb:
         mid = 0.5 * (a + b)
-        if mid <= a or mid >= b or (b - a) <= 1e-15 * max(1.0, abs(mid)):
-            break
-        sm = _exact_sign(coeffs, mid)
-        if sm == 0:
-            return mid
-        if sm == sa:
+        if not a < mid < b:
+            # the exact midpoint of the adjacent floats a, b picks the nearer
+            sm = _sign_at(q, *((Fraction(a) + Fraction(b)) / 2).as_integer_ratio())
+            return (a if sm == sb else b), a, b
+        sm = _sign_at(q, *mid.as_integer_ratio())
+        if sm == -sb:
             a = mid
         else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-def _distinct_roots_with_multiplicity(coeffs: list[Fraction]) -> list[tuple[float, int]]:
-    chain = _sturm_chain(coeffs)
-    chain_f = _chain_floats(chain)
-    bound = 1.0 + max(abs(c) for c in chain_f[0][:-1]) / abs(chain_f[0][-1])
-    lo, hi = -bound - 1.0, bound + 1.0
-    intervals = _isolate_roots(chain_f, lo, hi)
-    gcd = chain[-1]
-    # Multiplicity in p is 1 + multiplicity in gcd(p, p'); the gcd locates a
-    # multiple root with lower multiplicity, hence more sharply - prefer its
-    # refined position.  A false match would break the degree check in
-    # poly_roots anyway.
-    sub = _distinct_roots_with_multiplicity(gcd) if len(gcd) > 1 else []
-    exact_normalised = chain[0]
-    out = []
-    for a, b, k in intervals:
-        if k > 1:  # unresolvable cluster: report the midpoint k times
-            out.extend([(0.5 * (a + b), 1)] * k)
-            continue
-        r = 0.5 * (a + b)
-        mult = 1
-        for rs, ms in sub:
-            if a - 1e-9 <= rs <= b + 1e-9 or abs(rs - r) <= 1e-4 * max(1.0, abs(r)):
-                mult = 1 + ms
-                r = rs
-                break
-        if mult == 1:
-            r = _polish_root_exact(exact_normalised, a, b)
-        out.append((r, mult))
-    return out
+            b, sb = mid, sm
+    return b, a, b
 
 
 def poly_roots(p: CharPoly, spec: LatticeSpec | None = None) -> Spectrum:
-    """All real roots of p, ascending with multiplicity, refined to ~1e-12.
+    """All real roots of p, ascending with multiplicity, each the nearest float.
 
-    Roots are isolated by sign changes of the Sturm chain of p (built in
-    exact rational arithmetic, so multiple roots are detected exactly via
-    the chain's gcd tail) and refined by bisection on the chain counts.
-    The total count must equal the degree - all eigenvalues of these
-    operators are real - otherwise an internal-consistency error signals a
-    conditioning failure.
+    Every sign is decided in integer arithmetic: p is scaled to a primitive
+    integer polynomial, its Sturm chain is built by pseudo-remainders, and
+    members are evaluated at float (dyadic) points by integer Horner.
+    Distinct roots are isolated by Sturm counts and narrowed to adjacent
+    floats on the sign of the square-free part; a root's multiplicity is the
+    number of square-free chains (of p, gcd(p, p'), ...) that count it in the
+    final bracket.  The count must equal the degree, otherwise p has complex
+    roots and an ArithmeticError is raised.
     """
     if p.degree < 1:
         raise ValueError("poly_roots needs degree >= 1")
-    exact_coeffs = [Fraction(_exactify(c)) for c in p.coeffs]
-    pairs = _distinct_roots_with_multiplicity(exact_coeffs)
+    chains = _square_free_chains(_primitive(p.coeffs))
+    chain = chains[0]
+    bound = _root_bound(chain[0])
     roots: list[float] = []
-    for r, m in pairs:
-        roots.extend([r] * m)
+    stack = [(-bound, bound, _variations(chain, -bound), _variations(chain, bound))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        mid = 0.5 * (a + b)
+        if va - vb > 1 and a < mid < b:
+            vm = _variations(chain, mid)
+            stack += [(a, mid, va, vm), (mid, b, vm, vb)]
+        elif va > vb:
+            r = b  # more than one distinct root within one ulp: report b
+            if va - vb == 1:
+                r, a, b = _narrow(chain[0], a, b)
+            mult = va - vb + sum(_variations(c, a) - _variations(c, b) for c in chains[1:])
+            roots += [r] * mult
     if len(roots) != p.degree:
         raise ArithmeticError(
             f"found {len(roots)} real roots for a degree-{p.degree} polynomial; "
-            "polynomial conditioning failure")
+            "the others are complex")
     return Spectrum(tuple(sorted(roots)), spec)
 
 
@@ -395,27 +332,29 @@ def inverse_power_sums(p: CharPoly, kmax: int) -> list[float]:
     """[sum_n lambda_n^-m for m = 1..kmax] from the coefficients of p.
 
     Newton's identities applied to the reversed polynomial, whose roots are
-    1/lambda_n; no root extraction involved.  Requires p(0) != 0.
+    1/lambda_n; no root extraction involved.  Requires p(0) != 0.  The exact
+    backend runs in Fractions, tests p(0) == 0 exactly and rounds each sum
+    once at the end; the float backend treats |p(0)| <= 1e-14 max|c_k| as 0.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    coeffs = p.as_floats()
+    exact = p.backend == "exact"
+    coeffs = [Fraction(c) for c in p.coeffs] if exact else p.as_floats()
     d = p.degree
     c0 = coeffs[0]
-    scale = max(abs(c) for c in coeffs)
-    if c0 == 0 or abs(c0) <= 1e-14 * scale:
+    if c0 == 0 or (not exact and abs(c0) <= 1e-14 * max(abs(c) for c in coeffs)):
         raise ZeroDivisionError(
             "p(0) = 0: the operator has a zero mode; remove it (primed determinant) first")
     # reversed monic: a[d - m] = c_m / c0, roots 1/lambda_n
     a = [c / c0 for c in coeffs]
-    sums: list[float] = []
+    sums = []
     for m in range(1, kmax + 1):
-        acc = -m * a[m] if m <= d else 0.0
+        acc = -m * a[m] if m <= d else 0
         for i in range(1, m):
             if i <= d:
                 acc -= a[i] * sums[m - i - 1]
         sums.append(acc)
-    return sums
+    return [float(s) for s in sums]
 
 
 def cosecant_sum(p: int, m: int = 1) -> float:

@@ -56,12 +56,6 @@ from .core import (
     _exactify,
 )
 
-# Above this nu, polynomial propagation risks float64 coefficient overflow
-# (coefficients grow like 4^nu); determinant() reads P(0) off the scaled
-# difference-form sweep at every nu and needs the polynomial only for
-# degenerate Robin conditions, up to this nu.
-POLY_PROPAGATION_MAX_NU = 400
-
 # |lambda_bar| below this fraction of max_n |lambda_bar_n| counts as a zero
 # mode when forming primed determinants.
 ZERO_MODE_RTOL = 1e-10
@@ -271,26 +265,15 @@ def _scaled_scalar_p0(potential: Potential, bc: BoundaryCondition) -> tuple[floa
     return p0, e * _LN2, max(ref, 1e-300)
 
 
-def _leading_factor(bc: BoundaryCondition) -> float:
-    """Signed s in the leading coefficient a = s * (-1)^nu.
-
-    (1+alpha)(1+beta) for interval conditions, 1 on the circle.  Degenerate
-    Robin (alpha or beta = -1) drops the degree; callers must then use the
-    polynomial route.
-    """
-    if bc.is_interval:
-        return (1.0 + bc.robin_alpha) * (1.0 + bc.robin_beta)
-    return 1.0
-
-
 def determinant(potential: Potential, bc: BoundaryCondition, spec: LatticeSpec,
                 prime: bool = False) -> LogDet:
     """Operator determinant as a LogDet: Det = (-1)^d P(0)/a * h^(-2 nu).
 
     ``a`` is the polynomial's actual leading coefficient and d its actual
-    degree, so the value is the product of the physical eigenvalues and is
-    insensitive to the overall scale of P (robust to degenerate Robin
-    parameters).  With ``prime`` set, eigenvalues with
+    degree, both read off the boundary condition (an alpha or beta of
+    exactly -1 drops one degree each), so the value is the product of the
+    physical eigenvalues and is insensitive to the overall scale of P.
+    With ``prime`` set, eigenvalues with
     |lambda_bar| < 1e-10 * max|lambda_bar| are removed from the product via
     the eigenvalue oracle (each removal also drops one factor of h^-2) and
     counted in ``zero_modes_removed``.
@@ -314,20 +297,13 @@ def determinant(potential: Potential, bc: BoundaryCondition, spec: LatticeSpec,
     if abs(p0) <= 1e-11 * ref:
         return LogDet(0, math.nan, 0)
 
-    lead_factor = _leading_factor(bc)
-    degree = nu
-    if abs(lead_factor) < 1e-10:
-        # degenerate Robin: the degree drops; read the actual leading
-        # coefficient off the polynomial (small-nu only)
-        if nu > POLY_PROPAGATION_MAX_NU:
-            raise ValueError(
-                "degenerate Robin condition (alpha or beta near -1) needs the "
-                f"polynomial route, only available for nu <= {POLY_PROPAGATION_MAX_NU}")
-        poly = char_poly(potential, bc)
-        degree = poly.degree
-        lead = poly.leading()
-    else:
-        lead = lead_factor * (-1) ** nu
+    # P's leading coefficient is (-1)^nu (1+alpha)(1+beta); an end with
+    # alpha or beta exactly -1 (y(1) or y(nu) pinned to 0) drops its factor
+    # and one degree
+    ends = [1 + bc.robin_alpha, 1 + bc.robin_beta] if bc.is_interval else []
+    kept = [f for f in ends if f != 0]
+    degree = nu - (len(ends) - len(kept))
+    lead = (-1) ** nu * math.prod(kept)
     # Det = (-1)^degree P(0)/lead * h^(-2 nu)
     sign = (-1) ** degree * (1 if p0 > 0 else -1) * (1 if lead > 0 else -1)
     log_abs = math.log(abs(p0)) + log_scale - math.log(abs(lead)) + log_h2nu

@@ -139,11 +139,11 @@ class TestCharPoly:
         assert p.degree == 1
 
     def test_float_trim_threshold(self):
-        # coefficients below 1e-12 * max|c| count as zero for the degree
+        # only exact zeros are trimmed: a tiny top coefficient is kept
         p = CharPoly([1.0, 2.0, 1e-15])
-        assert p.degree == 1
-        p = CharPoly([1.0, 2.0, 1e-9])
         assert p.degree == 2
+        p = CharPoly([1.0, 2.0, 0.0])
+        assert p.degree == 1 and p.coeffs == [1.0, 2.0]
 
     def test_eval_and_derivative(self):
         p = CharPoly([3, -4, 1])

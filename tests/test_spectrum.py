@@ -8,6 +8,7 @@ rounding.
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -148,6 +149,39 @@ class TestPolyRoots:
         with pytest.raises(ArithmeticError):
             poly_roots(CharPoly([1, 0, 1]))  # x^2 + 1
 
+    @pytest.mark.parametrize("nu", [16, 24, 40])
+    @pytest.mark.parametrize("bc", [dirichlet(), neumann(), robin(0.5, 0.25), periodic()],
+                             ids=lambda bc: bc.kind)
+    @pytest.mark.parametrize("potential", ["free", "integer"])
+    def test_oracle_at_large_degree(self, nu, bc, potential):
+        # the monomial coefficients grow like 4^nu; signs decided in float
+        # Horner gave wrong roots from nu = 16 (periodic has double roots)
+        values = [0] * nu if potential == "free" else random.Random(nu).choices(range(-3, 4), k=nu)
+        pot = Potential(tuple(values))
+        got = poly_roots(char_poly(pot, bc, exact=True)).lambdas
+        want = oracle_spectrum(pot, bc).lambdas
+        assert len(got) == nu
+        assert max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(got, want)) <= 1e-12
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(values=st.integers(1, 24).flatmap(lambda nu: st.lists(
+               st.one_of(st.integers(-4, 4), st.integers(-64, 64).map(lambda k: k / 16)),
+               min_size=nu, max_size=nu)),
+           bc=st.sampled_from([dirichlet(), neumann(), robin(0.5, 0.25), robin(-0.5, 2.0),
+                               periodic(), twisted(0.5)]),
+           centre=st.integers(-8, 8), width=st.integers(1, 16))
+    def test_oracle_property(self, values, bc, centre, width):
+        pot = Potential(tuple(values))
+        p = char_poly(pot, bc, exact=True)
+        got = poly_roots(p).lambdas
+        want = oracle_spectrum(pot, bc).lambdas
+        assert len(got) == len(values)
+        assert max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(got, want)) <= 1e-12
+        # times (x - c)^2 + w^2, which has the complex roots c +- i w
+        c, w = Fraction(centre, 4), Fraction(width, 16)
+        with pytest.raises(ArithmeticError):
+            poly_roots(p * CharPoly([c * c + w * w, -2 * c, 1]))
+
     def test_oracle_equivalence_200_cases(self):
         # exact-coefficient polynomials agree with the oracle to 1e-9; the
         # float backend is limited to ~2e-9 at nu = 12 by monomial-basis
@@ -198,6 +232,12 @@ class TestInversePowerSums:
             for m in range(1, 5):
                 ref = math.fsum(x ** -m for x in lams)
                 assert abs(sums[m - 1] - ref) < 1e-8 * max(1.0, abs(ref))
+
+    def test_exact_backend_at_large_nu(self):
+        # the middle coefficients dwarf p(0) = nu + 1, which a relative float
+        # zero test took for a zero mode; free Dirichlet sums are integers
+        p = char_poly(Potential.zeros(60), dirichlet(), exact=True)
+        assert inverse_power_sums(p, 4) == [620, 153946, 54557396, 20304670098]
 
     def test_zero_mode_rejected(self):
         p = char_poly(Potential.zeros(4), neumann(), exact=True)

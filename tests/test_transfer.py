@@ -264,21 +264,32 @@ class TestDeterminant:
         ld = determinant(pot, dirichlet(), spec)
         assert ld.sign == -1
 
-    def test_scalar_route_matches_poly_route(self):
-        # the same operator just above/below the polynomial cutoff
-        import gylat.transfer as tr
-        rng = random.Random(10)
-        pot = random_potential(rng, 60, -0.5, 0.5)
-        spec = LatticeSpec.interval(60, h=0.3)
-        full = determinant(pot, dirichlet(), spec)
-        saved = tr.POLY_PROPAGATION_MAX_NU
-        try:
-            tr.POLY_PROPAGATION_MAX_NU = 10
-            scalar = determinant(pot, dirichlet(), spec)
-        finally:
-            tr.POLY_PROPAGATION_MAX_NU = saved
-        assert scalar.sign == full.sign
-        assert abs(scalar.log_abs - full.log_abs) < 1e-9 * max(1.0, abs(full.log_abs))
+    @pytest.mark.parametrize("nu", [36, 400, 5000])
+    @pytest.mark.parametrize("alpha, beta", [(-1.0, 0.7), (1.3, -1.0), (-1.0, -1.0)])
+    def test_degenerate_robin_against_reduced_matrix(self, nu, alpha, beta):
+        # alpha = -1 pins y(1) = 0 and beta = -1 pins y(nu) = 0, so the
+        # operator is the tridiagonal matrix on the remaining sites
+        v = np.random.default_rng(nu).uniform(-0.5, 0.5, nu)
+        d = 2.0 + v
+        for end, par in ((0, alpha), (-1, beta)):
+            if par != -1.0:
+                d[end] -= 1.0 / (1.0 + par)
+        d = d[(alpha == -1.0):nu - (beta == -1.0)]
+        # log|det| from the LU pivots of the reduced matrix; LAPACK's slogdet
+        # agrees where the dense matrix is cheap
+        pivots = [d[0]]
+        for x in d[1:]:
+            pivots.append(x - 1.0 / pivots[-1])
+        sign = -1 if sum(p < 0 for p in pivots) % 2 else 1
+        logdet = math.fsum(math.log(abs(p)) for p in pivots)
+        if nu <= 400:
+            dense = np.diag(d) - np.eye(len(d), k=1) - np.eye(len(d), k=-1)
+            lapack_sign, lapack_logdet = np.linalg.slogdet(dense)
+            assert lapack_sign == sign
+            assert abs(lapack_logdet - logdet) <= 1e-12 * max(1.0, abs(logdet))
+        ld = determinant(Potential(tuple(v.tolist())), robin(alpha, beta), LatticeSpec.interval(nu, h=1.0))
+        assert ld.sign == sign
+        assert abs(ld.log_abs - logdet) <= 1e-12 * max(1.0, abs(logdet))
 
     def test_nu_zero(self):
         spec = LatticeSpec.interval(0, h=1.0)
