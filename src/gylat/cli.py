@@ -31,6 +31,7 @@ from .core import (
     TWISTED,
     BoundaryCondition,
     LatticeSpec,
+    LogDet,
     Potential,
     load_potential,
 )
@@ -63,6 +64,14 @@ def _fmt_float(x: float) -> str:
 
 
 def render_json(obj, indent: int = 0) -> str:
+    """Schema-v1 JSON text: fixed field order, floats with 17 significant digits.
+
+    A list or tuple whose items are all of type ``float`` (eigenvalue lists,
+    eigenfunction rows) is rendered by one ``%`` format over the whole list;
+    "%.17g" gives the bytes of :func:`_fmt_float` for every finite float, and
+    a list holding NaN or an infinity falls back to it per item.  Subclasses
+    such as numpy's float64 take the per-item path.
+    """
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -73,6 +82,11 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if set(map(type, obj)) == {float}:
+            text = ("[" + ", ".join(["%.17g"] * len(obj)) + "]") % tuple(obj)
+            if "n" not in text:  # only "inf" and "nan" put an "n" in %g output
+                return text
+            return "[" + ", ".join(map(_fmt_float, obj)) + "]"
         items = ", ".join(render_json(v, indent + 1) for v in obj)
         return "[" + items + "]"
     if isinstance(obj, bool):
@@ -222,7 +236,14 @@ def cmd_det(args) -> tuple[dict, int]:
     bc = _build_bc(args)
     spec = _build_spec(args, bc)
     pot = _build_potential(args, spec)
-    ld = determinant(pot, bc, spec, prime=args.prime)
+    # on the unit lattice (h = 1) a determinant is the dimensionless one
+    unit = LatticeSpec(spec.nu, 1.0, float(spec.n_links), spec.topology)
+    if args.prime:
+        ld = determinant(pot, bc, spec, prime=True)
+    else:
+        dimless = determinant(pot, bc, unit)
+        # determinant's own h^(-2 nu) step, so the physical fields keep their bits
+        ld = LogDet(dimless.sign, dimless.log_abs - 2.0 * spec.nu * math.log(spec.h))
     nu_eff = spec.nu - ld.zero_modes_removed
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -257,7 +278,12 @@ def cmd_det(args) -> tuple[dict, int]:
             payload["closed_form_agreement"] = False
             code = EXIT_CONSISTENCY
         else:
-            rel = abs(math.expm1(ld.log_abs - closed.log_abs))
+            # compare dimensionless logs: adding -2 nu log h first (~2.3e6 at
+            # nu = 1e5) would round away everything below 2^-31; --prime runs
+            # the oracle, capped at nu 3000, where the physical log resolves ~1e-11
+            log_t = ld.log_abs + 2.0 * nu_eff * math.log(spec.h) if args.prime else dimless.log_abs
+            closed_dimless = free_determinant(bc, unit, _mass(args, spec), prime=args.prime)
+            rel = abs(math.expm1(log_t - closed_dimless.log_abs))
             payload["closed_form_rel_diff"] = rel
             payload["closed_form_agreement"] = rel <= CONSISTENCY_RTOL
             if rel > CONSISTENCY_RTOL:
@@ -290,7 +316,7 @@ def cmd_spectrum(args) -> tuple[dict, int]:
         if not bc.is_interval:
             raise ConfigError("--eigenfunctions needs an interval boundary condition")
         table = eigenfunctions(pot, bc, lam)
-        payload["eigenfunctions"] = [[float(x) for x in row] for row in table]
+        payload["eigenfunctions"] = table.tolist()
     return payload, EXIT_OK
 
 

@@ -34,6 +34,9 @@ ORACLE_MAX_NU_CYCLIC = 800
 
 _BISECTION_STEPS = 64
 
+# Sites whose pivot signs _sturm_counts counts in one numpy call.
+_STURM_BLOCK = 64
+
 
 # ---------------------------------------------------------------------------
 # Operator assembly
@@ -105,23 +108,39 @@ def _sturm_counts(d: np.ndarray, xs: np.ndarray) -> np.ndarray:
     (Demmel, Dhillon & Ren, ETNA 3 (1995) 116-149): an exact zero is +0 and
     counts as negative, and a zero or tiny pivot makes the next one infinite
     or huge with the other sign, so the pair adds one, as a -pivmin guard does.
+    Pivots go into a block of _STURM_BLOCK sites x shifts: the x - d_k of a
+    whole block is one call, each site then subtracts its 1/p_{k-1} (two
+    calls), and the block's sign bits are counted together.
     """
-    q = xs - d[0]
-    r = np.empty_like(q)
-    pos = np.signbit(q)  # the pivot itself is positive
-    positive = pos.astype(np.int64)
+    n = len(d)
+    rows = min(n, _STURM_BLOCK)
+    block = np.empty((rows, len(xs)))
+    signs = np.empty(block.shape, dtype=bool)
+    r = np.empty(len(xs))
+    positive = np.zeros(len(xs), dtype=np.int64)  # the pivot itself is positive
     with np.errstate(divide="ignore", over="ignore"):
-        for k in range(1, len(d)):
-            np.reciprocal(q, out=r)
-            np.subtract(xs, d[k], out=q)
-            q -= r
-            np.signbit(q, out=pos)
-            positive += pos
-    return len(d) - positive
+        for start in range(0, n, rows):
+            k = min(rows, n - start)
+            if start:
+                np.reciprocal(block[-1], out=r)  # the previous block's last pivot
+            np.subtract(xs, d[start:start + k, None], out=block[:k])
+            if start:
+                block[0] -= r
+            for i in range(1, k):
+                np.reciprocal(block[i - 1], out=r)
+                block[i] -= r
+            positive += np.signbit(block[:k], out=signs[:k]).sum(axis=0)
+    return n - positive
 
 
 def _tridiagonal_eigenvalues(d: np.ndarray) -> np.ndarray:
-    """All eigenvalues, ascending, by per-index bisection to ~1e-13."""
+    """All eigenvalues, ascending, by per-index bisection to ~1e-13.
+
+    Each round counts each run of equal midpoints once (brackets stay
+    ordered by index, so equal midpoints are neighbours): round k has at most
+    2^k distinct brackets.  Midpoints are compared by their bits, so +0 and
+    -0 stay distinct shifts.
+    """
     n = len(d)
     # Gershgorin bounds; couplings contribute at most 2.
     lo = float(np.min(d)) - 2.0
@@ -129,9 +148,12 @@ def _tridiagonal_eigenvalues(d: np.ndarray) -> np.ndarray:
     los = np.full(n, lo)
     his = np.full(n, hi)
     targets = np.arange(1, n + 1)
+    fresh = np.ones(n, dtype=bool)  # mids[i] differs from mids[i - 1]
     for _ in range(_BISECTION_STEPS):
         mids = 0.5 * (los + his)
-        counts = _sturm_counts(d, mids)
+        bits = mids.view(np.int64)
+        fresh[1:] = bits[1:] != bits[:-1]
+        counts = _sturm_counts(d, mids[fresh])[np.cumsum(fresh) - 1]
         below = counts >= targets
         new_his = np.where(below, mids, his)
         new_los = np.where(below, los, mids)

@@ -68,6 +68,10 @@ _BLOCK_GROWTH_BITS = 500
 # exact small determinants stay exact; 2**500 ~ 1e150 leaves room to square it.
 _FOLD_BITS = 500
 
+# An eigenfunction row whose terminal residual exceeds this fraction of its
+# largest entry is not returned.
+_EIGENFUNCTION_RTOL = 1e-8
+
 _LN2 = math.log(2.0)
 
 
@@ -331,53 +335,69 @@ def _primed_determinant(potential: Potential, bc: BoundaryCondition, spec: Latti
     return LogDet(sign, log_abs, removed)
 
 
-def _terminal_residual(potential: Potential, bc: BoundaryCondition, lam: float):
-    """out_adjoint . Upsilon(nu) and its lambda-derivative, by joint propagation."""
-    vin = bc.in_vector()
-    a, b = float(vin.a), float(vin.b)
-    da = db = 0.0
-    for v in potential:
-        w = float(v) + 2.0 - lam
-        a, b, da, db = b, -a + w * b, db, -da + w * db - b
-    out = bc.out_adjoint()
-    oa, ob = float(out.a), float(out.b)
-    return oa * a + ob * b, oa * da + ob * db
-
-
 def eigenfunctions(potential: Potential, bc: BoundaryCondition, spectrum: Spectrum) -> np.ndarray:
     """Table y_n(j), n = 0..nu-1, j = 1..nu, as an (nu, nu) float array.
 
-    Row n is the eigenfunction at spectrum[n], obtained by propagating the
-    boundary condition's in-vector at lambda = lambda_n.  Each lambda is
-    first polished by a couple of Newton steps on the terminal boundary
-    residual, so the propagated row meets the outgoing condition to machine
-    precision (a raw oracle eigenvalue leaves an O(1e-13) residual that
-    near-degenerate pairs would amplify).  Only interval conditions are
-    supported (circle eigenfunctions are complex and not fixed by an
-    in-vector).
+    Row n propagates the in-vector at lambda_n = spectrum[n], first polished
+    by up to three Newton steps on the terminal boundary residual (a raw
+    oracle eigenvalue leaves an O(1e-13) residual that near-degenerate pairs
+    would amplify; a step above 1e-6 max(1, |lambda|) keeps the caller's
+    value).  All modes advance together, one numpy vector per site, in the
+    scalar recurrence's order, so each entry has a per-mode sweep's bits.
+    Interval conditions only (circle eigenfunctions are complex).
+
+    Forward propagation meets every interior equation to rounding, so a
+    row's residual |(T - lambda) y| is P(lambda) / (1 + beta) on the last
+    site (P when beta = -1).  Modes localised far from the left end defeat
+    forward shooting: if any row's residual exceeds 1e-8 max_j |y(j)|, or a
+    row is not finite, ArithmeticError is raised instead.
     """
     if not bc.is_interval:
         raise ValueError("eigenfunctions via in-vector propagation need an interval condition")
     nu = potential.nu
     if len(spectrum) != nu:
         raise ValueError(f"spectrum has {len(spectrum)} entries, potential has nu={nu}")
-    table = np.empty((nu, nu))
-    vin = bc.in_vector()
+    vin, out = bc.in_vector(), bc.out_adjoint()
     a0, b0 = float(vin.a), float(vin.b)
-    for n, lam in enumerate(spectrum):
-        lam = float(lam)
+    oa, ob = float(out.a), float(out.b)
+    shifted = (potential.as_array() + 2.0).tolist()  # w_j = (v_j + 2) - lambda
+    lam = np.fromiter(spectrum, dtype=float, count=nu)
+    ys = np.empty((nu, nu))  # ys[j - 1, n] = y_n(j)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        live = np.arange(nu)  # modes still taking Newton steps
         for _ in range(3):
-            res, slope = _terminal_residual(potential, bc, lam)
-            if slope == 0.0:
+            lam_l = lam[live]
+            a, b = np.full(len(live), a0), np.full(len(live), b0)
+            da = db = np.zeros(len(live))
+            # (y, dy/dlambda) jointly; x - a rounds exactly as -a + x
+            for s in shifted:
+                w = s - lam_l
+                a, b, da, db = b, w * b - a, db, w * db - da - b
+            slope = oa * da + ob * db
+            step = (oa * a + ob * b) / slope
+            # a zero slope stops, a step out of the Newton basin keeps the
+            # caller's value; np.fmax, like Python's max, passes over a NaN
+            take = (slope != 0.0) & ~(np.abs(step) > 1e-6 * np.fmax(1.0, np.abs(lam_l)))
+            lam[live[take]] = lam_l[take] - step[take]
+            done = np.abs(step) <= 1e-16 * np.fmax(1.0, np.abs(lam_l - step))
+            live = live[take & ~done]
+            if not len(live):
                 break
-            step = res / slope
-            if abs(step) > 1e-6 * max(1.0, abs(lam)):
-                break  # not in the Newton basin; keep the caller's value
-            lam -= step
-            if abs(step) <= 1e-16 * max(1.0, abs(lam)):
-                break
-        # path collects y(2)..y(nu+1) after the seed y(1); the row is y(1)..y(nu)
-        ys = [b0]
-        _sweep((v + 2 - lam for v in potential), a0, b0, path=ys)
-        table[n, :] = ys[:nu]
-    return table
+        a, b = np.full(nu, a0), np.full(nu, b0)
+        for j, s in enumerate(shifted):
+            ys[j] = b
+            a, b = b, (s - lam) * b - a
+        residual = np.abs(oa * a + ob * b) / (abs(ob) or 1.0)
+        # max_j |y(j)| per mode, without an nu x nu temporary
+        size = np.maximum(ys.max(axis=0, initial=0.0), -ys.min(axis=0, initial=0.0))
+        rel = residual / size
+    bad = ~(rel <= _EIGENFUNCTION_RTOL)
+    if bad.any():
+        finite = np.isfinite(rel)
+        worst = float(np.max(rel[finite], initial=0.0))
+        raise ArithmeticError(
+            f"{int(bad.sum())} of {nu} eigenfunction rows miss T y = lambda y by more than "
+            f"{_EIGENFUNCTION_RTOL:g} relative (worst finite residual {worst:.3g}, "
+            f"{int((~finite).sum())} rows not finite); forward shooting cannot follow modes "
+            f"localised away from the left end")
+    return ys.T

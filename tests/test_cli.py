@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from gylat import Potential, dirichlet
-from gylat.cli import main, render_csv
+from gylat import LatticeSpec, MassParam, Potential, determinant, dirichlet, free_determinant, robin
+from gylat.cli import _fmt_float, main, render_csv, render_json
 from gylat.spectrum import tridiagonal_matrix
 
 
@@ -98,6 +98,20 @@ class TestDet:
         assert abs(data["log10_abs"] - expected) <= 1e-12 * abs(expected)
 
 
+    def test_closed_form_rel_diff_compares_dimensionless_logs(self, capsys):
+        # the physical logs are ~2.3e6 here, one ulp of which is 2^-31
+        nu = 100000
+        code, data = run_json(capsys, "det", "--bc", "robin", "--alpha", "0.5", "--beta", "0.5",
+                              "--mass", "2", "--nu", str(nu), "--L", "1")
+        assert code == 0
+        spec, unit = LatticeSpec.interval(nu, L=1.0), LatticeSpec.interval(nu, h=1.0)
+        pot = Potential(((spec.h * 2.0) ** 2,) * nu)
+        transfer = determinant(pot, robin(0.5, 0.5), unit)
+        closed = free_determinant(robin(0.5, 0.5), unit, MassParam.physical(2.0, spec))
+        assert data["closed_form_rel_diff"] == abs(math.expm1(transfer.log_abs - closed.log_abs))
+        assert data["closed_form_rel_diff"] not in (0.0, 4.6566128741615948e-10)
+
+
 class TestConfigErrors:
     def test_missing_spacing(self, capsys):
         code, out, err = run_cli(capsys, "det", "--bc", "dirichlet", "--nu", "3")
@@ -181,7 +195,62 @@ class TestChebyshevSelfTest:
                                        "matrix_power_det", "neumann_difference"}
 
 
+def ref_render_json(obj, indent=0):
+    """The per-item renderer that render_json's float-list path must match."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            f'{pad}  "{k}": {ref_render_json(v, indent + 1)}' for k, v in obj.items())
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + ", ".join(ref_render_json(v, indent + 1) for v in obj) + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, float):
+        return _fmt_float(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if obj is None:
+        return "null"
+    return json.dumps(str(obj))
+
+
+RENDER_CASES = [
+    [math.nan, 1.5], [math.inf, -math.inf], [0.1, math.inf, -2.0], [-0.0], [0.0, -0.0],
+    [5e-324, -5e-324], [1.7976931348623157e308, -1.7976931348623157e308],
+    [2.2250738585072014e-308, 1e16, 1e17, 123456789012345678.0, 1 / 3],
+    [1, 2.5, True, False, None], (1.5, 2.5), (1.5, math.nan), [[], [[]], [[], []]],
+    [np.float64(0.1), 0.2], [np.float64(math.nan), 0.5], [[0.1, 0.2], [3.0, 4]],
+    {"a": [0.25, -7.5e-300], "b": [], "c": {"d": [math.nan], "e": "x"}},
+]
+
+
 class TestOutputDiscipline:
+    @pytest.mark.parametrize("obj", RENDER_CASES)
+    def test_render_json_matches_per_item_renderer(self, obj):
+        assert render_json(obj) == ref_render_json(obj)
+
+    def test_render_json_float_rows_match_per_item_renderer(self):
+        # random bit patterns: every exponent, subnormals, and a few NaN rows
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64).tolist()
+        rows = [bits[i:i + 100] for i in range(0, len(bits), 100)]
+        assert any(math.isnan(x) for x in bits)
+        assert render_json({"rows": rows}) == ref_render_json({"rows": rows})
+
+    def test_eigenfunctions_of_localised_modes_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps(np.random.default_rng(400).uniform(-1, 1, 400).tolist()))
+        code, out, err = run_cli(capsys, "spectrum", "--bc", "dirichlet", "--nu", "400",
+                                 "--h", "1", "--potential", str(path), "--eigenfunctions")
+        assert code == 3
+        assert out == ""
+        assert "of 400 eigenfunction rows miss T y = lambda y" in err
+
     def test_byte_determinism(self, capsys):
         _, out1, _ = run_cli(capsys, "spectrum", "--bc", "robin", "--alpha", "0.3",
                              "--beta", "-0.2", "--nu", "5", "--h", "0.7")

@@ -391,6 +391,18 @@ class TestSturmCounts:
             want = ref_sturm_counts(d, xs, ref_pivmin(d))
         assert np.array_equal(_sturm_counts(d, xs), want)
 
+    @pytest.mark.parametrize("nu", [1, 63, 64, 65, 129])
+    def test_block_edges_and_repeated_shifts(self, nu):
+        # pivots are counted in blocks of 64 sites; a shift may repeat
+        rng = np.random.default_rng(nu)
+        xs = rng.uniform(-1.0, 5.0, 40)
+        xs = np.concatenate([xs, xs[:10], [2.0, 2.0, 0.0, -0.0, 0.0]])
+        for d in (2.0 + rng.uniform(-1.0, 1.0, nu), np.full(nu, 2.0)):
+            xs_d = np.concatenate([xs, np.repeat(d[:3], 3)])
+            with np.errstate(divide="ignore", over="ignore"):
+                want = ref_sturm_counts(d, xs_d, ref_pivmin(d))
+            assert np.array_equal(_sturm_counts(d, xs_d), want)
+
     @pytest.mark.parametrize("nu", [1, 3, 5, 41])
     def test_exact_zero_last_pivot_counts_as_below(self, nu):
         # free Dirichlet, odd nu, at x = 2: every odd pivot is exactly zero,
@@ -409,7 +421,7 @@ def oracle_potentials(nu):
 
 
 class TestOracleAgainstReferences:
-    @pytest.mark.parametrize("nu", [1, 2, 50, 500])
+    @pytest.mark.parametrize("nu", [1, 2, 50, 64, 65, 500, 1000])
     @pytest.mark.parametrize("bc", [dirichlet(), neumann(), robin(0.3, -0.4)],
                              ids=["dirichlet", "neumann", "robin"])
     def test_interval_bit_identical(self, nu, bc):

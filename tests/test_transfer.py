@@ -30,7 +30,8 @@ from gylat import (
     robin,
     step_matrix,
 )
-from gylat.transfer import Propagator
+from gylat.spectrum import tridiagonal_matrix
+from gylat.transfer import Propagator, _sweep
 
 
 def random_potential(rng, nu, lo=-1.0, hi=1.0):
@@ -369,7 +370,85 @@ class TestSymplecticInvariance:
                 assert abs(a - b) <= 1e-8 * scale
 
 
+def ref_eigenfunctions(potential, bc, spectrum):
+    """The per-mode loop the batched eigenfunctions replaced: scalar Newton
+    on the terminal residual, then one _sweep row per mode."""
+    vin, out = bc.in_vector(), bc.out_adjoint()
+    a0, b0 = float(vin.a), float(vin.b)
+    oa, ob = float(out.a), float(out.b)
+
+    def terminal_residual(lam):
+        a, b, da, db = a0, b0, 0.0, 0.0
+        for v in potential:
+            w = float(v) + 2.0 - lam
+            a, b, da, db = b, -a + w * b, db, -da + w * db - b
+        return oa * a + ob * b, oa * da + ob * db
+
+    nu = potential.nu
+    table = np.empty((nu, nu))
+    for n, lam in enumerate(spectrum):
+        lam = float(lam)
+        for _ in range(3):
+            res, slope = terminal_residual(lam)
+            if slope == 0.0:
+                break
+            step = res / slope
+            if abs(step) > 1e-6 * max(1.0, abs(lam)):
+                break
+            lam -= step
+            if abs(step) <= 1e-16 * max(1.0, abs(lam)):
+                break
+        ys = [b0]
+        _sweep((v + 2 - lam for v in potential), a0, b0, path=ys)
+        table[n, :] = ys[:nu]
+    return table
+
+
+INTERVAL_BCS = [dirichlet(), neumann(), robin(0.3, -0.4)]
+
+
 class TestEigenfunctions:
+    @pytest.mark.parametrize("nu", [1, 2, 3, 50, 300])
+    @pytest.mark.parametrize("bc", INTERVAL_BCS, ids=["dirichlet", "neumann", "robin"])
+    def test_bit_identical_to_per_mode_loop(self, nu, bc):
+        rng = np.random.default_rng(nu)
+        for pot in (Potential.zeros(nu), Potential(tuple(rng.uniform(-0.01, 0.01, nu)))):
+            spectrum = oracle_spectrum(pot, bc)
+            assert np.array_equal(eigenfunctions(pot, bc, spectrum),
+                                  ref_eigenfunctions(pot, bc, spectrum))
+
+    @pytest.mark.parametrize("bc", INTERVAL_BCS, ids=["dirichlet", "neumann", "robin"])
+    def test_bit_identical_with_order_one_potentials(self, bc):
+        rng = np.random.default_rng(20)
+        for nu in range(1, 21):
+            pot = Potential(tuple(rng.uniform(-1, 1, nu)))
+            spectrum = oracle_spectrum(pot, bc)
+            assert np.array_equal(eigenfunctions(pot, bc, spectrum),
+                                  ref_eigenfunctions(pot, bc, spectrum))
+
+    @pytest.mark.parametrize("nu, nonfinite", [(400, "0 rows"), (1500, r"[1-9]\d* rows")])
+    def test_localised_modes_raise(self, nu, nonfinite):
+        # uniform(-1, 1) at h = 1 localises most modes within a few dozen
+        # sites; forward shooting then misses T y = lambda y, and at nu = 1500
+        # some rows overflow
+        pot = Potential(tuple(np.random.default_rng(nu).uniform(-1, 1, nu)))
+        spectrum = oracle_spectrum(pot, dirichlet())
+        with pytest.raises(ArithmeticError,
+                           match=rf"^\d+ of {nu} eigenfunction rows .*, {nonfinite} not finite"):
+            eigenfunctions(pot, dirichlet(), spectrum)
+
+    def test_weak_disorder_returns_eigenfunctions(self):
+        pot = Potential(tuple(np.random.default_rng(400).uniform(-0.01, 0.01, 400)))
+        spectrum = oracle_spectrum(pot, dirichlet())
+        table = eigenfunctions(pot, dirichlet(), spectrum)
+        d, _ = tridiagonal_matrix(pot, dirichlet())
+        ty = d * table
+        ty[:, 1:] -= table[:, :-1]
+        ty[:, :-1] -= table[:, 1:]
+        lams = np.array(spectrum.lambdas)[:, None]
+        rel = np.max(np.abs(ty - lams * table), axis=1) / np.max(np.abs(table), axis=1)
+        assert np.max(rel) <= 1e-8
+
     def test_dirichlet_free_sines(self):
         nu = 3
         pot = Potential.zeros(nu)
