@@ -10,7 +10,12 @@ bytes on purpose re-records the file from the repository root with
 and lists every changed entry in CHANGES.md.
 
 ``{pot}`` in an argv stands for a potential file of the case's nu, with the
-deterministic values of :func:`potential_values`.
+deterministic values of :func:`potential_values`; ``{phys}`` stands for a
+``{"physical": [...], "h": ...}`` file with :func:`physical_values` and
+h = 1/(nu + 1).  Giving case names records only those cases and keeps the
+other entries of the file as they are:
+
+    PYTHONPATH=src python tests/make_golden.py det-phys-periodic limit-periodic
 """
 
 from __future__ import annotations
@@ -61,6 +66,18 @@ CASES: dict[str, list[str]] = {
     "sums": ["sums", "--bc", "robin", "--alpha", "0.5", "--beta", "2", "--nu", "20", "--h", "1"],
     "limit": ["limit", "--bc", "dirichlet", "--mass", "1", "--nu", "2000", "--L", "1"],
     "chebyshev": ["chebyshev"],
+    "det-phys-periodic": [
+        "det", "--bc", "periodic", "--potential", "{phys}", "--nu", "100000", "--L", "1"],
+    "det-twisted-potential-mass": [
+        "det", "--bc", "twisted", "--tau", "0.3", "--potential", "{pot}", "--mass", "3",
+        "--nu", "20000", "--L", "1"],
+    "det-robin-delta-mass": [
+        "det", "--bc", "robin", "--alpha", "0.7", "--beta", "1.2", "--delta-site", "7",
+        "--delta-v", "1.5", "--mass", "2", "--nu", "200000", "--L", "1"],
+    "limit-periodic": ["limit", "--bc", "periodic", "--mass", "2", "--nu", "50000"],
+    "spectrum-phys-neumann-mass": [
+        "spectrum", "--bc", "neumann", "--potential", "{phys}", "--mass", "1", "--nu", "300",
+        "--L", "1"],
 }
 
 
@@ -69,25 +86,44 @@ def potential_values(nu: int) -> list[float]:
     return [((37 * j + 11) % 101 - 50) / 500 for j in range(1, nu + 1)]
 
 
+def physical_values(nu: int) -> list[float]:
+    """A fixed physical potential in [0, 32], not exactly representable in binary."""
+    return [((53 * j + 7) % 97) / 3 for j in range(1, nu + 1)]
+
+
+def case_argv(argv: list[str], workdir: Path) -> list[str]:
+    """``argv`` with ``{pot}`` and ``{phys}`` replaced by files written to ``workdir``."""
+    files = {
+        "{pot}": lambda nu: potential_values(nu),
+        "{phys}": lambda nu: {"physical": physical_values(nu), "h": 1 / (nu + 1)},
+    }
+    for key, data in files.items():
+        if key in argv:
+            nu = int(argv[argv.index("--nu") + 1])
+            path = workdir / f"{key.strip('{}')}_{nu}.json"
+            path.write_text(json.dumps(data(nu)))
+            argv = [str(path) if a == key else a for a in argv]
+    return argv
+
+
 def run_case(argv: list[str], workdir: Path) -> tuple[int, str]:
     """Exit code and sha256 of the stdout of ``gylat`` on ``argv``."""
-    if "{pot}" in argv:
-        nu = int(argv[argv.index("--nu") + 1])
-        path = workdir / f"potential_{nu}.json"
-        path.write_text(json.dumps(potential_values(nu)))
-        argv = [str(path) if a == "{pot}" else a for a in argv]
+    argv = case_argv(argv, workdir)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-def record() -> dict:
+def record(names) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        return {name: dict(zip(("exit", "sha256"), run_case(argv, Path(tmp))))
-                for name, argv in CASES.items()}
+        return {name: dict(zip(("exit", "sha256"), run_case(CASES[name], Path(tmp))))
+                for name in names}
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(record(), indent=2) + "\n")
+    names = sys.argv[1:]
+    golden = json.loads(GOLDEN.read_text()) if names else {}
+    golden.update(record(names or CASES))
+    GOLDEN.write_text(json.dumps({k: golden[k] for k in CASES}, indent=2) + "\n")
     sys.exit(0)
