@@ -11,6 +11,7 @@ Exit codes: 0 ok, 2 configuration error, 3 numerical-consistency failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -100,39 +101,48 @@ def render_json(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def _flatten(obj, prefix: str = "", out: dict | None = None) -> dict:
-    """Dotted-key flattening; list entries get integer indices."""
-    if out is None:
-        out = {}
+def _walk(obj, prefix: str, out: list, chunk: bool) -> bool:
+    """Append (dotted key, CSV cell) for each leaf of ``obj``; list entries get indices.
+
+    All-``float`` lists format as in :func:`render_json`; with ``chunk`` one
+    pair of comma-joined keys and cells stands for the whole list.  False if
+    a dict key is not a str or holds a ".", as two leaves could share a key.
+    """
+    plain = True
     if isinstance(obj, dict):
         for k, v in obj.items():
-            _flatten(v, f"{prefix}{k}.", out)
+            plain &= _walk(v, f"{prefix}{k}.", out, chunk) and isinstance(k, str) and "." not in k
+    elif isinstance(obj, (list, tuple)) and obj and set(map(type, obj)) == {float}:
+        keys = [f"{prefix}{i}" for i in range(len(obj))]
+        text = ",".join(["%.17g"] * len(obj)) % tuple(obj)
+        if "n" in text:  # only "inf" and "nan" put an "n" in %g output
+            text = ",".join(map(_fmt_float, obj))
+        out.extend([(",".join(keys), text)] if chunk else zip(keys, text.split(",")))
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
-            _flatten(v, f"{prefix}{i}.", out)
+            plain &= _walk(v, f"{prefix}{i}.", out, chunk)
     else:
-        out[prefix[:-1]] = obj
-    return out
+        out.append((prefix[:-1], "true" if obj is True else "false" if obj is False else
+                    "" if obj is None else _fmt_float(obj) if isinstance(obj, float) else str(obj)))
+    return plain
 
 
 def render_csv(obj) -> str:
-    rows = obj if isinstance(obj, list) else [obj]
-    flats = [_flatten(r) for r in rows]
-    keys = list(dict.fromkeys(k for f in flats for k in f))
+    """Header of dotted keys, then one line per row (per entry of a list payload).
 
-    def cell(v) -> str:
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return _fmt_float(v)
-        if v is None:
-            return ""
-        return str(v)
-
-    lines = [",".join(keys)]
-    for f in flats:
-        lines.append(",".join(cell(f.get(k)) for k in keys))
-    return "\n".join(lines)
+    Keys in first-seen order; a missing key leaves its cell empty; a recurring
+    key keeps its first place and its last value.
+    """
+    out = []
+    if not isinstance(obj, list) and _walk(obj, "", out, chunk=True):  # no shared keys
+        return ",".join(k for k, _ in out) + "\n" + ",".join(c for _, c in out)
+    rows = []
+    for row in obj if isinstance(obj, list) else [obj]:
+        _walk(row, "", out := [], chunk=False)
+        rows.append(dict(out))
+    header = list(dict.fromkeys(k for row in rows for k in row))
+    lines = [header] + [[row.get(k, "") for k in header] for row in rows]
+    return "\n".join(",".join(line) for line in lines)
 
 
 def emit(payload, fmt: str) -> None:
@@ -203,8 +213,7 @@ def _build_potential(args, spec: LatticeSpec) -> Potential:
     else:
         pot = Potential.zeros(spec.nu)
     if args.mass:
-        mu2 = (spec.h * args.mass) ** 2
-        pot = Potential(tuple(v + mu2 for v in pot.values))
+        pot = Potential(pot.as_array() + (spec.h * args.mass) ** 2)
     return pot
 
 
@@ -536,6 +545,7 @@ def cmd_chebyshev(args) -> tuple[dict, int]:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built on the first call to main, then shared by the process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gylat",
@@ -567,22 +577,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eigenfunctions", action="store_true",
                        help="emit the eigenfunction table (spectrum)")
 
-    for name, fn in (("det", cmd_det), ("spectrum", cmd_spectrum), ("sums", cmd_sums),
-                     ("casimir", cmd_casimir), ("limit", cmd_limit)):
-        p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(fn=fn)
-    p = sub.add_parser("chebyshev", help="run the Chebyshev identity self-test")
-    common(p, need_bc=False)
-    p.set_defaults(fn=cmd_chebyshev)
+    for name in ("det", "spectrum", "sums", "casimir", "limit"):
+        common(sub.add_parser(name))
+    common(sub.add_parser("chebyshev", help="run the Chebyshev identity self-test"), need_bc=False)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        payload, code = args.fn(args)
+        # looked up by name on every call: the shared parser holds no functions
+        payload, code = globals()[f"cmd_{args.command}"](args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -92,58 +92,82 @@ def to_dimensionless(lambar: float, spec: LatticeSpec) -> float:
     return lambar * spec.h * spec.h
 
 
-@dataclass(frozen=True)
 class Potential:
-    """Dimensionless site potential v_j = h^2 * vbar_j, j = 1..nu.
+    """Dimensionless site potential v_j = h^2 * vbar_j; ``values[j-1]`` holds v_j.
 
-    ``values[j-1]`` holds v_j.  Entries may be ints/Fractions (exact
-    backend) or floats.
+    All-int/Fraction entries (exact backend) stay a tuple; anything else, or
+    an ndarray, is one float64 array, whose ``values`` are Python floats.
+    ``as_array()`` returns the float64 array itself, read-only.
     """
 
-    values: tuple
+    __slots__ = ("_exact", "_array")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+    def __init__(self, values):
+        if not isinstance(values, np.ndarray):
+            values = tuple(values)
+            if all(isinstance(v, (int, Fraction)) for v in values):
+                self._exact, self._array = values, None
+                return
+        self._exact, self._array = None, np.array(values, dtype=np.float64)
+        if self._array.ndim != 1:
+            raise ValueError(f"a potential has one value per site, not shape {self._array.shape}")
 
     @property
-    def nu(self) -> int:
-        return len(self.values)
+    def values(self) -> tuple:
+        return self._exact if self._exact is not None else tuple(self._array.tolist())
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._exact if self._exact is not None else self._array)
+
+    nu = property(__len__)
 
     def __iter__(self):
         return iter(self.values)
 
+    def __eq__(self, other):
+        return self.values == other.values if isinstance(other, Potential) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.values)
+
+    def __repr__(self):
+        return f"Potential(values={self.values!r})"
+
     @classmethod
     def zeros(cls, nu: int) -> "Potential":
-        return cls((0,) * nu)
+        pot = cls(())
+        pot._exact, pot._array = (0,) * nu, np.broadcast_to(0.0, nu)  # read-only, one 0.0
+        return pot
 
     @classmethod
     def constant(cls, nu: int, v) -> "Potential":
-        return cls((v,) * nu)
+        return cls((v,) * nu if isinstance(v, (int, Fraction)) else np.full(nu, v, np.float64))
 
     @classmethod
     def delta(cls, nu: int, site: int, v) -> "Potential":
         """Potential supported on a single vertex, 1-based ``site``."""
         if not 1 <= site <= nu:
             raise ValueError(f"site {site} outside 1..{nu}")
-        vals = [0] * nu
+        vals = [0] * nu if isinstance(v, (int, Fraction)) else np.zeros(nu)
         vals[site - 1] = v
-        return cls(tuple(vals))
+        return cls(vals)
 
     @classmethod
     def from_physical(cls, vbar: Sequence[float], h: float) -> "Potential":
-        return cls(tuple(h * h * v for v in vbar))
+        hh = h * h  # (h*h)*v per site, as Python evaluates h * h * v
+        return cls(hh * np.array(vbar, float) if isinstance(hh, float) else [hh * v for v in vbar])
 
     def to_physical(self, h: float) -> tuple:
         return tuple(v / (h * h) for v in self.values)
 
     def as_array(self) -> np.ndarray:
-        return np.fromiter(self.values, dtype=float, count=len(self.values))
+        if self._array is None:
+            self._array = np.fromiter(self._exact, dtype=float, count=len(self._exact))
+        self._array.flags.writeable = False  # also after a copy or unpickling
+        return self._array
 
     def is_free(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not self._array.any() if self._exact is None else all(v == 0 for v in self._exact)
 
 
 def load_potential(source, nu: int | None = None) -> Potential:
@@ -152,7 +176,7 @@ def load_potential(source, nu: int | None = None) -> Potential:
     Accepts a path, an open file object, or a parsed object.  The JSON is
     either a plain array of dimensionless values, or an object
     ``{"physical": [...], "h": x}`` triggering the v = h^2 * vbar
-    conversion.
+    conversion.  Raises ValueError unless values are finite and h positive.
     """
     if isinstance(source, (str, bytes)):
         with open(source) as fh:
@@ -163,15 +187,21 @@ def load_potential(source, nu: int | None = None) -> Potential:
         data = source
     if isinstance(data, dict):
         try:
-            vbar = data["physical"]
-            h = data["h"]
-        except KeyError as exc:
-            raise ValueError("potential object needs 'physical' and 'h' keys") from exc
-        pot = Potential.from_physical([float(v) for v in vbar], float(h))
+            data, h = data["physical"], float(data["h"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError("potential object needs 'physical' and a number 'h'") from exc
+        if not 0 < h < math.inf:
+            raise ValueError(f"potential 'h' must be finite and positive, got {h!r}")
     elif isinstance(data, list):
-        pot = Potential(tuple(float(v) for v in data))
+        h = 1.0  # already dimensionless; 1.0 * v is v, bit for bit
     else:
         raise ValueError(f"cannot interpret potential JSON of type {type(data).__name__}")
+    try:  # each entry as float() reads it; a nested list is refused by Potential
+        pot = Potential.from_physical(np.array(data, dtype=np.float64), h)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"potential values must be a flat list of numbers ({exc})") from exc
+    if not np.isfinite(pot.as_array()).all():
+        raise ValueError("potential values must be finite numbers")
     if nu is not None and pot.nu != nu:
         raise ValueError(f"potential has {pot.nu} entries, lattice wants {nu}")
     return pot

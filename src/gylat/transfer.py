@@ -187,7 +187,7 @@ def periodic_char_fn(potential: Potential, tau: float, lam: float) -> float:
     if potential.nu < 1:
         raise ValueError("circle topology needs nu >= 1")
     lam = float(lam)
-    ws = [float(v) + 2 - lam for v in potential]
+    ws = ((potential.as_array() + 2.0) - lam).tolist()
     trace = _sweep(ws, 1.0, 0.0)[0] + _sweep(ws, 0.0, 1.0)[1]
     return trace - 2.0 * math.cos(2.0 * math.pi * tau)
 

@@ -1,11 +1,20 @@
 """CLI surface: subcommands, formats, determinism, exit codes."""
 
+import contextlib
+import hashlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gylat
 from gylat import LatticeSpec, MassParam, Potential, determinant, dirichlet, free_determinant, robin
 from gylat.cli import _fmt_float, main, render_csv, render_json
 from gylat.spectrum import tridiagonal_matrix
@@ -229,10 +238,61 @@ RENDER_CASES = [
 ]
 
 
+def _ref_flatten(obj, prefix="", out=None):
+    if out is None:
+        out = {}
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            _ref_flatten(v, f"{prefix}{k}.", out)
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            _ref_flatten(v, f"{prefix}{i}.", out)
+    else:
+        out[prefix[:-1]] = obj
+    return out
+
+
+def ref_render_csv(obj):
+    """The dict-per-row renderer that render_csv must match byte for byte."""
+    rows = obj if isinstance(obj, list) else [obj]
+    flats = [_ref_flatten(r) for r in rows]
+    keys = list(dict.fromkeys(k for f in flats for k in f))
+
+    def cell(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, float):
+            return _fmt_float(v)
+        return "" if v is None else str(v)
+
+    return "\n".join([",".join(keys)] + [",".join(cell(f.get(k)) for k in keys) for f in flats])
+
+
+CSV_CASES = RENDER_CASES + [
+    {}, [], 5, 2.5, None, "x", [{}], [[0.5, 1.5]], [1.5, 2.5], [{"a": 1}, {}],
+    # dotted keys that collide: first place, last value
+    {"a": [0.5, 1.5], "a.1": 7.0, "b": {"c": 1}, "b.c": None},
+    {"a": {"b": [0.25]}, "a.b.0": [0.5, math.nan], "a.b": {"0": True}},
+    {1: 0.5, "1": [0.25, 0.75]}, {"x": (1.5, 2.5), "y": [[0.1, -0.0], [math.inf]]},
+    [{"a": [0.1, 0.2]}, {"a": [0.3], "b": 1}, {"a.0": 9.0}],
+]
+
+
 class TestOutputDiscipline:
     @pytest.mark.parametrize("obj", RENDER_CASES)
     def test_render_json_matches_per_item_renderer(self, obj):
         assert render_json(obj) == ref_render_json(obj)
+
+    @pytest.mark.parametrize("obj", CSV_CASES)
+    def test_render_csv_matches_dict_renderer(self, obj):
+        assert render_csv(obj) == ref_render_csv(obj)
+
+    def test_render_csv_float_rows_match_dict_renderer(self):
+        rng = np.random.default_rng(8)
+        bits = rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64).tolist()
+        rows = [bits[i:i + 100] for i in range(0, len(bits), 100)]
+        payload = {"n": 3, "rows": rows, "tail": {"ok": True, "v": bits[:7]}}
+        assert render_csv(payload) == ref_render_csv(payload)
 
     def test_render_json_float_rows_match_per_item_renderer(self):
         # random bit patterns: every exponent, subnormals, and a few NaN rows
@@ -297,3 +357,73 @@ class TestOutputDiscipline:
         assert code == 0
         assert len(data["eigenfunctions"]) == 3
         assert len(data["eigenfunctions"][0]) == 3
+
+
+class TestParserReuse:
+    """main builds its argparse parser once per process and reuses it."""
+
+    EXTRAS = [
+        # cmd_limit writes the default circle length into args.L
+        ["limit", "--bc", "periodic", "--mass", "2", "--nu", "400"],
+        ["det", "--bc", "dirichlet", "--nu", "3"],  # config error: no spacing
+        ["det", "--bc", "nowhere", "--nu", "3", "--h", "1"],  # argparse refusal
+        ["spectrum", "--bc", "twisted", "--tau", "0.3", "--nu", "40"],
+    ]
+
+    @staticmethod
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    def test_golden_replay_forward_and_reversed(self, tmp_path):
+        from make_golden import CASES, GOLDEN, case_argv
+
+        recorded = json.loads(GOLDEN.read_text())
+        names = sorted(CASES)
+        first = {}
+        for k, name in enumerate(names + names[::-1]):
+            code, out, _ = self.run(case_argv(CASES[name], tmp_path))
+            assert {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()} == \
+                recorded[name], name
+            extra = self.EXTRAS[k % len(self.EXTRAS)]
+            got = self.run(extra)
+            assert first.setdefault(tuple(extra), got) == got, extra
+        codes = [first[tuple(e)][0] for e in self.EXTRAS]
+        assert codes == [0, 2, 2, 0]
+        assert "supply one of --h and --L" in first[tuple(self.EXTRAS[1])][2]
+        assert "invalid choice" in first[tuple(self.EXTRAS[2])][2]
+
+    def test_subcommand_is_looked_up_per_call(self, monkeypatch, capsys):
+        """A wrapper bound over cmd_* after the parser exists still runs (tracing relies on it)."""
+        main(["chebyshev"])
+        calls = []
+        monkeypatch.setattr(gylat.cli, "cmd_chebyshev",
+                            lambda args: calls.append(args.command) or ({"ok": True}, 0))
+        assert main(["chebyshev"]) == 0 and calls == ["chebyshev"]
+        assert capsys.readouterr().out.endswith('"ok": true\n}\n')
+
+    def test_import_builds_no_parser(self):
+        code = textwrap.dedent("""
+            import argparse
+            built = []
+            init = argparse.ArgumentParser.__init__
+            def counting(self, *a, **k):
+                built.append(1)
+                init(self, *a, **k)
+            argparse.ArgumentParser.__init__ = counting
+            import gylat.cli as cli
+            print(len(built), cli.build_parser.cache_info().currsize == 0)
+            cli.main(["det", "--bc", "dirichlet", "--nu", "3"])
+            once = len(built)
+            cli.main(["det", "--bc", "dirichlet", "--nu", "3"])
+            print(once > 0, len(built) == once)
+        """)
+        src = str(Path(gylat.__file__).resolve().parents[1])
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert res.stdout.split() == ["0", "True", "True", "True"], res.stderr
