@@ -227,8 +227,8 @@ def _parse_sweep(text: str) -> tuple[str, float, float, int]:
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
         raise ConfigError(f"--sweep wants param:lo:hi:n, got {text!r}") from exc
-    if n < 2 or lo <= 0 or hi <= lo:
-        raise ConfigError("--sweep needs 0 < lo < hi and n >= 2")
+    if n < 2 or not 0 < lo < hi < math.inf:
+        raise ConfigError("--sweep needs finite 0 < lo < hi and n >= 2")
     return param, lo, hi, n
 
 
@@ -333,7 +333,7 @@ def cmd_sums(args) -> tuple[dict, int]:
     bc = _build_bc(args)
     spec = _build_spec(args, bc)
     pot = _build_potential(args, spec)
-    kmax = args.order if args.order else 4
+    kmax = 4 if args.order is None else args.order
     if not 1 <= kmax <= 4:
         raise ConfigError("--order must be 1..4 for sums")
     poly = char_poly(pot, bc, exact=args.exact)
@@ -449,7 +449,7 @@ def _limit_point(bc: BoundaryCondition, nu: int, L: float, mubar: float,
         else:
             bc_lattice = bc
         ld = determinant(pot, bc_lattice, spec)
-    power = continuum_scaling_exponent(bc, spec.nu)
+    power = continuum_scaling_exponent(bc, spec.nu, prime)
     return ld.scaled_value(power * math.log(spec.h)), spec.h
 
 
@@ -586,6 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name, value in vars(args).items():  # the numeric options, as argparse read them
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
         # looked up by name on every call: the shared parser holds no functions
         payload, code = globals()[f"cmd_{args.command}"](args)
     except (ConfigError, ValueError) as exc:

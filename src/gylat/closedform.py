@@ -240,31 +240,30 @@ def continuum_limit_targets(bc: BoundaryCondition, mubar: float = 0.0,
     Robin:            h^(2nu-1) Det_R      -> (abar+bbar) cosh(mubar L)
                                               + (abar bbar + mubar^2) sinh(mubar L)/mubar
     Periodic (primed): h^(2nu+2) Det'_P    -> 4 L^2        (massless)
-    Twisted:          h^(2nu)   Det^(1/2)  -> 4 sin^2(pi tau)
+    Other circles:    h^(2nu)   Det        -> 2 cosh(mubar L) - 2 cos(2 pi tau)
     """
     z = mubar * L
     sinhc = L if mubar == 0.0 else math.sinh(z) / mubar
     if bc.kind == DIRICHLET:
         return sinhc
-    if bc.kind == NEUMANN:
-        if mubar == 0.0:
-            return L
-        return mubar * math.sinh(z) * 1.0  # Robin(0,0) specialisation
+    if bc.kind == NEUMANN:  # massive: the Robin(0, 0) specialisation
+        return L if mubar == 0.0 else mubar * math.sinh(z)
     if bc.kind == ROBIN:
         return (alphabar + betabar) * math.cosh(z) + (alphabar * betabar + mubar * mubar) * sinhc
-    if bc.kind == PERIODIC:
+    if bc.kind == PERIODIC and mubar == 0.0:
         return 4.0 * L * L
-    if bc.kind == TWISTED:
-        return 4.0 * math.sin(math.pi * bc.tau) ** 2
+    if bc.is_circle:  # 2 cosh z - 2 cos 2 pi tau, without cancellation
+        return 4.0 * (math.sinh(z / 2) ** 2 + math.sin(math.pi * bc.twist) ** 2)
     raise ValueError(f"unknown boundary condition {bc.kind!r}")
 
 
-def continuum_scaling_exponent(bc: BoundaryCondition, nu: int) -> int:
-    """Power p such that h^p * Det approaches the continuum target."""
+def continuum_scaling_exponent(bc: BoundaryCondition, nu: int, prime: bool = False) -> int:
+    """Power p such that h^p * Det (h^p * Det' with ``prime``) approaches the
+    continuum target; periodic Det' keeps the removed mode's (2/h)^2."""
     if bc.kind == DIRICHLET:
         return 2 * nu + 1
     if bc.kind in (NEUMANN, ROBIN):
         return 2 * nu - 1
-    if bc.kind == PERIODIC:
+    if bc.kind == PERIODIC and prime:
         return 2 * nu + 2
     return 2 * nu

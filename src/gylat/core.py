@@ -51,8 +51,8 @@ class LatticeSpec:
     def __post_init__(self):
         if self.nu < 0:
             raise ValueError(f"nu must be >= 0, got {self.nu}")
-        if self.h <= 0 or self.L <= 0:
-            raise ValueError("lattice spacing and length must be positive")
+        if not (0 < self.h < math.inf and 0 < self.L < math.inf):  # NaN fails too
+            raise ValueError("lattice spacing and length must be positive and finite")
         if self.topology not in (INTERVAL, CIRCLE):
             raise ValueError(f"unknown topology {self.topology!r}")
 

@@ -12,13 +12,14 @@ Neumann series is identical except the end propagators are third-kind
 polynomials V and the zeroth-order term is V_nu - V_{nu-1}.  Setting
 lambda = 0 (U_n -> n+1, V_n -> 1) gives the determinant series.
 
-The series is generated by iterating the summed propagation equation
-
-    y(j+1) = F(j) + sum_{j1<=j} U_{j-j1} v_{j1} y(j1),
-
-order by order in v (F is the free solution fixed by the seed), which costs
-O(nu^2 * order) polynomial operations instead of enumerating vertex tuples;
-the tuple enumeration is retained as a second oracle for small nu.
+The order-k term is the e^k part of P when the potential is scaled to e v,
+so the whole series is one GY sweep (:func:`gylat.transfer._sweep`) over the
+weights (2 - lambda) + e v_j, each y(j) carried as a series in e truncated
+at the requested order.  A site costs O(order) polynomial products, the
+series O(nu * order); the determinant series is the same sweep with 2 in
+place of 2 - lambda.  The vertex-tuple enumeration
+:func:`trace_series_by_tuples` shares no code with the sweep and stays as
+the independent reference for small nu.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .chebyshev import cheb_u_poly, cheb_v_poly
-from .core import CharPoly, Potential, _exactify
+from .core import CharPoly, Potential, _exactify, dirichlet
+from .transfer import _Series, _sweep, char_poly
 
 FULL_ORDER = None  # sentinel: include every order up to nu
 
@@ -40,37 +42,7 @@ def _is_exact_potential(potential: Potential) -> bool:
 def _exact_or_not(potential: Potential, exact: bool | None) -> tuple[Potential, bool]:
     if exact is None:
         exact = _is_exact_potential(potential)
-    if exact and not _is_exact_potential(potential):
-        potential = Potential(tuple(_exactify(v) for v in potential))
-    return potential, exact
-
-
-def _orderwise_terminals(potential: Potential, order: int, free: list[CharPoly],
-                         u: list[CharPoly], seed0) -> list[list[CharPoly]]:
-    """y^k(j) for k = 0..order, j = 0..nu+1, for the seed behind ``free``.
-
-    free[j] is the order-0 value of y(j+1); seed0 is y(0); u[m] is
-    U_m(1 - lambda/2).  Returns terms[k][j] = order-k part of y(j).
-    """
-    nu = potential.nu
-    vals = potential.values
-    zero = free[0] - free[0]
-    # terms[k][j]: j runs 0..nu+1
-    terms: list[list[CharPoly]] = [[zero] * (nu + 2) for _ in range(order + 1)]
-    terms[0][0] = zero + seed0
-    for j in range(nu + 1):
-        terms[0][j + 1] = free[j]
-    sites = [j1 for j1 in range(1, nu + 1) if vals[j1 - 1] != 0]
-    for k in range(1, order + 1):
-        prev = terms[k - 1]
-        for j in range(nu + 1):
-            acc = zero
-            for j1 in sites:
-                if j1 > j:
-                    break
-                acc = acc + (u[j - j1] * vals[j1 - 1]) * prev[j1]
-            terms[k][j + 1] = acc
-    return terms
+    return (Potential(map(_exactify, potential)) if exact else potential), exact
 
 
 def _resolve_order(potential: Potential, order) -> int:
@@ -82,6 +54,27 @@ def _resolve_order(potential: Potential, order) -> int:
     return order
 
 
+def _graded_terminal(potential: Potential, order: int, two, neumann: bool) -> list:
+    """Order-k parts, k = 0..order, of the terminal value on weights two + e v_j.
+
+    The Dirichlet seed (0, 1) ends on y(nu+1), the Neumann seed (1, 1) on
+    y(nu+1) - y(nu).  A site with v_j = 0 keeps the one-term weight.
+    """
+    zero = two - two
+    one = zero + 1
+    ws = (_Series([two, v] if v else [two], order) for v in potential.values)
+    a, b = _sweep(ws, _Series([one if neumann else zero], order), _Series([one], order))
+    return (b - a).c if neumann else b.c
+
+
+def _trace_series(potential: Potential, order, exact: bool | None, neumann: bool) -> CharPoly:
+    order = _resolve_order(potential, order)
+    potential, exact = _exact_or_not(potential, exact)
+    two = CharPoly([2, -1], backend="exact" if exact else "float")  # 2 - lambda
+    terms = _graded_terminal(potential, order, two, neumann)
+    return sum(terms[1:], terms[0])
+
+
 def dirichlet_trace_series(potential: Potential, order=FULL_ORDER,
                            exact: bool | None = None) -> CharPoly:
     """Dirichlet characteristic polynomial, truncated at ``order`` insertions.
@@ -89,16 +82,7 @@ def dirichlet_trace_series(potential: Potential, order=FULL_ORDER,
     At full order this equals the transfer-matrix char_poly identically
     (coefficient-exact in the exact backend).
     """
-    nu = potential.nu
-    order = _resolve_order(potential, order)
-    potential, exact = _exact_or_not(potential, exact)
-    u = [cheb_u_poly(m) if exact else cheb_u_poly(m).to_float() for m in range(nu + 1)]
-    free = u  # Dirichlet seed: y(j+1) = U_j, y(0) = 0
-    terms = _orderwise_terminals(potential, order, free, u, seed0=0)
-    total = terms[0][nu + 1]
-    for k in range(1, order + 1):
-        total = total + terms[k][nu + 1]
-    return total
+    return _trace_series(potential, order, exact, neumann=False)
 
 
 def neumann_trace_series(potential: Potential, order=FULL_ORDER,
@@ -108,27 +92,15 @@ def neumann_trace_series(potential: Potential, order=FULL_ORDER,
     Computed as the terminal difference y(nu+1) - y(nu) of the Neumann-seed
     series, which reproduces the V-ended vertex sums.
     """
-    nu = potential.nu
+    return _trace_series(potential, order, exact, neumann=True)
+
+
+def _det_series(potential: Potential, order, neumann: bool):
+    """Order-by-order determinant at lambda = 0, summed up to ``order``."""
     order = _resolve_order(potential, order)
-    potential, exact = _exact_or_not(potential, exact)
-    u = [cheb_u_poly(m) if exact else cheb_u_poly(m).to_float() for m in range(nu + 1)]
-    v = [cheb_v_poly(m) if exact else cheb_v_poly(m).to_float() for m in range(nu + 1)]
-    terms = _orderwise_terminals(potential, order, v, u, seed0=1)
-    total = terms[0][nu + 1] - terms[0][nu]
-    for k in range(1, order + 1):
-        total = total + (terms[k][nu + 1] - terms[k][nu])
-    return total
-
-
-def _det_series(potential: Potential, order: int, neumann: bool):
-    """Order-by-order determinant at lambda = 0, where U_m -> m+1, V_m -> 1."""
-    nu = potential.nu
-    u = [m + 1 for m in range(nu + 1)]
-    # y(0) is read only at nu = 0, where seed 0 keeps the empty product 1
-    terms = _orderwise_terminals(potential, order, [1] * (nu + 1) if neumann else u, u, seed0=0)
-    if neumann:
-        return [t[nu + 1] - t[nu] for t in terms]
-    return [t[nu + 1] for t in terms]
+    if not potential.nu:
+        return 1  # the empty product (the Neumann seed would give y(1) - y(0) = 0)
+    return sum(_graded_terminal(potential, order, 2, neumann))
 
 
 def dirichlet_det_series(potential: Potential, order=FULL_ORDER):
@@ -137,8 +109,7 @@ def dirichlet_det_series(potential: Potential, order=FULL_ORDER):
     At full order this is the dimensionless Dirichlet determinant,
     (-1)^nu P(0) / leading.
     """
-    order = _resolve_order(potential, order)
-    return sum(_det_series(potential, order, neumann=False))
+    return _det_series(potential, order, neumann=False)
 
 
 def neumann_det_series(potential: Potential, order=FULL_ORDER):
@@ -146,16 +117,17 @@ def neumann_det_series(potential: Potential, order=FULL_ORDER):
 
     Vanishes identically at v = 0 (the uniform zero mode).
     """
-    order = _resolve_order(potential, order)
-    return sum(_det_series(potential, order, neumann=True))
+    return _det_series(potential, order, neumann=True)
 
 
 def trace_series_by_tuples(potential: Potential, order=FULL_ORDER,
                            neumann: bool = False) -> CharPoly:
-    """Second oracle: direct enumeration of strictly decreasing vertex tuples.
+    """Direct enumeration of strictly decreasing vertex tuples.
 
-    Exponential in nu; intended for nu <= 6 cross-checks of the iterated
-    series.
+    The paper's vertex-tuple formula, evaluated term by term.  It is the one
+    route to the polynomial that does not run on the GY sweep shared by
+    char_poly and the series functions, so the tests keep it as their
+    independent reference.  Exponential in nu; meant for nu <= 6.
     """
     nu = potential.nu
     order = _resolve_order(potential, order)
@@ -219,9 +191,6 @@ def symmetric_factor_check(v1, v2, v3=None) -> bool:
     factor is present exactly when the potential is symmetric (v3 = v1).
     Decided by exact synthetic division, remainder identically zero.
     """
-    from .core import dirichlet
-    from .transfer import char_poly
-
     if v3 is None:
         v3 = v1
     pot = Potential((v1, v2, v3))

@@ -19,12 +19,16 @@ lambda = 0, normalised by the leading coefficient, gives the determinant.
 On the circle the eigenvalue condition is tr K(lambda; nu) = 2 cos(2 pi tau)
 instead.
 
-The exact, polynomial and path routes run on one kernel, :func:`_sweep`,
-which advances the scalar recurrence y(j+1) = w_j y(j) - y(j-1) over
-diagonal weights w_j = v_j + 2 - lambda.  Each column of K is one sweep from
-a unit seed, so no route multiplies 2x2 matrices site by site.  The kernel
-takes weights rather than (v, lambda), so each caller keeps its own
-arithmetic: floats, exact ints and Fractions, or CharPoly entries.
+Every route but the float determinant (below), the perturbation series
+included, runs on one kernel, :func:`_sweep`, which advances the scalar
+recurrence y(j+1) = w_j y(j) - y(j-1) over weights w_j = v_j + 2 - lambda.
+Each column of K is one sweep from a unit seed, so no route multiplies 2x2
+matrices site by site.  The kernel takes weights rather than (v, lambda), so
+each caller keeps its own arithmetic: floats, exact ints and Fractions,
+CharPoly entries, numpy vectors over modes, or :class:`_Series` over any of
+these, which carries graded parts of y(j) at once (dy/dlambda for the
+eigenfunction Newton polish, powers of the potential for the perturbation
+series).
 
 The float determinant at lambda = 0 takes its own route,
 :func:`_blocked_difference_sweep`.  It carries (y(j), Delta(j) =
@@ -99,6 +103,32 @@ def _sweep(ws, a, b, path=None):
         if path is not None:
             path.append(b)
     return a, b
+
+
+class _Series:
+    """Series c[0] + c[1] e + ... truncated above e^m, with exact zeros past the
+    end of ``c``: a graded y(j) for :func:`_sweep`, over any scalar it takes."""
+
+    __slots__ = ("c", "m")
+
+    def __init__(self, c, m):
+        self.c, self.m = c, m
+
+    def __sub__(self, other):
+        a, b = self.c, other.c
+        return _Series([x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]],
+                       self.m)
+
+    def __mul__(self, other):
+        a, b = self.c, other.c
+        out = []
+        for k in range(min(len(a) + len(b) - 1, self.m + 1)):
+            lo = max(0, k - len(b) + 1)
+            acc = a[lo] * b[k - lo]
+            for i in range(lo + 1, min(k, len(a) - 1) + 1):
+                acc = acc + a[i] * b[k - i]
+            out.append(acc)
+        return _Series(out, self.m)
 
 
 def propagate(potential: Potential, lam, v0: Vec2) -> list[Vec2]:
@@ -362,17 +392,15 @@ def eigenfunctions(potential: Potential, bc: BoundaryCondition, spectrum: Spectr
     oa, ob = float(out.a), float(out.b)
     shifted = (potential.as_array() + 2.0).tolist()  # w_j = (v_j + 2) - lambda
     lam = np.fromiter(spectrum, dtype=float, count=nu)
-    ys = np.empty((nu, nu))  # ys[j - 1, n] = y_n(j)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         live = np.arange(nu)  # modes still taking Newton steps
         for _ in range(3):
             lam_l = lam[live]
-            a, b = np.full(len(live), a0), np.full(len(live), b0)
-            da = db = np.zeros(len(live))
-            # (y, dy/dlambda) jointly; x - a rounds exactly as -a + x
-            for s in shifted:
-                w = s - lam_l
-                a, b, da, db = b, w * b - a, db, w * db - da - b
+            # (y, dy/dlambda) jointly, as order-1 series in lambda: dw/dlambda = -1
+            a, b = _sweep((_Series([s - lam_l, -1.0], 1) for s in shifted),
+                          _Series([np.full(len(live), a0), 0.0], 1),
+                          _Series([np.full(len(live), b0), 0.0], 1))
+            (a, da), (b, db) = a.c, b.c
             slope = oa * da + ob * db
             step = (oa * a + ob * b) / slope
             # a zero slope stops, a step out of the Newton basin keeps the
@@ -383,10 +411,9 @@ def eigenfunctions(potential: Potential, bc: BoundaryCondition, spectrum: Spectr
             live = live[take & ~done]
             if not len(live):
                 break
-        a, b = np.full(nu, a0), np.full(nu, b0)
-        for j, s in enumerate(shifted):
-            ys[j] = b
-            a, b = b, (s - lam) * b - a
+        rows = [np.full(nu, b0)]  # rows[j - 1][n] = y_n(j)
+        a, b = _sweep((s - lam for s in shifted), np.full(nu, a0), rows[0], path=rows)
+        ys = np.reshape(rows[:nu], (nu, nu))
         residual = np.abs(oa * a + ob * b) / (abs(ob) or 1.0)
         # max_j |y(j)| per mode, without an nu x nu temporary
         size = np.maximum(ys.max(axis=0, initial=0.0), -ys.min(axis=0, initial=0.0))

@@ -143,6 +143,33 @@ class TestConfigErrors:
         assert code == 2
 
 
+class TestNonFiniteOptions:
+    """NaN and infinite numeric options exit 2 with nothing on stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ["det", "--bc", "dirichlet", "--nu", "5", "--h", "nan"],
+        ["det", "--bc", "dirichlet", "--nu", "5", "--L", "inf"],
+        ["det", "--bc", "dirichlet", "--nu", "5", "--h", "1", "--mass", "nan"],
+        ["det", "--bc", "robin", "--nu", "5", "--h", "1", "--alpha", "nan"],
+        ["det", "--bc", "robin", "--nu", "5", "--h", "1", "--beta=-inf"],
+        ["det", "--bc", "dirichlet", "--nu", "5", "--h", "1", "--delta-site", "2",
+         "--delta-v", "inf"],
+        ["spectrum", "--bc", "dirichlet", "--nu", "5", "--h", "nan"],
+    ], ids=["h", "L", "mass", "alpha", "beta", "delta-v", "spectrum-h"])
+    def test_option(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        option = [a for a in argv if a.startswith("--")][-1].split("=")[0]
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {option} must be finite, got ")
+
+    @pytest.mark.parametrize("sweep", ["h:nan:0.02:10", "h:0.002:inf:10", "h:0.002:nan:10"])
+    def test_sweep_bounds(self, capsys, sweep):
+        code, out, err = run_cli(capsys, "casimir", "--bc", "dirichlet", "--L", "1",
+                                  "--nu", "9", "--sweep", sweep)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --sweep needs finite")
+
+
 class TestSums:
     def test_dirichlet_closed_form(self, capsys):
         code, data = run_json(capsys, "sums", "--bc", "dirichlet", "--nu", "9", "--h", "1")
@@ -158,6 +185,12 @@ class TestSums:
         assert code == 0
         assert abs(data["inverse_power_sums"][0] - 5.0) < 1e-10
         assert data["closed_form_agreement"] is True
+
+    def test_order_zero_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "sums", "--bc", "dirichlet", "--nu", "9", "--h", "1",
+                                 "--order", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --order must be 1..4")
 
     def test_zero_mode_is_config_error(self, capsys):
         code, out, err = run_cli(capsys, "sums", "--bc", "neumann", "--nu", "4", "--h", "1")
@@ -193,6 +226,18 @@ class TestLimit:
                               "--mass", "1", "--L", "1", "--nu", "800")
         assert code == 0
         assert data["rel_error"] < 1e-2
+
+    @pytest.mark.parametrize("circle", [["periodic"], ["twisted", "--tau", "0.25"],
+                                        ["twisted", "--tau", "0.9"]])
+    def test_massive_circle(self, capsys, circle):
+        # h^(2 nu) Det -> 2 cosh(mubar L) - 2 cos(2 pi tau) on the default L = 2 pi
+        code, data = run_json(capsys, "limit", "--bc", *circle, "--mass", "2", "--nu", "20000")
+        tau = float(circle[2]) if len(circle) > 1 else 1.0
+        want = 2 * math.cosh(4 * math.pi) - 2 * math.cos(2 * math.pi * tau)
+        assert code == 0
+        assert abs(data["target"] - want) <= 1e-14 * want
+        assert data["rel_error"] < 1e-6
+        assert abs(data["observed_order"] - 2) < 0.1
 
 
 class TestChebyshevSelfTest:

@@ -12,6 +12,7 @@ from gylat import (
     Potential,
     cheb_u,
     continuum_limit_targets,
+    continuum_scaling_exponent,
     determinant,
     dirichlet,
     free_determinant,
@@ -304,6 +305,21 @@ class TestContinuumTargets:
         assert continuum_limit_targets(periodic(), 0.0, L=2 * math.pi) == 4 * (2 * math.pi) ** 2
         t = continuum_limit_targets(twisted(0.25), 0.0, L=2 * math.pi)
         assert abs(t - 4 * math.sin(math.pi * 0.25) ** 2) < 1e-15
+
+    def test_massive_circle_targets(self):
+        # 2 cosh(mubar L) - 2 cos(2 pi tau), periodic at tau = 1
+        L, mubar = 2 * math.pi, 2.0
+        for bc in (periodic(), twisted(0.25), twisted(0.9)):
+            want = 2 * math.cosh(mubar * L) - 2 * math.cos(2 * math.pi * bc.twist)
+            got = continuum_limit_targets(bc, mubar, L=L)
+            assert abs(got - want) <= 1e-14 * want
+
+    def test_scaling_exponents(self):
+        nu = 50
+        assert continuum_scaling_exponent(periodic(), nu, prime=True) == 2 * nu + 2
+        assert continuum_scaling_exponent(periodic(), nu) == 2 * nu
+        assert continuum_scaling_exponent(twisted(0.3), nu, prime=True) == 2 * nu
+        assert continuum_scaling_exponent(neumann(), nu, prime=True) == 2 * nu - 1
 
     def test_convergence_dirichlet(self):
         # h^(2 nu + 1) Det_D approaches sinh(mubar L)/mubar at order ~2

@@ -50,6 +50,12 @@ class TestLatticeSpec:
         with pytest.raises(ValueError):
             LatticeSpec.interval(3)
 
+    @pytest.mark.parametrize("h, L", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                      (1.0, math.inf), (0.0, 1.0), (1.0, -1.0)])
+    def test_spacing_and_length_positive_and_finite(self, h, L):
+        with pytest.raises(ValueError, match="positive and finite"):
+            LatticeSpec(3, h, L)
+
     def test_nu_zero_is_legal_on_interval(self):
         spec = LatticeSpec.interval(0, h=1.0)
         assert spec.L == 1.0

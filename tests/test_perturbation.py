@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gylat import (
     CharPoly,
@@ -136,6 +138,41 @@ class TestDetSeries:
             assert dirichlet_det_series(pot) == (-1) ** nu * Fraction(pd(0), pd.leading())
             pn = char_poly(pot, neumann(), exact=True)
             assert neumann_det_series(pot) == (-1) ** nu * Fraction(pn(0), pn.leading())
+
+
+exact_values = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+SERIES = [(dirichlet(), dirichlet_trace_series, dirichlet_det_series, False),
+          (neumann(), neumann_trace_series, neumann_det_series, True)]
+
+
+class TestGradedSweep:
+    """The series run on the GY sweep that char_poly shares; the vertex-tuple
+    enumeration is the route that does not."""
+
+    @settings(max_examples=20)
+    @given(values=st.one_of(st.integers(1, 6), st.integers(7, 40)).flatmap(
+        lambda nu: st.lists(exact_values, min_size=nu, max_size=nu)), data=st.data())
+    def test_against_char_poly_and_tuples(self, values, data):
+        pot = Potential(tuple(values))
+        nu = pot.nu
+        order = data.draw(st.integers(0, nu), label="order")
+        for bc, trace, det, is_neumann in SERIES:
+            p = char_poly(pot, bc, exact=True)
+            assert trace(pot) == p
+            assert det(pot) == (-1) ** nu * Fraction(p(0), p.leading())
+            truncated = trace(pot, order)
+            assert det(pot, order) == truncated(0)
+            if nu <= 6:
+                assert truncated == trace_series_by_tuples(pot, order, neumann=is_neumann)
+
+    def test_nu_zero(self):
+        # the Neumann determinant series keeps the empty product, although
+        # its trace series, y(1) - y(0) of the seed (1, 1), vanishes
+        empty = Potential(())
+        assert dirichlet_det_series(empty) == neumann_det_series(empty) == 1
+        assert dirichlet_trace_series(empty) == CharPoly([1])
+        assert neumann_trace_series(empty) == CharPoly([0])
 
 
 class TestDeltaPotential:

@@ -235,7 +235,7 @@ def _floats(max_nu: int, scale: float):
 class TestTupleAndArrayAgree:
     """The same floats as a tuple or as an ndarray give bit-identical results."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(vals=_floats(300, 4.0), kind=st.sampled_from(range(5)))
     def test_determinant_and_oracle(self, vals, kind):
         bc = [dirichlet(), neumann(), robin(0.3, 1.7), periodic(), twisted(0.3)][kind]
@@ -247,7 +247,7 @@ class TestTupleAndArrayAgree:
         assert bits(oracle_spectrum(a, bc, spec).lambdas).tolist() == bits(
             oracle_spectrum(b, bc, spec).lambdas).tolist()
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(vals=_floats(60, 2.0), kind=st.sampled_from(range(3)))
     def test_float_char_poly(self, vals, kind):
         bc = [dirichlet(), robin(-0.4, 0.9), twisted(0.7)][kind]

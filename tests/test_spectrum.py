@@ -163,7 +163,7 @@ class TestPolyRoots:
         assert len(got) == nu
         assert max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(got, want)) <= 1e-12
 
-    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=50)
     @given(values=st.integers(1, 24).flatmap(lambda nu: st.lists(
                st.one_of(st.integers(-4, 4), st.integers(-64, 64).map(lambda k: k / 16)),
                min_size=nu, max_size=nu)),
@@ -383,7 +383,7 @@ def diagonals_and_shifts(draw):
 
 
 class TestSturmCounts:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(case=diagonals_and_shifts())
     def test_equal_to_guarded_counts(self, case):
         d, xs = case

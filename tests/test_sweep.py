@@ -45,7 +45,7 @@ from gylat.transfer import (
     _twist_shift,
 )
 
-SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=40)
 
 small_ints = st.lists(st.integers(-3, 3), max_size=8)
 small_floats = st.lists(st.floats(-2.0, 2.0), max_size=10)

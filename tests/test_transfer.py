@@ -426,6 +426,15 @@ class TestEigenfunctions:
             assert np.array_equal(eigenfunctions(pot, bc, spectrum),
                                   ref_eigenfunctions(pot, bc, spectrum))
 
+    def test_bit_identical_robin_large_nu(self):
+        # the benchmark's spectral potentials: h^2 uniform(0, 100) at h = 1/(nu + 1)
+        nu = 1000
+        pot = Potential(np.random.default_rng(1000).uniform(0, 100, nu) / (nu + 1) ** 2)
+        bc = robin(1.5, 0.25)
+        spectrum = oracle_spectrum(pot, bc)
+        assert np.array_equal(eigenfunctions(pot, bc, spectrum),
+                              ref_eigenfunctions(pot, bc, spectrum))
+
     @pytest.mark.parametrize("nu, nonfinite", [(400, "0 rows"), (1500, r"[1-9]\d* rows")])
     def test_localised_modes_raise(self, nu, nonfinite):
         # uniform(-1, 1) at h = 1 localises most modes within a few dozen
