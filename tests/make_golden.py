@@ -78,6 +78,13 @@ CASES: dict[str, list[str]] = {
     "spectrum-phys-neumann-mass": [
         "spectrum", "--bc", "neumann", "--potential", "{phys}", "--mass", "1", "--nu", "300",
         "--L", "1"],
+    "det-robin-exact-64": [
+        "det", "--bc", "robin", "--alpha", "0.5", "--beta", "1.5", "--nu", "64", "--h", "1",
+        "--potential", "{pot}", "--exact"],
+    "sums-exact-dirichlet": [
+        "sums", "--bc", "dirichlet", "--nu", "30", "--h", "1", "--potential", "{pot}", "--exact"],
+    "sums-twisted-potential": [
+        "sums", "--bc", "twisted", "--tau", "0.3", "--nu", "20", "--potential", "{pot}"],
 }
 
 
