@@ -11,6 +11,7 @@ Exit codes: 0 ok, 2 configuration error, 3 numerical-consistency failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -36,8 +37,9 @@ from .core import (
     Potential,
     load_potential,
 )
-from .spectrum import cosecant_sum, inverse_power_sums, oracle_spectrum, robin_cosec_sum
-from .transfer import char_poly, determinant, eigenfunctions
+from .spectrum import (ZERO_MODE_MESSAGE, _newton_sums, cosecant_sum, oracle_spectrum,
+                       robin_cosec_sum)
+from .transfer import _lead_and_degree, _Series, _terminal, determinant, eigenfunctions
 from .vacuum import _admissible_lattice, extract_constant, free_energy_closed, vacuum_energy
 
 SCHEMA_VERSION = 1
@@ -217,10 +219,6 @@ def _build_potential(args, spec: LatticeSpec) -> Potential:
     return pot
 
 
-def _mass(args, spec: LatticeSpec) -> MassParam:
-    return MassParam.physical(args.mass, spec)
-
-
 def _parse_sweep(text: str) -> tuple[str, float, float, int]:
     try:
         param, lo, hi, n = text.split(":")
@@ -273,7 +271,8 @@ def cmd_det(args) -> tuple[dict, int]:
     code = EXIT_OK
     is_free_case = args.potential is None and args.delta_site is None
     if is_free_case:
-        closed = free_determinant(bc, spec, _mass(args, spec), prime=args.prime)
+        mass = MassParam.physical(args.mass, spec)
+        closed = free_determinant(bc, spec, mass, prime=args.prime)
         payload["closed_form_sign"] = closed.sign
         payload["closed_form_log10_abs"] = closed.log10_abs if closed.sign != 0 else None
         if args.prime and bc.kind in (PERIODIC, TWISTED):
@@ -291,17 +290,17 @@ def cmd_det(args) -> tuple[dict, int]:
             # nu = 1e5) would round away everything below 2^-31; --prime runs
             # the oracle, capped at nu 3000, where the physical log resolves ~1e-11
             log_t = ld.log_abs + 2.0 * nu_eff * math.log(spec.h) if args.prime else dimless.log_abs
-            closed_dimless = free_determinant(bc, unit, _mass(args, spec), prime=args.prime)
+            closed_dimless = free_determinant(bc, unit, mass, prime=args.prime)
             rel = abs(math.expm1(log_t - closed_dimless.log_abs))
             payload["closed_form_rel_diff"] = rel
             payload["closed_form_agreement"] = rel <= CONSISTENCY_RTOL
             if rel > CONSISTENCY_RTOL:
                 code = EXIT_CONSISTENCY
     if args.exact and spec.nu <= 64 and bc.is_interval:
-        poly = char_poly(pot, bc, exact=True)
-        p0 = Fraction(poly.coeffs[0])
-        lead = Fraction(poly.coeffs[-1])
-        exact_det = (-1) ** poly.degree * p0 / lead
+        # the exact sweep at lambda = 0: Det = (-1)^degree P(0) / lead
+        lead, degree = _lead_and_degree(bc, spec.nu, exact=True)
+        exact_det = Fraction(_terminal(pot, bc, 0, exact=True)) / lead
+        exact_det = -exact_det if degree % 2 else exact_det
         payload["dimensionless_det_exact"] = f"{exact_det.numerator}/{exact_det.denominator}"
     return payload, code
 
@@ -336,11 +335,16 @@ def cmd_sums(args) -> tuple[dict, int]:
     kmax = 4 if args.order is None else args.order
     if not 1 <= kmax <= 4:
         raise ConfigError("--order must be 1..4 for sums")
-    poly = char_poly(pot, bc, exact=args.exact)
-    try:
-        sums = inverse_power_sums(poly, kmax)
-    except ZeroDivisionError as exc:
-        raise ConfigError(str(exc)) from exc
+    # c_0..c_kmax of P at lambda = 0, from one order-kmax jet sweep
+    coeffs = _terminal(pot, bc, _Series([0 if args.exact else 0.0, 1], kmax), args.exact).c
+    # a zero mode is an exact c_0 = 0, or what the float determinant calls one
+    zero_mode = coeffs[0] == 0 if args.exact else determinant(pot, bc, spec).sign == 0
+    if zero_mode:
+        raise ConfigError(ZERO_MODE_MESSAGE)
+    if args.exact:
+        sums = _newton_sums([Fraction(c) for c in coeffs], kmax)[0]
+    else:
+        sums = _float_jet_sums(coeffs, kmax, _lead_and_degree(bc, spec.nu)[1])
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "sums",
@@ -350,27 +354,35 @@ def cmd_sums(args) -> tuple[dict, int]:
         "L": spec.L,
         "inverse_power_sums": [float(s) for s in sums],
     }
-    code = EXIT_OK
-    is_free = pot.is_free()
-    if is_free and bc.kind == DIRICHLET:
+    closed = None
+    if pot.is_free() and bc.kind == DIRICHLET:
         closed = 0.25 * cosecant_sum(spec.nu + 1, m=1)
-        payload["closed_form_sum1"] = closed
-        rel = abs(sums[0] - closed) / max(1.0, abs(closed))
-        payload["closed_form_agreement"] = rel <= CONSISTENCY_RTOL
-        if rel > CONSISTENCY_RTOL:
-            code = EXIT_CONSISTENCY
-    elif is_free and bc.kind == ROBIN:
-        try:
+    elif pot.is_free() and bc.kind == ROBIN:
+        with contextlib.suppress(ZeroDivisionError):
             closed = 0.25 * robin_cosec_sum(spec.nu, args.alpha, args.beta)
-        except ZeroDivisionError:
-            closed = None
-        if closed is not None:
-            payload["closed_form_sum1"] = closed
-            rel = abs(sums[0] - closed) / max(1.0, abs(closed))
-            payload["closed_form_agreement"] = rel <= CONSISTENCY_RTOL
-            if rel > CONSISTENCY_RTOL:
-                code = EXIT_CONSISTENCY
-    return payload, code
+    if closed is None:
+        return payload, EXIT_OK
+    payload["closed_form_sum1"] = closed
+    rel = abs(sums[0] - closed) / max(1.0, abs(closed))
+    payload["closed_form_agreement"] = rel <= CONSISTENCY_RTOL
+    return payload, EXIT_OK if rel <= CONSISTENCY_RTOL else EXIT_CONSISTENCY
+
+
+def _float_jet_sums(coeffs: list[float], kmax: int, degree: int) -> list[float]:
+    """Newton sums of float jet coefficients up to P's degree (those above are
+    zeros, perhaps -0.0); ArithmeticError if one is not finite or
+    degree * 2^-53 * max_m (sum of |terms| / |S_m|) exceeds CONSISTENCY_RTOL."""
+    sums, sizes = _newton_sums(coeffs[:degree + 1], kmax) if coeffs[0] else ([math.inf], [0.0])
+    if not all(map(math.isfinite, coeffs + sums)):
+        raise ArithmeticError("float jet for the inverse-power sums is not finite; "
+                              "rerun with --exact")
+    # a sum of no terms (size 0) has no cancellation; a nonzero size over 0 has no bound
+    bound = degree * 2.0 ** -53 * max(size / max(abs(s), 5e-324) for s, size in zip(sums, sizes))
+    if bound > CONSISTENCY_RTOL:
+        raise ArithmeticError(
+            f"float jet for the inverse-power sums may be inaccurate: Newton cancellation "
+            f"bound {bound:.3g} exceeds {CONSISTENCY_RTOL:g}; rerun with --exact")
+    return sums
 
 
 def _casimir_point(bc: BoundaryCondition, spec: LatticeSpec) -> dict:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 from .chebyshev import _log_cosh, _log_sinh
 from .core import (
@@ -31,9 +30,11 @@ from .core import (
     BoundaryCondition,
     LatticeSpec,
     LogDet,
+    Potential,
     Spectrum,
+    robin,
 )
-from .transfer import _sweep
+from .transfer import _terminal
 
 
 @dataclass(frozen=True)
@@ -44,17 +45,17 @@ class MassParam:
     mu: float
     gamma0: float
 
+    def __post_init__(self):
+        if not (0 <= self.mubar < math.inf and 0 <= self.mu < math.inf):  # NaN fails too
+            raise ValueError(f"mass must be finite and >= 0, got {self.mubar} (mu = {self.mu})")
+
     @classmethod
     def physical(cls, mubar: float, spec: LatticeSpec) -> "MassParam":
-        if mubar < 0:
-            raise ValueError("mass must be >= 0")
         mu = spec.h * mubar
         return cls(mubar=mubar, mu=mu, gamma0=math.asinh(0.5 * mu))
 
     @classmethod
     def dimensionless(cls, mu: float, spec: LatticeSpec) -> "MassParam":
-        if mu < 0:
-            raise ValueError("mass must be >= 0")
         return cls(mubar=mu / spec.h, mu=mu, gamma0=math.asinh(0.5 * mu))
 
     @classmethod
@@ -216,7 +217,7 @@ def robin_matrix_element(nu: int, alpha: float, beta: float,
                          mass: MassParam | None = None, lam: float = 0.0) -> float:
     """Boundary matrix element out_adjoint . M^nu . in_vector, constant v = mu^2.
 
-    Computed by direct iteration of the recurrence; equals
+    The terminal value of the GY sweep; equals
     (a+b+ab) U_nu(x) - (a+b+lambda-mu^2) U_{nu-1}(x) at x = 1+(mu^2-lambda)/2.
     Its zeros are the free Robin eigenvalues; at lambda = 0, dividing by
     (1+a)(1+b) gives the dimensionless determinant, (ab(nu+1)+a+b) / ((1+a)(1+b))
@@ -225,9 +226,7 @@ def robin_matrix_element(nu: int, alpha: float, beta: float,
     if nu < 0:
         raise ValueError("need nu >= 0")
     mass = mass or MassParam.massless()
-    w = mass.mu * mass.mu + 2 - float(lam)
-    a, b = _sweep(repeat(w, nu), 1.0, 1.0 + alpha)  # from the in-vector
-    return (1.0 + beta) * b - a
+    return _terminal(Potential.constant(nu, mass.mu * mass.mu), robin(alpha, beta), float(lam))
 
 
 def continuum_limit_targets(bc: BoundaryCondition, mubar: float = 0.0,

@@ -111,6 +111,8 @@ class Potential:
         self._exact, self._array = None, np.array(values, dtype=np.float64)
         if self._array.ndim != 1:
             raise ValueError(f"a potential has one value per site, not shape {self._array.shape}")
+        if not np.isfinite(self._array).all():
+            raise ValueError("potential values must be finite numbers")
 
     @property
     def values(self) -> tuple:
@@ -196,12 +198,13 @@ def load_potential(source, nu: int | None = None) -> Potential:
         h = 1.0  # already dimensionless; 1.0 * v is v, bit for bit
     else:
         raise ValueError(f"cannot interpret potential JSON of type {type(data).__name__}")
-    try:  # each entry as float() reads it; a nested list is refused by Potential
-        pot = Potential.from_physical(np.array(data, dtype=np.float64), h)
+    try:  # each entry as float() reads it
+        vbar = np.array(data, dtype=np.float64)
+        if vbar.ndim != 1:  # Potential refuses it, naming what it got
+            Potential.from_physical(vbar, h)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"potential values must be a flat list of numbers ({exc})") from exc
-    if not np.isfinite(pot.as_array()).all():
-        raise ValueError("potential values must be finite numbers")
+    pot = Potential.from_physical(vbar, h)  # refuses values that are not finite
     if nu is not None and pot.nu != nu:
         raise ValueError(f"potential has {pot.nu} entries, lattice wants {nu}")
     return pot
@@ -239,6 +242,9 @@ class BoundaryCondition:
     def __post_init__(self):
         if self.kind not in _INTERVAL_KINDS + _CIRCLE_KINDS:
             raise ValueError(f"unknown boundary condition {self.kind!r}")
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.tau))):
+            raise ValueError(f"boundary parameters must be finite, got alpha={self.alpha}, "
+                             f"beta={self.beta}, tau={self.tau}")
         if self.kind == TWISTED and not 0.0 < self.tau <= 1.0:
             raise ValueError(f"twist parameter must lie in (0, 1], got {self.tau}")
 
@@ -306,9 +312,6 @@ def twisted(tau: float) -> BoundaryCondition:
     return BoundaryCondition(TWISTED, tau=tau)
 
 
-ALL_BC_KINDS = _INTERVAL_KINDS + _CIRCLE_KINDS
-
-
 # ---------------------------------------------------------------------------
 # Characteristic polynomials
 # ---------------------------------------------------------------------------
@@ -361,10 +364,6 @@ class CharPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def constant(cls, c, exact: bool = False) -> "CharPoly":
-        return cls([c], backend="exact" if exact else None)
-
-    @classmethod
     def lam(cls, exact: bool = False) -> "CharPoly":
         """The monomial lambda."""
         if exact:
@@ -380,11 +379,6 @@ class CharPoly:
     def leading(self):
         """Leading coefficient after the backend's zero-trim rule."""
         return self.coeffs[-1]
-
-    def is_zero(self) -> bool:
-        if self.backend == "exact":
-            return all(c == 0 for c in self.coeffs)
-        return all(c == 0.0 for c in self.coeffs)
 
     def as_floats(self) -> list[float]:
         return [float(c) for c in self.coeffs]
@@ -463,33 +457,6 @@ class CharPoly:
 
     __rmul__ = __mul__
 
-    def divmod(self, other: "CharPoly") -> tuple["CharPoly", "CharPoly"]:
-        """Polynomial division; exact backend divides exactly via Fractions."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        backend = self._join(self, other)
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dq = len(rem) - len(div)
-        if dq < 0:
-            zero = CharPoly([0], backend=backend)
-            return zero, CharPoly(rem, backend=backend)
-        lead = div[-1]
-        quot = [0] * (dq + 1)
-        if backend == "exact":
-            lead = Fraction(lead)
-        for k in range(dq, -1, -1):
-            if backend == "exact":
-                q = Fraction(rem[k + len(div) - 1]) / lead
-                q = int(q) if q.denominator == 1 else q
-            else:
-                q = rem[k + len(div) - 1] / lead
-            quot[k] = q
-            if q != 0:
-                for i, c in enumerate(div):
-                    rem[k + i] = rem[k + i] - q * c
-        return CharPoly(quot, backend=backend), CharPoly(rem[: len(div) - 1] or [0], backend=backend)
-
     def __eq__(self, other):
         if not isinstance(other, CharPoly):
             return NotImplemented
@@ -521,9 +488,6 @@ class Vec2:
 
     def __rmul__(self, s) -> "Vec2":
         return Vec2(s * self.a, s * self.b)
-
-    def dot(self, other: "Vec2"):
-        return self.a * other.a + self.b * other.b
 
 
 @dataclass(frozen=True)
@@ -615,9 +579,6 @@ class Spectrum:
             raise ValueError("no LatticeSpec attached; cannot convert to physical units")
         hh = self.spec.h * self.spec.h
         return tuple(x / hh for x in self.lambdas)
-
-    def with_spec(self, spec: LatticeSpec) -> "Spectrum":
-        return Spectrum(self.lambdas, spec)
 
 
 @dataclass(frozen=True)

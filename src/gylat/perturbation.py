@@ -30,7 +30,7 @@ from itertools import combinations
 
 from .chebyshev import cheb_u_poly, cheb_v_poly
 from .core import CharPoly, Potential, _exactify, dirichlet
-from .transfer import _Series, _sweep, char_poly
+from .transfer import _Series, _sweep, _terminal
 
 FULL_ORDER = None  # sentinel: include every order up to nu
 
@@ -189,15 +189,10 @@ def symmetric_factor_check(v1, v2, v3=None) -> bool:
 
     The potential is (v1, v2, v3) with v3 defaulting to v1; the linear
     factor is present exactly when the potential is symmetric (v3 = v1).
-    Decided by exact synthetic division, remainder identically zero.
+    Decided by the remainder theorem: the exact P(v1 + 2) is zero.
     """
     if v3 is None:
         v3 = v1
-    pot = Potential((v1, v2, v3))
-    poly = char_poly(pot, dirichlet(), exact=True)
-    # build the root from the exactified value, matching the polynomial's
-    # own lift of v1 (computing -v1 - 2 in float first would round)
-    root = _exactify(v1) + 2
-    factor = CharPoly([-root, 1], backend="exact")
-    _, rem = poly.divmod(factor)
-    return rem.is_zero()
+    # the root from the exactified v1, matching the sweep's own lift of the
+    # potential (computing v1 + 2 in float first would round)
+    return _terminal(Potential((v1, v2, v3)), dirichlet(), _exactify(v1) + 2, exact=True) == 0

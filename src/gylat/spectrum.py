@@ -350,6 +350,9 @@ def poly_roots(p: CharPoly, spec: LatticeSpec | None = None) -> Spectrum:
 # Inverse-power (Euler-Rayleigh) sums
 # ---------------------------------------------------------------------------
 
+ZERO_MODE_MESSAGE = "p(0) = 0: the operator has a zero mode; remove it (primed determinant) first"
+
+
 def inverse_power_sums(p: CharPoly, kmax: int) -> list[float]:
     """[sum_n lambda_n^-m for m = 1..kmax] from the coefficients of p.
 
@@ -362,21 +365,34 @@ def inverse_power_sums(p: CharPoly, kmax: int) -> list[float]:
         raise ValueError("kmax must be >= 1")
     exact = p.backend == "exact"
     coeffs = [Fraction(c) for c in p.coeffs] if exact else p.as_floats()
-    d = p.degree
     c0 = coeffs[0]
     if c0 == 0 or (not exact and abs(c0) <= 1e-14 * max(abs(c) for c in coeffs)):
-        raise ZeroDivisionError(
-            "p(0) = 0: the operator has a zero mode; remove it (primed determinant) first")
+        raise ZeroDivisionError(ZERO_MODE_MESSAGE)
+    return [float(s) for s in _newton_sums(coeffs, kmax)[0]]
+
+
+def _newton_sums(coeffs: list, kmax: int) -> tuple[list, list]:
+    """S_m = sum_n lambda_n^-m, m = 1..kmax, from c_0..c_kmax of P (c_0 != 0).
+
+    Newton's identities on the reversed polynomial, in the arithmetic of the
+    coefficients; a missing c_k counts as 0.  Also returns, per S_m, the sum
+    of the absolute values of the terms it adds up (its cancellation size).
+    """
+    c0 = coeffs[0]
     # reversed monic: a[d - m] = c_m / c0, roots 1/lambda_n
-    a = [c / c0 for c in coeffs]
-    sums = []
+    a = [c / c0 for c in coeffs[:kmax + 1]]
+    a += [0] * (kmax + 1 - len(a))
+    sums, sizes = [], []
     for m in range(1, kmax + 1):
-        acc = -m * a[m] if m <= d else 0
+        acc = -m * a[m]
+        size = abs(acc)
         for i in range(1, m):
-            if i <= d:
-                acc -= a[i] * sums[m - i - 1]
+            term = a[i] * sums[m - i - 1]
+            acc -= term
+            size += abs(term)
         sums.append(acc)
-    return [float(s) for s in sums]
+        sizes.append(size)
+    return sums, sizes
 
 
 def cosecant_sum(p: int, m: int = 1) -> float:

@@ -23,12 +23,13 @@ Every route but the float determinant (below), the perturbation series
 included, runs on one kernel, :func:`_sweep`, which advances the scalar
 recurrence y(j+1) = w_j y(j) - y(j-1) over weights w_j = v_j + 2 - lambda.
 Each column of K is one sweep from a unit seed, so no route multiplies 2x2
-matrices site by site.  The kernel takes weights rather than (v, lambda), so
-each caller keeps its own arithmetic: floats, exact ints and Fractions,
-CharPoly entries, numpy vectors over modes, or :class:`_Series` over any of
-these, which carries graded parts of y(j) at once (dy/dlambda for the
-eigenfunction Newton polish, powers of the potential for the perturbation
-series).
+matrices site by site.  Every read of P itself is one call of
+:func:`_terminal`, which sweeps in the arithmetic of lambda: a float for
+:func:`periodic_char_fn` and ``closedform.robin_matrix_element``, a CharPoly
+for :func:`char_poly`, exact scalars for ``det --exact`` and
+``perturbation.symmetric_factor_check``, and a truncated Taylor jet
+(:class:`_Series`) for the ``eigenfunctions`` Newton slope (order 1, over
+all modes at once) and the CLI's Euler-Rayleigh sums (order <= 4 at 0).
 
 The float determinant at lambda = 0 takes its own route,
 :func:`_blocked_difference_sweep`.  It carries (y(j), Delta(j) =
@@ -58,6 +59,7 @@ from .core import (
     Spectrum,
     Vec2,
     _exactify,
+    twisted,
 )
 
 # |lambda_bar| below this fraction of max_n |lambda_bar_n| counts as a zero
@@ -107,19 +109,32 @@ def _sweep(ws, a, b, path=None):
 
 class _Series:
     """Series c[0] + c[1] e + ... truncated above e^m, with exact zeros past the
-    end of ``c``: a graded y(j) for :func:`_sweep`, over any scalar it takes."""
+    end of ``c``: a graded y(j) for :func:`_sweep`, over any scalar it takes.
+    A plain scalar on either side of ``+``, ``-`` or ``*`` is the series c[0]."""
 
     __slots__ = ("c", "m")
+    __array_ufunc__ = None  # ndarray (op) _Series defers to the reflected method
 
     def __init__(self, c, m):
-        self.c, self.m = c, m
+        self.c, self.m = (c if len(c) <= m + 1 else c[:m + 1]), m
+
+    def __add__(self, other):
+        a, b = self.c, other.c if isinstance(other, _Series) else [other]
+        return _Series([x + y for x, y in zip(a, b)] + a[len(b):] + b[len(a):], self.m)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self.c, other.c
+        a, b = self.c, other.c if isinstance(other, _Series) else [other]
         return _Series([x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]],
                        self.m)
 
+    def __rsub__(self, other):
+        return _Series([other - self.c[0]] + [-y for y in self.c[1:]], self.m)
+
     def __mul__(self, other):
+        if not isinstance(other, _Series):
+            return _Series([x * other for x in self.c], self.m)
         a, b = self.c, other.c
         out = []
         for k in range(min(len(a) + len(b) - 1, self.m + 1)):
@@ -129,6 +144,8 @@ class _Series:
                 acc = acc + a[i] * b[k - i]
             out.append(acc)
         return _Series(out, self.m)
+
+    __rmul__ = __mul__
 
 
 def propagate(potential: Potential, lam, v0: Vec2) -> list[Vec2]:
@@ -169,6 +186,33 @@ class Propagator:
         return Mat2(a1, a2, b1, b2)
 
 
+def _terminal(potential: Potential, bc: BoundaryCondition, lam, exact: bool = False):
+    """P(lambda), the terminal value of one GY sweep, in the arithmetic of ``lam``.
+
+    out . K(lambda; nu) . in on the interval, tr K(lambda; nu) - 2 cos(2 pi tau)
+    on the circle.  A float ``lam`` gives the value, ``CharPoly.lam(exact)``
+    the polynomial, ``_Series([x, 1], m)`` the Taylor coefficients of P at x
+    up to order m (x may be a numpy vector over modes).  With ``exact`` the
+    potential, boundary vectors and twist are lifted into exact scalars up
+    front, since a float among them would drag the arithmetic back to floats.
+    """
+    ws = [v + 2 - lam for v in (map(_exactify, potential) if exact else potential)]
+    zero = lam - lam
+    if bc.is_interval:
+        vin, out = bc.in_vector(), bc.out_adjoint()
+        if exact:
+            vin = Vec2(_exactify(vin.a), _exactify(vin.b))
+            out = Vec2(_exactify(out.a), _exactify(out.b))
+        a, b = _sweep(ws, zero + vin.a, zero + vin.b)
+        return out.a * a + out.b * b
+    if potential.nu < 1:
+        raise ValueError("circle topology needs nu >= 1")
+    one = zero + 1
+    # tr K = top of the (1, 0) column + bottom of the (0, 1) column
+    trace = _sweep(ws, one, zero)[0] + _sweep(ws, zero, one)[1]
+    return trace - _twist_shift(bc.twist, exact)
+
+
 def char_poly(potential: Potential, bc: BoundaryCondition, exact: bool = False) -> CharPoly:
     """Characteristic polynomial P(lambda); roots are the eigenvalues.
 
@@ -177,49 +221,30 @@ def char_poly(potential: Potential, bc: BoundaryCondition, exact: bool = False) 
     polynomial (doubly degenerate periodic eigenvalues appear as double
     roots).  nu = 0 yields a constant polynomial, not an error.
     """
-    backend = "exact" if exact else "float"
-    lam = CharPoly.lam(exact=exact)
-    # A float scalar would silently drag the arithmetic back to the float
-    # backend, so lift the potential into exact scalars up front.
-    ws = [v + 2 - lam for v in (map(_exactify, potential) if exact else potential)]
-    if bc.is_interval:
-        vin = bc.in_vector()
-        out = bc.out_adjoint()
-        if exact:
-            vin = Vec2(_exactify(vin.a), _exactify(vin.b))
-            out = Vec2(_exactify(out.a), _exactify(out.b))
-        a, b = _sweep(ws, CharPoly([vin.a], backend=backend), CharPoly([vin.b], backend=backend))
-        return out.a * a + out.b * b
-    if potential.nu < 1:
-        raise ValueError("circle topology needs nu >= 1")
-    one = CharPoly([1], backend=backend)
-    zero = one - one
-    # tr K = top of the (1, 0) column + bottom of the (0, 1) column
-    trace = _sweep(ws, one, zero)[0] + _sweep(ws, zero, one)[1]
-    return trace - _twist_shift(bc.twist, exact)
+    return _terminal(potential, bc, CharPoly.lam(exact=exact), exact)
 
 
 def _twist_shift(tau: float, exact: bool):
     """2 cos(2 pi tau); kept exact at the rational points the tests pin."""
-    if exact:
-        if tau == 1.0:
-            return 2
-        if tau == 0.5:
-            return -2
-        if tau in (0.25, 0.75):
-            return 0
-        return Fraction(2.0 * math.cos(2.0 * math.pi * tau))
-    return 2.0 * math.cos(2.0 * math.pi * tau)
+    shift = 2.0 * math.cos(2.0 * math.pi * tau)
+    return {1.0: 2, 0.5: -2, 0.25: 0, 0.75: 0}.get(tau, Fraction(shift)) if exact else shift
 
 
 def periodic_char_fn(potential: Potential, tau: float, lam: float) -> float:
     """tr K(lambda; nu) - 2 cos(2 pi tau); zeros are the twisted eigenvalues."""
-    if potential.nu < 1:
-        raise ValueError("circle topology needs nu >= 1")
-    lam = float(lam)
-    ws = ((potential.as_array() + 2.0) - lam).tolist()
-    trace = _sweep(ws, 1.0, 0.0)[0] + _sweep(ws, 0.0, 1.0)[1]
-    return trace - 2.0 * math.cos(2.0 * math.pi * tau)
+    return _terminal(potential, twisted(tau), float(lam))
+
+
+def _lead_and_degree(bc: BoundaryCondition, nu: int, exact: bool = False):
+    """P's leading coefficient (-1)^nu (1+alpha)(1+beta), lifted as :func:`_terminal`
+    lifts it, and degree; an alpha or beta of exactly -1 drops its factor and a degree."""
+    if not bc.is_interval:
+        return (-1) ** nu, nu
+    ends = [1 + bc.robin_alpha, 1 + bc.robin_beta]  # the boundary vectors' entries
+    if exact:
+        ends = [_exactify(f) for f in ends]
+    kept = [f for f in ends if f != 0]
+    return (-1) ** nu * math.prod(kept), nu - (len(ends) - len(kept))
 
 
 def _blocked_difference_sweep(u: np.ndarray, cols: list[float],
@@ -331,13 +356,7 @@ def determinant(potential: Potential, bc: BoundaryCondition, spec: LatticeSpec,
     if abs(p0) <= 1e-11 * ref:
         return LogDet(0, math.nan, 0)
 
-    # P's leading coefficient is (-1)^nu (1+alpha)(1+beta); an end with
-    # alpha or beta exactly -1 (y(1) or y(nu) pinned to 0) drops its factor
-    # and one degree
-    ends = [1 + bc.robin_alpha, 1 + bc.robin_beta] if bc.is_interval else []
-    kept = [f for f in ends if f != 0]
-    degree = nu - (len(ends) - len(kept))
-    lead = (-1) ** nu * math.prod(kept)
+    lead, degree = _lead_and_degree(bc, nu)
     # Det = (-1)^degree P(0)/lead * h^(-2 nu)
     sign = (-1) ** degree * (1 if p0 > 0 else -1) * (1 if lead > 0 else -1)
     log_abs = math.log(abs(p0)) + log_scale - math.log(abs(lead)) + log_h2nu
@@ -391,18 +410,15 @@ def eigenfunctions(potential: Potential, bc: BoundaryCondition, spectrum: Spectr
     a0, b0 = float(vin.a), float(vin.b)
     oa, ob = float(out.a), float(out.b)
     shifted = (potential.as_array() + 2.0).tolist()  # w_j = (v_j + 2) - lambda
+    floats = Potential(potential.as_array())  # Fraction entries would leave numpy's floats
     lam = np.fromiter(spectrum, dtype=float, count=nu)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         live = np.arange(nu)  # modes still taking Newton steps
         for _ in range(3):
             lam_l = lam[live]
-            # (y, dy/dlambda) jointly, as order-1 series in lambda: dw/dlambda = -1
-            a, b = _sweep((_Series([s - lam_l, -1.0], 1) for s in shifted),
-                          _Series([np.full(len(live), a0), 0.0], 1),
-                          _Series([np.full(len(live), b0), 0.0], 1))
-            (a, da), (b, db) = a.c, b.c
-            slope = oa * da + ob * db
-            step = (oa * a + ob * b) / slope
+            # P and dP/dlambda jointly: the order-1 jet of P at lam_l
+            p, slope = _terminal(floats, bc, _Series([lam_l, 1.0], 1)).c
+            step = p / slope
             # a zero slope stops, a step out of the Newton basin keeps the
             # caller's value; np.fmax, like Python's max, passes over a NaN
             take = (slope != 0.0) & ~(np.abs(step) > 1e-6 * np.fmax(1.0, np.abs(lam_l)))

@@ -85,6 +85,7 @@ CASES: dict[str, list[str]] = {
         "sums", "--bc", "dirichlet", "--nu", "30", "--h", "1", "--potential", "{pot}", "--exact"],
     "sums-twisted-potential": [
         "sums", "--bc", "twisted", "--tau", "0.3", "--nu", "20", "--potential", "{pot}"],
+    "sums-dirichlet-400": ["sums", "--bc", "dirichlet", "--nu", "400", "--h", "1"],
 }
 
 

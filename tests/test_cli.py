@@ -9,8 +9,10 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +20,20 @@ import gylat
 from gylat import LatticeSpec, MassParam, Potential, determinant, dirichlet, free_determinant, robin
 from gylat.cli import _fmt_float, main, render_csv, render_json
 from gylat.spectrum import tridiagonal_matrix
+
+
+def mpmath_sums(values, kmax=4) -> list[float]:
+    """Dirichlet Euler-Rayleigh sums from P's Taylor jet at 0, swept in 50 digits."""
+    with mpmath.workdps(50):
+        a, b = [mpmath.mpf(0)] * (kmax + 1), [mpmath.mpf(1)] + [mpmath.mpf(0)] * kmax
+        for v in values:  # y(j+1) = (v_j + 2 - lambda) y(j) - y(j-1)
+            w = mpmath.mpf(v) + 2
+            a, b = b, [w * b[k] - (b[k - 1] if k else 0) - a[k] for k in range(kmax + 1)]
+        c = [x / b[0] for x in b]
+        sums = []
+        for m in range(1, kmax + 1):  # Newton's identities for the roots 1/lambda_n
+            sums.append(-m * c[m] - sum(c[i] * sums[m - i - 1] for i in range(1, m)))
+        return [float(x) for x in sums]
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +77,30 @@ class TestDet:
         code, data = run_json(capsys, "det", "--bc", "dirichlet", "--nu", "3", "--h", "1",
                               "--exact")
         assert data["dimensionless_det_exact"] == "4/1"
+
+    @pytest.mark.parametrize("bc", [["dirichlet"], ["neumann"], ["robin", "--alpha", "0.5",
+                                    "--beta", "1.5"], ["robin", "--alpha", "-1", "--beta", "0.3"]])
+    @pytest.mark.parametrize("nu", [1, 7, 64])
+    def test_exact_is_normalised_polynomial_value(self, capsys, tmp_path, bc, nu):
+        """The exact lambda = 0 sweep gives (-1)^degree P(0) / lead of exact char_poly."""
+        values = np.random.default_rng(nu).uniform(-1, 1, nu).tolist()
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps(values))
+        code, data = run_json(capsys, "det", "--bc", *bc, "--nu", str(nu), "--h", "1",
+                              "--potential", str(path), "--exact")
+        bco = robin(float(bc[2]), float(bc[4])) if bc[0] == "robin" else {
+            "dirichlet": dirichlet(), "neumann": gylat.neumann()}[bc[0]]
+        p = gylat.char_poly(Potential(values), bco, exact=True)
+        want = (-1) ** p.degree * Fraction(p.coeffs[0]) / Fraction(p.leading())
+        assert code == 0
+        assert data["dimensionless_det_exact"] == f"{want.numerator}/{want.denominator}"
+
+    def test_exact_vanishing_polynomial(self, capsys):
+        """nu = 1 with both ends pinned: P is 0, so is the exact determinant."""
+        code, data = run_json(capsys, "det", "--bc", "robin", "--alpha", "-1", "--beta", "-1",
+                              "--nu", "1", "--h", "1", "--delta-site", "1", "--delta-v", "0.5",
+                              "--exact")
+        assert code == 0 and data["sign"] == 0 and data["dimensionless_det_exact"] == "0/1"
 
     def test_potential_file(self, capsys, tmp_path):
         path = tmp_path / "pot.json"
@@ -195,6 +235,52 @@ class TestSums:
     def test_zero_mode_is_config_error(self, capsys):
         code, out, err = run_cli(capsys, "sums", "--bc", "neumann", "--nu", "4", "--h", "1")
         assert code == 2 and "zero mode" in err
+
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_pinned_ends_leave_no_eigenvalues(self, capsys, exact):
+        """Robin(-1, -1) at nu = 2 has degree 0: every sum is 0 (not -0)."""
+        code, out, _ = run_cli(capsys, "sums", "--bc", "robin", "--alpha", "-1", "--beta", "-1",
+                               "--nu", "2", "--h", "1", *exact)
+        assert code == 0 and '"inverse_power_sums": [0, 0, 0, 0]' in out
+
+    @pytest.mark.parametrize("nu, lo, hi", [(40, 0, 0), (400, 0, 0), (3000, 0, 0),
+                                            (400, -1, 1), (2000, -1, 1)])
+    def test_float_jet_against_mpmath(self, capsys, tmp_path, nu, lo, hi):
+        """Float sums at any nu, against a 50-digit jet; not against LAPACK, whose
+        absolute eigenvalue error dominates S_4 once lambda_min ~ 1e-6."""
+        values = np.random.default_rng(nu).uniform(lo, hi, nu).tolist()
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps(values))
+        code, data = run_json(capsys, "sums", "--bc", "dirichlet", "--nu", str(nu), "--h", "1",
+                              *(["--potential", str(path)] if hi else []))
+        assert code == 0
+        want = mpmath_sums(values)
+        got = data["inverse_power_sums"]
+        assert max(abs(g - w) / abs(w) for g, w in zip(got, want)) < 1e-10
+
+    @pytest.mark.parametrize("nu, hi, reason", [(1000, 1, "bound 1.97e-06"),
+                                                (3000, 2, "is not finite")])
+    def test_float_jet_guard(self, capsys, tmp_path, nu, hi, reason):
+        """Cancellation or overflow in the float jet exits 3 and points to --exact."""
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps(np.random.default_rng(nu).uniform(0, hi, nu).tolist()))
+        code, out, err = run_cli(capsys, "sums", "--bc", "dirichlet", "--nu", str(nu),
+                                 "--h", "1", "--potential", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: float jet") and reason in err and "--exact" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--bc", "neumann", "--nu", "10"], ["--bc", "periodic", "--nu", "10"],
+        ["--bc", "dirichlet", "--nu", "5", "--delta-site", "2", "--delta-v", "-0.75"],
+        ["--bc", "dirichlet", "--nu", "5", "--delta-site", "2", "--delta-v", "-0.5"],
+        ["--bc", "dirichlet", "--nu", "64"], ["--bc", "twisted", "--tau", "0.3", "--nu", "64"],
+        ["--bc", "robin", "--alpha", "0.5", "--beta", "1.5", "--nu", "40"]])
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_zero_mode_exactly_when_det_sign_zero(self, capsys, argv, exact):
+        _, det = run_json(capsys, "det", *argv, "--h", "1")
+        code, out, err = run_cli(capsys, "sums", *argv, "--h", "1", *exact)
+        assert (code == 2) == (det["sign"] == 0)
+        assert code in (0, 2) and ("zero mode" in err) == (code == 2)
 
 
 class TestCasimir:

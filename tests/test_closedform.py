@@ -43,6 +43,19 @@ class TestMassParam:
         with pytest.raises(ValueError):
             MassParam.physical(-1.0, LatticeSpec.interval(2, h=1.0))
 
+    @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf, 1e308])
+    @pytest.mark.parametrize("make", [MassParam.physical, MassParam.dimensionless])
+    def test_non_finite_mass_rejected(self, make, mass):
+        """NaN passed the old mubar < 0 test; 1e308 at h = 10 gives an infinite mu."""
+        with pytest.raises(ValueError, match="finite"):
+            make(mass, LatticeSpec.interval(5, h=10.0 if make == MassParam.physical else 0.1))
+
+    def test_free_determinant_nan_mass_reproduction(self):
+        """Used to return sign +1 with a NaN log_abs at nu = 5, h = 1."""
+        spec = LatticeSpec.interval(5, h=1.0)
+        with pytest.raises(ValueError):
+            free_determinant(dirichlet(), spec, MassParam.physical(math.nan, spec))
+
 
 class TestFreeEigenvalues:
     def test_dirichlet_nu3(self):

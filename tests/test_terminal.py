@@ -1,0 +1,167 @@
+"""One terminal-value routine for every read of P(lambda).
+
+``transfer._terminal`` sweeps once in the arithmetic of lambda: a float gives
+the value, ``CharPoly.lam`` the polynomial, ``_Series([x, 1], m)`` the
+Taylor coefficients of P at x up to order m.  The jet must reproduce the
+polynomial's coefficients exactly (bit for bit in floats), and the routes
+rebuilt on it must keep their answers.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gylat import (
+    CharPoly,
+    Potential,
+    char_poly,
+    dirichlet,
+    neumann,
+    periodic,
+    periodic_char_fn,
+    robin,
+    symmetric_factor_check,
+    twisted,
+)
+from gylat.core import _exactify
+from gylat.transfer import _lead_and_degree, _Series, _terminal
+
+BCS = [dirichlet(), neumann(), robin(0.5, 1.5), robin(-1.0, 0.3), robin(0.25, -1.0),
+       periodic(), twisted(0.3), twisted(0.25)]
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _potential(draw, nu: int, kind: str) -> Potential:
+    if kind == "int":
+        return Potential(draw(st.lists(st.integers(-3, 3), min_size=nu, max_size=nu)))
+    if kind == "fraction":
+        return Potential([Fraction(n, d) for n, d in draw(st.lists(
+            st.tuples(st.integers(-9, 9), st.integers(1, 7)), min_size=nu, max_size=nu))])
+    return Potential(draw(st.lists(st.floats(-2.0, 2.0), min_size=nu, max_size=nu)))
+
+
+@st.composite
+def cases(draw, max_nu: int):
+    bc = draw(st.sampled_from(BCS))
+    nu = draw(st.integers(1 if bc.is_circle else 0, max_nu))
+    return _potential(draw, nu, draw(st.sampled_from(["int", "fraction", "float"]))), bc
+
+
+class TestJetIsThePolynomial:
+    @settings(max_examples=60)
+    @given(case=cases(60), m=st.integers(0, 4))
+    def test_float_jet_bits(self, case, m):
+        pot, bc = case
+        want = char_poly(pot, bc).coeffs[:m + 1]
+        got = _terminal(pot, bc, _Series([0.0, 1.0], m)).c
+        # the polynomial drops exact zeros at the top; the jet keeps them
+        assert bits(got[:len(want)]) == bits(want)
+        assert all(c == 0 for c in got[len(want):])
+
+    @settings(max_examples=40)
+    @given(case=cases(40), m=st.integers(0, 4))
+    def test_exact_jet(self, case, m):
+        pot, bc = case
+        want = char_poly(pot, bc, exact=True).coeffs[:m + 1]
+        got = _terminal(pot, bc, _Series([0, 1], m), exact=True).c
+        assert got[:len(want)] == want and not any(got[len(want):])
+        assert all(type(c) in (int, Fraction) for c in got)
+
+    @settings(max_examples=20)
+    @given(case=cases(12), m=st.integers(0, 4),
+           x=st.fractions(-3, 3, max_denominator=5))
+    def test_exact_jet_away_from_zero(self, case, m, x):
+        """c_k = P^(k)(x) / k!, from the exact polynomial's derivatives."""
+        pot, bc = case
+        p = char_poly(pot, bc, exact=True)
+        want = []
+        for k in range(m + 1):
+            want.append(Fraction(p(x)) / math.factorial(k))
+            p = p.derivative()
+        got = _terminal(pot, bc, _Series([x, 1], m), exact=True).c
+        assert got + [0] * (m + 1 - len(got)) == want
+
+    def test_value_and_vector_jets(self):
+        """A float lambda gives P(lambda); a vector x gives one jet per entry."""
+        pot = Potential(np.random.default_rng(4).uniform(-1, 1, 30))
+        xs = np.array([-0.5, 0.25, 1.7])
+        for bc in BCS:
+            vector = _terminal(pot, bc, _Series([xs, 1.0], 2)).c
+            for i, x in enumerate(xs.tolist()):
+                scalar = _terminal(pot, bc, _Series([x, 1.0], 2)).c
+                assert bits([c[i] for c in vector]) == bits(scalar)
+                assert bits([_terminal(pot, bc, x)]) == bits(scalar[:1])
+
+
+class TestSeriesScalars:
+    def test_either_side(self):
+        s = _Series([1, 2], 3)
+        assert (s + 1).c == (1 + s).c == [2, 2]
+        assert (s - 1).c == [0, 2] and (1 - s).c == [0, -2]
+        assert (s * 3).c == (3 * s).c == [3, 6]
+        assert (s * s).c == [1, 4, 4] and (s * s * s).c == [1, 6, 12, 8]
+        assert (s * s * s * s).c == [1, 8, 24, 32]  # truncated above order 3
+
+    def test_numpy_on_the_left(self):
+        x = np.array([1.0, 2.0])
+        s = _Series([x, 1.0], 1)
+        for got, want in ((x - s, [[0.0, 0.0], -1.0]), (x + s, [[2.0, 4.0], 1.0]),
+                          (x * s, [[1.0, 4.0], [1.0, 2.0]])):
+            assert isinstance(got, _Series)
+            assert all(np.array_equal(g, w) for g, w in zip(got.c, want))
+
+
+class TestLeadAndDegree:
+    @pytest.mark.parametrize("bc", BCS)
+    @pytest.mark.parametrize("nu", [1, 2, 7])
+    def test_matches_exact_polynomial(self, bc, nu):
+        p = char_poly(Potential([Fraction(j, 3) for j in range(nu)]), bc, exact=True)
+        if p.degree == 0 and p.coeffs == [0]:
+            return  # nu = 1 with both ends pinned: P vanishes identically
+        assert _lead_and_degree(bc, nu, exact=True) == (p.leading(), p.degree)
+        lead, degree = _lead_and_degree(bc, nu)
+        assert degree == p.degree and lead == float(p.leading())
+
+
+class TestPeriodicCharFnTwist:
+    @pytest.mark.parametrize("tau", [0.0, -0.25, 1.5, math.nan])
+    def test_twist_outside_range_raises(self, tau):
+        with pytest.raises(ValueError):
+            periodic_char_fn(Potential.zeros(4), tau, 0.5)
+
+
+def old_symmetric_factor_check(v1, v2, v3=None) -> bool:
+    """The synthetic-division route that the remainder theorem replaced."""
+    if v3 is None:
+        v3 = v1
+    rem = list(char_poly(Potential((v1, v2, v3)), dirichlet(), exact=True).coeffs)
+    div = CharPoly([-(_exactify(v1) + 2), 1], backend="exact").coeffs
+    for k in range(len(rem) - len(div), -1, -1):
+        q = Fraction(rem[k + len(div) - 1]) / Fraction(div[-1])
+        for i, c in enumerate(div):
+            rem[k + i] = rem[k + i] - q * c
+    return all(c == 0 for c in rem[:len(div) - 1])
+
+
+class TestSymmetricFactorCheck:
+    def test_matches_synthetic_division(self):
+        rng = random.Random(7)
+        draws = [lambda: rng.randint(-4, 4),
+                 lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                 lambda: rng.choice([0.5, -1.25, 0.1, 0.3, 1e-3, -2.0])]
+        found = set()
+        for _ in range(300):
+            v1, v2 = (rng.choice(draws)() for _ in range(2))
+            v3 = rng.choice([None, v1, rng.choice(draws)()])
+            got = symmetric_factor_check(v1, v2, v3)
+            assert got == old_symmetric_factor_check(v1, v2, v3)
+            found.add(got)
+        assert found == {True, False}
