@@ -86,6 +86,17 @@ CASES: dict[str, list[str]] = {
     "sums-twisted-potential": [
         "sums", "--bc", "twisted", "--tau", "0.3", "--nu", "20", "--potential", "{pot}"],
     "sums-dirichlet-400": ["sums", "--bc", "dirichlet", "--nu", "400", "--h", "1"],
+    "casimir-sweep": [
+        "casimir", "--bc", "dirichlet", "--L", "1", "--nu", "9", "--sweep", "h:0.002:0.02:10"],
+    "casimir-periodic": ["casimir", "--bc", "periodic", "--nu", "4"],
+    "casimir-twisted": ["casimir", "--bc", "twisted", "--tau", "0.3", "--nu", "40"],
+    "limit-robin": [
+        "limit", "--bc", "robin", "--alpha", "1.5", "--beta", "0.5", "--mass", "1",
+        "--nu", "2000", "--L", "1"],
+    "sums-robin-free": [
+        "sums", "--bc", "robin", "--alpha", "0.5", "--beta", "1.5", "--nu", "30", "--h", "1"],
+    "det-robin-potential": [
+        "det", "--bc", "robin", "--nu", "50", "--h", "0.5", "--potential", "{pot}"],
 }
 
 
