@@ -158,32 +158,21 @@ def emit(payload, fmt: str) -> None:
 # Configuration
 # ---------------------------------------------------------------------------
 
-_BC_NAMES = {
-    "dirichlet": DIRICHLET,
-    "neumann": NEUMANN,
-    "robin": ROBIN,
-    "periodic": PERIODIC,
-    "twisted": TWISTED,
-}
-
-
 def _build_bc(args) -> BoundaryCondition:
-    kind = _BC_NAMES.get(args.bc)
-    if kind is None:
-        raise ConfigError(f"unknown --bc {args.bc!r}")
-    if kind == ROBIN:
-        return BoundaryCondition(ROBIN, alpha=args.alpha, beta=args.beta)
-    if kind == TWISTED:
-        if not 0.0 < args.tau <= 1.0:
-            raise ConfigError("--tau must lie in (0, 1]")
-        return BoundaryCondition(TWISTED, tau=args.tau)
-    return BoundaryCondition(kind)
+    """``--bc`` with its parameters; an unset one keeps the library default."""
+    params = {}
+    for name, kind in (("alpha", ROBIN), ("beta", ROBIN), ("tau", TWISTED)):
+        if getattr(args, name) is not None:
+            if args.bc != kind:
+                raise ConfigError(f"--{name} needs --bc {kind}")
+            params[name] = getattr(args, name)
+    return BoundaryCondition(args.bc, **params)
 
 
 def _build_spec(args, bc: BoundaryCondition) -> LatticeSpec:
     if args.nu is None or args.nu < 1:
         raise ConfigError("--nu must be a positive integer")
-    h, L = args.h, args.L
+    h, L = getattr(args, "h", None), args.L  # limit takes no --h
     if h is not None and L is not None:
         raise ConfigError("supply exactly one of --h and --L")
     if h is None and L is None:
@@ -200,6 +189,8 @@ def _build_potential(args, spec: LatticeSpec) -> Potential:
     sources = sum(x is not None for x in (args.potential, args.delta_site))
     if sources > 1:
         raise ConfigError("give at most one of --potential and --delta-site")
+    if args.delta_v is not None and args.delta_site is None:
+        raise ConfigError("--delta-v needs --delta-site")
     if args.potential is not None:
         try:
             pot = load_potential(args.potential, nu=spec.nu)
@@ -235,6 +226,14 @@ def _geometric(lo: float, hi: float, n: int) -> list[float]:
     return [lo * ratio ** k for k in range(n)]
 
 
+def _head(args, spec: LatticeSpec | None = None) -> dict:
+    """The leading payload fields, with the lattice's nu, h and L when ``spec`` is given."""
+    head = {"schema_version": SCHEMA_VERSION, "command": args.command, "bc": args.bc}
+    if spec is not None:
+        head.update(nu=spec.nu, h=spec.h, L=spec.L)
+    return head
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -253,12 +252,7 @@ def cmd_det(args) -> tuple[dict, int]:
         ld = LogDet(dimless.sign, dimless.log_abs - 2.0 * spec.nu * math.log(spec.h))
     nu_eff = spec.nu - ld.zero_modes_removed
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "det",
-        "bc": args.bc,
-        "nu": spec.nu,
-        "h": spec.h,
-        "L": spec.L,
+        **_head(args, spec),
         "sign": ld.sign,
         "log10_abs": ld.log10_abs if ld.sign != 0 else None,
         "dimensionless_det": (
@@ -311,12 +305,7 @@ def cmd_spectrum(args) -> tuple[dict, int]:
     pot = _build_potential(args, spec)
     lam = oracle_spectrum(pot, bc, spec)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "spectrum",
-        "bc": args.bc,
-        "nu": spec.nu,
-        "h": spec.h,
-        "L": spec.L,
+        **_head(args, spec),
         "eigenvalues_dimensionless": list(lam.lambdas),
         "eigenvalues_physical": list(lam.physical),
     }
@@ -345,21 +334,13 @@ def cmd_sums(args) -> tuple[dict, int]:
         sums = _newton_sums([Fraction(c) for c in coeffs], kmax)[0]
     else:
         sums = _float_jet_sums(coeffs, kmax, _lead_and_degree(bc, spec.nu)[1])
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "sums",
-        "bc": args.bc,
-        "nu": spec.nu,
-        "h": spec.h,
-        "L": spec.L,
-        "inverse_power_sums": [float(s) for s in sums],
-    }
+    payload = {**_head(args, spec), "inverse_power_sums": [float(s) for s in sums]}
     closed = None
     if pot.is_free() and bc.kind == DIRICHLET:
         closed = 0.25 * cosecant_sum(spec.nu + 1, m=1)
     elif pot.is_free() and bc.kind == ROBIN:
         with contextlib.suppress(ZeroDivisionError):
-            closed = 0.25 * robin_cosec_sum(spec.nu, args.alpha, args.beta)
+            closed = 0.25 * robin_cosec_sum(spec.nu, bc.alpha, bc.beta)
     if closed is None:
         return payload, EXIT_OK
     payload["closed_form_sum1"] = closed
@@ -400,29 +381,21 @@ def _casimir_point(bc: BoundaryCondition, spec: LatticeSpec) -> dict:
 def cmd_casimir(args) -> tuple[dict | list, int]:
     bc = _build_bc(args)
     spec = _build_spec(args, bc)
-    if args.potential is not None or args.delta_site is not None:
-        pot = _build_potential(args, spec)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "casimir",
-            "bc": args.bc,
-            "nu": spec.nu,
-            "h": spec.h,
-            "energy": vacuum_energy(pot, bc, spec),
-        }
-        return payload, EXIT_OK
+    pot = _build_potential(args, spec)
+    # with a potential or a mass there is no closed form: the oracle spectrum is summed
+    oracle = args.potential is not None or args.delta_site is not None or args.mass != 0.0
     if args.sweep:
+        if oracle:
+            raise ConfigError("--sweep fits the free massless closed forms; "
+                              "it takes no --potential, --delta-site or --mass")
         param, lo, hi, n = _parse_sweep(args.sweep)
         if param != "h":
             raise ConfigError("casimir sweeps run over h (use --sweep h:lo:hi:n)")
         hs = _geometric(lo, hi, n)
-        tau = args.tau if bc.kind == TWISTED else None
-        fit = extract_constant(bc, spec.L, hs, tau=tau)
+        fit = extract_constant(bc, spec.L, hs, tau=bc.tau if bc.kind == TWISTED else None)
         points = [_casimir_point(bc, _admissible_lattice(bc, spec.L, h)) for h in fit.h_values]
         payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "casimir",
-            "bc": args.bc,
+            **_head(args),
             "L": spec.L,
             "sweep_points": points,
             "fit_coefficients": {str(k): v for k, v in fit.coefficients.items()},
@@ -430,20 +403,17 @@ def cmd_casimir(args) -> tuple[dict | list, int]:
             "universal_constant": fit.constant,
         }
         return payload, EXIT_OK
+    if oracle:
+        return {**_head(args), "nu": spec.nu, "h": spec.h,
+                "energy": vacuum_energy(pot, bc, spec)}, EXIT_OK
     point = _casimir_point(bc, spec)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "casimir",
-        "bc": args.bc,
-        "L": spec.L,
-        **point,
-    }
+    payload = {**_head(args), "L": spec.L, **point}
     code = EXIT_OK if point["rel_diff"] <= 1e-10 else EXIT_CONSISTENCY
     return payload, code
 
 
-def _limit_point(bc: BoundaryCondition, nu: int, L: float, mubar: float,
-                 alphabar: float, betabar: float) -> tuple[float, float]:
+def _limit_point(bc: BoundaryCondition, nu: int, L: float, mubar: float) -> tuple[float, float]:
+    """Scaled determinant and h at nu sites; Robin's alpha and beta are physical here."""
     spec = (LatticeSpec.circle(nu, L=L) if bc.is_circle
             else LatticeSpec.interval(nu, L=L))
     mass = MassParam.physical(mubar, spec)
@@ -456,8 +426,7 @@ def _limit_point(bc: BoundaryCondition, nu: int, L: float, mubar: float,
         pot = (Potential.constant(spec.nu, mass.mu * mass.mu) if mubar
                else Potential.zeros(spec.nu))
         if bc.kind == ROBIN:
-            bc_lattice = BoundaryCondition(ROBIN, alpha=alphabar * spec.h,
-                                           beta=betabar * spec.h)
+            bc_lattice = BoundaryCondition(ROBIN, alpha=bc.alpha * spec.h, beta=bc.beta * spec.h)
         else:
             bc_lattice = bc
         ld = determinant(pot, bc_lattice, spec)
@@ -467,28 +436,21 @@ def _limit_point(bc: BoundaryCondition, nu: int, L: float, mubar: float,
 
 def cmd_limit(args) -> tuple[dict, int]:
     bc = _build_bc(args)
-    if args.L is None:
-        if bc.is_circle:
-            args.L = 2.0 * math.pi
-        else:
-            raise ConfigError("limit needs --L (the physical size is held fixed)")
-    if args.h is not None:
-        raise ConfigError("limit is parametrised by --nu and --L, not --h")
+    if args.L is None and bc.is_interval:
+        raise ConfigError("limit needs --L (the physical size is held fixed)")
     spec = _build_spec(args, bc)
     nu = spec.nu
-    target = continuum_limit_targets(bc, args.mass, args.alpha, args.beta, spec.L)
+    target = continuum_limit_targets(bc, args.mass, bc.alpha, bc.beta, spec.L)
     coarse_nu = max(2, nu // 2)
-    fine_val, fine_h = _limit_point(bc, nu, spec.L, args.mass, args.alpha, args.beta)
-    coarse_val, coarse_h = _limit_point(bc, coarse_nu, spec.L, args.mass, args.alpha, args.beta)
+    fine_val, fine_h = _limit_point(bc, nu, spec.L, args.mass)
+    coarse_val, coarse_h = _limit_point(bc, coarse_nu, spec.L, args.mass)
     fine_err = abs(fine_val - target)
     coarse_err = abs(coarse_val - target)
     order = None
     if fine_err > 0 and coarse_err > 0:
         order = math.log(coarse_err / fine_err) / math.log(coarse_h / fine_h)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "limit",
-        "bc": args.bc,
+        **_head(args),
         "nu": nu,
         "L": spec.L,
         "mass": args.mass,
@@ -557,41 +519,54 @@ def cmd_chebyshev(args) -> tuple[dict, int]:
 # Entry point
 # ---------------------------------------------------------------------------
 
+# One definition per option: flag -> add_argument keywords.
+_OPTIONS = {
+    "--bc": dict(required=True, choices=(DIRICHLET, NEUMANN, PERIODIC, ROBIN, TWISTED),
+                 help="boundary condition"),
+    "--nu": dict(type=int, help="number of dynamical vertices"),
+    "--h": dict(type=float, help="lattice spacing"),
+    "--L": dict(type=float, help="total length"),
+    "--alpha": dict(type=float, help="Robin parameter (left; --bc robin only)"),
+    "--beta": dict(type=float, help="Robin parameter (right; --bc robin only)"),
+    "--tau": dict(type=float, help="twist parameter in (0, 1] (--bc twisted only)"),
+    "--mass": dict(type=float, default=0.0, help="physical mass"),
+    "--potential": dict(help="JSON potential file"),
+    "--delta-site": dict(type=int, help="single-site potential vertex (1-based)"),
+    "--delta-v": dict(type=float, help="single-site potential strength"),
+    "--prime": dict(action="store_true", help="remove zero modes from the determinant"),
+    "--exact": dict(action="store_true", help="exact rational backend"),
+    "--order": dict(type=int, help="sum order"),
+    "--eigenfunctions": dict(action="store_true", help="emit the eigenfunction table"),
+    "--sweep": dict(help="parameter sweep, param:lo:hi:n (geometric)"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+}
+
+# Per subcommand, the options its cmd_* reads; every subcommand also takes --format.
+_LATTICE = ("--bc", "--nu", "--h", "--L", "--alpha", "--beta", "--tau", "--mass",
+            "--potential", "--delta-site", "--delta-v")
+_SUBCOMMANDS = {
+    "det": (*_LATTICE, "--prime", "--exact"),
+    "spectrum": (*_LATTICE, "--eigenfunctions"),
+    "sums": (*_LATTICE, "--order", "--exact"),
+    "casimir": (*_LATTICE, "--sweep"),
+    "limit": ("--bc", "--nu", "--L", "--alpha", "--beta", "--tau", "--mass"),
+    "chebyshev": (),
+}
+
+
 @functools.cache  # built on the first call to main, then shared by the process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="gylat",
+        prog="gylat", allow_abbrev=False,
         description="Determinants, spectra and vacuum energies of 1-d lattice operators")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, need_bc=True):
-        if need_bc:
-            p.add_argument("--bc", required=True,
-                           choices=sorted(_BC_NAMES), help="boundary condition")
-        p.add_argument("--nu", type=int, help="number of dynamical vertices")
-        p.add_argument("--h", type=float, help="lattice spacing")
-        p.add_argument("--L", type=float, help="total length")
-        p.add_argument("--alpha", type=float, default=0.0, help="Robin parameter (left)")
-        p.add_argument("--beta", type=float, default=0.0, help="Robin parameter (right)")
-        p.add_argument("--tau", type=float, default=1.0, help="twist parameter in (0, 1]")
-        p.add_argument("--mass", type=float, default=0.0, help="physical mass")
-        p.add_argument("--potential", help="JSON potential file")
-        p.add_argument("--delta-site", type=int, dest="delta_site",
-                       help="single-site potential vertex (1-based)")
-        p.add_argument("--delta-v", type=float, dest="delta_v",
-                       help="single-site potential strength")
-        p.add_argument("--prime", action="store_true",
-                       help="remove zero modes from the determinant")
-        p.add_argument("--order", type=int, help="series/sum order")
-        p.add_argument("--sweep", help="parameter sweep, param:lo:hi:n (geometric)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--exact", action="store_true", help="exact-integer backend")
-        p.add_argument("--eigenfunctions", action="store_true",
-                       help="emit the eigenfunction table (spectrum)")
-
-    for name in ("det", "spectrum", "sums", "casimir", "limit"):
-        common(sub.add_parser(name))
-    common(sub.add_parser("chebyshev", help="run the Chebyshev identity self-test"), need_bc=False)
+    for name, flags in _SUBCOMMANDS.items():
+        # no abbreviations: with them an option that a subcommand lacks, such as
+        # limit's --h, would resolve to another one (--help) instead of exiting 2
+        p = sub.add_parser(name, allow_abbrev=False, **(
+            {"help": "run the Chebyshev identity self-test"} if name == "chebyshev" else {}))
+        for flag in (*flags, "--format"):
+            p.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, determinism, exit codes."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -18,7 +19,8 @@ import pytest
 
 import gylat
 from gylat import LatticeSpec, MassParam, Potential, determinant, dirichlet, free_determinant, robin
-from gylat.cli import _fmt_float, main, render_csv, render_json
+from gylat.cli import _fmt_float, build_parser, main, render_csv, render_json
+from gylat.closedform import free_eigenvalues
 from gylat.spectrum import tridiagonal_matrix
 
 
@@ -38,6 +40,16 @@ def mpmath_sums(values, kmax=4) -> list[float]:
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_exit(capsys, *argv):
+    """Like run_cli, with argparse's own refusals (SystemExit) read as exit codes."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -183,6 +195,123 @@ class TestConfigErrors:
         assert code == 2
 
 
+# A valid invocation of each subcommand, and the options that every subcommand
+# once accepted but that this one does not read: given one, it exits 2.
+BASE_ARGV = {
+    "det": ["det", "--bc", "dirichlet", "--nu", "20", "--h", "1"],
+    "spectrum": ["spectrum", "--bc", "dirichlet", "--nu", "20", "--h", "1"],
+    "sums": ["sums", "--bc", "dirichlet", "--nu", "20", "--h", "1"],
+    "casimir": ["casimir", "--bc", "dirichlet", "--nu", "20", "--L", "1"],
+    "limit": ["limit", "--bc", "dirichlet", "--nu", "20", "--L", "1"],
+    "chebyshev": ["chebyshev"],
+}
+UNREAD = {
+    "det": ["--order", "--sweep", "--eigenfunctions"],
+    "spectrum": ["--prime", "--order", "--sweep", "--exact"],
+    "sums": ["--prime", "--sweep", "--eigenfunctions"],
+    "casimir": ["--prime", "--order", "--exact", "--eigenfunctions"],
+    "limit": ["--h", "--potential", "--delta-site", "--delta-v", "--prime", "--order", "--sweep",
+              "--exact", "--eigenfunctions"],
+    "chebyshev": ["--nu", "--h", "--L", "--alpha", "--beta", "--tau", "--mass", "--potential",
+                  "--delta-site", "--delta-v", "--prime", "--order", "--sweep", "--exact",
+                  "--eigenfunctions"],
+}
+OPTION_VALUE = {
+    "--nu": "20", "--h": "0.01", "--L": "1", "--alpha": "0.5", "--beta": "0.5", "--tau": "0.5",
+    "--mass": "1", "--potential": "{pot}", "--delta-site": "2", "--delta-v": "0.5",
+    "--order": "2", "--sweep": "h:0.002:0.02:10",
+}
+
+
+class TestOptionRefusal:
+    """A subcommand refuses, with exit 2 and nothing on stdout, any option it does not read."""
+
+    def test_table_covers_every_parent_slot(self):
+        # 6 subcommands x 16 options + --bc for the five that take one = 101; 63 remain
+        assert sum(map(len, UNREAD.values())) == 101 - 63
+
+    @pytest.mark.parametrize("command", sorted(BASE_ARGV))
+    def test_base_runs(self, capsys, command):
+        assert run_exit(capsys, *BASE_ARGV[command])[0] == 0
+
+    @pytest.mark.parametrize("command, option",
+                             [(c, o) for c, options in UNREAD.items() for o in options])
+    def test_unread_option(self, capsys, tmp_path, command, option):
+        (tmp_path / "pot.json").write_text(json.dumps([0.0] * 20))
+        value = OPTION_VALUE.get(option, "").replace("{pot}", str(tmp_path / "pot.json"))
+        argv = BASE_ARGV[command] + [option] + ([value] if value else [])
+        code, out, err = run_exit(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"unrecognized arguments: {option}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["limit", "--bc", "dirichlet", "--nu", "20", "--L", "1", "--h", "0.01"],  # not --help
+        ["det", "--bc", "dirichlet", "--nu", "20", "--h", "1", "--pot", "{pot}"],
+        ["spectrum", "--bc", "dirichlet", "--nu", "20", "--h", "1", "--eigen"],
+        ["casimir", "--bc", "dirichlet", "--nu", "20", "--L", "1", "--sw", "h:0.002:0.02:10"],
+    ], ids=["limit-h", "det-pot", "spectrum-eigen", "casimir-sw"])
+    def test_no_abbreviations(self, capsys, tmp_path, argv):
+        (tmp_path / "pot.json").write_text(json.dumps([0.0] * 20))
+        argv = [str(tmp_path / "pot.json") if a == "{pot}" else a for a in argv]
+        code, out, err = run_exit(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err
+
+    def test_every_parser_refuses_abbreviations(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert not parser.allow_abbrev
+        assert not any(p.allow_abbrev for p in subparsers.choices.values())
+
+
+class TestValueRules:
+    """Rules between option values: exit 2, ``error: ...`` on stderr, nothing on stdout."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["det", "--bc", "neumann", "--nu", "9", "--h", "1", "--alpha", "0.5"],
+         "--alpha needs --bc robin"),
+        (["spectrum", "--bc", "dirichlet", "--nu", "9", "--h", "1", "--beta", "0.5"],
+         "--beta needs --bc robin"),
+        (["sums", "--bc", "periodic", "--nu", "9", "--tau", "0.5"], "--tau needs --bc twisted"),
+        (["casimir", "--bc", "robin", "--nu", "9", "--L", "1", "--tau", "0.5"],
+         "--tau needs --bc twisted"),
+        (["limit", "--bc", "dirichlet", "--nu", "9", "--L", "1", "--alpha", "1"],
+         "--alpha needs --bc robin"),
+        (["det", "--bc", "dirichlet", "--nu", "9", "--h", "1", "--delta-v", "0.5"],
+         "--delta-v needs --delta-site"),
+        (["casimir", "--bc", "dirichlet", "--nu", "9", "--L", "1", "--delta-v", "0.5"],
+         "--delta-v needs --delta-site"),
+        (["casimir", "--bc", "dirichlet", "--nu", "9", "--L", "1", "--sweep", "h:0.002:0.02:10",
+          "--potential", "{pot}"], "--sweep fits the free massless closed forms"),
+        (["casimir", "--bc", "dirichlet", "--nu", "9", "--L", "1", "--sweep", "h:0.002:0.02:10",
+          "--delta-site", "2", "--delta-v", "0.5"], "--sweep fits the free massless closed forms"),
+        (["casimir", "--bc", "dirichlet", "--nu", "9", "--L", "1", "--sweep", "h:0.002:0.02:10",
+          "--mass", "1"], "--sweep fits the free massless closed forms"),
+    ], ids=["alpha-neumann", "beta-dirichlet", "tau-periodic", "tau-robin", "limit-alpha",
+            "delta-v-alone", "casimir-delta-v-alone", "sweep-potential", "sweep-delta",
+            "sweep-mass"])
+    def test_refused(self, capsys, tmp_path, argv, message):
+        (tmp_path / "pot.json").write_text(json.dumps([0.1] * 9))
+        argv = [str(tmp_path / "pot.json") if a == "{pot}" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("command", ["det", "sums", "spectrum", "casimir"])
+    def test_unset_parameters_keep_library_defaults(self, capsys, command):
+        lattice = ["--nu", "9", "--L", "1", "--mass", "1"]  # the mass lifts zero modes
+        pairs = [(["--bc", "robin"], ["--bc", "robin", "--alpha", "0", "--beta", "0"]),
+                 (["--bc", "twisted"], ["--bc", "twisted", "--tau", "1"])]
+        for bare, explicit in pairs:
+            first = run_cli(capsys, command, *bare, *lattice)
+            assert first == run_cli(capsys, command, *explicit, *lattice) and first[0] == 0
+
+    def test_sweep_with_zero_mass_runs(self, capsys):
+        code, data = run_json(capsys, "casimir", "--bc", "dirichlet", "--L", "1", "--nu", "9",
+                              "--sweep", "h:0.002:0.02:10", "--mass", "0")
+        assert code == 0 and "universal_constant" in data
+
+
 class TestNonFiniteOptions:
     """NaN and infinite numeric options exit 2 with nothing on stdout."""
 
@@ -296,6 +425,24 @@ class TestCasimir:
         assert code == 0
         assert abs(data["universal_constant"] + math.pi / 24) < 1e-3
         assert len(data["sweep_points"]) >= 5
+
+    @pytest.mark.parametrize("bc", [["dirichlet"], ["neumann"], ["periodic"],
+                                    ["twisted", "--tau", "0.3"]])
+    @pytest.mark.parametrize("nu, mass", [(9, 5.0), (40, 0.7)])
+    def test_mass_against_free_spectrum(self, capsys, bc, nu, mass):
+        """--mass m sums the massive free spectrum; it is not dropped for the massless one."""
+        code, data = run_json(capsys, "casimir", "--bc", *bc, "--nu", str(nu), "--L", "1",
+                              "--mass", repr(mass))
+        kind = gylat.BoundaryCondition(bc[0], tau=float(bc[2]) if len(bc) > 1 else 1.0)
+        spec = (LatticeSpec.circle(nu, L=1.0) if kind.is_circle
+                else LatticeSpec.interval(nu, L=1.0))
+        lams = free_eigenvalues(kind, spec, MassParam.physical(mass, spec)).lambdas
+        weight = 1.0 if bc[0] == "twisted" else 0.5
+        want = weight * math.fsum(math.sqrt(lam / spec.h ** 2) for lam in lams)
+        assert code == 0
+        assert abs(data["energy"] - want) <= 1e-12 * want
+        massless = run_json(capsys, "casimir", "--bc", *bc, "--nu", str(nu), "--L", "1")[1]
+        assert data["energy"] > massless["energy"]
 
 
 class TestLimit:
@@ -494,7 +641,7 @@ class TestParserReuse:
     """main builds its argparse parser once per process and reuses it."""
 
     EXTRAS = [
-        # cmd_limit writes the default circle length into args.L
+        # limit takes no --h; the circle's default L = 2 pi comes from _build_spec
         ["limit", "--bc", "periodic", "--mass", "2", "--nu", "400"],
         ["det", "--bc", "dirichlet", "--nu", "3"],  # config error: no spacing
         ["det", "--bc", "nowhere", "--nu", "3", "--h", "1"],  # argparse refusal
