@@ -97,6 +97,17 @@ CASES: dict[str, list[str]] = {
         "sums", "--bc", "robin", "--alpha", "0.5", "--beta", "1.5", "--nu", "30", "--h", "1"],
     "det-robin-potential": [
         "det", "--bc", "robin", "--nu", "50", "--h", "0.5", "--potential", "{pot}"],
+    "det-prime-robin-potential": [
+        "det", "--bc", "robin", "--alpha", "0.5", "--beta", "1.5", "--nu", "200", "--h", "0.1",
+        "--potential", "{pot}", "--prime"],
+    "det-prime-periodic-potential": [
+        "det", "--bc", "periodic", "--nu", "300", "--L", "1", "--potential", "{phys}", "--prime"],
+    "det-prime-periodic-free": ["det", "--bc", "periodic", "--nu", "500", "--prime"],
+    "casimir-neumann-phys": [
+        "casimir", "--bc", "neumann", "--nu", "300", "--L", "1", "--potential", "{phys}"],
+    "casimir-robin-mass": [
+        "casimir", "--bc", "robin", "--alpha", "0.3", "--beta", "0.8", "--mass", "2",
+        "--nu", "100", "--L", "1"],
 }
 
 
