@@ -205,6 +205,8 @@ def _build_potential(args, spec: LatticeSpec) -> Potential:
             raise ConfigError(str(exc)) from exc
     else:
         pot = Potential.zeros(spec.nu)
+    if args.mass < 0:
+        raise ConfigError(f"--mass must be >= 0, got {args.mass}")
     if args.mass:
         pot = Potential(pot.as_array() + (spec.h * args.mass) ** 2)
     return pot
@@ -244,21 +246,18 @@ def cmd_det(args) -> tuple[dict, int]:
     pot = _build_potential(args, spec)
     # on the unit lattice (h = 1) a determinant is the dimensionless one
     unit = LatticeSpec(spec.nu, 1.0, float(spec.n_links), spec.topology)
-    if args.prime:
-        ld = determinant(pot, bc, spec, prime=True)
-    else:
-        dimless = determinant(pot, bc, unit)
-        # determinant's own h^(-2 nu) step, so the physical fields keep their bits
-        ld = LogDet(dimless.sign, dimless.log_abs - 2.0 * spec.nu * math.log(spec.h))
-    nu_eff = spec.nu - ld.zero_modes_removed
+    dimless = determinant(pot, bc, unit, prime=args.prime)
+    removed = dimless.zero_modes_removed
+    # determinant's own h^(-2 n) step, n the modes in the product, so the
+    # physical fields keep their bits
+    modes = (_lead_and_degree(bc, spec.nu)[1] if args.prime else spec.nu) - removed
+    ld = LogDet(dimless.sign, dimless.log_abs - 2.0 * modes * math.log(spec.h), removed)
     payload = {
         **_head(args, spec),
         "sign": ld.sign,
         "log10_abs": ld.log10_abs if ld.sign != 0 else None,
-        "dimensionless_det": (
-            0.0 if ld.sign == 0
-            else ld.scaled_value(2.0 * nu_eff * math.log(spec.h))),
-        "zero_modes": ld.zero_modes_removed,
+        "dimensionless_det": dimless.value,
+        "zero_modes": removed,
     }
     if ld.sign == 0 and not args.prime:
         payload["hint"] = "determinant vanishes (zero mode); rerun with --prime"
@@ -281,11 +280,9 @@ def cmd_det(args) -> tuple[dict, int]:
             code = EXIT_CONSISTENCY
         else:
             # compare dimensionless logs: adding -2 nu log h first (~2.3e6 at
-            # nu = 1e5) would round away everything below 2^-31; --prime runs
-            # the oracle, capped at nu 3000, where the physical log resolves ~1e-11
-            log_t = ld.log_abs + 2.0 * nu_eff * math.log(spec.h) if args.prime else dimless.log_abs
+            # nu = 1e5) would round away everything below 2^-31
             closed_dimless = free_determinant(bc, unit, mass, prime=args.prime)
-            rel = abs(math.expm1(log_t - closed_dimless.log_abs))
+            rel = abs(math.expm1(dimless.log_abs - closed_dimless.log_abs))
             payload["closed_form_rel_diff"] = rel
             payload["closed_form_agreement"] = rel <= CONSISTENCY_RTOL
             if rel > CONSISTENCY_RTOL:
@@ -382,10 +379,10 @@ def cmd_casimir(args) -> tuple[dict | list, int]:
     bc = _build_bc(args)
     spec = _build_spec(args, bc)
     pot = _build_potential(args, spec)
-    # with a potential or a mass there is no closed form: the oracle spectrum is summed
-    oracle = args.potential is not None or args.delta_site is not None or args.mass != 0.0
+    # with a potential or a mass there is no closed form (vacuum_energy picks the route)
+    shifted = args.potential is not None or args.delta_site is not None or args.mass != 0.0
     if args.sweep:
-        if oracle:
+        if shifted:
             raise ConfigError("--sweep fits the free massless closed forms; "
                               "it takes no --potential, --delta-site or --mass")
         param, lo, hi, n = _parse_sweep(args.sweep)
@@ -403,7 +400,7 @@ def cmd_casimir(args) -> tuple[dict | list, int]:
             "universal_constant": fit.constant,
         }
         return payload, EXIT_OK
-    if oracle:
+    if shifted:
         return {**_head(args), "nu": spec.nu, "h": spec.h,
                 "energy": vacuum_energy(pot, bc, spec)}, EXIT_OK
     point = _casimir_point(bc, spec)
@@ -419,8 +416,8 @@ def _limit_point(bc: BoundaryCondition, nu: int, L: float, mubar: float) -> tupl
     mass = MassParam.physical(mubar, spec)
     prime = bc.kind in (NEUMANN, PERIODIC) and mubar == 0.0
     if prime:
-        # zero-mode removal at continuum-sized nu goes through the closed
-        # form (the oracle route is capped)
+        # zero-mode removal goes through the closed form: its periodic Det'
+        # keeps the removed mode's (2/h)^2, as the continuum targets assume
         ld = free_determinant(bc, spec, mass, prime=True)
     else:
         pot = (Potential.constant(spec.nu, mass.mu * mass.mu) if mubar

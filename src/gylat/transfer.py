@@ -36,8 +36,12 @@ The float determinant at lambda = 0 takes its own route,
 y(j) - y(j-1)), stepped as Delta += v_j y, y += Delta, so the rounded
 weight 2 + v_j is never formed.  By the composition law
 K(j, j'') = K(j, j') K(j', j''), the sites are cut into about sqrt(nu)
-blocks whose matrices advance together as numpy arrays, and the blocks are
-then chained in Python with exact power-of-two renormalisation.
+blocks whose matrices advance together as numpy arrays
+(:func:`_block_matrices`), and the blocks are then chained in Python with
+exact power-of-two renormalisation.  Primed determinants need the first
+Taylor coefficients of P at 0 when P(0) vanishes; :func:`_blocked_jet_sweep`
+runs the same blocks with every entry a jet in lambda, so no eigenvalue is
+ever computed here.
 """
 
 from __future__ import annotations
@@ -62,9 +66,9 @@ from .core import (
     twisted,
 )
 
-# |lambda_bar| below this fraction of max_n |lambda_bar_n| counts as a zero
-# mode when forming primed determinants.
-ZERO_MODE_RTOL = 1e-10
+# A Taylor coefficient of P at lambda = 0 at most this fraction of the
+# magnitude of the swept state's entries of its order tests zero.
+_ZERO_RTOL = 1e-11
 
 # A block of the difference-form sweep may grow its columns by at most this
 # many bits (about 1e150), so chaining it onto an O(1) state cannot overflow.
@@ -247,25 +251,22 @@ def _lead_and_degree(bc: BoundaryCondition, nu: int, exact: bool = False):
     return (-1) ** nu * math.prod(kept), nu - (len(ends) - len(kept))
 
 
-def _blocked_difference_sweep(u: np.ndarray, cols: list[float],
-                              block: int | None = None) -> tuple[list[float], int]:
-    """Advance difference-form columns over every site, block by block.
+def _block_matrices(u: np.ndarray, order: int = 0,
+                    block: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Difference-form matrices of every block of sites, as Taylor jets in lambda.
 
-    ``cols`` = [y1, d1, y2, d2] holds two columns (y(j), Delta(j)) at j = 1;
-    each site steps them by Delta += u_j y, y += Delta, the step matrix
-    [[1 + u_j, 1], [u_j, 1]].  Returns the columns at j = nu + 1 as
-    (mantissas, e), the true columns being mantissas * 2**e.
+    Each site steps a column (y(j), Delta(j)) by Delta += (u_j - lambda) y,
+    y += Delta, the step matrix [[1 + u_j - lambda, 1], [u_j - lambda, 1]];
+    every entry is carried as its coefficients of lambda^0..lambda^order.
+    Returns (ys, ds), each of shape (2, order + 1, nblocks): column c of
+    block i sends the unit vector e_c of (y, Delta) to (ys[c, :, i], ds[c, :, i]).
 
     The sites are cut into blocks of about sqrt(nu) (``block`` overrides
-    that; it is a test hook for checking other lengths), capped so that a block's growth bound prod(|u_j| + 2) stays below
-    2**_BLOCK_GROWTH_BITS.  The unit columns of every block advance together
-    as numpy arrays; the block matrices are then chained onto ``cols`` in
-    Python, with the largest entry brought to [0.5, 1) by an exact power of
-    two after each block, so exact zeros stay exact.
+    that; it is a test hook for checking other lengths), capped so that a
+    block's growth bound prod(|u_j| + 2) stays below 2**_BLOCK_GROWTH_BITS.
+    The unit columns of every block advance together as numpy arrays.
     """
     nu = len(u)
-    if nu == 0:
-        return cols, 0
     growth = math.log2(2.0 + float(np.max(np.abs(u))))  # bits one site may add
     cap = int(_BLOCK_GROWTH_BITS / growth) if growth < _BLOCK_GROWTH_BITS else 1
     nblocks = -(-nu // max(1, min(block or math.isqrt(nu), cap)))
@@ -275,19 +276,38 @@ def _blocked_difference_sweep(u: np.ndarray, cols: list[float],
     cut = short * (length - 1)
     grid[1:, :short] = u[:cut].reshape(short, length - 1).T
     grid[:, short:] = u[cut:].reshape(nblocks - short, length).T
-    # both columns after each block's first step, S(u) applied to I; a short
-    # block skips that step (its grid[0] is 0, and y of column 2 is reset)
-    ys = np.ones((2, nblocks))
-    ds = np.ones((2, nblocks))
-    ys[0] += grid[0]
-    ds[0] = grid[0]
-    ys[1, :short] = 0.0
-    for row in grid[1:]:
-        ds += row * ys
-        ys += ds
+    ys = np.zeros((2, order + 1, nblocks))
+    ds = np.zeros((2, order + 1, nblocks))
+    ys[0, 0] = ds[1, 0] = 1.0
+    # a short block skips its first step, so it starts on the view of the others
+    for k, row in enumerate(grid):
+        y, d, w = (ys, ds, row) if k else (ys[..., short:], ds[..., short:], row[short:])
+        d += w * y
+        if order:
+            d[:, 1:] -= y[:, :-1]  # the -lambda y of the step
+        y += d
+    return ys, ds
+
+
+def _blocked_difference_sweep(u: np.ndarray, cols: list[float],
+                              block: int | None = None) -> tuple[list[float], int]:
+    """Advance difference-form columns over every site, block by block.
+
+    ``cols`` = [y1, d1, y2, d2] holds two columns (y(j), Delta(j)) at j = 1;
+    each site steps them by Delta += u_j y, y += Delta.  Returns the columns
+    at j = nu + 1 as (mantissas, e), the true columns being mantissas * 2**e.
+
+    The block matrices of :func:`_block_matrices` are chained onto ``cols``
+    in Python, with the largest entry brought to [0.5, 1) by an exact power
+    of two after each block, so exact zeros stay exact.
+    """
+    if len(u) == 0:
+        return cols, 0
+    ys, ds = _block_matrices(u, 0, block)
     y1, d1, y2, d2 = cols
     exponent = 0
-    for p, q, r, s in zip(ys[0].tolist(), ys[1].tolist(), ds[0].tolist(), ds[1].tolist()):
+    for p, q, r, s in zip(ys[0, 0].tolist(), ys[1, 0].tolist(), ds[0, 0].tolist(),
+                          ds[1, 0].tolist()):
         y1, d1 = p * y1 + q * d1, r * y1 + s * d1
         y2, d2 = p * y2 + q * d2, r * y2 + s * d2
         e = math.frexp(max(abs(y1), abs(d1), abs(y2), abs(d2)))[1]
@@ -295,6 +315,34 @@ def _blocked_difference_sweep(u: np.ndarray, cols: list[float],
                           math.ldexp(y2, -e), math.ldexp(d2, -e))
         exponent += e
     return [y1, d1, y2, d2], exponent
+
+
+def _blocked_jet_sweep(u: np.ndarray, cols: np.ndarray, order: int,
+                       block: int | None = None) -> tuple[np.ndarray, int]:
+    """:func:`_blocked_difference_sweep` for jets in lambda up to ``order``.
+
+    ``cols`` has shape (2 (order + 1), ncols): per column the coefficients
+    of y(1), then those of Delta(1).  Each block is the matrix of its jets'
+    products (lower-triangular Toeplitz blocks) and is chained onto ``cols``
+    with the same power-of-two renormalisation.  Returns the columns at
+    j = nu + 1 as (mantissas, e).
+    """
+    if len(u) == 0:
+        return cols, 0
+    ys, ds = _block_matrices(u, order, block)
+    m1 = order + 1
+    i, j = np.tril_indices(m1)
+    mats = np.zeros((ys.shape[-1], 2 * m1, 2 * m1))
+    for (top, left), entry in (((0, 0), ys[0]), ((0, m1), ys[1]), ((m1, 0), ds[0]),
+                               ((m1, m1), ds[1])):
+        mats[:, top + i, left + j] = entry[i - j].T  # (a b)_k = sum_i a_(k-i) b_i
+    exponent = 0
+    for mat in mats:
+        cols = mat @ cols
+        e = math.frexp(float(np.max(np.abs(cols))))[1]
+        cols = np.ldexp(cols, -e)
+        exponent += e
+    return cols, exponent
 
 
 def _scaled_scalar_p0(potential: Potential, bc: BoundaryCondition) -> tuple[float, float, float]:
@@ -324,6 +372,44 @@ def _scaled_scalar_p0(potential: Potential, bc: BoundaryCondition) -> tuple[floa
     return p0, e * _LN2, max(ref, 1e-300)
 
 
+def _lowest_jet_coefficient(potential: Potential, bc: BoundaryCondition) -> tuple[float, float, int]:
+    """(c_k, log_scale, k): the first Taylor coefficient c_k of P at lambda = 0,
+    k >= 1, that does not test zero, as mantissa and log of its scale
+    (folded back as :func:`_scaled_scalar_p0` folds P(0)).
+
+    The coefficients come from one blocked jet sweep in the difference form,
+    of order 1 on the interval (its eigenvalues are simple) and 2 on the
+    circle (at most double).  c_k tests zero when it is at most _ZERO_RTOL
+    times the order-k entries of the final state, measured as ``ref`` is in
+    :func:`_scaled_scalar_p0`.  If every c_k up to the order tests zero,
+    ArithmeticError is raised.
+    """
+    order = 1 if bc.is_interval else 2
+    m1 = order + 1
+    u = potential.as_array()
+    if bc.is_interval:
+        alpha = float(bc.robin_alpha)
+        cols = np.zeros((2 * m1, 1))
+        cols[0, 0], cols[m1, 0] = (1.0, 1.0) if bc.kind == DIRICHLET else (1.0 + alpha, alpha)
+        cols, e = _blocked_jet_sweep(u, cols, order)
+        y, d = cols[:m1, 0], cols[m1:, 0]
+        coeffs = y if bc.kind == DIRICHLET else d + float(bc.robin_beta) * y
+        refs = np.maximum(np.abs(y - d), np.abs(y))
+    else:
+        cols, e = _blocked_jet_sweep(u, np.eye(2 * m1)[:, [0, m1]], order)
+        (p, q), (r, s) = cols[:m1].T, cols[m1:].T
+        coeffs = p + s  # the order-0 entry, P(0), is not read
+        refs = np.sqrt((s - q) ** 2 + (p + q - r - s) ** 2 + q ** 2 + (p + q) ** 2)
+    for k in range(1, m1):
+        if abs(coeffs[k]) > _ZERO_RTOL * refs[k]:
+            c = float(coeffs[k])
+            return (math.ldexp(c, e), 0.0, k) if e <= _FOLD_BITS else (c, e * _LN2, k)
+    raise ArithmeticError(
+        f"P(lambda) and its first {order} derivatives test zero at lambda = 0, but "
+        f"{'interval' if bc.is_interval else 'circle'} eigenvalues have multiplicity "
+        f"at most {order}")
+
+
 def determinant(potential: Potential, bc: BoundaryCondition, spec: LatticeSpec,
                 prime: bool = False) -> LogDet:
     """Operator determinant as a LogDet: Det = (-1)^d P(0)/a * h^(-2 nu).
@@ -332,10 +418,15 @@ def determinant(potential: Potential, bc: BoundaryCondition, spec: LatticeSpec,
     degree, both read off the boundary condition (an alpha or beta of
     exactly -1 drops one degree each), so the value is the product of the
     physical eigenvalues and is insensitive to the overall scale of P.
-    With ``prime`` set, eigenvalues with
-    |lambda_bar| < 1e-10 * max|lambda_bar| are removed from the product via
-    the eigenvalue oracle (each removal also drops one factor of h^-2) and
-    counted in ``zero_modes_removed``.
+    P(0) tests zero (sign 0) when |P(0)| is at most _ZERO_RTOL times the
+    magnitude of the swept state.
+
+    With ``prime`` set, k zero modes are removed: k is the number of leading
+    Taylor coefficients c_0, c_1, ... of P at 0 that test zero (c_0 by the
+    test above, so the primed determinant removes a mode exactly when the
+    plain one has sign 0; c_1 and c_2 by :func:`_lowest_jet_coefficient`),
+    and Det' = (-1)^(d-k) c_k/a * h^(-2 (d-k)), with ``zero_modes_removed``
+    = k.  No eigenvalue is computed, so there is no size limit.
     """
     nu = potential.nu
     if nu != spec.nu:
@@ -344,44 +435,26 @@ def determinant(potential: Potential, bc: BoundaryCondition, spec: LatticeSpec,
         raise ValueError(f"{bc.kind} conditions do not fit {spec.topology} topology")
     if nu == 0:
         return LogDet(1, 0.0, 0)  # empty product
-    if prime:
-        return _primed_determinant(potential, bc, spec)
 
-    log_h2nu = -2.0 * nu * math.log(spec.h)
     # P(0) always comes from the blocked difference-form sweep: it cannot
     # overflow, it never rounds the weights 2 + v_j, and its final magnitude
     # is the right yardstick for "the determinant vanishes" (the
     # polynomial's large mid coefficients are not).
     p0, log_scale, ref = _scaled_scalar_p0(potential, bc)
-    if abs(p0) <= 1e-11 * ref:
-        return LogDet(0, math.nan, 0)
+    k = 0
+    if abs(p0) <= _ZERO_RTOL * ref:
+        if not prime:
+            return LogDet(0, math.nan, 0)
+        p0, log_scale, k = _lowest_jet_coefficient(potential, bc)
 
     lead, degree = _lead_and_degree(bc, nu)
-    # Det = (-1)^degree P(0)/lead * h^(-2 nu)
-    sign = (-1) ** degree * (1 if p0 > 0 else -1) * (1 if lead > 0 else -1)
-    log_abs = math.log(abs(p0)) + log_scale - math.log(abs(lead)) + log_h2nu
-    return LogDet(sign, log_abs, 0)
-
-
-def _primed_determinant(potential: Potential, bc: BoundaryCondition, spec: LatticeSpec) -> LogDet:
-    from .spectrum import ORACLE_MAX_NU, oracle_spectrum
-
-    if potential.nu > ORACLE_MAX_NU:
-        raise ValueError(
-            f"primed determinant needs the eigenvalue oracle, unavailable for nu > {ORACLE_MAX_NU}")
-    lams = oracle_spectrum(potential, bc).lambdas
-    hh = spec.h * spec.h
-    lambar = [x / hh for x in lams]
-    top = max(abs(x) for x in lambar)
-    if top == 0.0:
-        return LogDet(1, 0.0, len(lambar))
-    keep = [x for x in lambar if abs(x) > ZERO_MODE_RTOL * top]
-    removed = len(lambar) - len(keep)
-    if not keep:
-        return LogDet(1, 0.0, removed)
-    sign = -1 if sum(1 for x in keep if x < 0) % 2 else 1
-    log_abs = math.fsum(math.log(abs(x)) for x in keep)
-    return LogDet(sign, log_abs, removed)
+    # factors h^-2 of the product: d - k when primed; the plain determinant
+    # keeps nu, also where a degenerate Robin end leaves d < nu
+    modes = (degree if prime else nu) - k
+    sign = (-1) ** (degree - k) * (1 if p0 > 0 else -1) * (1 if lead > 0 else -1)
+    log_abs = (math.log(abs(p0)) + log_scale - math.log(abs(lead))
+               + -2.0 * modes * math.log(spec.h))
+    return LogDet(sign, log_abs, k)
 
 
 def eigenfunctions(potential: Potential, bc: BoundaryCondition, spectrum: Spectrum) -> np.ndarray:

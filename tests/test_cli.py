@@ -79,6 +79,19 @@ class TestDet:
         assert data["zero_modes"] == 1
         assert abs(data["dimensionless_det"] - 4.0) < 1e-9
 
+    def test_neumann_primed_at_large_nu(self, capsys):
+        """--prime runs at any nu: the jet at lambda = 0 needs no eigenvalue."""
+        code, data = run_json(capsys, "det", "--prime", "--bc", "neumann", "--nu", "100000",
+                              "--L", "1")
+        assert code == 0
+        assert data["zero_modes"] == 1 and data["closed_form_agreement"] is True
+
+    def test_dimensionless_det_from_the_unit_lattice(self, capsys):
+        """dimensionless_det is read off the h = 1 determinant, not off the physical log."""
+        code, data = run_json(capsys, "det", "--bc", "dirichlet", "--nu", "100000", "--L", "1")
+        assert code == 0
+        assert abs(data["dimensionless_det"] - 100001) <= 1e-15 * 100001
+
     def test_delta_zero_mode(self, capsys):
         code, data = run_json(capsys, "det", "--bc", "dirichlet", "--nu", "5", "--h", "1",
                               "--delta-site", "2", "--delta-v", "-0.75")
@@ -339,6 +352,22 @@ class TestNonFiniteOptions:
         assert err.startswith("error: --sweep needs finite")
 
 
+class TestNegativeMass:
+    """--mass < 0 exits 2 in every subcommand that builds a potential."""
+
+    @pytest.mark.parametrize("command", ["det", "spectrum", "sums", "casimir"])
+    @pytest.mark.parametrize("source", [[], ["--potential", "{pot}"],
+                                        ["--delta-site", "2", "--delta-v", "0.5"]],
+                             ids=["free", "potential", "delta"])
+    def test_refused(self, capsys, tmp_path, command, source):
+        (tmp_path / "pot.json").write_text("[0.1, 0.2, 0.3, 0.4, 0.5]")
+        source = [str(tmp_path / "pot.json") if a == "{pot}" else a for a in source]
+        code, out, err = run_cli(capsys, command, "--bc", "dirichlet", "--nu", "5", "--h", "1",
+                                 "--mass", "-1", *source)
+        assert (code, out) == (2, "")
+        assert err == "error: --mass must be >= 0, got -1.0\n"
+
+
 class TestSums:
     def test_dirichlet_closed_form(self, capsys):
         code, data = run_json(capsys, "sums", "--bc", "dirichlet", "--nu", "9", "--h", "1")
@@ -443,6 +472,18 @@ class TestCasimir:
         assert abs(data["energy"] - want) <= 1e-12 * want
         massless = run_json(capsys, "casimir", "--bc", *bc, "--nu", str(nu), "--L", "1")[1]
         assert data["energy"] > massless["energy"]
+
+
+    def test_massive_dirichlet_at_large_nu(self, capsys):
+        """Beyond the oracle's cap the contour integral sums the massive free modes."""
+        nu, mass = 100000, 3.0
+        code, data = run_json(capsys, "casimir", "--bc", "dirichlet", "--mass", repr(mass),
+                              "--nu", str(nu), "--L", "1")
+        h = data["h"]
+        want = math.fsum(math.sqrt(4 * math.sin(math.pi * n / (2 * (nu + 1))) ** 2
+                                   + (h * mass) ** 2) / (2 * h) for n in range(1, nu + 1))
+        assert code == 0
+        assert abs(data["energy"] - want) <= 1e-14 * want
 
 
 class TestLimit:

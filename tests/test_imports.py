@@ -54,3 +54,52 @@ def test_every_import_is_used(path):
 def test_the_check_sees_a_leftover():
     source = "from itertools import repeat\nfrom .core import Vec2\n\ndef f(x) -> 'Vec2':\n    return x\n"
     assert unused_imports(source) == ["repeat"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """Absolute or package-relative names of the modules ``source`` imports from,
+    at any depth (function bodies included)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names.add(base)
+            if not node.module:  # from . import spectrum
+                names.update(base + alias.name for alias in node.names)
+    return names
+
+
+def test_transfer_does_not_import_the_oracle():
+    """Determinants, primed ones included, take no eigenvalue from gylat.spectrum."""
+    names = imported_modules((SRC / "transfer.py").read_text())
+    assert not names & {".spectrum", "gylat.spectrum"}
+
+
+def test_the_import_check_sees_a_nested_import():
+    source = "def f():\n    from .spectrum import oracle_spectrum\n    from . import core\n"
+    assert imported_modules(source) == {".spectrum", ".", ".core"}
+
+
+def test_primed_determinants_and_interval_energies_run_without_the_oracle(monkeypatch):
+    import numpy as np
+
+    import gylat.spectrum
+    from gylat import (LatticeSpec, Potential, determinant, dirichlet, neumann, periodic, robin,
+                       twisted, vacuum_energy)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the eigenvalue oracle was called")
+
+    monkeypatch.setattr(gylat.spectrum, "oracle_spectrum", refuse)
+    nu = 5000  # above both oracle caps
+    v = Potential(np.random.default_rng(1).uniform(0, 1, nu))
+    for bc in (dirichlet(), neumann(), robin(0.5, -1.0), periodic(), twisted(0.3)):
+        spec = LatticeSpec.circle(nu, L=1.0) if bc.is_circle else LatticeSpec.interval(nu, L=1.0)
+        for pot in (Potential.zeros(nu), v):
+            assert determinant(pot, bc, spec, prime=True).sign != 0
+        if bc.is_interval:
+            assert vacuum_energy(v, bc, spec) > 0
+    with pytest.raises(AssertionError, match="oracle"):
+        vacuum_energy(v, periodic(), LatticeSpec.circle(nu, L=1.0))

@@ -41,6 +41,7 @@ from gylat.spectrum import cyclic_matrix, tridiagonal_matrix
 from gylat.transfer import (
     Propagator,
     _blocked_difference_sweep,
+    _blocked_jet_sweep,
     _scaled_scalar_p0,
     _twist_shift,
 )
@@ -262,6 +263,50 @@ class TestBlockedDifferenceSweep:
         u = np.full(50, 1e300)
         got, e = _blocked_difference_sweep(u, [1.0, 1.0, 0.0, 0.0])
         assert all(math.isfinite(x) for x in got) and e > 50 * 996
+
+
+class TestBlockedJetSweep:
+    """The jet sweep against the difference form stepped site by site in
+    exact arithmetic, each entry a jet in lambda: Delta_k += u y_k - y_(k-1),
+    y_k += Delta_k."""
+
+    @staticmethod
+    def exact_jets(u, cols, order):
+        m1 = order + 1
+        out = []
+        for col in np.asarray(cols).T.tolist():
+            y, d = [Fraction(x) for x in col[:m1]], [Fraction(x) for x in col[m1:]]
+            for uj in map(Fraction, u.tolist()):
+                d = [d[k] + uj * y[k] - (y[k - 1] if k else 0) for k in range(m1)]
+                y = [y[k] + d[k] for k in range(m1)]
+            out.append(y + d)
+        return np.array(out, dtype=object).T
+
+    @SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), nu=st.integers(1, 200), order=st.integers(1, 2),
+           scale=st.sampled_from([1e-6, 1.0, 3.0, 1e30]), block=st.sampled_from([1, None]))
+    def test_matches_exact_steps(self, seed, nu, order, scale, block):
+        rng = np.random.default_rng(seed)
+        u = scale * rng.uniform(-1.0, 1.0, nu)
+        cols = rng.uniform(-1.0, 1.0, (2 * (order + 1), 2))
+        got, e = _blocked_jet_sweep(u, cols, order, block)
+        want = self.exact_jets(u, cols, order)
+        for k in range(order + 1):  # each order against its own largest entry
+            rows = [k, order + 1 + k]
+            top = max(abs(x) for x in want[rows].ravel())
+            err = max(abs(Fraction(float(g)) * Fraction(2) ** e - w)
+                      for g, w in zip(got[rows].ravel(), want[rows].ravel()))
+            assert err <= Fraction(1, 10 ** 10) * top
+
+    def test_free_neumann_is_exact(self):
+        """u = 0 keeps every entry an integer: y = 1 - lambda j (j - 1) / 2 + ..."""
+        nu = 1000
+        cols = np.zeros((4, 1))
+        cols[0, 0] = 1.0  # the Neumann seed (y(1), Delta(1)) = (1, 0)
+        got, e = _blocked_jet_sweep(np.zeros(nu), cols, 1)
+        y0, y1, d0, d1 = (math.ldexp(x, e) for x in got[:, 0])
+        assert (y0, d0, d1) == (1.0, 0.0, -float(nu))
+        assert y1 == -float(nu * (nu + 1) // 2)
 
 
 class TestChebyshev:

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,6 +30,7 @@ from gylat import (
     propagate,
     robin,
     step_matrix,
+    twisted,
 )
 from gylat.spectrum import tridiagonal_matrix
 from gylat.transfer import Propagator, _sweep
@@ -304,13 +306,106 @@ class TestDeterminant:
         with pytest.raises(ValueError):
             determinant(pot, periodic(), LatticeSpec.interval(3, h=1.0))
 
-    def test_prime_requires_oracle(self):
-        import gylat.spectrum as sp
-        nu = sp.ORACLE_MAX_NU + 1
-        pot = Potential.zeros(nu)
-        spec = LatticeSpec.interval(nu, h=1.0)
-        with pytest.raises(ValueError):
-            determinant(pot, neumann(), spec, prime=True)
+    def test_prime_beyond_oracle_cap(self):
+        # one past the interval oracle's cap: the free Neumann Det' is nu h^(2 - 2 nu)
+        nu = 3001
+        spec = LatticeSpec.interval(nu, h=0.5)
+        ld = determinant(Potential.zeros(nu), neumann(), spec, prime=True)
+        assert (ld.sign, ld.zero_modes_removed) == (1, 1)
+        want = math.log(nu) - (2 * nu - 2) * math.log(0.5)
+        assert abs(ld.log_abs - want) <= 1e-15 * want
+
+
+def oracle_primed_log(potential, bc):
+    """(sign, log|prod|, removed) of the oracle's dimensionless eigenvalues, with
+    |lambda| <= 1e-10 max |lambda| removed, and the log's error bound from an
+    absolute eigenvalue error of 1e-13."""
+    lams = np.array(oracle_spectrum(potential, bc).lambdas)
+    keep = lams[np.abs(lams) > 1e-10 * np.max(np.abs(lams))]
+    sign = -1 if np.count_nonzero(keep < 0) % 2 else 1
+    return (sign, math.fsum(np.log(np.abs(keep))), lams.size - keep.size,
+            1e-13 * float(np.sum(1.0 / np.abs(keep))))
+
+
+class TestPrimedDeterminant:
+    """det' from the GY jet at lambda = 0, against the oracle and closed forms."""
+
+    @pytest.mark.parametrize("bc, nu", [(neumann(), 3000), (periodic(), 800),
+                                        (twisted(0.3), 800), (twisted(0.5), 800)],
+                             ids=["neumann", "periodic", "twisted-0.3", "twisted-0.5"])
+    @pytest.mark.parametrize("with_potential", [False, True], ids=["free", "potential"])
+    def test_against_oracle_at_the_caps(self, bc, nu, with_potential):
+        spec = LatticeSpec.circle(nu, L=1.0) if bc.is_circle else LatticeSpec.interval(nu, L=1.0)
+        pot = (Potential(np.random.default_rng(nu).uniform(0, 1, nu) * spec.h ** 2)
+               if with_potential else Potential.zeros(nu))
+        sign, log_abs, removed, tol = oracle_primed_log(pot, bc)
+        ld = determinant(pot, bc, spec, prime=True)
+        assert (ld.sign, ld.zero_modes_removed) == (sign, removed)
+        # compare dimensionless logs; the h^(-2 (nu - k)) step is common to both
+        dimless = ld.log_abs + 2.0 * (nu - removed) * math.log(spec.h)
+        assert abs(dimless - log_abs) <= tol
+
+    @pytest.mark.parametrize("nu", [5, 6, 50, 800])
+    @pytest.mark.parametrize("tau, n", [(1.0, 0), (1.0, 1), (0.5, 0)])
+    def test_double_zero_mode_on_the_circle(self, nu, tau, n):
+        """A constant shift that takes a degenerate pair to 0 removes two modes."""
+        shift = 4.0 * math.sin(math.pi * (n + tau) / nu) ** 2
+        pot = Potential.constant(nu, -shift)
+        spec = LatticeSpec.circle(nu, h=1.0)
+        ld = determinant(pot, twisted(tau), spec, prime=True)
+        assert determinant(pot, twisted(tau), spec).sign == 0
+        assert ld.zero_modes_removed == 2
+        with mpmath.workdps(40):
+            s = 4 * mpmath.sin(mpmath.pi * (n + tau) / nu) ** 2
+            others = [4 * mpmath.sin(mpmath.pi * (m + tau) / nu) ** 2 - s for m in range(nu)
+                      if (m + tau) % nu not in ((n + tau) % nu, (-n - tau) % nu)]
+            want = mpmath.fsum(mpmath.log(abs(x)) for x in others)
+            sign = -1 if sum(x < 0 for x in others) % 2 else 1
+        assert ld.sign == sign
+        assert abs(ld.log_abs - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
+
+    @pytest.mark.parametrize("alpha, beta", [(-1.0, 0.7), (1.3, -1.0), (-1.0, -1.0)])
+    def test_degenerate_robin_against_reduced_matrix(self, alpha, beta):
+        """A pinned end removes its site; Det' is the product of the physical
+        eigenvalues of the rest, h^-2 each."""
+        nu, h = 40, 0.5
+        v = np.random.default_rng(7).uniform(0.0, 0.5, nu)
+        d = 2.0 + v
+        for end, par in ((0, alpha), (-1, beta)):
+            if par != -1.0:
+                d[end] -= 1.0 / (1.0 + par)
+        d = d[(alpha == -1.0):nu - (beta == -1.0)]
+        dense = np.diag(d) - np.eye(len(d), k=1) - np.eye(len(d), k=-1)
+        sign, logdet = np.linalg.slogdet(dense / (h * h))
+        ld = determinant(Potential(v), robin(alpha, beta), LatticeSpec.interval(nu, h=h),
+                         prime=True)
+        assert (ld.sign, ld.zero_modes_removed) == (sign, 0)
+        assert abs(ld.log_abs - logdet) <= 1e-12 * abs(logdet)
+
+    @pytest.mark.parametrize("bc, vals", [
+        (neumann(), [0.0, 1e-17, -1e-17, 1e-12, 1e-6]),
+        (periodic(), [0.0, 1e-17, 1e-12, 1e-6]),
+        (twisted(0.9999999), [0.0]), (twisted(1e-7), [0.0]),
+    ])
+    @pytest.mark.parametrize("nu", [3, 40, 1000])
+    def test_removes_a_mode_exactly_when_det_vanishes(self, bc, vals, nu):
+        """det reports sign 0 exactly when det --prime removes at least one mode."""
+        spec = LatticeSpec.circle(nu, h=1.0) if bc.is_circle else LatticeSpec.interval(nu, h=1.0)
+        for val in vals:
+            pot = Potential.delta(nu, 1 + nu // 2, val) if val else Potential.zeros(nu)
+            plain = determinant(pot, bc, spec)
+            primed = determinant(pot, bc, spec, prime=True)
+            assert (plain.sign == 0) == (primed.zero_modes_removed > 0), val
+            if plain.sign != 0:
+                assert primed == plain
+
+    def test_free_neumann_exact_at_large_nu(self):
+        """The order-1 jet of the free Neumann sweep is exact: Det' = nu."""
+        nu = 100000
+        ld = determinant(Potential.zeros(nu), neumann(), LatticeSpec.interval(nu, h=1.0),
+                         prime=True)
+        assert (ld.sign, ld.zero_modes_removed) == (1, 1)
+        assert ld.log_abs == math.log(nu)
 
 
 class TestCasoratian:

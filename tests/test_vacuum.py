@@ -2,6 +2,8 @@
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from gylat import (
@@ -11,10 +13,13 @@ from gylat import (
     extract_constant,
     free_energy_closed,
     neumann,
+    oracle_spectrum,
     periodic,
+    robin,
     twisted,
     vacuum_energy,
 )
+from gylat.spectrum import tridiagonal_matrix
 from gylat.vacuum import bernoulli_polynomial, twisted_bernoulli_series
 
 
@@ -55,13 +60,84 @@ class TestModeSums:
         with pytest.raises(ValueError):
             vacuum_energy(pot, dirichlet(), spec)
 
-    def test_potential_case_uses_oracle(self):
+    def test_potential_case_matches_oracle(self):
         spec = LatticeSpec.interval(4, h=1.0)
         pot = Potential.constant(4, 0.5)
-        from gylat import oracle_spectrum
         lams = oracle_spectrum(pot, dirichlet(), spec)
         want = 0.5 * math.fsum(math.sqrt(x) for x in lams.physical)
         assert abs(vacuum_energy(pot, dirichlet(), spec) - want) < 1e-12
+
+
+class TestContour:
+    """Interval energies with a potential: the contour integral against eigenvalue sums."""
+
+    BCS = [dirichlet(), neumann(), robin(0.3, 1.7)]
+    TOPS = [1.0, 50.0, 1e-6]
+
+    @staticmethod
+    def energy_and_root_sum(v, bc, h=1.0):
+        nu = len(v)
+        return (vacuum_energy(Potential(v), bc, LatticeSpec.interval(nu, h=h)),
+                tridiagonal_matrix(Potential(v), bc)[0])
+
+    @pytest.mark.parametrize("bc", BCS, ids=lambda bc: bc.kind)
+    @pytest.mark.parametrize("top", TOPS)
+    def test_against_mpmath_at_nu_10(self, bc, top):
+        v = np.random.default_rng(10).uniform(0, top, 10)
+        got, d = self.energy_and_root_sum(v, bc)
+        with mpmath.workdps(40):
+            a = mpmath.matrix(10, 10)
+            for i, x in enumerate(d.tolist()):
+                a[i, i] = x
+                if i:
+                    a[i, i - 1] = a[i - 1, i] = -1
+            want = 0.5 * float(mpmath.fsum(mpmath.sqrt(x) for x in mpmath.eigsy(a, eigvals_only=True)))
+        assert abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("bc", BCS, ids=lambda bc: bc.kind)
+    @pytest.mark.parametrize("top", TOPS)
+    def test_against_lapack_at_nu_100(self, bc, top):
+        v = np.random.default_rng(100).uniform(0, top, 100)
+        got, d = self.energy_and_root_sum(v, bc, h=0.5)
+        lams = np.linalg.eigvalsh(np.diag(d) - np.eye(100, k=1) - np.eye(100, k=-1))
+        want = 0.5 * math.fsum(np.sqrt(lams)) / 0.5
+        # LAPACK's eigenvalues carry an absolute error of a few eps
+        tol = 1e-14 * want + 1e-14 * float(np.sum(0.5 / np.sqrt(lams)))
+        assert abs(got - want) <= tol
+
+    @pytest.mark.parametrize("bc, top", list(zip(BCS, TOPS)),
+                             ids=["dirichlet-1", "neumann-50", "robin-1e-06"])
+    def test_against_oracle_at_nu_3000(self, bc, top):
+        v = np.random.default_rng(3000).uniform(0, top, 3000)
+        got, _ = self.energy_and_root_sum(v, bc)
+        lams = np.array(oracle_spectrum(Potential(v), bc).lambdas)
+        want = 0.5 * math.fsum(np.sqrt(lams))
+        # the oracle's eigenvalues carry an absolute error of ~1e-14
+        tol = 1e-14 * want + 1e-13 * float(np.sum(0.5 / np.sqrt(lams)))
+        assert abs(got - want) <= tol
+
+    @pytest.mark.parametrize("alpha, beta", [(-1.0, 0.7), (1.3, -1.0), (-1.0, -1.0)])
+    def test_degenerate_robin_against_reduced_matrix(self, alpha, beta):
+        """alpha (beta) = -1 pins y(1) (y(nu)) = 0: the modes are those of the other sites."""
+        nu = 50
+        v = np.random.default_rng(5).uniform(0, 1, nu)
+        d = 2.0 + v
+        for end, par in ((0, alpha), (-1, beta)):
+            if par != -1.0:
+                d[end] -= 1.0 / (1.0 + par)
+        d = d[(alpha == -1.0):nu - (beta == -1.0)]
+        lams = np.linalg.eigvalsh(np.diag(d) - np.eye(len(d), k=1) - np.eye(len(d), k=-1))
+        want = 0.5 * math.fsum(np.sqrt(lams))
+        got = vacuum_energy(Potential(v), robin(alpha, beta), LatticeSpec.interval(nu, h=1.0))
+        assert abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("nu", [3, 300, 5000])
+    def test_negative_eigenvalues_are_counted(self, nu):
+        """The negative pivots at t = 0 count the negative eigenvalues."""
+        v = np.zeros(nu)
+        v[nu // 3] = v[(2 * nu) // 3] = -5.0  # two deep wells, one bound state each
+        with pytest.raises(ValueError, match=r"^2 negative eigenvalue\(s\)"):
+            vacuum_energy(Potential(v), dirichlet(), LatticeSpec.interval(nu, h=1.0))
 
 
 class TestClosedForms:
