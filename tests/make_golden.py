@@ -108,6 +108,19 @@ CASES: dict[str, list[str]] = {
     "casimir-robin-mass": [
         "casimir", "--bc", "robin", "--alpha", "0.3", "--beta", "0.8", "--mass", "2",
         "--nu", "100", "--L", "1"],
+    "sums-exact-robin-potential": [
+        "sums", "--bc", "robin", "--alpha", "0.5", "--beta", "1.5", "--nu", "30", "--h", "1",
+        "--potential", "{pot}", "--exact"],
+    "sums-exact-periodic-potential": [
+        "sums", "--bc", "periodic", "--nu", "20", "--h", "1", "--potential", "{pot}", "--exact"],
+    "sums-exact-twisted-potential": [
+        "sums", "--bc", "twisted", "--tau", "0.3", "--nu", "20", "--h", "1",
+        "--potential", "{pot}", "--exact"],
+    "sums-exact-200": [
+        "sums", "--bc", "dirichlet", "--nu", "200", "--h", "1", "--potential", "{pot}",
+        "--exact"],
+    "det-exact-dirichlet-64": [
+        "det", "--bc", "dirichlet", "--nu", "64", "--h", "1", "--potential", "{pot}", "--exact"],
 }
 
 
