@@ -351,7 +351,8 @@ class CharPoly:
         if backend is None:
             backend = "exact" if all(isinstance(c, (int, Fraction, np.integer)) for c in coeffs) else "float"
         if backend == "exact":
-            coeffs = [_exactify(c) for c in coeffs]
+            if set(map(type, coeffs)) != {int}:  # all-int coefficients need no lift
+                coeffs = [_exactify(c) for c in coeffs]
         elif backend == "float":
             coeffs = [float(c) for c in coeffs]
         else:

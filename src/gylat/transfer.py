@@ -30,6 +30,9 @@ for :func:`char_poly`, exact scalars for ``det --exact`` and
 ``perturbation.symmetric_factor_check``, and a truncated Taylor jet
 (:class:`_Series`) for the ``eigenfunctions`` Newton slope (order 1, over
 all modes at once) and the CLI's Euler-Rayleigh sums (order <= 4 at 0).
+Exact reads sweep Python integers over the inputs' common denominator and
+divide once at the end (the fraction-free idea of Bareiss, Math. Comp. 22
+(1968) 565).
 
 The float determinant at lambda = 0 takes its own route,
 :func:`_blocked_difference_sweep`.  It carries (y(j), Delta(j) =
@@ -97,15 +100,16 @@ def casoratian(a: Vec2, b: Vec2):
     return a.a * b.b - a.b * b.a
 
 
-def _sweep(ws, a, b, path=None):
+def _sweep(ws, a, b, path=None, d2=None):
     """Advance (a, b) = (y(j-1), y(j)) by y(j+1) = w_j y(j) - y(j-1) over ``ws``.
 
     Returns the terminal pair (a, b).  Entries may be any ring scalars
     (float, int, Fraction, CharPoly).  With ``path`` each new ``b`` is
-    appended to it.
+    appended to it.  With ``d2`` the step is y(j+1) = w_j y(j) - d2 y(j-1),
+    the recurrence of the exact carrier in :func:`_terminal`.
     """
     for w in ws:
-        a, b = b, w * b - a
+        a, b = b, w * b - (a if d2 is None else d2 * a)
         if path is not None:
             path.append(b)
     return a, b
@@ -196,25 +200,65 @@ def _terminal(potential: Potential, bc: BoundaryCondition, lam, exact: bool = Fa
     out . K(lambda; nu) . in on the interval, tr K(lambda; nu) - 2 cos(2 pi tau)
     on the circle.  A float ``lam`` gives the value, ``CharPoly.lam(exact)``
     the polynomial, ``_Series([x, 1], m)`` the Taylor coefficients of P at x
-    up to order m (x may be a numpy vector over modes).  With ``exact`` the
-    potential, boundary vectors and twist are lifted into exact scalars up
-    front, since a float among them would drag the arithmetic back to floats.
+    up to order m (x may be a numpy vector over modes).
+
+    With ``exact`` the potential, the boundary vectors' entries and a scalar
+    ``lam`` are lifted once into exact scalars (a float among them would
+    drag the arithmetic back to floats), over their common denominator D: a
+    power of two for float inputs, 1 for integers.  The sweep then carries
+    Y(j) = D^j y(j) in Python ints, Y(j+1) = D w_j Y(j) - D^2 Y(j-1), and the
+    result is divided by a power of D once at the end, one Fraction per
+    coefficient, instead of reducing a Fraction at every step.  Integer
+    inputs (D = 1) take the plain sweep.  The twist is subtracted after
+    that division.
     """
-    ws = [v + 2 - lam for v in (map(_exactify, potential) if exact else potential)]
-    zero = lam - lam
-    if bc.is_interval:
-        vin, out = bc.in_vector(), bc.out_adjoint()
-        if exact:
-            vin = Vec2(_exactify(vin.a), _exactify(vin.b))
-            out = Vec2(_exactify(out.a), _exactify(out.b))
-        a, b = _sweep(ws, zero + vin.a, zero + vin.b)
-        return out.a * a + out.b * b
-    if potential.nu < 1:
+    nu = potential.nu
+    if bc.is_circle and nu < 1:
         raise ValueError("circle topology needs nu >= 1")
-    one = zero + 1
-    # tr K = top of the (1, 0) column + bottom of the (0, 1) column
-    trace = _sweep(ws, one, zero)[0] + _sweep(ws, zero, one)[1]
-    return trace - _twist_shift(bc.twist, exact)
+    # the in-vector and the out-adjoint, (y(0), y(1)) and the row read at nu
+    ends = [*bc.in_vector(), *bc.out_adjoint()] if bc.is_interval else []
+    vs, d = potential, 1
+    if exact:
+        scalar = isinstance(lam, (int, Fraction))
+        vs, d = _lift([*potential, *ends] + ([lam] if scalar else []))
+        if scalar:
+            lam = vs.pop()
+        elif d != 1:
+            lam = d * lam
+        vs, ends = vs[:nu], vs[nu:]
+    two = 2 * d
+    ws = [v + two - lam for v in vs]  # D w_j
+    zero = lam - lam
+    d2 = d * d if d != 1 else None
+    if bc.is_interval:
+        # seeded with D (y(0), D y(1)), the sweep ends on D^(nu+1) (y(nu), D y(nu+1))
+        ia, ib, oa, ob = ends
+        a, b = _sweep(ws, zero + ia, zero + d * ib, d2=d2)
+        return _unscale(oa * d * a + ob * b, d, nu + 3)
+    seed = zero + d
+    # tr K = top of the (1, 0) column + bottom of the (0, 1) column, both seeded with D
+    trace = _sweep(ws, seed, zero, d2=d2)[0] + _sweep(ws, zero, seed, d2=d2)[1]
+    return _unscale(trace, d, nu + 1) - _twist_shift(bc.twist, exact)
+
+
+def _lift(xs: list) -> tuple[list[int], int]:
+    """(ns, d) with exact scalars xs = ns / d: d the lcm of their denominators
+    (1 for ints, a power of two for floats) and ns ints."""
+    xs = [_exactify(x) for x in xs]
+    d = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _unscale(x, d: int, power: int):
+    """x / d**power for the exact carrier, one Fraction per coefficient; x if d is 1."""
+    if d == 1:
+        return x
+    n = d ** power
+    if isinstance(x, CharPoly):
+        return CharPoly([Fraction(c, n) for c in x.coeffs], backend="exact")
+    if isinstance(x, _Series):
+        return _Series([Fraction(c, n) for c in x.c], x.m)
+    return Fraction(x, n)
 
 
 def char_poly(potential: Potential, bc: BoundaryCondition, exact: bool = False) -> CharPoly:
@@ -416,8 +460,11 @@ def determinant(potential: Potential, bc: BoundaryCondition, spec: LatticeSpec,
 
     ``a`` is the polynomial's actual leading coefficient and d its actual
     degree, both read off the boundary condition (an alpha or beta of
-    exactly -1 drops one degree each), so the value is the product of the
-    physical eigenvalues and is insensitive to the overall scale of P.
+    exactly -1 drops one degree each), so the value is insensitive to the
+    overall scale of P.  It is the product of the physical eigenvalues
+    when d = nu.  A degenerate Robin end (d < nu) still scales by
+    h^(-2 nu), not h^(-2 d): the value is that product times h^(-2 (nu - d)),
+    off by h^-2 per degenerate end when h != 1.
     P(0) tests zero (sign 0) when |P(0)| is at most _ZERO_RTOL times the
     magnitude of the swept state.
 

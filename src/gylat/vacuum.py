@@ -28,6 +28,7 @@ from .core import (
     DIRICHLET,
     NEUMANN,
     PERIODIC,
+    ROBIN,
     TWISTED,
     BoundaryCondition,
     LatticeSpec,
@@ -49,6 +50,9 @@ _CONTOUR_STEP = 0.25
 _CONTOUR_TAIL = 1e-16
 # Sites whose terms of g are held, and summed pairwise, as one block.
 _CONTOUR_BLOCK = 256
+# An eigenvalue above -_ZERO_MODE_FLOOR times the spectrum's scale is a
+# rounded zero mode and adds sqrt(0); below it, the energy is undefined.
+_ZERO_MODE_FLOOR = 1e-12
 
 
 def vacuum_energy(potential: Potential | None, bc: BoundaryCondition,
@@ -57,10 +61,10 @@ def vacuum_energy(potential: Potential | None, bc: BoundaryCondition,
 
     Routes:
     - a free (or None) potential sums the closed-form massless spectrum, so
-      mode sums stay cheap up to nu ~ 10^4;
-    - interval conditions with any other potential (a mass included) take
-      the contour integral of :func:`_interval_root_sum`, which computes no
-      eigenvalue and has no size limit;
+      mode sums stay cheap up to nu ~ 10^4; free Robin has none;
+    - interval conditions with any other potential (a mass included), and
+      free Robin, take the contour integral of :func:`_interval_root_sum`,
+      which computes no eigenvalue and has no size limit;
     - circle conditions with any other potential sum the eigenvalue
       oracle's spectrum (nu <= 800).
     Negative eigenvalues raise ValueError: no analytic continuation is
@@ -70,7 +74,7 @@ def vacuum_energy(potential: Potential | None, bc: BoundaryCondition,
         potential = Potential.zeros(spec.nu)
     if potential.nu != spec.nu:
         raise ValueError(f"potential has nu={potential.nu}, lattice has nu={spec.nu}")
-    if potential.is_free():
+    if potential.is_free() and bc.kind != ROBIN:
         lams = free_eigenvalues(bc, spec).lambdas
     elif bc.is_interval:
         return _mode_weight(bc) * (_interval_root_sum(potential, bc) / spec.h)
@@ -78,7 +82,7 @@ def vacuum_energy(potential: Potential | None, bc: BoundaryCondition,
         from .spectrum import oracle_spectrum
         lams = oracle_spectrum(potential, bc).lambdas
     hh = spec.h * spec.h
-    floor = -1e-12 * max(abs(x) for x in lams) if lams else 0.0
+    floor = -_ZERO_MODE_FLOOR * max(abs(x) for x in lams) if lams else 0.0
     roots = []
     for lam in lams:
         if lam < floor:
@@ -101,9 +105,15 @@ def _interval_root_sum(potential: Potential, bc: BoundaryCondition) -> float:
 
     where e_(j-1) q is the previous term of g.
 
-    One numpy vector over all quadrature nodes advances site by site; an
-    extra node at t = 0 counts the negative pivots of A, its negative
-    eigenvalues (Sylvester), and any raises ValueError.  The integral is the
+    One numpy vector over all quadrature nodes advances site by site.  An
+    extra node at t = s, with s = _ZERO_MODE_FLOOR times the Gershgorin bound
+    max |d_j| + 2 on |A|, counts the negative pivots of A + s, the
+    eigenvalues of A below -s (Sylvester), and any raises ValueError; one
+    above -s is a zero mode that rounding may have left just below 0.  Only
+    the last pivot of A >= 0 can vanish, on a zero mode, and by interlacing
+    each exact term e_j / r_j lies in [0, 1], so the last site's terms are
+    clipped to [0, 1]: a 0/0 where rounding has lost t counts 0, a zero
+    mode's limit.  The integral is the
     trapezoid rule in x = log u; g <= nu and g <= tr A / u^2 bound the tails
     beyond the range against sqrt(tr A) <= sum_n sqrt(lambda_n).
 
@@ -126,7 +136,7 @@ def _interval_root_sum(potential: Potential, bc: BoundaryCondition) -> float:
     x_lo = math.log(_CONTOUR_TAIL * size / n)
     count = math.ceil((math.log(size / _CONTOUR_TAIL) - x_lo) / _CONTOUR_STEP) + 1
     u = np.exp(x_lo + _CONTOUR_STEP * np.arange(count))
-    t = np.append(u * u, 0.0)
+    t = np.append(u * u, _ZERO_MODE_FLOOR * (float(np.max(np.abs(d))) + 2.0))
     q, e, r = np.zeros_like(t), np.empty_like(t), np.empty_like(t)
     terms = np.zeros((min(n, _CONTOUR_BLOCK), len(t)))  # terms[i] is site i of a block
     sums = np.empty((-(-n // len(terms)), len(t)))
@@ -145,6 +155,8 @@ def _interval_root_sum(potential: Potential, bc: BoundaryCondition) -> float:
                 np.divide(e, r, out=prev)
                 np.divide(1.0, r, out=q)
                 negative += r[-1] < 0.0
+            if start + len(block) == n:  # the last site: NaN (0/0) becomes 0
+                np.fmin(np.fmax(prev, 0.0, out=prev), 1.0, out=prev)
             prev = prev.copy()  # the sum below overwrites the rows
             sums[b] = _pairwise_rows(terms[:len(block)])
     if negative:

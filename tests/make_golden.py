@@ -121,6 +121,8 @@ CASES: dict[str, list[str]] = {
         "--exact"],
     "det-exact-dirichlet-64": [
         "det", "--bc", "dirichlet", "--nu", "64", "--h", "1", "--potential", "{pot}", "--exact"],
+    "casimir-robin-free": [
+        "casimir", "--bc", "robin", "--alpha", "0.3", "--beta", "0.8", "--nu", "100", "--L", "1"],
 }
 
 

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -427,6 +428,22 @@ class TestSums:
         assert code == 3 and out == ""
         assert err.startswith("error: float jet") and reason in err and "--exact" in err
 
+    def test_exact_at_nu_1000(self, capsys, tmp_path):
+        """The integer carrier takes --exact, the float route's fallback, to nu = 1000
+        in about a second; LAPACK's eigenvalues are the reference."""
+        nu = 1000
+        v = np.random.default_rng(nu).uniform(0, 1, nu)
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps(v.tolist()))
+        start = time.perf_counter()
+        code, data = run_json(capsys, "sums", "--bc", "dirichlet", "--nu", str(nu), "--h", "1",
+                              "--potential", str(path), "--exact")
+        assert code == 0 and time.perf_counter() - start < 10.0
+        lams = np.linalg.eigvalsh(np.diag(2.0 + v) - np.eye(nu, k=1) - np.eye(nu, k=-1))
+        for k, got in enumerate(data["inverse_power_sums"], start=1):
+            want = math.fsum(lams ** -k)
+            assert abs(got - want) <= 1e-10 * want
+
     @pytest.mark.parametrize("argv", [
         ["--bc", "neumann", "--nu", "10"], ["--bc", "periodic", "--nu", "10"],
         ["--bc", "dirichlet", "--nu", "5", "--delta-site", "2", "--delta-v", "-0.75"],
@@ -473,6 +490,29 @@ class TestCasimir:
         massless = run_json(capsys, "casimir", "--bc", *bc, "--nu", str(nu), "--L", "1")[1]
         assert data["energy"] > massless["energy"]
 
+
+    @pytest.mark.parametrize("nu", [10, 1000])
+    def test_free_robin(self, capsys, nu):
+        """Free Robin has no closed form: the potential route's payload, from the contour."""
+        code, data = run_json(capsys, "casimir", "--bc", "robin", "--alpha", "0.3",
+                              "--beta", "0.8", "--nu", str(nu), "--L", "1")
+        assert code == 0 and list(data)[-3:] == ["nu", "h", "energy"]
+        spec = LatticeSpec.interval(nu, L=1.0)
+        d = tridiagonal_matrix(Potential.zeros(nu), robin(0.3, 0.8))[0]
+        lams = np.linalg.eigvalsh(np.diag(d) - np.eye(nu, k=1) - np.eye(nu, k=-1))
+        want = 0.5 * math.fsum(np.sqrt(lams)) / spec.h
+        assert abs(data["energy"] - want) <= 1e-14 * want + 1e-14 * float(np.sum(1 / np.sqrt(lams)))
+
+    @pytest.mark.parametrize("bc", [["neumann"], ["robin", "--alpha", "0", "--beta", "0"]])
+    def test_zero_mode_potential_is_not_nan(self, capsys, tmp_path, bc):
+        """A potential that rounds to the free Neumann matrix keeps its zero mode."""
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps([0] * 9 + [1e-300]))
+        code, data = run_json(capsys, "casimir", "--bc", *bc, "--nu", "10", "--h", "1",
+                              "--potential", str(path))
+        assert code == 0
+        # the free closed form; a zero mode costs the contour its last digits
+        assert abs(data["energy"] - 5.8531023680873524) <= 1e-12 * data["energy"]
 
     def test_massive_dirichlet_at_large_nu(self, capsys):
         """Beyond the oracle's cap the contour integral sums the massive free modes."""

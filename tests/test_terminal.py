@@ -29,7 +29,7 @@ from gylat import (
     twisted,
 )
 from gylat.core import _exactify
-from gylat.transfer import _lead_and_degree, _Series, _terminal
+from gylat.transfer import _lead_and_degree, _Series, _terminal, _twist_shift
 
 BCS = [dirichlet(), neumann(), robin(0.5, 1.5), robin(-1.0, 0.3), robin(0.25, -1.0),
        periodic(), twisted(0.3), twisted(0.25)]
@@ -99,6 +99,73 @@ class TestJetIsThePolynomial:
                 scalar = _terminal(pot, bc, _Series([x, 1.0], 2)).c
                 assert bits([c[i] for c in vector]) == bits(scalar)
                 assert bits([_terminal(pot, bc, x)]) == bits(scalar[:1])
+
+
+def fraction_terminal(potential, bc, lam):
+    """P(lambda) in exact scalars swept step by step, each step reduced as Fractions
+    reduce: the arithmetic that the integer carrier of ``_terminal`` replaced."""
+    ws = [_exactify(v) + 2 - lam for v in potential]
+    zero = lam - lam
+
+    def sweep(a, b):
+        for w in ws:
+            a, b = b, w * b - a
+        return a, b
+    if bc.is_interval:
+        vin, out = bc.in_vector(), bc.out_adjoint()
+        a, b = sweep(zero + _exactify(vin.a), zero + _exactify(vin.b))
+        return _exactify(out.a) * a + _exactify(out.b) * b
+    one = zero + 1
+    return sweep(one, zero)[0] + sweep(zero, one)[1] - _twist_shift(bc.twist, True)
+
+
+EXACT_PARAMS = [-1, 0, 0.5, -0.75, 1.25, 3, Fraction(1, 3), Fraction(-2, 7)]
+
+
+@st.composite
+def carrier_cases(draw):
+    kind = draw(st.sampled_from(["dirichlet", "neumann", "robin", "periodic", "twisted"]))
+    if kind == "robin":
+        bc = robin(draw(st.sampled_from(EXACT_PARAMS)), draw(st.sampled_from(EXACT_PARAMS)))
+    elif kind == "twisted":
+        bc = twisted(draw(st.sampled_from([0.25, 0.5, 1.0, 0.3])))
+    else:
+        bc = {"dirichlet": dirichlet(), "neumann": neumann(), "periodic": periodic()}[kind]
+    nu = draw(st.integers(1 if bc.is_circle else 0, 40))
+    entry = {
+        "int": st.integers(-5, 5),
+        "dyadic": st.builds(lambda n, e: math.ldexp(n, -e), st.integers(-99, 99),
+                            st.integers(0, 60)),
+        "float": st.floats(-3.0, 3.0),
+        "fraction": st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7])),
+    }[draw(st.sampled_from(["int", "dyadic", "float", "fraction"]))]
+    pot = Potential(draw(st.lists(entry, min_size=nu, max_size=nu)))
+    lam = draw(st.sampled_from([
+        0, CharPoly.lam(exact=True), _Series([0, 1], 4),
+        Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from([1, 3, 4, 7])))]))
+    return pot, bc, lam
+
+
+class TestIntegerCarrier:
+    """``_terminal(..., exact=True)`` sweeps integers over one common denominator."""
+
+    @settings(max_examples=150)
+    @given(case=carrier_cases())
+    def test_equals_fraction_sweep(self, case):
+        pot, bc, lam = case
+        got, want = _terminal(pot, bc, lam, exact=True), fraction_terminal(pot, bc, lam)
+        if isinstance(lam, CharPoly):
+            assert got.backend == "exact" and got.coeffs == want.coeffs
+        elif isinstance(lam, _Series):
+            assert got.m == want.m and got.c == want.c
+        else:
+            assert got == want
+
+    def test_integer_inputs_stay_integers(self):
+        """D = 1: no scaling, and the plain sweep's ints come back."""
+        p = _terminal(Potential([1, -2, 3]), robin(1, 3), CharPoly.lam(exact=True), exact=True)
+        assert all(type(c) is int for c in p.coeffs)
+        assert type(_terminal(Potential([1, -2, 3]), periodic(), 0, exact=True)) is int
 
 
 class TestSeriesScalars:

@@ -20,7 +20,7 @@ from gylat import (
     vacuum_energy,
 )
 from gylat.spectrum import tridiagonal_matrix
-from gylat.vacuum import bernoulli_polynomial, twisted_bernoulli_series
+from gylat.vacuum import _interval_root_sum, bernoulli_polynomial, twisted_bernoulli_series
 
 
 def circle(nu, L=2 * math.pi):
@@ -130,6 +130,64 @@ class TestContour:
         want = 0.5 * math.fsum(np.sqrt(lams))
         got = vacuum_energy(Potential(v), robin(alpha, beta), LatticeSpec.interval(nu, h=1.0))
         assert abs(got - want) <= 1e-14 * want
+
+    @staticmethod
+    def lapack_root_sum(d):
+        """sum_n sqrt(lambda_n) from LAPACK, and the error allowance near a zero mode.
+
+        A lowest eigenvalue within rounding of 0 is off by ~eps |A| in either
+        route, and its square root by ~sqrt(eps |A|)."""
+        lams = np.linalg.eigvalsh(np.diag(d) - np.eye(len(d), k=1) - np.eye(len(d), k=-1))
+        want = math.fsum(np.sqrt(np.maximum(lams, 0.0)))
+        return want, 1e-13 * want + 2 * math.sqrt(2.0 ** -52 * (float(np.max(np.abs(d))) + 2))
+
+    @pytest.mark.parametrize("bc", [neumann(), robin(0.0, 0.0)], ids=["neumann", "robin-0-0"])
+    @pytest.mark.parametrize("nu", [10, 100, 1000])
+    @pytest.mark.parametrize("tip", [1e-300, 1e-20, 0.0])
+    def test_exact_zero_mode_is_not_nan(self, bc, nu, tip):
+        """v = (0, ..., 0, tip): d_nu = 2 + tip - 1 rounds to 1, so A is the free Neumann
+        matrix with its zero mode, and the contour's last pivot is 0 where t is lost."""
+        v = np.zeros(nu)
+        v[-1] = tip
+        got = _interval_root_sum(Potential(v), bc)
+        spec = LatticeSpec.interval(nu, h=1.0)
+        assert abs(got - 2 * free_energy_closed(neumann(), spec)) <= 1e-12 * got
+        want, tol = self.lapack_root_sum(tridiagonal_matrix(Potential(v), bc)[0])
+        assert abs(got - want) <= tol
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("nu", [10, 100, 1000])
+    def test_rounded_zero_mode(self, seed, nu):
+        """v = Laplacian(y) / y for a positive y gives a zero mode, which rounding moves
+        to ~1e-16 on either side of 0: an energy, never a negative-eigenvalue refusal."""
+        y = np.random.default_rng(seed).uniform(0.5, 2.0, nu)
+        lap = np.empty(nu)
+        lap[1:-1] = y[:-2] - 2 * y[1:-1] + y[2:]
+        lap[0], lap[-1] = y[1] - y[0], y[-2] - y[-1]
+        v = lap / y  # (T_Neumann + v) y = 0
+        got = _interval_root_sum(Potential(v), neumann())
+        want, tol = self.lapack_root_sum(tridiagonal_matrix(Potential(v), neumann())[0])
+        assert abs(got - want) <= tol
+
+    @pytest.mark.parametrize("nu", [10, 1000])
+    def test_free_robin(self, nu):
+        """Free Robin has no closed-form spectrum; the contour sums it at any nu."""
+        bc = robin(0.3, 0.8)
+        got = vacuum_energy(None, bc, LatticeSpec.interval(nu, h=1.0))
+        d = tridiagonal_matrix(Potential.zeros(nu), bc)[0]
+        lams = np.linalg.eigvalsh(np.diag(d) - np.eye(nu, k=1) - np.eye(nu, k=-1))
+        want = 0.5 * math.fsum(np.sqrt(lams))
+        tol = 1e-14 * want + 1e-14 * float(np.sum(0.5 / np.sqrt(lams)))
+        assert abs(got - want) <= tol
+
+    @pytest.mark.parametrize("nu", [10, 100, 1000])
+    def test_free_robin_zero_mode_locus(self, nu):
+        """alpha + beta + (nu + 1) alpha beta = 0 puts a mode at 0 (y linear in j)."""
+        alpha = 0.5
+        bc = robin(alpha, -alpha / (1 + (nu + 1) * alpha))
+        got = 2 * vacuum_energy(None, bc, LatticeSpec.interval(nu, h=1.0))
+        want, tol = self.lapack_root_sum(tridiagonal_matrix(Potential.zeros(nu), bc)[0])
+        assert abs(got - want) <= tol
 
     @pytest.mark.parametrize("nu", [3, 300, 5000])
     def test_negative_eigenvalues_are_counted(self, nu):
