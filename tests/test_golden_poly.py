@@ -1,0 +1,110 @@
+"""Golden values of the polynomial routes, coefficient bit for coefficient bit.
+
+The CLI never prints a CharPoly, so the golden CLI bytes cannot see a changed
+coefficient.  This test builds a seeded dump of ``char_poly`` (float and
+exact, every boundary condition, int, float, Fraction and zero potentials),
+the Chebyshev polynomials and the perturbation series, one line per value
+holding its ``repr`` (for a CharPoly, that of its coefficient list and its
+backend), and compares the sha256 of each group with the recorded one.  A
+change that alters a value on purpose re-records with
+
+    PYTHONPATH=src python tests/test_golden_poly.py
+
+and lists the changed groups in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from gylat import (CharPoly, Potential, char_poly, cheb_matrix_power, cheb_t, cheb_t_poly,
+                   cheb_u, cheb_u_poly, cheb_v, cheb_v_poly, dirichlet, dirichlet_det_series,
+                   dirichlet_trace_series, neumann, neumann_det_series, neumann_trace_series,
+                   periodic, robin, twisted)
+from gylat.perturbation import trace_series_by_tuples
+
+BCS = [dirichlet(), neumann(), robin(0.5, 1.5), robin(-1, 0.7), periodic(), twisted(0.3),
+       twisted(0.5)]
+KINDS = ("int", "float", "fraction", "zero")
+CHAR_POLY_NUS = [*range(61), 200]
+
+
+def _line(value) -> str:
+    if isinstance(value, CharPoly):
+        return f"{value.coeffs!r} {value.backend}"
+    return repr(value)
+
+
+def _potential(kind: str, nu: int, rng: random.Random) -> Potential:
+    """A seeded potential; the int and float ones hit -2, the weight-0 site."""
+    if kind == "int":
+        return Potential([rng.randint(-3, 3) for _ in range(nu)])
+    if kind == "float":
+        return Potential([-2.0 if rng.random() < 0.1 else rng.uniform(-1.0, 1.5)
+                          for _ in range(nu)])
+    if kind == "fraction":
+        return Potential([Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(nu)])
+    return Potential.zeros(nu)
+
+
+def _char_polys():
+    rng = random.Random(13)
+    for nu in CHAR_POLY_NUS:
+        for i, bc in enumerate(BCS):
+            if bc.is_circle and nu < 1:
+                continue
+            pot = _potential(KINDS[(nu + i) % len(KINDS)], nu, rng)
+            for exact in (False, True):
+                yield char_poly(pot, bc, exact=exact)
+
+
+def _chebyshev():
+    for n in range(41):
+        yield from (cheb_u_poly(n), cheb_v_poly(n), cheb_t_poly(n))
+        for exact in (False, True):
+            lam = CharPoly.lam(exact)
+            yield from (cheb_u(n, lam), cheb_v(n, lam), cheb_t(n, lam))
+            yield cheb_matrix_power(n, 1 - lam * Fraction(1, 2)).det()
+
+
+def _series():
+    rng = random.Random(17)
+    for nu in range(13):
+        for kind in KINDS:
+            pot = _potential(kind, nu, rng)
+            for order in sorted({0, min(1, nu), min(2, nu), nu}):
+                yield dirichlet_det_series(pot, order)
+                yield neumann_det_series(pot, order)
+                for exact in (False, True):
+                    yield dirichlet_trace_series(pot, order, exact=exact)
+                    yield neumann_trace_series(pot, order, exact=exact)
+                if nu <= 5:
+                    yield trace_series_by_tuples(pot, order)
+                    yield trace_series_by_tuples(pot, order, neumann=True)
+
+
+GROUPS = {"char_poly": _char_polys, "chebyshev": _chebyshev, "series": _series}
+
+RECORDED = {
+    "char_poly": "f0c503e1f9424e10988506bf6019dfc3558348e7d9817f7e2818bc7c4c87ee35",
+    "chebyshev": "ca5ff094bb7839a75d43ff6aced8c76c6ccbc8dfeee178c036c78cb242440018",
+    "series": "396b0a401ad16e77f11608d306ab8f7c921b51ee8f6bdde1ca6a48c4ed1011ab",
+}
+
+
+def digest(name: str) -> str:
+    return hashlib.sha256("\n".join(map(_line, GROUPS[name]())).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_polynomial_values(name):
+    assert digest(name) == RECORDED[name]
+
+
+if __name__ == "__main__":
+    print(json.dumps({name: digest(name) for name in GROUPS}, indent=4))
