@@ -37,8 +37,8 @@ from .core import (
     Potential,
     load_potential,
 )
-from .spectrum import (ZERO_MODE_MESSAGE, _newton_sums, cosecant_sum, oracle_spectrum,
-                       robin_cosec_sum)
+from .spectrum import (ZERO_MODE_MESSAGE, _exact_newton_sums, _newton_sums, cosecant_sum,
+                       oracle_spectrum, robin_cosec_sum)
 from .transfer import _lead_and_degree, _Series, _terminal, determinant, eigenfunctions
 from .vacuum import _admissible_lattice, extract_constant, free_energy_closed, vacuum_energy
 
@@ -328,7 +328,7 @@ def cmd_sums(args) -> tuple[dict, int]:
     if zero_mode:
         raise ConfigError(ZERO_MODE_MESSAGE)
     if args.exact:
-        sums = _newton_sums([Fraction(c) for c in coeffs], kmax)[0]
+        sums = _exact_newton_sums(coeffs, kmax)
     else:
         sums = _float_jet_sums(coeffs, kmax, _lead_and_degree(bc, spec.nu)[1])
     payload = {**_head(args, spec), "inverse_power_sums": [float(s) for s in sums]}
@@ -462,7 +462,8 @@ def cmd_limit(args) -> tuple[dict, int]:
 
 
 def cmd_chebyshev(args) -> tuple[dict, int]:
-    """Identity self-test on the polynomial calculus."""
+    """Identity self-test on the polynomial calculus; each U_k(x) and V_j
+    the identities share is computed once, then every identity is checked."""
     checks: dict[str, bool] = {}
     # Turan: U_{n-1}^2 - U_n U_{n-2} = 1, integer arguments, exact
     ok = True
@@ -473,36 +474,23 @@ def cmd_chebyshev(args) -> tuple[dict, int]:
             if um1 * um1 - un * unm2 != 1:
                 ok = False
     checks["turan"] = ok
+    u = {(k, x): cheb.cheb_u(k, x) for k in range(-1, 25) for x in range(-2, 3)}
+    triples = [(m, n, x) for x in range(-2, 3) for m in range(0, 13) for n in range(0, 13)]
     # Composition: U_{m+n} = U_m U_n - U_{m-1} U_{n-1}
-    ok = True
-    for x in range(-2, 3):
-        for m in range(0, 13):
-            for n in range(0, 13):
-                if cheb.cheb_u(m + n, x) != (cheb.cheb_u(m, x) * cheb.cheb_u(n, x)
-                                             - cheb.cheb_u(m - 1, x) * cheb.cheb_u(n - 1, x)):
-                    ok = False
-    checks["composition"] = ok
+    checks["composition"] = all(
+        u[m + n, x] == u[m, x] * u[n, x] - u[m - 1, x] * u[n - 1, x] for m, n, x in triples)
     # Product series with parity step 2
-    ok = True
-    for x in range(-2, 3):
-        for m in range(0, 13):
-            for n in range(0, 13):
-                lhs = cheb.cheb_u(m, x) * cheb.cheb_u(n, x)
-                rhs = sum(cheb.cheb_u(k, x) for k in range(abs(m - n), m + n + 1, 2))
-                if lhs != rhs:
-                    ok = False
-    checks["product_series"] = ok
+    checks["product_series"] = all(
+        u[m, x] * u[n, x] == sum(u[k, x] for k in range(abs(m - n), m + n + 1, 2))
+        for m, n, x in triples)
     # det C^n = 1
     checks["matrix_power_det"] = all(
         cheb.cheb_matrix_power(n, x).det() == 1 for x in range(-2, 3) for n in range(0, 31))
     # V_j - V_{j-1} = (2x - 2) U_{j-1} as polynomials
-    ok = True
-    for j in range(1, 31):
-        lhs = cheb.cheb_v_poly(j) - cheb.cheb_v_poly(j - 1)
-        rhs = cheb.CharPoly([0, -1], backend="exact") * cheb.cheb_u_poly(j - 1)
-        if lhs != rhs:
-            ok = False
-    checks["neumann_difference"] = ok
+    v = [cheb.cheb_v_poly(j) for j in range(31)]
+    checks["neumann_difference"] = all(
+        v[j] - v[j - 1] == cheb.CharPoly([0, -1], backend="exact") * cheb.cheb_u_poly(j - 1)
+        for j in range(1, 31))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "chebyshev",

@@ -340,27 +340,40 @@ class CharPoly:
     exactly-zero top coefficients and nothing else, so the degree is the
     index of the last nonzero coefficient (exact alpha or beta = -1 Robin
     conditions yield exact zeros and lose their degrees).
+
+    Every constructor and operation keeps the invariants the arithmetic
+    relies on instead of re-checking: ``coeffs`` is a non-empty list of
+    Python floats, or of ints and Fractions whose denominator is not 1, with
+    a nonzero top unless it is the only one; ``_plain`` means no coefficient
+    needs a lift (always for floats, all ints for exact).  Each operation
+    builds one result.  A scalar acts coefficient by coefficient, lifted as a
+    one-term polynomial; a product starts each coefficient from 0 and adds
+    the terms in the order of the left factor's index, skipping its zeros.
     """
 
-    __slots__ = ("coeffs", "backend")
+    __slots__ = ("coeffs", "backend", "_plain")
 
     def __init__(self, coeffs: Iterable, backend: str | None = None):
-        coeffs = list(coeffs)
-        if not coeffs:
-            coeffs = [0]
+        coeffs = list(coeffs) or [0]
         if backend is None:
             backend = "exact" if all(isinstance(c, (int, Fraction, np.integer)) for c in coeffs) else "float"
-        if backend == "exact":
-            if set(map(type, coeffs)) != {int}:  # all-int coefficients need no lift
-                coeffs = [_exactify(c) for c in coeffs]
-        elif backend == "float":
-            coeffs = [float(c) for c in coeffs]
-        else:
+        if backend not in ("exact", "float"):
             raise ValueError(f"unknown backend {backend!r}")
+        self._fill(coeffs, backend, False)
+
+    def _fill(self, coeffs: list, backend: str, plain: bool) -> "CharPoly":
+        """Take ``coeffs``, a list of our own, lifting them into ``backend`` unless
+        ``plain`` says they already are Python floats (float) or ints (exact)."""
+        if plain or (backend == "exact" and set(map(type, coeffs)) == {int}):
+            plain = True
+        elif backend == "float":
+            coeffs, plain = [float(c) for c in coeffs], True
+        else:
+            coeffs = [_exactify(c) for c in coeffs]
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
-        self.coeffs = coeffs
-        self.backend = backend
+        self.coeffs, self.backend, self._plain = coeffs, backend, plain
+        return self
 
     # -- constructors -------------------------------------------------------
 
@@ -400,61 +413,73 @@ class CharPoly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _coerce(self, other) -> "CharPoly | None":
+    def _operand(self, other):
+        """(coefficients, result backend, plain) of ``other`` against self, a
+        scalar as one coefficient lifted into the result's backend; plain when
+        neither side needs a lift.  None if ``other`` is not a number."""
         if isinstance(other, CharPoly):
-            return other
+            if self.backend == other.backend:
+                return other.coeffs, self.backend, self._plain and other._plain
+            return other.coeffs, "float", False
+        if self.backend == "exact" and isinstance(other, (int, Fraction, np.integer)):
+            other = _exactify(other)
+            return [other], "exact", self._plain and type(other) is int
         if isinstance(other, (int, float, Fraction, np.integer, np.floating)):
-            backend = self.backend if not isinstance(other, (float, np.floating)) else "float"
-            return CharPoly([other], backend=backend)
+            return [float(other)], "float", self.backend == "float"
         return None
 
-    @staticmethod
-    def _join(a: "CharPoly", b: "CharPoly") -> str:
-        return "exact" if a.backend == b.backend == "exact" else "float"
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        operand = self._operand(other)
+        if operand is None:
             return NotImplemented
-        backend = self._join(self, other)
-        a, b = self.coeffs, other.coeffs
+        b, backend, plain = operand
+        a = self.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return CharPoly(out, backend=backend)
+        return _new_poly([x + y for x, y in zip(a, b)] + a[len(b):], backend, plain)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CharPoly([-c for c in self.coeffs], backend=self.backend)
+        return _new_poly([-c for c in self.coeffs], self.backend, self._plain)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        operand = self._operand(other)
+        if operand is None:
             return NotImplemented
-        return self + (-other)
+        b, backend, plain = operand
+        return _new_poly(_difference(self.coeffs, b, plain), backend, plain)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        operand = self._operand(other)
+        if operand is None:
             return NotImplemented
-        return other + (-self)
+        b, backend, plain = operand
+        return _new_poly(_difference(b, self.coeffs, plain), backend, plain)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        operand = self._operand(other)
+        if operand is None:
             return NotImplemented
-        backend = self._join(self, other)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return CharPoly(out, backend=backend)
+        b, backend, plain = operand
+        a = self.coeffs
+        z = 0.0 if backend == "float" else 0  # what a skipped term leaves
+        if len(b) == 1:
+            s = b[0]
+            out = [z if x == 0 else z + x * s for x in a]
+        elif len(a) == 2:  # a degree-1 left factor, such as a GY weight: one pass
+            a0, a1 = a
+            if a0 == 0:
+                out = [z] + [z + a1 * x for x in b]
+            else:
+                out = ([z + a0 * b[0]] + [z + a0 * y + a1 * x for x, y in zip(b, b[1:])]
+                       + [z + a1 * b[-1]])
+        else:
+            out = [z] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x != 0:
+                    out[i:i + len(b)] = [o + x * y for o, y in zip(out[i:i + len(b)], b)]
+        return _new_poly(out, backend, plain)
 
     __rmul__ = __mul__
 
@@ -468,6 +493,18 @@ class CharPoly:
 
     def __repr__(self):
         return f"CharPoly({self.coeffs}, backend={self.backend!r})"
+
+
+def _new_poly(coeffs: list, backend: str, plain: bool) -> CharPoly:
+    """One operation's result, without the public constructor's checks."""
+    return CharPoly.__new__(CharPoly)._fill(coeffs, backend, plain)
+
+
+def _difference(a: list, b: list, plain: bool) -> list:
+    """Coefficients of a - b; across backends a + (-b), since an int 0 has no
+    sign to flip: -0.0 + -0 is 0.0 where -0.0 - 0 is -0.0."""
+    head = [x - y for x, y in zip(a, b)] if plain else [x + -y for x, y in zip(a, b)]
+    return head + a[len(b):] + [-y for y in b[len(a):]]
 
 
 # ---------------------------------------------------------------------------

@@ -358,17 +358,19 @@ def inverse_power_sums(p: CharPoly, kmax: int) -> list[float]:
 
     Newton's identities applied to the reversed polynomial, whose roots are
     1/lambda_n; no root extraction involved.  Requires p(0) != 0.  The exact
-    backend runs in Fractions, tests p(0) == 0 exactly and rounds each sum
-    once at the end; the float backend treats |p(0)| <= 1e-14 max|c_k| as 0.
+    backend runs in integers (:func:`_exact_newton_sums`), tests p(0) == 0
+    exactly and rounds each sum once at the end; the float backend treats
+    |p(0)| <= 1e-14 max|c_k| as 0.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     exact = p.backend == "exact"
-    coeffs = [Fraction(c) for c in p.coeffs] if exact else p.as_floats()
+    coeffs = p.coeffs if exact else p.as_floats()
     c0 = coeffs[0]
     if c0 == 0 or (not exact and abs(c0) <= 1e-14 * max(abs(c) for c in coeffs)):
         raise ZeroDivisionError(ZERO_MODE_MESSAGE)
-    return [float(s) for s in _newton_sums(coeffs, kmax)[0]]
+    sums = _exact_newton_sums(coeffs, kmax) if exact else _newton_sums(coeffs, kmax)[0]
+    return [float(s) for s in sums]
 
 
 def _newton_sums(coeffs: list, kmax: int) -> tuple[list, list]:
@@ -393,6 +395,22 @@ def _newton_sums(coeffs: list, kmax: int) -> tuple[list, list]:
         sums.append(acc)
         sizes.append(size)
     return sums, sizes
+
+
+def _exact_newton_sums(coeffs: list, kmax: int) -> list[float]:
+    """:func:`_newton_sums` of exact c_k = p_k / q (q their common denominator,
+    c_0 != 0) in integers: T_m = S_m p_0^m = -m p_m p_0^(m-1) - sum_(0<i<m)
+    p_i p_0^(i-1) T_(m-i), and S_m = T_m / p_0^m, rounded once as float(Fraction)."""
+    q = math.lcm(*(c.denominator for c in coeffs[:kmax + 1]))
+    p = [c.numerator * (q // c.denominator) for c in coeffs[:kmax + 1]]
+    p = [-c for c in p] if p[0] < 0 else p  # a positive p_0^m keeps the sign of a zero S_m
+    p += [0] * (kmax + 1 - len(p))
+    powers = [p[0] ** m for m in range(kmax + 1)]
+    t = [0]  # t[m] = T_m
+    for m in range(1, kmax + 1):
+        t.append(-m * p[m] * powers[m - 1]
+                 - sum(p[i] * powers[i - 1] * t[m - i] for i in range(1, m)))
+    return [t[m] / powers[m] for m in range(1, kmax + 1)]
 
 
 def cosecant_sum(p: int, m: int = 1) -> float:

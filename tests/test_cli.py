@@ -562,6 +562,24 @@ class TestChebyshevSelfTest:
         assert set(data["checks"]) == {"turan", "composition", "product_series",
                                        "matrix_power_det", "neumann_difference"}
 
+    @pytest.mark.parametrize("name, bad, failing", [
+        ("cheb_u", (5, 1), {"composition", "product_series"}),
+        ("cheb_u", (-1, -2), {"composition"}),  # the product series never reads U_{-1}
+        ("cheb_v_poly", (17,), {"neumann_difference"}),
+    ])
+    def test_one_wrong_value_fails(self, capsys, monkeypatch, name, bad, failing):
+        """Each value is computed once and shared, yet one wrong value still
+        fails every identity that reads it, and the command exits 3."""
+        right = getattr(gylat.chebyshev, name)
+
+        def wrong(*args):
+            return right(*args) + 1 if args == bad else right(*args)
+
+        monkeypatch.setattr(gylat.chebyshev, name, wrong)
+        code, data = run_json(capsys, "chebyshev")
+        assert code == 3 and data["all_passed"] is False
+        assert {k for k, ok in data["checks"].items() if not ok} == failing
+
 
 def ref_render_json(obj, indent=0):
     """The per-item renderer that render_json's float-list path must match."""

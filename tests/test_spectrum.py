@@ -239,6 +239,28 @@ class TestInversePowerSums:
         p = char_poly(Potential.zeros(60), dirichlet(), exact=True)
         assert inverse_power_sums(p, 4) == [620, 153946, 54557396, 20304670098]
 
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70),
+                              st.fractions(max_denominator=40),
+                              st.floats(-3, 3).map(Fraction).map(lambda f: f / 2 ** 900)),
+                    min_size=1, max_size=6),
+           st.integers(1, 4))
+    def test_integer_newton_sums_round_as_fractions(self, coeffs, kmax):
+        """The integer recurrence gives float(S_m) of the Fraction identities,
+        bit for bit, zero sums (+0.0) and a negative c_0 included."""
+        coeffs = [int(c) if c.denominator == 1 else c for c in map(Fraction, coeffs)]
+        coeffs[0] = coeffs[0] or Fraction(-3, 7)
+        coeffs += [0, -coeffs[0]] if len(coeffs) == 1 else []  # S_1 = 0 when c_1 = 0
+
+        def outcome(fn):
+            try:
+                return [repr(float(s)) for s in fn()]
+            except OverflowError:
+                return "overflow"
+
+        want = outcome(lambda: spectrum._newton_sums([Fraction(c) for c in coeffs], kmax)[0])
+        assert outcome(lambda: spectrum._exact_newton_sums(coeffs, kmax)) == want
+
     def test_zero_mode_rejected(self):
         p = char_poly(Potential.zeros(4), neumann(), exact=True)
         with pytest.raises(ZeroDivisionError):
