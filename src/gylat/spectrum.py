@@ -3,8 +3,9 @@
 The oracle never touches the transfer-matrix code: it assembles the operator
 as a symmetric tridiagonal (interval) or Hermitian cyclic (circle) matrix in
 the dimensionless variables and solves it by Sturm-sequence bisection on
-IEEE pivot signs (tridiagonal) or dense diagonalisation of the nu x nu
-matrix itself (cyclic).  Root finding for characteristic polynomials goes
+IEEE pivot signs, with Newton steps on the same pivots once an eigenvalue
+sits alone in its bracket (tridiagonal), or by dense diagonalisation of the
+nu x nu matrix itself (cyclic).  Root finding for characteristic polynomials goes
 the other way - Sturm chains of the polynomial itself, with every sign
 decided in integer arithmetic - so the two routes stay independent checks
 of one another.
@@ -32,10 +33,18 @@ from .core import (
 ORACLE_MAX_NU = 3000
 ORACLE_MAX_NU_CYCLIC = 800
 
-_BISECTION_STEPS = 64
-
 # Sites whose pivot signs _sturm_counts counts in one numpy call.
 _STURM_BLOCK = 64
+
+# Half-width of the pair of shifts that closes a bracket around a root that
+# Newton has located, relative to max(1, |root|): two ulps at 1.  Newton's
+# root and the shift where the count steps mostly agree to an ulp or so; a
+# pair that misses the step tries again four times wider.
+_NEWTON_CLOSE = 4.4e-16
+
+# Newton steps pay when the indices taking them, times the rounds left after
+# the few they take, reach this many (each saves a shift a round).
+_NEWTON_WORK = 4000
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +110,7 @@ def cyclic_matrix(potential: Potential, bc: BoundaryCondition) -> np.ndarray:
 # Sturm-sequence bisection (tridiagonal, all off-diagonals -1)
 # ---------------------------------------------------------------------------
 
-def _sturm_counts(d: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _sturm_counts(d: np.ndarray, xs: np.ndarray, slopes: np.ndarray | None = None) -> np.ndarray:
     """Number of eigenvalues below each shift in xs (LDL pivot signs).
 
     Pivots are carried negated, p_k = x - d_k - 1/p_{k-1}, and unguarded
@@ -111,35 +120,252 @@ def _sturm_counts(d: np.ndarray, xs: np.ndarray) -> np.ndarray:
     Pivots go into a block of _STURM_BLOCK sites x shifts: the x - d_k of a
     whole block is one call, each site then subtracts its 1/p_{k-1} (two
     calls), and the block's sign bits are counted together.
+
+    If given, slopes receives Q'/Q = sum_k p'_k / p_k at the first
+    len(slopes) shifts, Q(x) = det(x - T) = prod_k p_k, with
+    p'_k = 1 + p'_{k-1} / p_{k-1}^2 carried on those columns only.  A zero
+    or tiny pivot can make a slope inf or nan; the counts never change.
     """
-    n = len(d)
+    n, m, asked = len(d), (0 if slopes is None else len(slopes)), len(xs)
+    if asked == 1 or m == 1:
+        # numpy's in-place loops take twice as long on one element as on two
+        xs, m = np.concatenate([xs[:1], xs]), m + (m > 0)
     rows = min(n, _STURM_BLOCK)
     block = np.empty((rows, len(xs)))
     signs = np.empty(block.shape, dtype=bool)
     r = np.empty(len(xs))
+    piv = list(block)  # row views, made once
     positive = np.zeros(len(xs), dtype=np.int64)  # the pivot itself is positive
-    with np.errstate(divide="ignore", over="ignore"):
+    if m:
+        rm = r[:m]
+        grow = np.empty((rows, m))  # p'_k of the first m shifts
+        terms = np.empty((rows, m))  # their p'_k / p_k, once 1/p_k is known
+        one = np.ones(m)
+        dpiv, tpiv = list(grow), list(terms)
+        total = np.zeros(m)  # sum of p'_k / p_k
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, n, rows):
             k = min(rows, n - start)
             if start:
-                np.reciprocal(block[-1], out=r)  # the previous block's last pivot
+                np.reciprocal(piv[-1], out=r)  # the previous block's last pivot
             np.subtract(xs, d[start:start + k, None], out=block[:k])
             if start:
-                block[0] -= r
+                np.subtract(piv[0], r, out=piv[0])
+                if m:
+                    np.multiply(dpiv[-1], rm, out=tpiv[-1])
+                    total += tpiv[-1]
+                    np.multiply(tpiv[-1], rm, out=dpiv[0])
+                    np.add(dpiv[0], one, out=dpiv[0])
+            elif m:
+                grow[0] = 1.0
             for i in range(1, k):
-                np.reciprocal(block[i - 1], out=r)
-                block[i] -= r
-            positive += np.signbit(block[:k], out=signs[:k]).sum(axis=0)
-    return n - positive
+                np.reciprocal(piv[i - 1], out=r)
+                np.subtract(piv[i], r, out=piv[i])
+                if m:
+                    np.multiply(dpiv[i - 1], rm, out=tpiv[i - 1])
+                    np.multiply(tpiv[i - 1], rm, out=dpiv[i])
+                    np.add(dpiv[i], one, out=dpiv[i])
+            if m:
+                total += terms[:k - 1].sum(axis=0)
+            np.signbit(block[:k], out=signs[:k])
+            positive += signs[:k].view(np.uint8).sum(axis=0, dtype=np.uint8)
+        if m:
+            total += grow[k - 1] / block[k - 1, :m]
+    if m:
+        slopes[:] = total[m - len(slopes):]
+    return n - positive[len(xs) - asked:]
+
+
+def _fresh(xs: np.ndarray) -> np.ndarray:
+    """Which shifts differ in bits from the one before: the first of each run."""
+    bits = xs.view(np.int64)
+    fresh = np.ones(len(xs), dtype=bool)
+    fresh[1:] = bits[1:] != bits[:-1]
+    return fresh
+
+
+def _counts(d: np.ndarray, xs: np.ndarray, m: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
+    """_sturm_counts at xs and the slopes at its first m shifts; each run of
+    equal later shifts is counted once."""
+    if not len(xs):
+        return np.zeros(0, dtype=np.int64), None
+    if not m:
+        fresh = _fresh(xs)
+        return _sturm_counts(d, xs[fresh])[np.cumsum(fresh) - 1], None
+    fresh = _fresh(xs[m:])
+    slopes = np.empty(m)
+    counts = _sturm_counts(d, np.concatenate([xs[:m], xs[m:][fresh]]), slopes)
+    return np.concatenate([counts[:m], counts[m:][np.cumsum(fresh) - 1]]), slopes
+
+
+def _close(x: np.ndarray) -> np.ndarray:
+    """How far from a converged Newton root x its closing shifts go."""
+    return _NEWTON_CLOSE * np.maximum(1.0, np.abs(x))
+
+
+class _Known:
+    """Per index i (0-based), the tightest counted shifts low < high with
+    count(low) <= i < count(high), and their counts; -inf and inf count 0
+    and n.  No shift counted here is -0, so comparing floats orders shifts
+    as the count, which is monotone, does."""
+
+    def __init__(self, n: int):
+        self.low, self.high = np.full(n, -np.inf), np.full(n, np.inf)
+        self.n_low, self.n_high = np.zeros(n, dtype=np.int64), np.full(n, n, dtype=np.int64)
+        self.index = np.arange(n)
+
+    def alone(self) -> np.ndarray:
+        """Which (low, high) hold their eigenvalue alone."""
+        return (self.n_low == self.index) & (self.n_high == self.index + 1)
+
+    def open(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Which shifts xs lie strictly between low and high of their index."""
+        return (self.low[idx] < xs) & (xs < self.high[idx])
+
+    def narrow(self, idx: np.ndarray, xs: np.ndarray, got: np.ndarray) -> None:
+        """Move low or high of each index in idx (repeats allowed), alone in
+        (low, high), to its shift in xs, counted got, where that is tighter;
+        the counts stay i and i + 1."""
+        up = got > idx
+        np.minimum.at(self.high, idx[up], xs[up])
+        np.maximum.at(self.low, idx[~up], xs[~up])
+
+    def take(self, todo: np.ndarray, mids: np.ndarray, got: np.ndarray) -> None:
+        """Move low or high of each index in todo to its midpoint, which lies
+        strictly between, counted got (in the order of the indices)."""
+        full = np.zeros(len(mids), dtype=np.int64)
+        full[todo] = got
+        up = full > self.index
+        down = todo & ~up
+        self.high, self.n_high = np.where(up, mids, self.high), np.where(up, full, self.n_high)
+        self.low, self.n_low = np.where(down, mids, self.low), np.where(down, full, self.n_low)
+
+
+class _Newton:
+    """Newton's iteration on Q(x) = det(x - T) for the indices whose
+    (low, high) holds their eigenvalue alone, until a pair of shifts closes
+    in on the root."""
+
+    def __init__(self, n: int):
+        self.busy = np.zeros(n, dtype=bool)  # alone, not yet closed in
+        self.closed = np.zeros(n, dtype=bool)
+        self.guess = np.full(n, np.nan)  # Newton's root
+        self.error = np.full(n, np.inf)  # its estimated error
+        self.stride = np.full(n, np.nan)  # the step that gave it
+        self.sure = np.zeros(n, dtype=bool)  # error estimated from two steps
+        self.reach = np.ones(n)  # the closing pair's width, in _close units
+
+    def count(self, d: np.ndarray, known: _Known, todo: np.ndarray, mids: np.ndarray,
+              left: float) -> None:
+        """Decide every midpoint in todo, in one _sturm_counts call as a rule,
+        about left rounds before the bisection stops."""
+        j = np.flatnonzero(self.busy)
+        if len(j):
+            idle = todo & ~self.busy
+            rest = np.flatnonzero(idle)
+        # Newton steps cost three more numpy calls per site; they pay in bulk,
+        # or once the busy indices are most of what is left to count and a
+        # dozen rounds remain for the calls they spare
+        if not len(j) or (len(j) * (left - 6) < _NEWTON_WORK
+                          and (len(j) < len(rest) or left < 12)):
+            if todo.any():
+                known.take(todo, mids, _counts(d, mids[todo])[0])
+                self.busy = known.alone() & ~self.closed
+            return
+        # roots, margins and steps may overflow on diagonals near the float
+        # range; an infinite or nan one is never near, far or settled
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            self._step(d, known, todo, mids, j, idle, rest)
+
+    def _step(self, d: np.ndarray, known: _Known, todo: np.ndarray, mids: np.ndarray,
+              j: np.ndarray, idle: np.ndarray, rest: np.ndarray) -> None:
+        """One round with Newton steps for the busy indices j; rest are the
+        other undecided indices (idle as a mask)."""
+        asked = todo[j]
+        m, g, e, sure = mids[j], self.guess[j], self.error[j], self.sure[j]
+        low, high = known.low[j], known.high[j]
+        # a root just outside (low, high) is taken to its edge, where the
+        # count steps
+        slack = self.reach[j] * _close(g)
+        near = (low - slack <= g) & (g <= high + slack)
+        g = np.clip(g, low, high)
+        inside = (low < g) & (g < high)
+        settled = near & (e <= 0.5 * _close(g))
+        margin = np.where(settled, self.reach[j] * _close(g), np.maximum(_close(g), 2.0 * e))
+        side = np.copysign(margin, m - g)
+        # a shift between the root and the midpoint, clear of the root's
+        # error, decides the midpoint and closes in on the root
+        far = asked & near & (settled | sure) & (np.abs(m - g) > 2.0 * margin)
+        # a root not yet sure steps on from itself, beside the midpoint
+        onward = inside & ~sure
+        x = np.where(far, g + side, np.where(asked & ~onward, m, g))
+        sloped = ~settled & (asked | inside)
+        plain = asked & ~far & (settled | onward)  # midpoints still to count
+        # a converged root is closed in from both sides at once
+        below, above = g - margin, g + margin
+        pair_lo = settled & known.open(j, below)
+        pair_hi = settled & known.open(j, above)
+        k = j[sloped]
+        idx = np.concatenate([k, j[plain], j[pair_lo], j[pair_hi]])
+        xs = np.concatenate([x[sloped], m[plain], below[pair_lo], above[pair_hi]])
+        got, slopes = _counts(d, np.concatenate([xs[:len(k)], mids[rest], xs[len(k):]]), len(k))
+        r = len(k) + len(rest)
+        known.take(idle, mids, got[len(k):r])
+        known.narrow(idx, xs, np.concatenate([got[:len(k)], got[r:]]))
+        if len(k):
+            step = 1.0 / slopes
+            z = x[sloped] - step
+            size = np.abs(step)
+            # Newton's error after a step s is about C s^2, and the last root,
+            # from a step s_last, was about C s_last^2 off
+            est = np.fmin(size, np.abs(z - g[sloped]) * (size / self.stride[k]) ** 2)
+            ok = np.isfinite(z)
+            steady = ok & near[sloped]  # stepped from near the last root
+            self.guess[k] = np.where(ok, z, np.nan)
+            self.error[k] = np.where(steady, est, np.where(ok, size, np.inf))
+            self.stride[k] = size
+            self.sure[k] = steady
+        if far.any():
+            # a root off by more than its margin leaves the midpoint open
+            miss = far & known.open(j, m)
+            if miss.any():
+                self.sure[j[miss]] = False
+                known.narrow(j[miss], m[miss], _counts(d, m[miss])[0])
+        # a pair that missed the step of the count tries again four times wider
+        shut = settled & (known.low[j] >= below) & (known.high[j] <= above)
+        self.closed[j[shut]] = True
+        self.reach[j[settled & ~shut]] *= 4.0
+        self.busy = known.alone() & ~self.closed
 
 
 def _tridiagonal_eigenvalues(d: np.ndarray) -> np.ndarray:
-    """All eigenvalues, ascending, by per-index bisection to ~1e-13.
+    """All eigenvalues, ascending, by per-index bisection to 1e-14.
 
-    Each round counts each run of equal midpoints once (brackets stay
-    ordered by index, so equal midpoints are neighbours): round k has at most
-    2^k distinct brackets.  Midpoints are compared by their bits, so +0 and
-    -0 stay distinct shifts.
+    Round by round, every bracket (los, his] moves to the half that holds
+    its eigenvalue, from the Gershgorin bounds until all are narrower than
+    1e-14 or a round moves none: brackets at |lambda| >= 64 stop one ulp
+    wide.  Each eigenvalue is then within 1e-14 of the shift where its
+    computed count steps, or within an ulp above 64.  There is no round
+    cap: both stops come after about log2(Gershgorin width / 1e-14) rounds,
+    which is more than 64 once max |d| is above ~1e5.
+
+    The decisions, and so the bits, are those of counting every midpoint,
+    but most are taken without a count.  The computed count is monotone in
+    the shift (IEEE arithmetic; Demmel, Dhillon & Ren 1995), so a midpoint
+    at or below the low of its index, or at or above its high (_Known), is
+    decided by comparison.  The other midpoints are counted, each run of
+    equal ones once, in one _sturm_counts call a round, and every count
+    tightens a low or a high.
+
+    An index whose (low, high) holds its eigenvalue alone takes Newton
+    steps x - Q/Q', Q(x) = det(x - T), on the same pivots and in the same
+    call (Li & Zeng, SIAM J. Sci. Comput. 15 (1994) 1145-1173): from its
+    midpoint, then from its last root, or from just short of that root on
+    the side of its midpoint, a shift that decides the midpoint as well.
+    Once a root has converged, a pair of shifts a few 1e-16 either side of
+    it closes (low, high) in, and almost every later midpoint is decided.
+    An index that never isolates, such as a pair of eigenvalues closer than
+    1e-14, bisects as before.
     """
     n = len(d)
     # Gershgorin bounds; couplings contribute at most 2.
@@ -147,14 +373,13 @@ def _tridiagonal_eigenvalues(d: np.ndarray) -> np.ndarray:
     hi = float(np.max(d)) + 2.0
     los = np.full(n, lo)
     his = np.full(n, hi)
-    targets = np.arange(1, n + 1)
-    fresh = np.ones(n, dtype=bool)  # mids[i] differs from mids[i - 1]
-    for _ in range(_BISECTION_STEPS):
+    known, newton = _Known(n), _Newton(n)
+    width = hi - lo
+    while True:
         mids = 0.5 * (los + his)
-        bits = mids.view(np.int64)
-        fresh[1:] = bits[1:] != bits[:-1]
-        counts = _sturm_counts(d, mids[fresh])[np.cumsum(fresh) - 1]
-        below = counts >= targets
+        todo = (known.low < mids) & (mids < known.high)
+        newton.count(d, known, todo, mids, math.log2(max(width, 1e-14)) - math.log2(1e-14))
+        below = mids >= known.high
         new_his = np.where(below, mids, his)
         new_los = np.where(below, los, mids)
         # a round that moves no bracket end repeats itself forever; brackets
@@ -162,7 +387,8 @@ def _tridiagonal_eigenvalues(d: np.ndarray) -> np.ndarray:
         if np.array_equal(new_his, his) and np.array_equal(new_los, los):
             break
         his, los = new_his, new_los
-        if np.max(his - los) < 1e-14:
+        width = np.max(his - los)
+        if width < 1e-14:
             break
     return 0.5 * (los + his)
 
@@ -172,7 +398,9 @@ def oracle_spectrum(potential: Potential, bc: BoundaryCondition,
     """All nu dimensionless eigenvalues, ascending, multiplicities preserved.
 
     Interval conditions use Sturm-sequence bisection on the tridiagonal
-    form (absolute accuracy ~1e-12; clustered eigenvalues come out as exact
+    form, with Newton steps in isolated brackets that only spare counts
+    (absolute accuracy ~1e-14, an ulp or two above |lambda| = 64, at any
+    height of the potential; clustered eigenvalues come out as exact
     multiplicities because bisection is driven by Sturm counts).  Circle
     conditions diagonalise the nu x nu Hermitian H, as a real symmetric
     matrix when H is real (periodic and tau = 1/2).

@@ -2,8 +2,8 @@
 
 The oracle's guarded Sturm counts, the bisection built on them and the
 doubled real form of the cyclic solve are kept below as references: the
-interval oracle must reproduce them exactly (``==``) and the cyclic one to
-rounding.
+interval oracle must reproduce them exactly (``==``), whatever counts it
+skips, and the cyclic one to rounding.
 """
 
 import math
@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gylat import (
@@ -362,11 +362,13 @@ def ref_bisection(d):
     hi = float(np.max(d)) + 2.0
     los, his = np.full(n, lo), np.full(n, hi)
     targets = np.arange(1, n + 1)
-    for _ in range(64):
+    while True:
         mids = 0.5 * (los + his)
         below = ref_sturm_counts(d, mids, ref_pivmin(d)) >= targets
-        his = np.where(below, mids, his)
-        los = np.where(below, los, mids)
+        new_his, new_los = np.where(below, mids, his), np.where(below, los, mids)
+        if np.array_equal(new_his, his) and np.array_equal(new_los, los):
+            break
+        his, los = new_his, new_los
         if np.max(his - los) < 1e-14:
             break
     return 0.5 * (los + his)
@@ -434,12 +436,139 @@ class TestSturmCounts:
         want = ref_sturm_counts(d, xs, ref_pivmin(d))[0]
         assert _sturm_counts(d, xs)[0] == want == (nu + 1) // 2
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(case=diagonals_and_shifts())
+    def test_monotone_in_the_shift(self, case):
+        # the oracle decides a midpoint beyond a counted shift by comparison;
+        # that rests on the computed count never falling as the shift grows,
+        # across each eigenvalue ulp by ulp, at shifts that make a pivot
+        # exactly 0 (x = d_1, x = 2 on free sites) and from -0 to +0
+        d, xs = case
+        lams = np.linalg.eigvalsh(np.diag(d) - np.eye(len(d), k=1) - np.eye(len(d), k=-1))
+        runs = [xs, [-0.0, 0.0]]
+        for x in np.concatenate([lams, d]):
+            for direction in (-np.inf, np.inf):
+                run = [x]
+                for _ in range(6):
+                    run.append(np.nextafter(run[-1], direction))
+                runs.append(run)
+        grid = np.concatenate(runs)
+        grid = grid[np.lexsort((~np.signbit(grid), grid))]  # -0 before +0
+        counts = _sturm_counts(d, grid)
+        assert np.all(np.diff(counts) >= 0)
+
+    @pytest.mark.parametrize("nu", [1, 2, 63, 64, 65, 200])
+    def test_slopes_are_the_log_derivative(self, nu):
+        # Q'/Q = sum_j 1 / (x - lambda_j), to the rounding of that sum's terms
+        # (it cancels between close eigenvalues); the slope columns change no count
+        rng = np.random.default_rng(nu)
+        d = 2.0 + rng.uniform(-1.0, 1.0, nu)
+        lams = np.linalg.eigvalsh(np.diag(d) - np.eye(nu, k=1) - np.eye(nu, k=-1))
+        xs = np.concatenate([0.5 * (lams[:-1] + lams[1:]), [lams[0] - 0.3, lams[-1] + 0.1]])
+        terms = 1.0 / (xs[:, None] - lams[None, :])
+        for m in sorted({0, 1, len(xs) // 2, len(xs)}):
+            slopes = np.empty(m)
+            assert np.array_equal(_sturm_counts(d, xs, slopes), _sturm_counts(d, xs))
+            err = np.abs(slopes - terms[:m].sum(axis=1))
+            assert np.all(err <= 1e-6 * np.abs(terms[:m]).sum(axis=1))
+
 
 def oracle_potentials(nu):
     """Free, random O(1) and deep-well (down to -50) potentials."""
     rng = np.random.default_rng(nu)
     return [Potential.zeros(nu), Potential(tuple(rng.uniform(-1, 1, nu))),
             Potential(tuple(rng.uniform(-50, 5, nu)))]
+
+
+def physical_potential(nu, seed):
+    """The spectral benchmark's kind: h^2 vbar, vbar uniform on [0, Vmax], L = 1."""
+    rng = np.random.default_rng(seed)
+    h = 1.0 / (nu + 1)
+    return Potential(tuple(h * h * rng.uniform(0.0, rng.uniform(20.0, 100.0), nu)))
+
+
+def wilkinson_plus(nu):
+    """Diagonal |j - m| of Wilkinson's W+ (nu = 2m + 1): its upper eigenvalues
+    come in pairs far closer than 1e-14, which never separate."""
+    return np.abs(np.arange(nu) - nu // 2).astype(float)
+
+
+def double_well(nu):
+    """Symmetric quartic double well; its low levels come in tunnelling pairs."""
+    x = np.linspace(-1.0, 1.0, nu)
+    return 2.0 + 50.0 * (x * x - 0.25) ** 2
+
+
+def plain_bisection(d):
+    """Eigenvalues from bisection that counts every midpoint with the oracle's
+    own unguarded counts, and the number of shifts counted (runs once)."""
+    n = len(d)
+    los, his = np.full(n, float(np.min(d)) - 2.0), np.full(n, float(np.max(d)) + 2.0)
+    fresh = np.ones(n, dtype=bool)
+    total = 0
+    while True:
+        mids = 0.5 * (los + his)
+        fresh[1:] = mids[1:] != mids[:-1]
+        total += np.count_nonzero(fresh)
+        below = _sturm_counts(d, mids[fresh])[np.cumsum(fresh) - 1] > np.arange(n)
+        new_his, new_los = np.where(below, mids, his), np.where(below, los, mids)
+        if np.array_equal(new_his, his) and np.array_equal(new_los, los):
+            break
+        his, los = new_his, new_los
+        if np.max(his - los) < 1e-14:
+            break
+    return 0.5 * (los + his), total
+
+
+def parent_shifts(d):
+    """Shifts counted by bisection that counts every midpoint."""
+    return plain_bisection(d)[1]
+
+
+def counted_shifts(monkeypatch, d):
+    """Eigenvalues of diagonal d and the number of shifts the oracle counted."""
+    shifts = []
+
+    def counting(d, xs, slopes=None):
+        shifts.append(len(xs))
+        return _sturm_counts(d, xs, slopes)
+    monkeypatch.setattr(spectrum, "_sturm_counts", counting)
+    return spectrum._tridiagonal_eigenvalues(d), sum(shifts)
+
+
+def mp_eigenvalues(d):
+    """Eigenvalues of the tridiagonal (d, -1) to 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        n = len(d)
+        M = mpmath.matrix(n, n)
+        for i in range(n):
+            M[i, i] = mpmath.mpf(float(d[i]))
+            if i:
+                M[i, i - 1] = M[i - 1, i] = -1
+        return sorted(mpmath.eigsy(M, eigvals_only=True))
+
+
+@st.composite
+def hard_diagonals(draw):
+    """Diagonals of 1-300 sites: O(1) noise, deep wells, W+ and double-well
+    shapes, plateaus and repeated entries, some with a tall barrier."""
+    nu = draw(st.integers(1, 300))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    kind = draw(st.sampled_from(["uniform", "deep", "wilkinson", "well", "plateau", "physical"]))
+    rng = np.random.default_rng(seed)
+    makers = {
+        "uniform": lambda: 2.0 + rng.uniform(-1.0, 1.0, nu),
+        "deep": lambda: 2.0 + rng.uniform(-50.0, 5.0, nu),
+        "wilkinson": lambda: wilkinson_plus(nu),
+        "well": lambda: double_well(nu),
+        "plateau": lambda: 2.0 + rng.integers(0, 3, nu).astype(float),
+        "physical": lambda: 2.0 + np.asarray(physical_potential(nu, seed).values, dtype=float),
+    }
+    d = makers[kind]()
+    if draw(st.booleans()):
+        d[draw(st.integers(0, nu - 1))] += draw(st.sampled_from([1e3, 1e9, -1e6]))
+    return d
 
 
 class TestOracleAgainstReferences:
@@ -451,6 +580,85 @@ class TestOracleAgainstReferences:
             d, _ = tridiagonal_matrix(pot, bc)
             assert oracle_spectrum(pot, bc).lambdas == tuple(ref_bisection(d))
 
+    @pytest.mark.parametrize("nu", [1, 2, 3, 21, 201, 1001])
+    def test_wilkinson_pairs_bit_identical(self, nu):
+        d = wilkinson_plus(nu)
+        got = spectrum._tridiagonal_eigenvalues(d)
+        assert tuple(got) == tuple(ref_bisection(d))
+        if nu >= 201:  # the top pair is one eigenvalue to bisection, twice
+            assert got[-1] == got[-2]
+
+    @pytest.mark.parametrize("nu", [1, 2, 200, 1000])
+    def test_double_well_bit_identical(self, nu):
+        d = double_well(nu)
+        assert tuple(spectrum._tridiagonal_eigenvalues(d)) == tuple(ref_bisection(d))
+
+    @pytest.mark.parametrize("nu", [1, 2, 300])
+    def test_large_eigenvalues_bit_identical(self, nu):
+        # at |lambda| >= 64 brackets stop one ulp wide, above 1e-14
+        d = 2.0 + np.random.default_rng(nu).uniform(60.0, 300.0, nu)
+        assert tuple(spectrum._tridiagonal_eigenvalues(d)) == tuple(ref_bisection(d))
+
+    @pytest.mark.parametrize("nu,bc", [(1, dirichlet()), (2, neumann()), (2000, dirichlet()),
+                                       (3000, neumann())], ids=str)
+    def test_physical_bit_identical(self, nu, bc):
+        pot = physical_potential(nu, nu)
+        d, _ = tridiagonal_matrix(pot, bc)
+        assert oracle_spectrum(pot, bc).lambdas == tuple(ref_bisection(d))
+
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(d=hard_diagonals())
+    def test_bit_identical_property(self, d):
+        assert tuple(spectrum._tridiagonal_eigenvalues(d)) == tuple(ref_bisection(d))
+
+    @pytest.mark.parametrize("name,pot,bc", [
+        ("barrier 1e9", [0.0] * 14 + [1e9] + [0.0] * 15, dirichlet()),
+        ("barrier 1e12", [0.0] * 14 + [1e12] + [0.0] * 15, dirichlet()),
+        ("robin -1 + 1e-9", [0.1 * j for j in range(30)], robin(-1.0 + 1e-9, 0.5)),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_tall_diagonals_against_mpmath(self, name, pot, bc):
+        # Gershgorin widths of 1e9-1e12 need 80-90 rounds to reach 1e-14;
+        # a 64-round cap left the eigenvalues below the top off by 2.7e-11
+        # (1e9) and 2.5e-8 (1e12)
+        pot = Potential(tuple(pot))
+        d, _ = tridiagonal_matrix(pot, bc)
+        got = oracle_spectrum(pot, bc).lambdas
+        for lam, want in zip(got, mp_eigenvalues(d)):
+            err = abs(float(lam - want))
+            if abs(want) < 64:
+                assert err <= 1e-14, (lam, want)
+            else:
+                assert err <= 4 * np.spacing(abs(lam)), (lam, want)
+
+    @pytest.mark.parametrize("values", [[1e17], [-3e200], [1e17, 1e17]], ids=str)
+    def test_bracket_narrower_than_the_couplings(self, values):
+        # d -+ 2 round to d, so the Gershgorin bracket has width 0 and the
+        # first round ends the loop
+        pot = Potential(tuple(values))
+        d, _ = tridiagonal_matrix(pot, dirichlet())
+        assert oracle_spectrum(pot, dirichlet()).lambdas == tuple(ref_bisection(d))
+
+    @pytest.mark.parametrize("nu", [3, 40, 90])
+    def test_diagonals_near_the_float_range(self, nu):
+        # Newton's roots, margins and steps overflow here: no warning escapes,
+        # and the bits are those of counting every midpoint (the guarded
+        # reference breaks down at this scale, its pivmin being ~1e17)
+        d = np.random.default_rng(nu).uniform(-4e307, 4e307, nu)
+        got = spectrum._tridiagonal_eigenvalues(d)
+        assert np.array_equal(got.view(np.int64), plain_bisection(d)[0].view(np.int64))
+
+    def test_physical_counts_under_half_of_plain_bisection(self, monkeypatch):
+        d, _ = tridiagonal_matrix(physical_potential(1000, 7), dirichlet())
+        got, shifts = counted_shifts(monkeypatch, d)
+        assert tuple(got) == tuple(ref_bisection(d))
+        assert shifts <= 0.5 * parent_shifts(d)
+
+    def test_wilkinson_counts_no_more_than_plain_bisection(self, monkeypatch):
+        d = wilkinson_plus(1001)
+        _, shifts = counted_shifts(monkeypatch, d)
+        assert shifts <= parent_shifts(d)
+
     def test_bisection_stops_when_brackets_stop_moving(self, monkeypatch):
         # brackets around |lambda| >= 64 end one ulp (1.4e-14) wide, above the
         # absolute 1e-14 stop, so only the no-progress test ends the loop early
@@ -458,9 +666,9 @@ class TestOracleAgainstReferences:
         d, _ = tridiagonal_matrix(pot, dirichlet())
         calls = []
 
-        def counting(d, xs):
+        def counting(d, xs, slopes=None):
             calls.append(1)
-            return _sturm_counts(d, xs)
+            return _sturm_counts(d, xs, slopes)
         monkeypatch.setattr(spectrum, "_sturm_counts", counting)
         got = oracle_spectrum(pot, dirichlet()).lambdas
         assert len(calls) < 64
