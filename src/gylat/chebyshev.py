@@ -58,6 +58,16 @@ def cheb_u_pair(n: int, x):
     return _sweep(repeat(2 * x, n), zero, zero + 1)
 
 
+def cheb_u_path(n: int, x) -> list:
+    """[U_{-2}(x), U_{-1}(x), U_0(x), ..., U_n(x)] from one recurrence sweep; n >= -2."""
+    if n < -2:
+        raise ValueError(f"cheb_u_path needs n >= -2, got {n}")
+    zero = x - x
+    path = [zero - 1, zero]
+    _sweep(repeat(2 * x, n + 1), path[0], path[1], path)
+    return path[:n + 3]
+
+
 def cheb_v(n: int, x):
     """Third-kind V_n = U_n - U_{n-1}; equals cosh((2n+1)g)/cosh(g) at x = cosh 2g."""
     if n < 0:
@@ -94,12 +104,13 @@ def cheb_matrix_power(n: int, x) -> Mat2:
     return Mat2(-unm2, um1, -um1, un)
 
 
-def _poly_by_recurrence(n: int, seed_prev, seed_cur) -> CharPoly:
-    """n steps of P_{k+1} = (2 - lambda) P_k - P_{k-1}, i.e. x = 1 - lambda/2."""
+def _poly_path(n: int, seed_prev, seed_cur) -> list[CharPoly]:
+    """[P_0, ..., P_n] of P_{k+1} = (2 - lambda) P_k - P_{k-1}, i.e. x = 1 - lambda/2,
+    from one sweep."""
     two_x = CharPoly([2, -1], backend="exact")
-    prev = CharPoly(seed_prev, backend="exact")
-    cur = CharPoly(seed_cur, backend="exact")
-    return _sweep(repeat(two_x, n), prev, cur)[1]
+    path = [CharPoly(seed_cur, backend="exact")]
+    _sweep(repeat(two_x, n), CharPoly(seed_prev, backend="exact"), path[0], path)
+    return path
 
 
 def cheb_u_poly(n: int) -> CharPoly:
@@ -110,14 +121,28 @@ def cheb_u_poly(n: int) -> CharPoly:
     """
     if n < 0:
         raise ValueError(f"cheb_u_poly needs n >= 0, got {n}")
-    return _poly_by_recurrence(n, [0], [1])
+    return _poly_path(n, [0], [1])[-1]
 
 
 def cheb_v_poly(n: int) -> CharPoly:
     """Exact coefficients of V_n(1 - lambda/2); V_{-1} = 1 seeds the recurrence."""
     if n < 0:
         raise ValueError(f"cheb_v_poly needs n >= 0, got {n}")
-    return _poly_by_recurrence(n, [1], [1])
+    return _poly_path(n, [1], [1])[-1]
+
+
+def cheb_u_poly_path(n: int) -> list[CharPoly]:
+    """[cheb_u_poly(0), ..., cheb_u_poly(n)] from one sweep; n >= 0."""
+    if n < 0:
+        raise ValueError(f"cheb_u_poly_path needs n >= 0, got {n}")
+    return _poly_path(n, [0], [1])
+
+
+def cheb_v_poly_path(n: int) -> list[CharPoly]:
+    """[cheb_v_poly(0), ..., cheb_v_poly(n)] from one sweep; n >= 0."""
+    if n < 0:
+        raise ValueError(f"cheb_v_poly_path needs n >= 0, got {n}")
+    return _poly_path(n, [1], [1])
 
 
 def cheb_t_poly(n: int) -> CharPoly:
@@ -127,7 +152,7 @@ def cheb_t_poly(n: int) -> CharPoly:
     if n == 0:
         return CharPoly([1], backend="exact")
     # Run the recurrence on 2*T_n to stay integral, halve at the end.
-    twice = _poly_by_recurrence(n - 1, [2], [2, -1])
+    twice = _poly_path(n - 1, [2], [2, -1])[-1]
     return CharPoly([Fraction(c, 2) for c in twice.coeffs], backend="exact")
 
 

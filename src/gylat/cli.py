@@ -462,19 +462,14 @@ def cmd_limit(args) -> tuple[dict, int]:
 
 
 def cmd_chebyshev(args) -> tuple[dict, int]:
-    """Identity self-test on the polynomial calculus; each U_k(x) and V_j
-    the identities share is computed once, then every identity is checked."""
+    """Identity self-test on the polynomial calculus; the U_k(x) of each x, and
+    the U_j and V_j in lambda, come from one recurrence sweep each, and every
+    identity reads those shared paths."""
     checks: dict[str, bool] = {}
+    u = {(k, x): uk for x in range(-3, 4) for k, uk in enumerate(cheb.cheb_u_path(30, x), -2)}
     # Turan: U_{n-1}^2 - U_n U_{n-2} = 1, integer arguments, exact
-    ok = True
-    for x in range(-3, 4):
-        for n in range(0, 31):
-            um1, un = cheb.cheb_u_pair(n, x)
-            unm2 = 2 * x * um1 - un
-            if um1 * um1 - un * unm2 != 1:
-                ok = False
-    checks["turan"] = ok
-    u = {(k, x): cheb.cheb_u(k, x) for k in range(-1, 25) for x in range(-2, 3)}
+    checks["turan"] = all(u[n - 1, x] * u[n - 1, x] - u[n, x] * u[n - 2, x] == 1
+                          for x in range(-3, 4) for n in range(0, 31))
     triples = [(m, n, x) for x in range(-2, 3) for m in range(0, 13) for n in range(0, 13)]
     # Composition: U_{m+n} = U_m U_n - U_{m-1} U_{n-1}
     checks["composition"] = all(
@@ -483,14 +478,15 @@ def cmd_chebyshev(args) -> tuple[dict, int]:
     checks["product_series"] = all(
         u[m, x] * u[n, x] == sum(u[k, x] for k in range(abs(m - n), m + n + 1, 2))
         for m, n, x in triples)
-    # det C^n = 1
+    # det C^n = 1, C^n = [[-U_{n-2}, U_{n-1}], [-U_{n-1}, U_n]]
     checks["matrix_power_det"] = all(
-        cheb.cheb_matrix_power(n, x).det() == 1 for x in range(-2, 3) for n in range(0, 31))
+        cheb.Mat2(-u[n - 2, x], u[n - 1, x], -u[n - 1, x], u[n, x]).det() == 1
+        for x in range(-2, 3) for n in range(0, 31))
     # V_j - V_{j-1} = (2x - 2) U_{j-1} as polynomials
-    v = [cheb.cheb_v_poly(j) for j in range(31)]
+    us, v = cheb.cheb_u_poly_path(29), cheb.cheb_v_poly_path(30)
+    minus_lambda = cheb.CharPoly([0, -1], backend="exact")
     checks["neumann_difference"] = all(
-        v[j] - v[j - 1] == cheb.CharPoly([0, -1], backend="exact") * cheb.cheb_u_poly(j - 1)
-        for j in range(1, 31))
+        v[j] - v[j - 1] == minus_lambda * us[j - 1] for j in range(1, 31))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "chebyshev",

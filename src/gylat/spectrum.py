@@ -6,9 +6,10 @@ the dimensionless variables and solves it by Sturm-sequence bisection on
 IEEE pivot signs, with Newton steps on the same pivots once an eigenvalue
 sits alone in its bracket (tridiagonal), or by dense diagonalisation of the
 nu x nu matrix itself (cyclic).  Root finding for characteristic polynomials goes
-the other way - Sturm chains of the polynomial itself, with every sign
-decided in integer arithmetic - so the two routes stay independent checks
-of one another.
+the other way - Sturm chains of the polynomial itself, with every value
+computed in integer arithmetic, and Newton steps on those exact values kept
+inside each isolating bracket - so the two routes stay independent checks of
+one another.
 """
 
 from __future__ import annotations
@@ -440,14 +441,19 @@ def _primitive(coeffs) -> list[int]:
     return [c // content for c in ints]
 
 
-def _sign_at(p: list[int], n: int, d: int) -> int:
-    """Sign of p(n/d), d > 0, from the integer sum_k p_k n^k d^(deg-k)."""
-    acc = 0
-    dk = 1
+def _dyadic(x) -> tuple[int, int]:
+    """(n, s) with x = n / 2^s, for a float or the midpoint of two."""
+    n, d = x.as_integer_ratio()
+    return n, d.bit_length() - 1
+
+
+def _value(p: list[int], n: int, s: int) -> int:
+    """p(n / 2^s) 2^(s deg p) in integers: one Horner pass that scales by shifts."""
+    acc = shift = 0
     for c in reversed(p):
-        acc = acc * n + c * dk
-        dk *= d
-    return (acc > 0) - (acc < 0)
+        acc = acc * n + (c << shift)
+        shift += s
+    return acc
 
 
 def _quotient(a: list[int], b: list[int]) -> list[int]:
@@ -504,7 +510,8 @@ def _square_free_chains(p: list[int]) -> list[list[list[int]]]:
 def _variations(chain: list[list[int]], x: float) -> int:
     """Sign changes along the chain at x, zeros dropped."""
     n, d = x.as_integer_ratio()
-    signs = [s for s in (_sign_at(m, n, d) for m in chain) if s]
+    s = d.bit_length() - 1
+    signs = [v > 0 for v in (_value(m, n, s) for m in chain) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
@@ -517,23 +524,54 @@ def _root_bound(p: list[int]) -> float:
 
 
 def _narrow(q: list[int], a: float, b: float) -> tuple[float, float, float]:
-    """Bisect (a, b], holding one root of square-free q, down to adjacent floats.
+    """Narrow (a, b], holding one root of square-free q, down to adjacent floats.
 
-    Returns the float nearest the root and the final bracket (a, b].
+    Safeguarded Newton iteration (rtsafe; Brent, *Algorithms for Minimization
+    without Derivatives*, 1973): from x, the last point it stepped to, the
+    point x - q(x)/q'(x), one correctly rounded int / int, is evaluated if it
+    lies strictly inside the bracket, and one that rounds to x probes the
+    next float inward.  A step that leaves the bracket, or has no slope or no
+    float size, takes the midpoint, and so does the point after it; two
+    evaluations in a row that have not halved the bracket force a midpoint.
+    The sign of q at each point moves the bracket, so the answer is that of
+    bisection whatever the path: a point where q is zero, or else the float
+    nearest the root, by the sign at the exact midpoint of the adjacent final
+    a, b (ties to b).  Returns it and the final bracket (a, b].
     """
-    sb = _sign_at(q, *b.as_integer_ratio())
-    while sb:
+    x = t = b
+    n, s = _dyadic(x)
+    v = vt = _value(q, n, s)  # q at x, the point Newton steps from, and at t, the last point
+    dq = [k * c for k, c in enumerate(q)][1:] if v else []
+    up = v > 0  # the sign of q at b
+    before = last = math.inf  # the widths before the last two evaluations
+    newton = True
+    while vt:
         mid = 0.5 * (a + b)
         if not a < mid < b:
             # the exact midpoint of the adjacent floats a, b picks the nearer
-            sm = _sign_at(q, *((Fraction(a) + Fraction(b)) / 2).as_integer_ratio())
-            return (a if sm == sb else b), a, b
-        sm = _sign_at(q, *mid.as_integer_ratio())
-        if sm == -sb:
-            a = mid
+            vm = _value(q, *_dyadic((Fraction(a) + Fraction(b)) / 2))
+            return (a if vm and (vm > 0) == up else b), a, b
+        t = mid
+        if newton:
+            try:
+                z = x - v / (_value(dq, n, s) << s)
+            except (ZeroDivisionError, OverflowError):
+                z = mid
+            if z == x:
+                z = math.nextafter(x, a if x == b else b)
+            if a < z < b:
+                t = z
+        before, last = last, b - a
+        nt, st = _dyadic(t)
+        vt = _value(q, nt, st)
+        if vt and (vt > 0) != up:
+            a = t
         else:
-            b, sb = mid, sm
-    return b, a, b
+            b = t
+        if newton or not (x == a or x == b):
+            x, n, s, v = t, nt, st, vt
+        newton = not (newton and t == mid) and b - a <= 0.5 * before
+    return t, a, b
 
 
 def poly_roots(p: CharPoly, spec: LatticeSpec | None = None) -> Spectrum:
@@ -541,9 +579,12 @@ def poly_roots(p: CharPoly, spec: LatticeSpec | None = None) -> Spectrum:
 
     Every sign is decided in integer arithmetic: p is scaled to a primitive
     integer polynomial, its Sturm chain is built by pseudo-remainders, and
-    members are evaluated at float (dyadic) points by integer Horner.
-    Distinct roots are isolated by Sturm counts and narrowed to adjacent
-    floats on the sign of the square-free part; a root's multiplicity is the
+    members are evaluated at float (dyadic) points n / 2^s by integer Horner
+    scaled by shifts.  Distinct roots are isolated by Sturm counts and
+    narrowed to adjacent floats by Newton steps on the exact values of the
+    square-free part, kept inside the bracket by its signs and falling back
+    to bisection (:func:`_narrow`); the float returned is the one bisection
+    would return, bit for bit.  A root's multiplicity is the
     number of square-free chains (of p, gcd(p, p'), ...) that count it in the
     final bracket.  The count must equal the degree, otherwise p has complex
     roots and an ArithmeticError is raised.

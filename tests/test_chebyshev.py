@@ -17,7 +17,8 @@ from gylat import (
     cheb_v,
     cheb_v_poly,
 )
-from gylat.chebyshev import cheb_t_log, cheb_u_pair
+from gylat.chebyshev import (cheb_t_log, cheb_u_pair, cheb_u_path, cheb_u_poly_path,
+                             cheb_v_poly_path)
 
 
 class TestValues:
@@ -179,6 +180,14 @@ class TestPolynomials:
         for n in range(20):
             assert cheb_v_poly(n).coeffs[0] == 1
 
+    def test_paths_hold_every_value(self):
+        # one sweep gives what a sweep per order gives, bit for bit
+        for x in (3, Fraction(-2, 3), 0.37, -1.9, CharPoly([1, Fraction(-1, 2)], backend="exact")):
+            assert cheb_u_path(30, x) == [cheb_u(k, x) for k in range(-2, 31)]
+        assert [cheb_u_path(n, 2) for n in (-2, -1, 0)] == [[-1], [-1, 0], [-1, 0, 1]]
+        for path, poly in ((cheb_u_poly_path, cheb_u_poly), (cheb_v_poly_path, cheb_v_poly)):
+            assert [p.coeffs for p in path(30)] == [poly(n).coeffs for n in range(31)]
+
     def test_t_poly_values(self):
         for n in range(12):
             p = cheb_t_poly(n)
@@ -228,3 +237,8 @@ class TestErrors:
             cheb_t(-1, 0.5)
         with pytest.raises(ValueError):
             cheb_matrix_power(-1, 0.5)
+        with pytest.raises(ValueError):
+            cheb_u_path(-3, 0.5)
+        for path in (cheb_u_poly_path, cheb_v_poly_path):
+            with pytest.raises(ValueError):
+                path(-1)

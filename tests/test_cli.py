@@ -563,19 +563,27 @@ class TestChebyshevSelfTest:
                                        "matrix_power_det", "neumann_difference"}
 
     @pytest.mark.parametrize("name, bad, failing", [
-        ("cheb_u", (5, 1), {"composition", "product_series"}),
-        ("cheb_u", (-1, -2), {"composition"}),  # the product series never reads U_{-1}
+        ("cheb_u", (5, 1), {"turan", "composition", "product_series", "matrix_power_det"}),
+        # the product series never reads U_{-1}
+        ("cheb_u", (-1, -2), {"turan", "composition", "matrix_power_det"}),
         ("cheb_v_poly", (17,), {"neumann_difference"}),
     ])
     def test_one_wrong_value_fails(self, capsys, monkeypatch, name, bad, failing):
-        """Each value is computed once and shared, yet one wrong value still
-        fails every identity that reads it, and the command exits 3."""
-        right = getattr(gylat.chebyshev, name)
+        """Each value is computed once, on a path that the identities share,
+        yet one wrong value still fails every identity that reads it, and the
+        command exits 3.  name(*bad) is the value made wrong on its path."""
+        source, offset = {"cheb_u": ("cheb_u_path", 2),
+                          "cheb_v_poly": ("cheb_v_poly_path", 0)}[name]
+        index, *at = bad
+        right = getattr(gylat.chebyshev, source)
 
-        def wrong(*args):
-            return right(*args) + 1 if args == bad else right(*args)
+        def wrong(n, *x):
+            path = right(n, *x)
+            if list(x) == at:
+                path[index + offset] = path[index + offset] + 1
+            return path
 
-        monkeypatch.setattr(gylat.chebyshev, name, wrong)
+        monkeypatch.setattr(gylat.chebyshev, source, wrong)
         code, data = run_json(capsys, "chebyshev")
         assert code == 3 and data["all_passed"] is False
         assert {k for k, ok in data["checks"].items() if not ok} == failing

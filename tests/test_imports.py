@@ -1,10 +1,12 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+module it imports is from the standard library or numpy.
 
 Checked on the syntax tree with the standard library only; the package's
-``__init__.py`` re-exports its imports and is exempt.
+``__init__.py`` re-exports its imports and is exempt from the first rule.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,6 +73,23 @@ def imported_modules(source: str) -> set[str]:
     return names
 
 
+def foreign_imports(source: str) -> set[str]:
+    """Absolute imports of ``source`` from neither the standard library nor numpy."""
+    return {name for name in imported_modules(source) if not name.startswith(".")
+            and name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_imports_only_the_standard_library_and_numpy(path):
+    """numpy is the one declared dependency; scipy and the rest are not."""
+    assert foreign_imports(path.read_text()) == set()
+
+
+def test_the_dependency_check_sees_a_nested_import():
+    source = "import math\nimport numpy.linalg\n\ndef f():\n    from scipy import linalg\n"
+    assert foreign_imports(source) == {"scipy"}
+
+
 def test_transfer_does_not_import_the_oracle():
     """Determinants, primed ones included, take no eigenvalue from gylat.spectrum."""
     names = imported_modules((SRC / "transfer.py").read_text())
@@ -103,3 +122,27 @@ def test_primed_determinants_and_interval_energies_run_without_the_oracle(monkey
             assert vacuum_energy(v, bc, spec) > 0
     with pytest.raises(AssertionError, match="oracle"):
         vacuum_energy(v, periodic(), LatticeSpec.circle(nu, L=1.0))
+
+
+def test_poly_roots_runs_without_any_eigensolver(monkeypatch):
+    """poly_roots takes no point from the oracle, np.roots or numpy's eigen
+    routines, so it stays an independent check of them."""
+    import numpy as np
+
+    import gylat
+    from gylat import Potential, char_poly, dirichlet, oracle_spectrum, periodic, poly_roots
+
+    pot = Potential((1, -2, 0, 3, 1, 0, -1, 2, -3, 1, 0, 2))
+    cases = [(bc, oracle_spectrum(pot, bc).lambdas) for bc in (dirichlet(), periodic())]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigenvalue solver was called")
+
+    for module in (gylat, gylat.spectrum):
+        monkeypatch.setattr(module, "oracle_spectrum", refuse)
+    monkeypatch.setattr(np, "roots", refuse)
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for bc, want in cases:
+        got = poly_roots(char_poly(pot, bc, exact=True)).lambdas
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12

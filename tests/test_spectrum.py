@@ -3,7 +3,9 @@
 The oracle's guarded Sturm counts, the bisection built on them and the
 doubled real form of the cyclic solve are kept below as references: the
 interval oracle must reproduce them exactly (``==``), whatever counts it
-skips, and the cyclic one to rounding.
+skips, and the cyclic one to rounding.  So is the bisection that narrowed
+polynomial roots before Newton steps did: poly_roots must return its floats
+bit for bit.
 """
 
 import math
@@ -694,3 +696,170 @@ class TestOracleAgainstReferences:
         for bc in (periodic(), twisted(1.0), twisted(0.5)):
             assert not cyclic_matrix(pot, bc).imag.any()
         assert cyclic_matrix(pot, twisted(0.3)).imag.any() == (nu > 1)
+
+
+# -- poly_roots against the bisection narrowing it replaced --
+
+def ref_sign_at(p, n, d):
+    """Sign of p(n/d), d > 0, from the integer sum_k p_k n^k d^(deg-k)."""
+    acc = 0
+    dk = 1
+    for c in reversed(p):
+        acc = acc * n + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
+
+
+def ref_narrow(q, a, b):
+    """Bisect (a, b], holding one root of square-free q, down to adjacent floats.
+
+    Returns the float nearest the root and the final bracket (a, b].
+    """
+    sb = ref_sign_at(q, *b.as_integer_ratio())
+    while sb:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            # the exact midpoint of the adjacent floats a, b picks the nearer
+            sm = ref_sign_at(q, *((Fraction(a) + Fraction(b)) / 2).as_integer_ratio())
+            return (a if sm == sb else b), a, b
+        sm = ref_sign_at(q, *mid.as_integer_ratio())
+        if sm == -sb:
+            a = mid
+        else:
+            b, sb = mid, sm
+    return b, a, b
+
+
+def root_bits(p):
+    """poly_roots(p) as float.hex strings, with its own narrowing and with
+    ref_narrow."""
+    got = poly_roots(p).lambdas
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "_narrow", ref_narrow)
+        want = poly_roots(p).lambdas
+    return [x.hex() for x in got], [x.hex() for x in want]
+
+
+def narrowing_work(p):
+    """(Horner passes in _narrow, over q and q' alike; sign evaluations of
+    ref_narrow; roots narrowed) while poly_roots(p) runs each way."""
+    passes, signs, roots = [], [], []
+    value, narrow = spectrum._value, spectrum._narrow
+
+    def counting_value(q, n, s):
+        passes.append(1)
+        return value(q, n, s)
+
+    def counting_narrow(q, a, b):
+        roots.append(1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectrum, "_value", counting_value)
+            return narrow(q, a, b)
+
+    def counting_sign_at(q, n, d, sign_at=ref_sign_at):
+        signs.append(1)
+        return sign_at(q, n, d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "_narrow", counting_narrow)
+        poly_roots(p)
+        mp.setattr(spectrum, "_narrow", ref_narrow)
+        mp.setitem(globals(), "ref_sign_at", counting_sign_at)
+        poly_roots(p)
+    return len(passes), len(signs), len(roots)
+
+
+def from_roots(roots):
+    """The exact monic polynomial with these (Fraction) roots."""
+    p = CharPoly([1], backend="exact")
+    for r in roots:
+        p = p * CharPoly([-r, 1], backend="exact")
+    return p
+
+
+@st.composite
+def hard_roots(draw):
+    """Roots exactly at floats, at the exact midpoint of two adjacent floats,
+    2^-80 either side of such a midpoint, in clusters 2^-40 apart, or with
+    multiplicity 2-3."""
+    roots = []
+    for _ in range(draw(st.integers(1, 4))):
+        x = draw(st.one_of(st.just(0.0), st.floats(2.0 ** -20, 40.0),
+                           st.floats(-40.0, -2.0 ** -20)))
+        mid = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+        r = draw(st.sampled_from([Fraction(x), mid, mid + Fraction(1, 2 ** 80),
+                                  mid - Fraction(1, 2 ** 80)]))
+        if draw(st.booleans()):
+            roots += [r + k * Fraction(1, 2 ** 40) for k in range(draw(st.integers(2, 3)))]
+        else:
+            roots += [r] * draw(st.integers(1, 3))
+    return roots
+
+
+SEEDED_INTEGER = {nu: tuple(random.Random(nu).choices(range(-3, 4), k=nu)) for nu in range(1, 41)}
+
+
+def wilkinson_roots():
+    return [Fraction(k) for k in range(1, 21)]
+
+
+def cluster_roots():
+    return [Fraction(k, 3) + j * Fraction(1, 2 ** 40) for k in range(-2, 4) for j in range(3)]
+
+
+def triple_roots():
+    return [r for r in (Fraction(-5, 7), Fraction(1, 3), Fraction(11, 5)) for _ in range(3)]
+
+
+class TestNarrowingAgainstBisection:
+    # float potentials lift 2^-53-scale denominators, whose Sturm chains are
+    # slow to build from nu ~ 24; periodic spectra have double roots
+    @pytest.mark.parametrize("kind,nu", [(kind, nu) for kind in ("free", "integer")
+                                         for nu in (1, 2, 3, 5, 8, 13, 16, 21, 24, 32, 40)]
+                             + [("float", nu) for nu in (1, 2, 3, 5, 8, 13, 16)])
+    @pytest.mark.parametrize("bc", [dirichlet(), neumann(), robin(0.5, -0.25), periodic(),
+                                    twisted(0.3)], ids=lambda bc: bc.kind)
+    def test_char_poly_roots_bit_identical(self, kind, nu, bc):
+        values = {"free": (0,) * nu, "integer": SEEDED_INTEGER[nu],
+                  "float": tuple(np.random.default_rng(nu).uniform(-1, 1, nu))}[kind]
+        got, want = root_bits(char_poly(Potential(values), bc, exact=True))
+        assert got == want
+
+    @settings(max_examples=100)
+    @given(roots=hard_roots())
+    def test_hard_roots_bit_identical(self, roots):
+        got, want = root_bits(from_roots(roots))
+        assert got == want
+
+    @pytest.mark.parametrize("roots", [
+        [Fraction(2 ** 40) + Fraction(1, 3), Fraction(1, 10 ** 13), Fraction(-3, 7)],
+        [Fraction(2 ** 40) - Fraction(1, 3), Fraction(3, 10 ** 13), Fraction(3, 10 ** 13)],
+    ], ids=["simple", "double"])
+    def test_far_apart_roots_bit_identical(self, roots):
+        got, want = root_bits(from_roots(roots))
+        assert got == want
+        assert len(got) == len(roots)
+
+    def test_seeded_potentials_take_under_half_the_evaluations(self):
+        passes = signs = roots = 0
+        for nu in range(16, 25):
+            for bc in (dirichlet(), neumann(), robin(0.5, 0.25)):
+                for values in ((0,) * nu, SEEDED_INTEGER[nu]):
+                    p, s, r = narrowing_work(char_poly(Potential(values), bc, exact=True))
+                    passes, signs, roots = passes + p, signs + s, roots + r
+        assert passes <= 24 * roots
+        assert signs >= 45 * roots  # bisection's count, for scale
+
+    @pytest.mark.parametrize("roots", [wilkinson_roots(), cluster_roots(), triple_roots()],
+                             ids=["wilkinson", "clusters", "triple"])
+    def test_hard_inputs_take_no_more_than_bisection(self, roots):
+        passes, signs, _ = narrowing_work(from_roots(roots))
+        assert passes <= 1.1 * signs
+
+    def test_a_root_far_from_its_bracket_costs_at_most_half_again(self):
+        # from (0, 2^998], Newton steps toward 1 leave the bracket until the
+        # bracket is ~2^500 wide: each failed step costs a pass over q' and
+        # takes two midpoints
+        passes, signs, _ = narrowing_work(from_roots([Fraction(1), Fraction(2) ** 1000 / 3]))
+        assert passes <= 1.5 * signs
+
