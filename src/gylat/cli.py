@@ -39,7 +39,7 @@ from .core import (
 )
 from .spectrum import (ZERO_MODE_MESSAGE, _exact_newton_sums, _newton_sums, cosecant_sum,
                        oracle_spectrum, robin_cosec_sum)
-from .transfer import _lead_and_degree, _Series, _terminal, determinant, eigenfunctions
+from .transfer import _h_power, _lead_and_degree, _Series, _terminal, determinant, eigenfunctions
 from .vacuum import _admissible_lattice, extract_constant, free_energy_closed, vacuum_energy
 
 SCHEMA_VERSION = 1
@@ -248,10 +248,9 @@ def cmd_det(args) -> tuple[dict, int]:
     unit = LatticeSpec(spec.nu, 1.0, float(spec.n_links), spec.topology)
     dimless = determinant(pot, bc, unit, prime=args.prime)
     removed = dimless.zero_modes_removed
-    # determinant's own h^(-2 n) step, n the modes in the product, so the
-    # physical fields keep their bits
-    modes = (_lead_and_degree(bc, spec.nu)[1] if args.prime else spec.nu) - removed
-    ld = LogDet(dimless.sign, dimless.log_abs - 2.0 * modes * math.log(spec.h), removed)
+    # determinant's own h^(-2 n) step, so the physical fields keep their bits
+    ld = LogDet(dimless.sign, dimless.log_abs
+                - 2.0 * _h_power(bc, spec.nu, removed, args.prime) * math.log(spec.h), removed)
     payload = {
         **_head(args, spec),
         "sign": ld.sign,
@@ -263,7 +262,8 @@ def cmd_det(args) -> tuple[dict, int]:
         payload["hint"] = "determinant vanishes (zero mode); rerun with --prime"
     code = EXIT_OK
     is_free_case = args.potential is None and args.delta_site is None
-    if is_free_case:
+    # a Robin end pinned by alpha or beta = -1 drops a degree and has no closed form
+    if is_free_case and _lead_and_degree(bc, spec.nu)[1] == spec.nu:
         mass = MassParam.physical(args.mass, spec)
         closed = free_determinant(bc, spec, mass, prime=args.prime)
         payload["closed_form_sign"] = closed.sign

@@ -187,7 +187,7 @@ def _robin_free_determinant(nu: int, alpha: float, beta: float, mass: MassParam,
     taken out, so no two large terms cancel when a, b >= 0.
     """
     norm = (1.0 + alpha) * (1.0 + beta)
-    if abs(norm) < 1e-12:
+    if norm == 0.0:
         raise ValueError("degenerate Robin parameter (alpha or beta = -1) has no "
                          "closed form; transfer.determinant handles it")
     g = mass.gamma0

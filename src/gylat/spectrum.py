@@ -20,8 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    NEUMANN,
-    ROBIN,
+    DIRICHLET,
     BoundaryCondition,
     CharPoly,
     LatticeSpec,
@@ -52,33 +51,42 @@ _NEWTON_WORK = 4000
 # Operator assembly
 # ---------------------------------------------------------------------------
 
-def tridiagonal_matrix(potential: Potential, bc: BoundaryCondition) -> tuple[np.ndarray, np.ndarray]:
-    """(diagonal, off-diagonal) of the dimensionless operator, interval bcs.
+def _interval_diagonal(potential: Potential, bc: BoundaryCondition) -> np.ndarray:
+    """Diagonal of the dimensionless interval operator; every off-diagonal is -1.
 
-    The off-diagonal is -1 throughout.  End diagonals come from eliminating
-    the boundary values y(0), y(nu+1) with the Robin conditions
-    Delta y(0) = alpha y(0), Delta y(nu) = -beta y(nu+1):
+    End diagonals come from eliminating the boundary values y(0), y(nu+1)
+    with the Robin conditions Delta y(0) = alpha y(0), Delta y(nu) = -beta y(nu+1):
 
         y(0) = y(1)/(1+alpha)   =>   d_1 = 2 + v_1 - 1/(1+alpha),
 
     and mirrored on the right; alpha = 0 reproduces the Neumann entry
     1 + v_1, Dirichlet keeps 2 + v_1.  For nu = 1 both corrections act on
-    the single site.
+    the single site.  An alpha (beta) of exactly -1 pins y(1) (y(nu)) to 0
+    instead, and its site is dropped, so the diagonal may be shorter than nu.
     """
+    d = 2.0 + potential.as_array()
+    if bc.kind == DIRICHLET:
+        return d
+    alpha, beta = float(bc.robin_alpha), float(bc.robin_beta)
+    for end, par in ((0, alpha), (-1, beta)):
+        if par != -1.0:
+            d[end] -= 1.0 / (1.0 + par)
+    return d[(alpha == -1.0):len(d) - (beta == -1.0)]
+
+
+def tridiagonal_matrix(potential: Potential, bc: BoundaryCondition) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, off-diagonal) of the dimensionless operator, interval bcs:
+    :func:`_interval_diagonal` and -1 throughout.  A degenerate Robin end
+    (alpha or beta exactly -1) raises ValueError."""
     if not bc.is_interval:
         raise ValueError("tridiagonal form exists only for interval conditions")
     nu = potential.nu
     if nu < 1:
         raise ValueError("need nu >= 1")
-    d = 2.0 + potential.as_array()
-    if bc.kind in (NEUMANN, ROBIN):
-        alpha = float(bc.robin_alpha)
-        beta = float(bc.robin_beta)
-        if abs(1.0 + alpha) < 1e-12 or abs(1.0 + beta) < 1e-12:
-            raise ValueError("degenerate Robin parameter (alpha or beta = -1); "
-                             "the matrix form does not exist")
-        d[0] -= 1.0 / (1.0 + alpha)
-        d[-1] -= 1.0 / (1.0 + beta)
+    d = _interval_diagonal(potential, bc)
+    if len(d) < nu:
+        raise ValueError("degenerate Robin parameter (alpha or beta = -1); "
+                         "the matrix form does not exist")
     e = -np.ones(max(nu - 1, 0))
     return d, e
 
@@ -516,11 +524,12 @@ def _variations(chain: list[list[int]], x: float) -> int:
 
 
 def _root_bound(p: list[int]) -> float:
-    """A power of two above every |root| of p (Fujiwara's bound, in bit lengths)."""
+    """A power of two above every |root| of p (Fujiwara's bound, in bit lengths),
+    at least 2^-1074, the least positive float: a root below it comes out 0.0."""
     top = abs(p[-1]).bit_length()
     deg = len(p) - 1
     exps = (-(-(abs(c).bit_length() - top + 1) // (deg - k)) for k, c in enumerate(p[:-1]) if c)
-    return math.ldexp(1.0, 1 + max(exps, default=0))
+    return math.ldexp(1.0, max(-1074, 1 + max(exps, default=0)))
 
 
 def _narrow(q: list[int], a: float, b: float) -> tuple[float, float, float]:

@@ -77,8 +77,9 @@ _ZERO_RTOL = 1e-11
 # many bits (about 1e150), so chaining it onto an O(1) state cannot overflow.
 _BLOCK_GROWTH_BITS = 500
 
-# A swept P(0) below 2**_FOLD_BITS is returned unscaled (log_scale 0), so that
-# exact small determinants stay exact; 2**500 ~ 1e150 leaves room to square it.
+# A swept Taylor coefficient of P at 0 below 2**_FOLD_BITS is read unscaled
+# (log_scale 0), so that exact small determinants stay exact; 2**500 ~ 1e150
+# leaves room to square it.
 _FOLD_BITS = 500
 
 # An eigenfunction row whose terminal residual exceeds this fraction of its
@@ -389,69 +390,57 @@ def _blocked_jet_sweep(u: np.ndarray, cols: np.ndarray, order: int,
     return cols, exponent
 
 
-def _scaled_scalar_p0(potential: Potential, bc: BoundaryCondition) -> tuple[float, float, float]:
-    """P(0) by the blocked difference-form sweep, as (mantissa, log_scale, ref).
+def _taylor_at_zero(potential: Potential, bc: BoundaryCondition,
+                    order: int) -> tuple[list[float], list[float], int]:
+    """Taylor coefficients c_0..c_order of P at lambda = 0, as (cs, refs, e).
 
-    P(0) = mantissa * exp(log_scale); ``ref`` is the magnitude of the final
-    components (y(nu), y(nu+1)) (the Frobenius norm of K on the circle), on
-    the mantissa's scale: the natural yardstick for a zero test.
+    The true c_k is cs[k] * 2**e, from the blocked difference-form sweep,
+    which cannot overflow and never rounds the weights 2 + v_j.  refs[k],
+    on the same scale, is the magnitude of the swept state's order-k
+    entries, of (y(nu), y(nu+1)) on the interval and of K on the circle:
+    the yardstick of c_k's zero test (P's large mid coefficients are not).
+    Order 0 steps Python floats (:func:`_blocked_difference_sweep`), since
+    numpy's per-call overhead would outweigh a short sweep; higher orders
+    take one :func:`_blocked_jet_sweep`.
     """
     u = potential.as_array()
-    if bc.is_interval:
-        # (y(1), Delta(1)) from y(0) = 0, y(1) = 1, or y(0) = 1, Delta y(0) = alpha
-        alpha = float(bc.robin_alpha)
-        seed = [1.0, 1.0] if bc.kind == DIRICHLET else [1.0 + alpha, alpha]
-        (y, d, _, _), e = _blocked_difference_sweep(u, seed + [0.0, 0.0])
-        # out_adjoint . (y(nu), y(nu+1)) = y for Dirichlet, else Delta + beta y
-        p0 = y if bc.kind == DIRICHLET else d + float(bc.robin_beta) * y
-        ref = max(abs(y - d), abs(y))
+    alpha = float(bc.robin_alpha)
+    # (y(1), Delta(1)) from y(0) = 0, y(1) = 1, or from y(0) = 1, Delta y(0) =
+    # alpha; on the circle the two columns of K, on (y, Delta)
+    seed = ([1.0, 0.0, 0.0, 1.0] if bc.is_circle
+            else [1.0, 1.0] if bc.kind == DIRICHLET else [1.0 + alpha, alpha])
+    if order == 0:
+        # the chain steps two columns; an interval's second one is zero
+        cols, e = _blocked_difference_sweep(u, (seed + [0.0, 0.0])[:4])
+        rows = [cols[:len(seed)]]
     else:
-        (p, r, q, s), e = _blocked_difference_sweep(u, [1.0, 0.0, 0.0, 1.0])
-        # K = S^-1 D S with D = [[p, q], [r, s]] and S (y(j-1), y(j)) = (y, Delta)
-        ref = math.hypot(s - q, p + q - r - s, q, p + q)
-        p0 = p + s - math.ldexp(_twist_shift(bc.twist, False), -e)
-    if e <= _FOLD_BITS:
-        # fold the scale back: log(0.5) + 3 log 2 is not log 4
-        return math.ldexp(p0, e), 0.0, max(math.ldexp(ref, e), 1e-300)
-    return p0, e * _LN2, max(ref, 1e-300)
-
-
-def _lowest_jet_coefficient(potential: Potential, bc: BoundaryCondition) -> tuple[float, float, int]:
-    """(c_k, log_scale, k): the first Taylor coefficient c_k of P at lambda = 0,
-    k >= 1, that does not test zero, as mantissa and log of its scale
-    (folded back as :func:`_scaled_scalar_p0` folds P(0)).
-
-    The coefficients come from one blocked jet sweep in the difference form,
-    of order 1 on the interval (its eigenvalues are simple) and 2 on the
-    circle (at most double).  c_k tests zero when it is at most _ZERO_RTOL
-    times the order-k entries of the final state, measured as ``ref`` is in
-    :func:`_scaled_scalar_p0`.  If every c_k up to the order tests zero,
-    ArithmeticError is raised.
-    """
-    order = 1 if bc.is_interval else 2
-    m1 = order + 1
-    u = potential.as_array()
-    if bc.is_interval:
-        alpha = float(bc.robin_alpha)
-        cols = np.zeros((2 * m1, 1))
-        cols[0, 0], cols[m1, 0] = (1.0, 1.0) if bc.kind == DIRICHLET else (1.0 + alpha, alpha)
+        m1 = order + 1
+        cols = np.zeros((2 * m1, len(seed) // 2))
+        cols[[0, m1]] = np.reshape(seed, (-1, 2)).T
         cols, e = _blocked_jet_sweep(u, cols, order)
-        y, d = cols[:m1, 0], cols[m1:, 0]
-        coeffs = y if bc.kind == DIRICHLET else d + float(bc.robin_beta) * y
-        refs = np.maximum(np.abs(y - d), np.abs(y))
-    else:
-        cols, e = _blocked_jet_sweep(u, np.eye(2 * m1)[:, [0, m1]], order)
-        (p, q), (r, s) = cols[:m1].T, cols[m1:].T
-        coeffs = p + s  # the order-0 entry, P(0), is not read
-        refs = np.sqrt((s - q) ** 2 + (p + q - r - s) ** 2 + q ** 2 + (p + q) ** 2)
-    for k in range(1, m1):
-        if abs(coeffs[k]) > _ZERO_RTOL * refs[k]:
-            c = float(coeffs[k])
-            return (math.ldexp(c, e), 0.0, k) if e <= _FOLD_BITS else (c, e * _LN2, k)
-    raise ArithmeticError(
-        f"P(lambda) and its first {order} derivatives test zero at lambda = 0, but "
-        f"{'interval' if bc.is_interval else 'circle'} eigenvalues have multiplicity "
-        f"at most {order}")
+        # rows[k] lists every column's order-k (y, Delta), as ``seed`` does
+        rows = cols.reshape(2, m1, -1).transpose(1, 2, 0).reshape(m1, -1).tolist()
+    cs, refs = [], []
+    for row in rows:
+        if bc.is_interval:
+            y, d = row
+            # out_adjoint . (y(nu), y(nu+1)) = y for Dirichlet, else Delta + beta y
+            cs.append(y if bc.kind == DIRICHLET else d + float(bc.robin_beta) * y)
+            refs.append(max(abs(y - d), abs(y)))
+        else:
+            # K = S^-1 D S with D = [[p, q], [r, s]] and S (y(j-1), y(j)) = (y, Delta)
+            p, r, q, s = row
+            cs.append(p + s)
+            refs.append(math.hypot(s - q, p + q - r - s, q, p + q))
+    if bc.is_circle:
+        cs[0] -= math.ldexp(_twist_shift(bc.twist, False), -e)
+    return cs, refs, e
+
+
+def _h_power(bc: BoundaryCondition, nu: int, removed: int, prime: bool) -> int:
+    """n of :func:`determinant`'s factor h^(-2 n): P's degree less ``removed``
+    when primed, else nu, also where a degenerate Robin end drops a degree."""
+    return (_lead_and_degree(bc, nu)[1] if prime else nu) - removed
 
 
 def determinant(potential: Potential, bc: BoundaryCondition, spec: LatticeSpec,
@@ -465,15 +454,16 @@ def determinant(potential: Potential, bc: BoundaryCondition, spec: LatticeSpec,
     when d = nu.  A degenerate Robin end (d < nu) still scales by
     h^(-2 nu), not h^(-2 d): the value is that product times h^(-2 (nu - d)),
     off by h^-2 per degenerate end when h != 1.
-    P(0) tests zero (sign 0) when |P(0)| is at most _ZERO_RTOL times the
-    magnitude of the swept state.
+    A Taylor coefficient c_k of P at 0 (:func:`_taylor_at_zero`) tests zero
+    when |c_k| is at most _ZERO_RTOL times its yardstick; P(0) = c_0
+    testing zero gives sign 0.
 
     With ``prime`` set, k zero modes are removed: k is the number of leading
-    Taylor coefficients c_0, c_1, ... of P at 0 that test zero (c_0 by the
-    test above, so the primed determinant removes a mode exactly when the
-    plain one has sign 0; c_1 and c_2 by :func:`_lowest_jet_coefficient`),
-    and Det' = (-1)^(d-k) c_k/a * h^(-2 (d-k)), with ``zero_modes_removed``
-    = k.  No eigenvalue is computed, so there is no size limit.
+    coefficients c_0, c_1, ... that test zero (c_0 as above, so the primed
+    determinant removes a mode exactly when the plain one has sign 0; c_1,
+    and c_2 on the circle, from one jet sweep), and
+    Det' = (-1)^(d-k) c_k/a * h^(-2 (d-k)), with ``zero_modes_removed`` = k.
+    No eigenvalue is computed, so there is no size limit.
     """
     nu = potential.nu
     if nu != spec.nu:
@@ -483,24 +473,28 @@ def determinant(potential: Potential, bc: BoundaryCondition, spec: LatticeSpec,
     if nu == 0:
         return LogDet(1, 0.0, 0)  # empty product
 
-    # P(0) always comes from the blocked difference-form sweep: it cannot
-    # overflow, it never rounds the weights 2 + v_j, and its final magnitude
-    # is the right yardstick for "the determinant vanishes" (the
-    # polynomial's large mid coefficients are not).
-    p0, log_scale, ref = _scaled_scalar_p0(potential, bc)
-    k = 0
-    if abs(p0) <= _ZERO_RTOL * ref:
-        if not prime:
-            return LogDet(0, math.nan, 0)
-        p0, log_scale, k = _lowest_jet_coefficient(potential, bc)
+    order = 1 if bc.is_interval else 2  # an eigenvalue's largest multiplicity
+    cs, refs, e = _taylor_at_zero(potential, bc, 0)
+    for k in range(order + 1):
+        if k == 1:
+            if not prime:
+                return LogDet(0, math.nan, 0)
+            cs, refs, e = _taylor_at_zero(potential, bc, order)
+        # fold the scale back: log(0.5) + 3 log 2 is not log 4
+        fold = e if e <= _FOLD_BITS else 0
+        c = math.ldexp(cs[k], fold)
+        if abs(c) > _ZERO_RTOL * max(math.ldexp(refs[k], fold), 1e-300):
+            break
+    else:
+        raise ArithmeticError(
+            f"P(lambda) and its first {order} derivatives test zero at lambda = 0, but "
+            f"{'interval' if bc.is_interval else 'circle'} eigenvalues have multiplicity "
+            f"at most {order}")
 
     lead, degree = _lead_and_degree(bc, nu)
-    # factors h^-2 of the product: d - k when primed; the plain determinant
-    # keeps nu, also where a degenerate Robin end leaves d < nu
-    modes = (degree if prime else nu) - k
-    sign = (-1) ** (degree - k) * (1 if p0 > 0 else -1) * (1 if lead > 0 else -1)
-    log_abs = (math.log(abs(p0)) + log_scale - math.log(abs(lead))
-               + -2.0 * modes * math.log(spec.h))
+    sign = (-1) ** (degree - k) * (1 if c > 0 else -1) * (1 if lead > 0 else -1)
+    log_abs = (math.log(abs(c)) + (e - fold) * _LN2 - math.log(abs(lead))
+               + -2.0 * _h_power(bc, nu, k, prime) * math.log(spec.h))
     return LogDet(sign, log_abs, k)
 
 

@@ -35,6 +35,7 @@ from .core import (
     Potential,
 )
 from .closedform import free_eigenvalues
+from .spectrum import _interval_diagonal
 
 
 def _mode_weight(bc: BoundaryCondition) -> float:
@@ -117,18 +118,11 @@ def _interval_root_sum(potential: Potential, bc: BoundaryCondition) -> float:
     trapezoid rule in x = log u; g <= nu and g <= tr A / u^2 bound the tails
     beyond the range against sqrt(tr A) <= sum_n sqrt(lambda_n).
 
-    A Robin end with alpha (or beta) = -1 pins y(1) = 0 (or y(nu) = 0), so
-    A is the matrix of the other sites.
+    A is :func:`spectrum._interval_diagonal`'s operator, so a Robin end
+    with alpha (or beta) = -1, which pins y(1) = 0 (or y(nu) = 0), leaves
+    the matrix of the other sites.
     """
-    d = 2.0 + potential.as_array()
-    if bc.kind != DIRICHLET:
-        alpha, beta = float(bc.robin_alpha), float(bc.robin_beta)
-        # eliminating y(0) = y(1)/(1 + alpha) and y(nu+1) = y(nu)/(1 + beta)
-        if alpha != -1.0:
-            d[0] -= 1.0 / (1.0 + alpha)
-        if beta != -1.0:
-            d[-1] -= 1.0 / (1.0 + beta)
-        d = d[(alpha == -1.0):len(d) - (beta == -1.0)]
+    d = _interval_diagonal(potential, bc)
     n = len(d)
     if n == 0:
         return 0.0

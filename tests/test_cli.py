@@ -87,6 +87,39 @@ class TestDet:
         assert code == 0
         assert data["zero_modes"] == 1 and data["closed_form_agreement"] is True
 
+    @pytest.mark.parametrize("nu", [10, 1000])
+    @pytest.mark.parametrize("alpha, beta", [(-1.0, 0.5), (0.5, -1.0), (-1.0, -1.0)])
+    def test_free_degenerate_robin(self, capsys, nu, alpha, beta):
+        """alpha or beta = -1 has no closed form: the determinant alone, that
+        of the matrix on the sites the pinned ends leave."""
+        code, data = run_json(capsys, "det", "--bc", "robin", "--alpha", repr(alpha),
+                              "--beta", repr(beta), "--nu", str(nu), "--h", "1")
+        assert code == 0 and not any(key.startswith("closed_form") for key in data)
+        d = np.full(nu, 2.0)
+        for end, par in ((0, alpha), (-1, beta)):
+            if par != -1.0:
+                d[end] -= 1.0 / (1.0 + par)
+        d = d[(alpha == -1.0):nu - (beta == -1.0)]
+        sign, logdet = np.linalg.slogdet(np.diag(d) - np.eye(len(d), k=1) - np.eye(len(d), k=-1))
+        assert data["sign"] == sign
+        assert abs(data["log10_abs"] - logdet / math.log(10)) <= 1e-13 * max(1.0, abs(logdet))
+
+    @pytest.mark.parametrize("nu", [10, 1000, 100000])
+    @pytest.mark.parametrize("alpha, beta", [(-1.0 + 1e-13, 0.5), (-1.0 + 1e-9, 0.5),
+                                             (-0.9999997, -0.9999997)])
+    def test_near_degenerate_robin_has_its_closed_form(self, capsys, nu, alpha, beta):
+        """Only exactly -1 is degenerate; the sweep meets the closed form just above it."""
+        code, data = run_json(capsys, "det", "--bc", "robin", "--alpha", repr(alpha),
+                              "--beta", repr(beta), "--nu", str(nu), "--h", "1")
+        assert code == 0 and data["closed_form_agreement"] is True
+        assert data["closed_form_rel_diff"] <= 1e-13
+
+    def test_spectrum_near_degenerate_robin(self, capsys):
+        code, data = run_json(capsys, "spectrum", "--bc", "robin", "--alpha", repr(-1.0 + 1e-13),
+                              "--beta", "0.5", "--nu", "4", "--h", "1")
+        assert code == 0
+        assert data["eigenvalues_dimensionless"][0] < -1e12  # 2 - 1/(1 + alpha)
+
     def test_dimensionless_det_from_the_unit_lattice(self, capsys):
         """dimensionless_det is read off the h = 1 determinant, not off the physical log."""
         code, data = run_json(capsys, "det", "--bc", "dirichlet", "--nu", "100000", "--L", "1")

@@ -77,6 +77,19 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError):
             tridiagonal_matrix(Potential.zeros(3), robin(-1.0, 0.0))
 
+    @pytest.mark.parametrize("nu", [1, 2, 10, 100, 1000])
+    @pytest.mark.parametrize("alpha, beta", [(-1.0 + 1e-13, 0.5), (-1.0 + 1e-9, 0.5),
+                                             (-0.9999997, -0.9999997), (0.5, -1.0 + 1e-13)])
+    def test_near_degenerate_robin_against_eigvalsh(self, nu, alpha, beta):
+        """Only alpha or beta of exactly -1 is degenerate: an end just above
+        it is a tall diagonal entry -1/(1 + alpha), which the oracle resolves
+        to LAPACK's accuracy, a few ulps of the operator's norm."""
+        for pot in (Potential.zeros(nu), Potential(np.random.default_rng(nu).uniform(0, 1, nu))):
+            d, e = tridiagonal_matrix(pot, robin(alpha, beta))
+            want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+            got = np.array(oracle_spectrum(pot, robin(alpha, beta)).lambdas)
+            assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, float(np.max(np.abs(want))))
+
     def test_cyclic_hermitian(self):
         H = cyclic_matrix(Potential((0.1, 0.2, 0.3, 0.4)), twisted(0.3))
         assert np.allclose(H, H.conj().T)
@@ -150,6 +163,13 @@ class TestPolyRoots:
     def test_complex_roots_raise(self):
         with pytest.raises(ArithmeticError):
             poly_roots(CharPoly([1, 0, 1]))  # x^2 + 1
+
+    @pytest.mark.parametrize("roots", [[Fraction(1, 2 ** k)] for k in (1076, 1080, 1200, 5000)]
+                             + [[Fraction(1, 2 ** 1080), Fraction(-1, 2 ** 1080)]],
+                             ids=["2^-1076", "2^-1080", "2^-1200", "2^-5000", "pm2^-1080"])
+    def test_roots_below_the_least_float(self, roots):
+        # the root bound stays at 2^-1074 or above instead of underflowing to 0
+        assert poly_roots(from_roots(roots)).lambdas == (0.0,) * len(roots)
 
     @pytest.mark.parametrize("nu", [16, 24, 40])
     @pytest.mark.parametrize("bc", [dirichlet(), neumann(), robin(0.5, 0.25), periodic()],

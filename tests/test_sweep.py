@@ -42,7 +42,7 @@ from gylat.transfer import (
     Propagator,
     _blocked_difference_sweep,
     _blocked_jet_sweep,
-    _scaled_scalar_p0,
+    _taylor_at_zero,
     _twist_shift,
 )
 
@@ -121,11 +121,11 @@ def exact_interval_p0(potential, bc) -> Fraction:
 
 
 def p0_error(got, want: Fraction) -> float:
-    """|mantissa - P(0) exp(-log_scale)| over the zero-test yardstick."""
-    mantissa, log_scale, ref = got
+    """|c_0 - P(0) 2^-e| over the zero-test yardstick, ``got`` = (cs, refs, e)."""
+    cs, refs, e = got
     with mpmath.workdps(50):
-        scaled = mpmath.mpf(want.numerator) / want.denominator * mpmath.exp(-log_scale)
-        return float(abs(mantissa - scaled)) / ref
+        scaled = mpmath.ldexp(mpmath.mpf(want.numerator) / want.denominator, -e)
+        return float(abs(cs[0] - scaled)) / refs[0]
 
 
 def ref_difference_sweep(u, cols):
@@ -225,13 +225,25 @@ class TestPropagation:
         # from nu ~ 300 on P(0) leaves float range, so the scale is checked too
         values = np.random.default_rng(seed).uniform(-1.0, 2.5, nu)
         pot = Potential(tuple(values.tolist()))
-        assert p0_error(_scaled_scalar_p0(pot, bc), exact_interval_p0(pot, bc)) <= 1e-11
+        assert p0_error(_taylor_at_zero(pot, bc, 0), exact_interval_p0(pot, bc)) <= 1e-11
 
     def test_interval_p0_rescales(self):
         pot = Potential.constant(2000, 1.0)  # y grows like 2.6^j
-        got = _scaled_scalar_p0(pot, dirichlet())
-        assert got[1] > 1900.0
+        got = _taylor_at_zero(pot, dirichlet(), 0)
+        assert got[2] * math.log(2.0) > 1900.0
         assert p0_error(got, exact_interval_p0(pot, dirichlet())) <= 1e-11
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nu=st.integers(1, 600),
+           bc=st.sampled_from([dirichlet(), neumann(), robin(0.5, -0.7), periodic(), twisted(0.3)]))
+    def test_chain_and_jet_read_one_c0(self, seed, nu, bc):
+        """c_0 of the Python-float chain (order 0) and of the jet sweep agree."""
+        pot = Potential(np.random.default_rng(seed).uniform(-1.0, 2.5, nu))
+        chain, chain_refs, e0 = _taylor_at_zero(pot, bc, 0)
+        jet, jet_refs, e = _taylor_at_zero(pot, bc, 1 if bc.is_interval else 2)
+        scale = e - e0  # both on the chain's scale
+        yardstick = max(chain_refs[0], math.ldexp(jet_refs[0], scale))
+        assert abs(chain[0] - math.ldexp(jet[0], scale)) <= 1e-11 * yardstick
 
 
 class TestBlockedDifferenceSweep:
