@@ -37,13 +37,13 @@ from .core import (
     Potential,
     load_potential,
 )
-from .spectrum import (ZERO_MODE_MESSAGE, _exact_newton_sums, _newton_sums, cosecant_sum,
-                       oracle_spectrum, robin_cosec_sum)
-from .transfer import _h_power, _lead_and_degree, _Series, _terminal, determinant, eigenfunctions
+from .spectrum import (CONSISTENCY_RTOL, ZERO_MODE_MESSAGE, _exact_newton_sums, _float_newton_sums,
+                       cosecant_sum, oracle_spectrum, robin_cosec_sum)
+from .transfer import (_h_power, _lead_and_degree, _nonzero_coefficient, _Series, _taylor_at_zero,
+                       _terminal, determinant, eigenfunctions)
 from .vacuum import _admissible_lattice, extract_constant, free_energy_closed, vacuum_energy
 
 SCHEMA_VERSION = 1
-CONSISTENCY_RTOL = 1e-8
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -321,17 +321,17 @@ def cmd_sums(args) -> tuple[dict, int]:
     kmax = 4 if args.order is None else args.order
     if not 1 <= kmax <= 4:
         raise ConfigError("--order must be 1..4 for sums")
-    # c_0..c_kmax of P at lambda = 0, from one order-kmax jet sweep
-    coeffs = _terminal(pot, bc, _Series([0 if args.exact else 0.0, 1], kmax), args.exact).c
-    # a zero mode is an exact c_0 = 0, or what the float determinant calls one
-    zero_mode = coeffs[0] == 0 if args.exact else determinant(pot, bc, spec).sign == 0
-    if zero_mode:
-        raise ConfigError(ZERO_MODE_MESSAGE)
     if args.exact:
+        coeffs = _terminal(pot, bc, _Series([0, 1], kmax), exact=True).c
+        if coeffs[0] == 0:
+            raise ConfigError(ZERO_MODE_MESSAGE)
         sums = _exact_newton_sums(coeffs, kmax)
-    else:
-        sums = _float_jet_sums(coeffs, kmax, _lead_and_degree(bc, spec.nu)[1])
-    payload = {**_head(args, spec), "inverse_power_sums": [float(s) for s in sums]}
+    else:  # c_0..c_kmax of P at 0 up to a common 2^e, c_0 tested zero by det's rule
+        cs, refs, e = _taylor_at_zero(pot, bc, kmax)
+        if _nonzero_coefficient(cs, refs, e, 0) is None:
+            raise ConfigError(ZERO_MODE_MESSAGE)
+        sums = _float_newton_sums(cs, kmax, _lead_and_degree(bc, spec.nu)[1], refs)
+    payload = {**_head(args, spec), "inverse_power_sums": sums}
     closed = None
     if pot.is_free() and bc.kind == DIRICHLET:
         closed = 0.25 * cosecant_sum(spec.nu + 1, m=1)
@@ -344,23 +344,6 @@ def cmd_sums(args) -> tuple[dict, int]:
     rel = abs(sums[0] - closed) / max(1.0, abs(closed))
     payload["closed_form_agreement"] = rel <= CONSISTENCY_RTOL
     return payload, EXIT_OK if rel <= CONSISTENCY_RTOL else EXIT_CONSISTENCY
-
-
-def _float_jet_sums(coeffs: list[float], kmax: int, degree: int) -> list[float]:
-    """Newton sums of float jet coefficients up to P's degree (those above are
-    zeros, perhaps -0.0); ArithmeticError if one is not finite or
-    degree * 2^-53 * max_m (sum of |terms| / |S_m|) exceeds CONSISTENCY_RTOL."""
-    sums, sizes = _newton_sums(coeffs[:degree + 1], kmax) if coeffs[0] else ([math.inf], [0.0])
-    if not all(map(math.isfinite, coeffs + sums)):
-        raise ArithmeticError("float jet for the inverse-power sums is not finite; "
-                              "rerun with --exact")
-    # a sum of no terms (size 0) has no cancellation; a nonzero size over 0 has no bound
-    bound = degree * 2.0 ** -53 * max(size / max(abs(s), 5e-324) for s, size in zip(sums, sizes))
-    if bound > CONSISTENCY_RTOL:
-        raise ArithmeticError(
-            f"float jet for the inverse-power sums may be inaccurate: Newton cancellation "
-            f"bound {bound:.3g} exceeds {CONSISTENCY_RTOL:g}; rerun with --exact")
-    return sums
 
 
 def _casimir_point(bc: BoundaryCondition, spec: LatticeSpec) -> dict:

@@ -629,49 +629,66 @@ def poly_roots(p: CharPoly, spec: LatticeSpec | None = None) -> Spectrum:
 # ---------------------------------------------------------------------------
 
 ZERO_MODE_MESSAGE = "p(0) = 0: the operator has a zero mode; remove it (primed determinant) first"
+CONSISTENCY_RTOL = 1e-8  # the float sums' promised relative error; the CLI's agreement tolerance
 
 
 def inverse_power_sums(p: CharPoly, kmax: int) -> list[float]:
     """[sum_n lambda_n^-m for m = 1..kmax] from the coefficients of p.
 
-    Newton's identities applied to the reversed polynomial, whose roots are
-    1/lambda_n; no root extraction involved.  Requires p(0) != 0.  The exact
-    backend runs in integers (:func:`_exact_newton_sums`), tests p(0) == 0
-    exactly and rounds each sum once at the end; the float backend treats
-    |p(0)| <= 1e-14 max|c_k| as 0.
+    Newton's identities on the reversed polynomial, whose roots are 1/lambda_n, in
+    integers (:func:`_exact_newton_sums`) or guarded floats (:func:`_float_newton_sums`).
+    Requires p(0) != 0 exactly: a bare polynomial has no error yardstick, so a float
+    p(0) rounded off a zero mode is the caller's to rule out (sums ~ 1/p(0) follow).
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    exact = p.backend == "exact"
-    coeffs = p.coeffs if exact else p.as_floats()
-    c0 = coeffs[0]
-    if c0 == 0 or (not exact and abs(c0) <= 1e-14 * max(abs(c) for c in coeffs)):
+    if p.coeffs[0] == 0:
         raise ZeroDivisionError(ZERO_MODE_MESSAGE)
-    sums = _exact_newton_sums(coeffs, kmax) if exact else _newton_sums(coeffs, kmax)[0]
+    if p.backend == "exact":
+        return _exact_newton_sums(p.coeffs, kmax)
+    return _float_newton_sums(p.coeffs, kmax, p.degree)
+
+
+def _float_newton_sums(coeffs: list[float], kmax: int, degree: int, refs=()) -> list[float]:
+    """:func:`_newton_sums` of float c_0..c_degree (c_0 != 0, any common scale), or
+    ArithmeticError unless each S_m is finite with degree 2^-53 size_m / |S_m| <= CONSISTENCY_RTOL.
+    ``lost`` counts digits lost below the ``transfer._taylor_at_zero`` yardstick: c_0's over the
+    sweep (near a zero mode); c_k's, k >= 1, in one read-out rounding, so not times degree."""
+    coeffs = coeffs[:degree + 1]
+    lost = [max(0.0, r / abs(c) - 1.0) / (degree if k else 1) if c else 0.0  # an exact 0 loses none
+            for k, (c, r) in enumerate(zip(coeffs, refs))]
+    sums, sizes = _newton_sums(coeffs, kmax, lost)
+    # a sum of no terms (size 0) has no cancellation; a nonzero size over 0 has no bound
+    bound = degree * 2.0 ** -53 * max(size / max(abs(s), 5e-324) for s, size in zip(sums, sizes))
+    if not (bound <= CONSISTENCY_RTOL and all(map(math.isfinite, sums))):
+        raise ArithmeticError(
+            f"float jet for the inverse-power sums may be inaccurate: Newton cancellation "
+            f"bound {bound:.3g} exceeds {CONSISTENCY_RTOL:g}; rerun with --exact")
     return [float(s) for s in sums]
 
 
-def _newton_sums(coeffs: list, kmax: int) -> tuple[list, list]:
+def _newton_sums(coeffs: list, kmax: int, lost=()) -> tuple[list, list]:
     """S_m = sum_n lambda_n^-m, m = 1..kmax, from c_0..c_kmax of P (c_0 != 0).
 
-    Newton's identities on the reversed polynomial, in the arithmetic of the
-    coefficients; a missing c_k counts as 0.  Also returns, per S_m, the sum
-    of the absolute values of the terms it adds up (its cancellation size).
+    Newton's identities on the reversed polynomial, in the arithmetic of the coefficients; a
+    missing c_k counts as 0.  Also returns each S_m's size: the sum of its |terms|, those of
+    a_k = c_k / c_0 times 1 + x_k (x = ``lost``), plus m x_0 |S_m|: c_0 (1 + x) has S_m (1 + x)^-m.
     """
     c0 = coeffs[0]
     # reversed monic: a[d - m] = c_m / c0, roots 1/lambda_n
     a = [c / c0 for c in coeffs[:kmax + 1]]
     a += [0] * (kmax + 1 - len(a))
+    x = [*lost, *[0] * (kmax + 1)]
     sums, sizes = [], []
     for m in range(1, kmax + 1):
         acc = -m * a[m]
-        size = abs(acc)
+        size = abs(acc) * (1 + x[m])
         for i in range(1, m):
             term = a[i] * sums[m - i - 1]
             acc -= term
-            size += abs(term)
+            size += abs(term) * (1 + x[i])
         sums.append(acc)
-        sizes.append(size)
+        sizes.append(size + m * x[0] * abs(acc))
     return sums, sizes
 
 

@@ -19,32 +19,27 @@ lambda = 0, normalised by the leading coefficient, gives the determinant.
 On the circle the eigenvalue condition is tr K(lambda; nu) = 2 cos(2 pi tau)
 instead.
 
-Every route but the float determinant (below), the perturbation series
-included, runs on one kernel, :func:`_sweep`, which advances the scalar
-recurrence y(j+1) = w_j y(j) - y(j-1) over weights w_j = v_j + 2 - lambda.
-Each column of K is one sweep from a unit seed, so no route multiplies 2x2
-matrices site by site.  Every read of P itself is one call of
-:func:`_terminal`, which sweeps in the arithmetic of lambda: a float for
-:func:`periodic_char_fn` and ``closedform.robin_matrix_element``, a CharPoly
-for :func:`char_poly`, exact scalars for ``det --exact`` and
-``perturbation.symmetric_factor_check``, and a truncated Taylor jet
-(:class:`_Series`) for the ``eigenfunctions`` Newton slope (order 1, over
-all modes at once) and the CLI's Euler-Rayleigh sums (order <= 4 at 0).
-Exact reads sweep Python integers over the inputs' common denominator and
-divide once at the end (the fraction-free idea of Bareiss, Math. Comp. 22
-(1968) 565).
+Every route but the float reads at lambda = 0 (below), the perturbation
+series included, runs on one kernel, :func:`_sweep`, which advances
+y(j+1) = w_j y(j) - y(j-1) over weights w_j = v_j + 2 - lambda; each column
+of K is one sweep from a unit seed.  Every read of P itself is one call of
+:func:`_terminal`, which sweeps in the arithmetic of lambda: a float, a
+CharPoly (:func:`char_poly`), exact scalars (``det --exact``) or a truncated
+Taylor jet (:class:`_Series`: the ``eigenfunctions`` Newton slope over all
+modes at once, and ``sums --exact``).  Exact reads sweep Python integers
+over the inputs' common denominator and divide once at the end (the
+fraction-free idea of Bareiss, Math. Comp. 22 (1968) 565).
 
-The float determinant at lambda = 0 takes its own route,
-:func:`_blocked_difference_sweep`.  It carries (y(j), Delta(j) =
+Determinants and the float sums read the Taylor coefficients of P at 0
+from :func:`_taylor_at_zero`, one zero test for both
+(:func:`_nonzero_coefficient`).  Its sweep carries (y(j), Delta(j) =
 y(j) - y(j-1)), stepped as Delta += v_j y, y += Delta, so the rounded
 weight 2 + v_j is never formed.  By the composition law
 K(j, j'') = K(j, j') K(j', j''), the sites are cut into about sqrt(nu)
-blocks whose matrices advance together as numpy arrays
-(:func:`_block_matrices`), and the blocks are then chained in Python with
-exact power-of-two renormalisation.  Primed determinants need the first
-Taylor coefficients of P at 0 when P(0) vanishes; :func:`_blocked_jet_sweep`
-runs the same blocks with every entry a jet in lambda, so no eigenvalue is
-ever computed here.
+blocks whose matrices, jets in lambda past order 0, advance together as
+numpy arrays (:func:`_block_matrices`); the blocks are then chained in
+Python with exact power-of-two renormalisation, so nothing overflows and
+no eigenvalue is ever computed here.
 """
 
 from __future__ import annotations
@@ -232,6 +227,8 @@ def _terminal(potential: Potential, bc: BoundaryCondition, lam, exact: bool = Fa
     zero = lam - lam
     d2 = d * d if d != 1 else None
     if bc.is_interval:
+        if nu in (1, 2) and _lead_and_degree(bc, nu)[1] == 0:  # every site pinned: no eigenvalues
+            return zero + _lead_and_degree(bc, nu, exact)[0]  # P is lead (the sweep's 0 at nu = 1)
         # seeded with D (y(0), D y(1)), the sweep ends on D^(nu+1) (y(nu), D y(nu+1))
         ia, ib, oa, ob = ends
         a, b = _sweep(ws, zero + ia, zero + d * ib, d2=d2)
@@ -286,14 +283,14 @@ def periodic_char_fn(potential: Potential, tau: float, lam: float) -> float:
 
 def _lead_and_degree(bc: BoundaryCondition, nu: int, exact: bool = False):
     """P's leading coefficient (-1)^nu (1+alpha)(1+beta), lifted as :func:`_terminal`
-    lifts it, and degree; an alpha or beta of exactly -1 drops its factor and a degree."""
+    lifts it, and degree; an alpha or beta of exactly -1 drops its factor and a degree (to >= 0)."""
     if not bc.is_interval:
         return (-1) ** nu, nu
     ends = [1 + bc.robin_alpha, 1 + bc.robin_beta]  # the boundary vectors' entries
     if exact:
         ends = [_exactify(f) for f in ends]
     kept = [f for f in ends if f != 0]
-    return (-1) ** nu * math.prod(kept), nu - (len(ends) - len(kept))
+    return (-1) ** nu * math.prod(kept), max(nu - (len(ends) - len(kept)), 0)
 
 
 def _block_matrices(u: np.ndarray, order: int = 0,
@@ -394,15 +391,17 @@ def _taylor_at_zero(potential: Potential, bc: BoundaryCondition,
                     order: int) -> tuple[list[float], list[float], int]:
     """Taylor coefficients c_0..c_order of P at lambda = 0, as (cs, refs, e).
 
-    The true c_k is cs[k] * 2**e, from the blocked difference-form sweep,
-    which cannot overflow and never rounds the weights 2 + v_j.  refs[k],
-    on the same scale, is the magnitude of the swept state's order-k
-    entries, of (y(nu), y(nu+1)) on the interval and of K on the circle:
-    the yardstick of c_k's zero test (P's large mid coefficients are not).
+    The true c_k is cs[k] * 2**e.  refs[k], on the same scale, is the
+    magnitude of the swept state's order-k entries, of (y(nu), y(nu+1)) on
+    the interval and of K on the circle: the yardstick of c_k's zero test
+    (P's large mid coefficients are not) and of the float sums' guard.
     Order 0 steps Python floats (:func:`_blocked_difference_sweep`), since
     numpy's per-call overhead would outweigh a short sweep; higher orders
     take one :func:`_blocked_jet_sweep`.
     """
+    lead, degree = _lead_and_degree(bc, potential.nu)
+    if degree == 0 < potential.nu:  # every site pinned: P is lead, as in _terminal
+        return [float(lead)] + [0.0] * order, [abs(float(lead))] + [0.0] * order, 0
     u = potential.as_array()
     alpha = float(bc.robin_alpha)
     # (y(1), Delta(1)) from y(0) = 0, y(1) = 1, or from y(0) = 1, Delta y(0) =
@@ -437,6 +436,14 @@ def _taylor_at_zero(potential: Potential, bc: BoundaryCondition,
     return cs, refs, e
 
 
+def _nonzero_coefficient(cs: list, refs: list, e: int, k: int) -> tuple[float, int] | None:
+    """c_k of :func:`_taylor_at_zero` as (c, fold), c_k = c 2**(e - fold) with fold = e up to
+    _FOLD_BITS, else 0; or None where |c_k| is at most _ZERO_RTOL times refs[k]."""
+    fold = e if e <= _FOLD_BITS else 0
+    c = math.ldexp(cs[k], fold)
+    return None if abs(c) <= _ZERO_RTOL * max(math.ldexp(refs[k], fold), 1e-300) else (c, fold)
+
+
 def _h_power(bc: BoundaryCondition, nu: int, removed: int, prime: bool) -> int:
     """n of :func:`determinant`'s factor h^(-2 n): P's degree less ``removed``
     when primed, else nu, also where a degenerate Robin end drops a degree."""
@@ -450,20 +457,14 @@ def determinant(potential: Potential, bc: BoundaryCondition, spec: LatticeSpec,
     ``a`` is the polynomial's actual leading coefficient and d its actual
     degree, both read off the boundary condition (an alpha or beta of
     exactly -1 drops one degree each), so the value is insensitive to the
-    overall scale of P.  It is the product of the physical eigenvalues
-    when d = nu.  A degenerate Robin end (d < nu) still scales by
-    h^(-2 nu), not h^(-2 d): the value is that product times h^(-2 (nu - d)),
-    off by h^-2 per degenerate end when h != 1.
-    A Taylor coefficient c_k of P at 0 (:func:`_taylor_at_zero`) tests zero
-    when |c_k| is at most _ZERO_RTOL times its yardstick; P(0) = c_0
-    testing zero gives sign 0.
+    overall scale of P.  It is the product of the physical eigenvalues when
+    d = nu; a degenerate Robin end (d < nu) still scales by h^(-2 nu), and
+    d = 0 gives h^(-2 nu).  c_0 = P(0) testing zero gives sign 0.
 
     With ``prime`` set, k zero modes are removed: k is the number of leading
-    coefficients c_0, c_1, ... that test zero (c_0 as above, so the primed
-    determinant removes a mode exactly when the plain one has sign 0; c_1,
-    and c_2 on the circle, from one jet sweep), and
-    Det' = (-1)^(d-k) c_k/a * h^(-2 (d-k)), with ``zero_modes_removed`` = k.
-    No eigenvalue is computed, so there is no size limit.
+    coefficients c_0, c_1, ... that test zero (c_1, and c_2 on the circle,
+    from one jet sweep), and Det' = (-1)^(d-k) c_k/a * h^(-2 (d-k)), with
+    ``zero_modes_removed`` = k.  No eigenvalue is computed: no size limit.
     """
     nu = potential.nu
     if nu != spec.nu:
@@ -480,10 +481,7 @@ def determinant(potential: Potential, bc: BoundaryCondition, spec: LatticeSpec,
             if not prime:
                 return LogDet(0, math.nan, 0)
             cs, refs, e = _taylor_at_zero(potential, bc, order)
-        # fold the scale back: log(0.5) + 3 log 2 is not log 4
-        fold = e if e <= _FOLD_BITS else 0
-        c = math.ldexp(cs[k], fold)
-        if abs(c) > _ZERO_RTOL * max(math.ldexp(refs[k], fold), 1e-300):
+        if folded := _nonzero_coefficient(cs, refs, e, k):
             break
     else:
         raise ArithmeticError(
@@ -491,6 +489,7 @@ def determinant(potential: Potential, bc: BoundaryCondition, spec: LatticeSpec,
             f"{'interval' if bc.is_interval else 'circle'} eigenvalues have multiplicity "
             f"at most {order}")
 
+    c, fold = folded
     lead, degree = _lead_and_degree(bc, nu)
     sign = (-1) ** (degree - k) * (1 if c > 0 else -1) * (1 if lead > 0 else -1)
     log_abs = (math.log(abs(c)) + (e - fold) * _LN2 - math.log(abs(lead))

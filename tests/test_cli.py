@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 from fractions import Fraction
@@ -17,6 +18,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gylat
 from gylat import LatticeSpec, MassParam, Potential, determinant, dirichlet, free_determinant, robin
@@ -37,6 +40,24 @@ def mpmath_sums(values, kmax=4) -> list[float]:
         for m in range(1, kmax + 1):  # Newton's identities for the roots 1/lambda_n
             sums.append(-m * c[m] - sum(c[i] * sums[m - i - 1] for i in range(1, m)))
         return [float(x) for x in sums]
+
+
+# the five conditions; Robin ends near -1 (tall modes) or exactly -1 (pinned)
+_ROBIN_END = st.one_of(st.sampled_from([-1.0, -1.0 + 1e-13, -1.0 + 1e-9, -0.9999997]),
+                       st.floats(-0.99, 2.0))
+_SUMS_BCS = st.one_of(
+    st.sampled_from([["dirichlet"], ["neumann"], ["periodic"]]),
+    st.floats(0.01, 0.99).map(lambda tau: ["twisted", f"--tau={tau!r}"]),
+    st.tuples(_ROBIN_END, _ROBIN_END).map(
+        lambda ab: ["robin", f"--alpha={ab[0]!r}", f"--beta={ab[1]!r}"]))
+
+
+def quiet_cli(*argv):
+    """(exit code, stdout, stderr) of one CLI call, without pytest's capture fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_cli(capsys, *argv):
@@ -155,11 +176,31 @@ class TestDet:
         assert data["dimensionless_det_exact"] == f"{want.numerator}/{want.denominator}"
 
     def test_exact_vanishing_polynomial(self, capsys):
-        """nu = 1 with both ends pinned: P is 0, so is the exact determinant."""
+        """nu = 1 with both ends pinned: P is 0, but the operator is empty, det 1."""
         code, data = run_json(capsys, "det", "--bc", "robin", "--alpha", "-1", "--beta", "-1",
                               "--nu", "1", "--h", "1", "--delta-site", "1", "--delta-v", "0.5",
                               "--exact")
-        assert code == 0 and data["sign"] == 0 and data["dimensionless_det_exact"] == "0/1"
+        assert code == 0 and data["sign"] == 1 and data["dimensionless_det_exact"] == "1/1"
+
+    @pytest.mark.parametrize("argv", [["det"], ["det", "--prime"], ["det", "--exact"],
+                                      ["sums"], ["sums", "--exact"]])
+    @pytest.mark.parametrize("h", ["1", "0.5"])
+    def test_one_site_pinned_twice_is_empty(self, capsys, argv, h):
+        """nu = 1 with both ends pinned answers as nu = 2 does, the empty operator,
+        scaled by h^(-2 nu) like any plain determinant."""
+        pinned = ["--bc", "robin", "--alpha", "-1", "--beta", "-1", "--h", h]
+        got = {}
+        for nu in (1, 2):
+            code, got[nu] = run_json(capsys, *argv, *pinned, "--nu", str(nu), "--delta-site",
+                                     "1", "--delta-v", "0.5")
+            assert code == 0
+        keep = ("sign", "dimensionless_det", "zero_modes", "dimensionless_det_exact",
+                "inverse_power_sums")
+        assert {k: v for k, v in got[1].items() if k in keep} == \
+            {k: v for k, v in got[2].items() if k in keep}
+        if argv[0] == "det":
+            n = 0 if "--prime" in argv else 1  # h^(-2 nu), or h^0 for the primed degree
+            assert got[1]["log10_abs"] == pytest.approx(-2 * n * math.log10(float(h)), abs=1e-15)
 
     def test_potential_file(self, capsys, tmp_path):
         path = tmp_path / "pot.json"
@@ -451,9 +492,9 @@ class TestSums:
         assert max(abs(g - w) / abs(w) for g, w in zip(got, want)) < 1e-10
 
     @pytest.mark.parametrize("nu, hi, reason", [(1000, 1, "bound 1.97e-06"),
-                                                (3000, 2, "is not finite")])
+                                                (3000, 2, "bound 0.00029")])
     def test_float_jet_guard(self, capsys, tmp_path, nu, hi, reason):
-        """Cancellation or overflow in the float jet exits 3 and points to --exact."""
+        """Cancellation in the float jet exits 3 and points to --exact."""
         path = tmp_path / "pot.json"
         path.write_text(json.dumps(np.random.default_rng(nu).uniform(0, hi, nu).tolist()))
         code, out, err = run_cli(capsys, "sums", "--bc", "dirichlet", "--nu", str(nu),
@@ -489,6 +530,86 @@ class TestSums:
         code, out, err = run_cli(capsys, "sums", *argv, "--h", "1", *exact)
         assert (code == 2) == (det["sign"] == 0)
         assert code in (0, 2) and ("zero mode" in err) == (code == 2)
+
+    @pytest.mark.parametrize("bc", [["dirichlet"], ["robin", "--alpha", "0.5", "--beta", "1.5"],
+                                    ["twisted", "--tau", "0.3"]])
+    def test_float_jet_does_not_overflow(self, capsys, tmp_path, bc):
+        """P(0) of uniform(-1, 2) at nu = 2000 overflows a float; its scaled jet does not."""
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps(np.random.default_rng(2000).uniform(-1, 2, 2000).tolist()))
+        argv = ["sums", "--bc", *bc, "--nu", "2000", "--h", "1", "--potential", str(path)]
+        code, got = run_json(capsys, *argv)
+        assert code == 0
+        _, want = run_json(capsys, *argv, "--exact")
+        for g, w in zip(got["inverse_power_sums"], want["inverse_power_sums"]):
+            assert abs(g - w) <= 1e-10 * abs(w)
+
+    @pytest.mark.parametrize("nu", [5, 50])
+    @pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-9, 1e-10])
+    def test_near_zero_mode_is_guarded(self, capsys, tmp_path, nu, gap):
+        """A constant potential gap above -lambda_1: c_0 keeps only the digits left
+        above its yardstick, and the guard counts them (without that count, nu = 5
+        at gap 1e-9 exits 0 with sums 1.6e-8 off)."""
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps([gap - 4 * math.sin(math.pi / (2 * nu + 2)) ** 2] * nu))
+        argv = ["sums", "--bc", "dirichlet", "--nu", str(nu), "--h", "1", "--potential", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        _, want = run_json(capsys, *argv, "--exact")
+        if code == 0:
+            got = json.loads(out)["inverse_power_sums"]
+            assert all(abs(g - w) <= 1e-8 * abs(w) for g, w in zip(got, want["inverse_power_sums"]))
+        else:
+            assert code == 3 and "Newton cancellation bound" in err
+        assert (code == 3) == (nu == 5 and gap <= 1e-8 or nu == 50 and gap <= 1e-10)
+
+    @pytest.mark.parametrize("nu, want", [(2, [0, 2, 0, 2]), (10, [0, 30, 0, 310])])
+    def test_spectrum_symmetric_about_zero(self, capsys, tmp_path, nu, want):
+        """A constant -2 Dirichlet potential makes every weight -lambda, so the spectrum
+        is symmetric about 0 and P's odd coefficients are exact zeros: they lose no
+        digits, and the guard must not read one as an infinite loss."""
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps([-2] * nu))
+        for exact in ([], ["--exact"]):
+            code, data = run_json(capsys, "sums", "--bc", "dirichlet", "--nu", str(nu), "--h", "1",
+                                  "--potential", str(path), *exact)
+            assert code == 0 and data["inverse_power_sums"] == want
+
+    def test_float_sums_run_one_sweep(self, capsys, monkeypatch):
+        """The float route reads c_0..c_order and their zero test from one jet sweep."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a second sweep")
+
+        monkeypatch.setattr(gylat.cli, "determinant", refuse)
+        monkeypatch.setattr(gylat.cli, "_terminal", refuse)
+        code, data = run_json(capsys, "sums", "--bc", "dirichlet", "--nu", "9", "--h", "1")
+        assert code == 0 and data["closed_form_agreement"] is True
+
+    @settings(max_examples=150)
+    @given(nu=st.integers(1, 300), bc=_SUMS_BCS, seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["uniform", "indefinite", "well"]))
+    def test_float_sums_keep_the_guards_promise(self, nu, bc, seed, kind):
+        """Float sums exit 0 only within 1e-8 of --exact, exit 3 naming the bound
+        (its exit 2, a zero mode, may be a near one), and never 0 on an exact zero mode."""
+        rng = np.random.default_rng(seed)
+        if kind == "well":  # a deep well over the middle third, 0 elsewhere
+            values = np.zeros(nu)
+            values[nu // 3:max(2 * nu // 3, nu // 3 + 1)] = -rng.uniform(0.5, 4.0)
+        else:
+            values = rng.uniform(*((0, 1) if kind == "uniform" else (-1, 2)), nu)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pot.json"
+            path.write_text(json.dumps(values.tolist()))
+            argv = ["sums", f"--bc={bc[0]}", *bc[1:], f"--nu={nu}", "--h=1", f"--potential={path}"]
+            (code, out, err), (xcode, xout, _) = (quiet_cli(*argv), quiet_cli(*argv, "--exact"))
+        assert xcode in (0, 2)
+        if code == 0:
+            assert xcode == 0
+            got, want = (json.loads(o)["inverse_power_sums"] for o in (out, xout))
+            assert all(abs(g - w) <= 1e-8 * abs(w) for g, w in zip(got, want))
+        elif code == 3:
+            assert "Newton cancellation bound" in err and "--exact" in err
+        else:
+            assert code == 2 and "zero mode" in err
 
 
 class TestCasimir:

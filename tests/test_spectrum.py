@@ -283,6 +283,35 @@ class TestInversePowerSums:
         want = outcome(lambda: spectrum._newton_sums([Fraction(c) for c in coeffs], kmax)[0])
         assert outcome(lambda: spectrum._exact_newton_sums(coeffs, kmax)) == want
 
+    @pytest.mark.parametrize("nu", [40, 60, 200])
+    @pytest.mark.parametrize("bc", [dirichlet(), robin(0.5, 1.5), twisted(0.3)],
+                             ids=["dirichlet", "robin", "twisted"])
+    def test_float_backend_at_large_nu(self, bc, nu):
+        """P(0) far below the middle coefficients is no zero mode on the float backend either."""
+        got = inverse_power_sums(char_poly(Potential.zeros(nu), bc), 4)
+        want = inverse_power_sums(char_poly(Potential.zeros(nu), bc, exact=True), 4)
+        assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got, want))
+        if nu == 60 and bc.kind == "dirichlet":
+            assert got == [620, 153946, 54557396, 20304670098]
+
+    def test_float_cancellation_raises(self):
+        """Roots +-1, +-2 and 1e5: S_3 ~ 1e-15 from terms ~ 1e-5, bound 4e-5."""
+        p = CharPoly([1.0])
+        for root in (1.0, -1.0, 2.0, -2.0, 1e5):
+            p = p * CharPoly([-root, 1.0])
+        assert inverse_power_sums(p, 2) == pytest.approx([1e-5, 2.5 + 1e-10], rel=1e-12)
+        with pytest.raises(ArithmeticError, match="Newton cancellation bound 4.16e-05"):
+            inverse_power_sums(p, 3)
+
+    def test_float_rounded_zero_mode_is_the_callers(self):
+        """Free Robin on the zero-mode locus (1 + nu) a b + a + b = 0 rounds p(0) off 0.
+        A bare float polynomial has no yardstick to call that a zero mode, so the sums
+        come out of the size of 1/p(0), as documented; only an exact 0 raises."""
+        nu, a = 2, 0.1
+        p = char_poly(Potential.zeros(nu), robin(a, -a / ((1 + nu) * a + 1)))
+        assert 0 < abs(p.coeffs[0]) < 1e-15
+        assert abs(inverse_power_sums(p, 2)[0]) > 1e15
+
     def test_zero_mode_rejected(self):
         p = char_poly(Potential.zeros(4), neumann(), exact=True)
         with pytest.raises(ZeroDivisionError):
