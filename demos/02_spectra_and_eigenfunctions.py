@@ -4,8 +4,8 @@
 The eigenvalues of the lattice operator are simultaneously (i) roots of the
 characteristic polynomial built by transfer-matrix propagation, (ii)
 eigenvalues of the symmetric (tri)diagonal matrix, and (iii) in the free
-case, explicit sine formulas.  The eigenfunctions come out of the same
-propagation that builds the polynomial.
+case, explicit sine formulas.  The eigenfunctions come from the same
+recurrence: its ratios y(j+1)/y(j), swept from both ends of the lattice.
 """
 
 import math

@@ -540,8 +540,9 @@ def _narrow(q: list[int], a: float, b: float) -> tuple[float, float, float]:
     point x - q(x)/q'(x), one correctly rounded int / int, is evaluated if it
     lies strictly inside the bracket, and one that rounds to x probes the
     next float inward.  A step that leaves the bracket, or has no slope or no
-    float size, takes the midpoint, and so does the point after it; two
-    evaluations in a row that have not halved the bracket force a midpoint.
+    float size, takes the midpoint, and so do the 1, 3, 7, ... points after
+    it, the run doubling with each such step in a row until one lands inside;
+    two evaluations in a row that have not halved the bracket force a midpoint.
     The sign of q at each point moves the bracket, so the answer is that of
     bisection whatever the path: a point where q is zero, or else the float
     nearest the root, by the sign at the exact midpoint of the adjacent final
@@ -553,7 +554,7 @@ def _narrow(q: list[int], a: float, b: float) -> tuple[float, float, float]:
     dq = [k * c for k, c in enumerate(q)][1:] if v else []
     up = v > 0  # the sign of q at b
     before = last = math.inf  # the widths before the last two evaluations
-    newton = True
+    run = wait = 0  # the midpoints after the last step out of the bracket; those still to take
     while vt:
         mid = 0.5 * (a + b)
         if not a < mid < b:
@@ -561,7 +562,7 @@ def _narrow(q: list[int], a: float, b: float) -> tuple[float, float, float]:
             vm = _value(q, *_dyadic((Fraction(a) + Fraction(b)) / 2))
             return (a if vm and (vm > 0) == up else b), a, b
         t = mid
-        if newton:
+        if not wait:
             try:
                 z = x - v / (_value(dq, n, s) << s)
             except (ZeroDivisionError, OverflowError):
@@ -577,9 +578,11 @@ def _narrow(q: list[int], a: float, b: float) -> tuple[float, float, float]:
             a = t
         else:
             b = t
-        if newton or not (x == a or x == b):
+        if not wait or not (x == a or x == b):
             x, n, s, v = t, nt, st, vt
-        newton = not (newton and t == mid) and b - a <= 0.5 * before
+        if not wait:  # 1, 3, 7, ... midpoints after each step out of the bracket in a row
+            run = 2 * run + 1 if t == mid else 0
+        wait = max(wait - 1 if wait else run, int(b - a > 0.5 * before))
     return t, a, b
 
 

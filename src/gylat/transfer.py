@@ -19,16 +19,16 @@ lambda = 0, normalised by the leading coefficient, gives the determinant.
 On the circle the eigenvalue condition is tr K(lambda; nu) = 2 cos(2 pi tau)
 instead.
 
-Every route but the float reads at lambda = 0 (below), the perturbation
-series included, runs on one kernel, :func:`_sweep`, which advances
+Every route but the float reads at lambda = 0 (below) and the eigenfunction
+tables (ratios y(j+1)/y(j) swept from both ends), the perturbation series
+included, runs on one kernel, :func:`_sweep`, which advances
 y(j+1) = w_j y(j) - y(j-1) over weights w_j = v_j + 2 - lambda; each column
 of K is one sweep from a unit seed.  Every read of P itself is one call of
 :func:`_terminal`, which sweeps in the arithmetic of lambda: a float, a
 CharPoly (:func:`char_poly`), exact scalars (``det --exact``) or a truncated
-Taylor jet (:class:`_Series`: the ``eigenfunctions`` Newton slope over all
-modes at once, and ``sums --exact``).  Exact reads sweep Python integers
-over the inputs' common denominator and divide once at the end (the
-fraction-free idea of Bareiss, Math. Comp. 22 (1968) 565).
+Taylor jet (:class:`_Series`, for ``sums --exact``).  Exact reads sweep
+Python integers over the inputs' common denominator and divide once at the
+end (the fraction-free idea of Bareiss, Math. Comp. 22 (1968) 565).
 
 Determinants and the float sums read the Taylor coefficients of P at 0
 from :func:`_taylor_at_zero`, one zero test for both
@@ -63,6 +63,7 @@ from .core import (
     _exactify,
     twisted,
 )
+from .spectrum import tridiagonal_matrix
 
 # A Taylor coefficient of P at lambda = 0 at most this fraction of the
 # magnitude of the swept state's entries of its order tests zero.
@@ -77,8 +78,8 @@ _BLOCK_GROWTH_BITS = 500
 # leaves room to square it.
 _FOLD_BITS = 500
 
-# An eigenfunction row whose terminal residual exceeds this fraction of its
-# largest entry is not returned.
+# An eigenfunction row whose residual |(T - lambda) y| exceeds this fraction
+# of its largest entry is not returned.
 _EIGENFUNCTION_RTOL = 1e-8
 
 _LN2 = math.log(2.0)
@@ -117,7 +118,6 @@ class _Series:
     A plain scalar on either side of ``+``, ``-`` or ``*`` is the series c[0]."""
 
     __slots__ = ("c", "m")
-    __array_ufunc__ = None  # ndarray (op) _Series defers to the reflected method
 
     def __init__(self, c, m):
         self.c, self.m = (c if len(c) <= m + 1 else c[:m + 1]), m
@@ -196,7 +196,7 @@ def _terminal(potential: Potential, bc: BoundaryCondition, lam, exact: bool = Fa
     out . K(lambda; nu) . in on the interval, tr K(lambda; nu) - 2 cos(2 pi tau)
     on the circle.  A float ``lam`` gives the value, ``CharPoly.lam(exact)``
     the polynomial, ``_Series([x, 1], m)`` the Taylor coefficients of P at x
-    up to order m (x may be a numpy vector over modes).
+    up to order m.
 
     With ``exact`` the potential, the boundary vectors' entries and a scalar
     ``lam`` are lifted once into exact scalars (a float among them would
@@ -500,60 +500,65 @@ def determinant(potential: Potential, bc: BoundaryCondition, spec: LatticeSpec,
 def eigenfunctions(potential: Potential, bc: BoundaryCondition, spectrum: Spectrum) -> np.ndarray:
     """Table y_n(j), n = 0..nu-1, j = 1..nu, as an (nu, nu) float array.
 
-    Row n propagates the in-vector at lambda_n = spectrum[n], first polished
-    by up to three Newton steps on the terminal boundary residual (a raw
-    oracle eigenvalue leaves an O(1e-13) residual that near-degenerate pairs
-    would amplify; a step above 1e-6 max(1, |lambda|) keeps the caller's
-    value).  All modes advance together, one numpy vector per site, in the
-    scalar recurrence's order, so each entry has a per-mode sweep's bits.
-    Interval conditions only (circle eigenfunctions are complex).
-
-    Forward propagation meets every interior equation to rounding, so a
-    row's residual |(T - lambda) y| is P(lambda) / (1 + beta) on the last
-    site (P when beta = -1).  Modes localised far from the left end defeat
-    forward shooting: if any row's residual exceeds 1e-8 max_j |y(j)|, or a
-    row is not finite, ArithmeticError is raised instead.
+    Row n solves T y = lambda_n y, lambda_n = spectrum[n], for T of
+    :func:`spectrum.tridiagonal_matrix` (circle conditions, nu = 0 and an alpha or
+    beta of exactly -1 raise its ValueError) by the twisted factorisation of
+    Fernando (SIAM J. Matrix Anal. Appl. 18 (1997) 1013) and Dhillon & Parlett
+    (Linear Algebra Appl. 387 (2004) 1): the GY pivots r_j = y(j+1)/y(j) =
+    (d_j - lambda) - 1/r_(j-1) from the left end and s_j from the right meet at
+    the twist k minimising |r_k + s_k - (d_k - lambda)|, where the mode is near
+    its largest; from y(k) = 1, y(j) = y(j+1)/r_j for j < k and y(j-1)/s_j for
+    j > k.  Each row is scaled so that its first entry of largest magnitude is
+    exactly +1.  A row whose residual max_j |(T - lambda) y|_j exceeds
+    1e-8 max_j |y_j|, or is not finite, raises ArithmeticError.
     """
-    if not bc.is_interval:
-        raise ValueError("eigenfunctions via in-vector propagation need an interval condition")
-    nu = potential.nu
+    d, _ = tridiagonal_matrix(potential, bc)
+    nu = len(d)
     if len(spectrum) != nu:
         raise ValueError(f"spectrum has {len(spectrum)} entries, potential has nu={nu}")
-    vin, out = bc.in_vector(), bc.out_adjoint()
-    a0, b0 = float(vin.a), float(vin.b)
-    oa, ob = float(out.a), float(out.b)
-    shifted = (potential.as_array() + 2.0).tolist()  # w_j = (v_j + 2) - lambda
-    floats = Potential(potential.as_array())  # Fraction entries would leave numpy's floats
     lam = np.fromiter(spectrum, dtype=float, count=nu)
+    blocks = [slice(lo, lo + 64) for lo in range(0, nu, 64)]  # sites per numpy call
+    cols, site = np.arange(nu), np.arange(1, nu + 1)[:, None]
+    # rows 1..nu are the sites, one column per mode; the zero rows 0 and nu + 1
+    # are 1/r_0 and 1/s_(nu+1), and y(0) and y(nu+1) once fwd holds y
+    fwd, bwd = np.zeros((nu + 2, nu)), np.zeros((nu + 2, nu))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        live = np.arange(nu)  # modes still taking Newton steps
-        for _ in range(3):
-            lam_l = lam[live]
-            # P and dP/dlambda jointly: the order-1 jet of P at lam_l
-            p, slope = _terminal(floats, bc, _Series([lam_l, 1.0], 1)).c
-            step = p / slope
-            # a zero slope stops, a step out of the Newton basin keeps the
-            # caller's value; np.fmax, like Python's max, passes over a NaN
-            take = (slope != 0.0) & ~(np.abs(step) > 1e-6 * np.fmax(1.0, np.abs(lam_l)))
-            lam[live[take]] = lam_l[take] - step[take]
-            done = np.abs(step) <= 1e-16 * np.fmax(1.0, np.abs(lam_l - step))
-            live = live[take & ~done]
-            if not len(live):
-                break
-        rows = [np.full(nu, b0)]  # rows[j - 1][n] = y_n(j)
-        a, b = _sweep((s - lam for s in shifted), np.full(nu, a0), rows[0], path=rows)
-        ys = np.reshape(rows[:nu], (nu, nu))
-        residual = np.abs(oa * a + ob * b) / (abs(ob) or 1.0)
-        # max_j |y(j)| per mode, without an nu x nu temporary
-        size = np.maximum(ys.max(axis=0, initial=0.0), -ys.min(axis=0, initial=0.0))
-        rel = residual / size
+        # 1/r_j into fwd, 1/s_j into bwd; an exact zero pivot is +0, and capping its
+        # reciprocal makes 1/r_j 1/r_(j+1) = y(j)/y(j+2) come out -1, not inf * -0 = NaN
+        for rows, sites, back in ((fwd, range(1, nu + 1), -1), (bwd, range(nu, 0, -1), 1)):
+            for j in sites:
+                row = np.subtract(d[j - 1], lam, out=rows[j])
+                row -= rows[j + back]
+                np.minimum(np.reciprocal(row, out=row), 2.0 ** 500, out=row)
+        gap, twist = np.full(nu, np.inf), np.zeros(nu, dtype=np.intp)
+        for b in blocks:  # r_k + s_k - (d_k - lambda) = (d_k - lambda) - 1/r_(k-1) - 1/s_(k+1)
+            g = np.abs(d[b, None] - lam - fwd[:-2][b] - bwd[2:][b])
+            at = g.argmin(axis=0)
+            closer = g[at, cols] < gap
+            gap[closer], twist[closer] = g[at, cols][closer], site[b][at[closer], 0]
+        for b in blocks:  # keep 1/r_j left of the twist and 1/s_j right of it
+            np.putmask(fwd[1:-1][b], site[b] >= twist, 1.0)
+            np.putmask(bwd[1:-1][b], site[b] <= twist, 1.0)
+        for j in range(1, nu):  # from y(k) = 1, y(i) = y(i+1)/r_i leftward, y(i-1)/s_i rightward
+            fwd[nu - j] *= fwd[nu - j + 1]
+            bwd[j + 1] *= bwd[j]
+        ys = fwd[1:-1]
+        ys *= bwd[1:-1]
+        res, size, peak = np.zeros(nu), np.zeros(nu), np.zeros(nu, dtype=np.intp)
+        for b in blocks:  # max_j |(T - lambda) y|_j and the first j of largest |y_j|
+            r = np.abs((d[b, None] - lam) * ys[b] - fwd[:-2][b] - fwd[2:][b])
+            np.maximum(res, r.max(axis=0), out=res)
+            np.abs(ys[b], out=r)
+            at = r.argmax(axis=0)
+            higher = r[at, cols] > size
+            size[higher], peak[higher] = r[at, cols][higher], site[b][at[higher], 0] - 1
+        rel = res / size
+        ys /= ys[peak, cols]
     bad = ~(rel <= _EIGENFUNCTION_RTOL)
     if bad.any():
         finite = np.isfinite(rel)
-        worst = float(np.max(rel[finite], initial=0.0))
         raise ArithmeticError(
-            f"{int(bad.sum())} of {nu} eigenfunction rows miss T y = lambda y by more than "
-            f"{_EIGENFUNCTION_RTOL:g} relative (worst finite residual {worst:.3g}, "
-            f"{int((~finite).sum())} rows not finite); forward shooting cannot follow modes "
-            f"localised away from the left end")
+            f"{int(bad.sum())} of {nu} eigenfunction rows miss T y = lambda y: twisted "
+            f"factorisation, worst finite residual {float(np.max(rel[finite], initial=0.0)):.3g} "
+            f"of max|y| against {_EIGENFUNCTION_RTOL:g}, {int((~finite).sum())} rows not finite")
     return ys.T

@@ -82,6 +82,16 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def eigenfunction_residual(data, pot, bc) -> float:
+    """The worst max_j |(T - lambda) y|_j / max_j |y_j| of a spectrum payload's table."""
+    table, lams = np.array(data["eigenfunctions"]), np.array(data["eigenvalues_dimensionless"])
+    d, _ = tridiagonal_matrix(pot, bc)
+    ty = (d - lams[:, None]) * table
+    ty[:, 1:] -= table[:, :-1]
+    ty[:, :-1] -= table[:, 1:]
+    return float(np.max(np.max(np.abs(ty), axis=1) / np.max(np.abs(table), axis=1)))
+
+
 class TestDet:
     def test_dirichlet_free(self, capsys):
         code, data = run_json(capsys, "det", "--bc", "dirichlet", "--nu", "3", "--h", "1")
@@ -841,14 +851,35 @@ class TestOutputDiscipline:
         assert any(math.isnan(x) for x in bits)
         assert render_json({"rows": rows}) == ref_render_json({"rows": rows})
 
-    def test_eigenfunctions_of_localised_modes_exit_3(self, capsys, tmp_path):
+    @pytest.mark.parametrize("lo, nu", [(-1.0, 400), (0.0, 1000)])
+    def test_eigenfunctions_of_localised_modes(self, capsys, tmp_path, lo, nu):
         path = tmp_path / "pot.json"
-        path.write_text(json.dumps(np.random.default_rng(400).uniform(-1, 1, 400).tolist()))
-        code, out, err = run_cli(capsys, "spectrum", "--bc", "dirichlet", "--nu", "400",
-                                 "--h", "1", "--potential", str(path), "--eigenfunctions")
-        assert code == 3
-        assert out == ""
-        assert "of 400 eigenfunction rows miss T y = lambda y" in err
+        v = np.random.default_rng(nu).uniform(lo, 1, nu)
+        path.write_text(json.dumps(v.tolist()))
+        code, data = run_json(capsys, "spectrum", "--bc", "dirichlet", "--nu", str(nu),
+                              "--h", "1", "--potential", str(path), "--eigenfunctions")
+        assert code == 0
+        assert eigenfunction_residual(data, Potential(v), dirichlet()) <= 1e-8
+
+    def test_eigenfunctions_of_a_near_degenerate_robin_end(self, capsys):
+        # d_1 = 2 - 1/(1 + alpha) is about -3.3e6: one tall mode sits at site 1
+        code, data = run_json(capsys, "spectrum", "--bc", "robin", "--alpha", "-0.9999997",
+                              "--beta", "0.5", "--nu", "10", "--h", "1", "--eigenfunctions")
+        assert code == 0
+        assert eigenfunction_residual(data, Potential.zeros(10), robin(-0.9999997, 0.5)) <= 1e-8
+
+    def test_eigenfunction_json_and_csv_agree(self, capsys, tmp_path):
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps(np.random.default_rng(300).uniform(-1, 1, 300).tolist()))
+        argv = ["spectrum", "--bc", "robin", "--alpha", "0.5", "--beta", "1.2", "--nu", "300",
+                "--h", "1", "--potential", str(path), "--eigenfunctions"]
+        _, data = run_json(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, row = out.strip().split("\n")
+        cells = dict(zip(header.split(","), row.split(",")))
+        table = [[float(cells[f"eigenfunctions.{n}.{j}"]) for j in range(300)] for n in range(300)]
+        assert table == data["eigenfunctions"]
 
     def test_byte_determinism(self, capsys):
         _, out1, _ = run_cli(capsys, "spectrum", "--bc", "robin", "--alpha", "0.3",

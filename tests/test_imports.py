@@ -91,9 +91,14 @@ def test_the_dependency_check_sees_a_nested_import():
 
 
 def test_transfer_does_not_import_the_oracle():
-    """Determinants, primed ones included, take no eigenvalue from gylat.spectrum."""
-    names = imported_modules((SRC / "transfer.py").read_text())
-    assert not names & {".spectrum", "gylat.spectrum"}
+    """Determinants, primed ones included, take no eigenvalue from gylat.spectrum:
+    transfer imports only the operator's matrix form from it, for eigenfunctions."""
+    source = (SRC / "transfer.py").read_text()
+    assert imported_modules(source) & {".spectrum", "gylat.spectrum"} == {".spectrum"}
+    taken = {alias.name for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.ImportFrom) and node.module == "spectrum"
+             for alias in node.names}
+    assert taken == {"tridiagonal_matrix"}
 
 
 def test_the_import_check_sees_a_nested_import():
@@ -124,16 +129,11 @@ def test_primed_determinants_and_interval_energies_run_without_the_oracle(monkey
         vacuum_energy(v, periodic(), LatticeSpec.circle(nu, L=1.0))
 
 
-def test_poly_roots_runs_without_any_eigensolver(monkeypatch):
-    """poly_roots takes no point from the oracle, np.roots or numpy's eigen
-    routines, so it stays an independent check of them."""
+def refuse_eigensolvers(monkeypatch):
+    """Make the oracle, np.roots and numpy's eigen routines raise when called."""
     import numpy as np
 
     import gylat
-    from gylat import Potential, char_poly, dirichlet, oracle_spectrum, periodic, poly_roots
-
-    pot = Potential((1, -2, 0, 3, 1, 0, -1, 2, -3, 1, 0, 2))
-    cases = [(bc, oracle_spectrum(pot, bc).lambdas) for bc in (dirichlet(), periodic())]
 
     def refuse(*args, **kwargs):
         raise AssertionError("an eigenvalue solver was called")
@@ -143,6 +143,31 @@ def test_poly_roots_runs_without_any_eigensolver(monkeypatch):
     monkeypatch.setattr(np, "roots", refuse)
     for name in ("eig", "eigh", "eigvals", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, refuse)
+
+
+def test_poly_roots_runs_without_any_eigensolver(monkeypatch):
+    """poly_roots takes no point from the oracle, np.roots or numpy's eigen
+    routines, so it stays an independent check of them."""
+    from gylat import Potential, char_poly, dirichlet, oracle_spectrum, periodic, poly_roots
+
+    pot = Potential((1, -2, 0, 3, 1, 0, -1, 2, -3, 1, 0, 2))
+    cases = [(bc, oracle_spectrum(pot, bc).lambdas) for bc in (dirichlet(), periodic())]
+    refuse_eigensolvers(monkeypatch)
     for bc, want in cases:
         got = poly_roots(char_poly(pot, bc, exact=True)).lambdas
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+
+
+def test_eigenfunctions_run_without_any_eigensolver(monkeypatch):
+    """eigenfunctions solve for the eigenvalues they are given, with no call of the
+    oracle, np.roots or numpy's eigen routines."""
+    import numpy as np
+
+    from gylat import Potential, dirichlet, eigenfunctions, oracle_spectrum, robin
+
+    pot = Potential(np.random.default_rng(3).uniform(-1, 1, 300))
+    cases = [(bc, oracle_spectrum(pot, bc)) for bc in (dirichlet(), robin(0.5, 1.2))]
+    refuse_eigensolvers(monkeypatch)
+    for bc, spectrum in cases:
+        table = eigenfunctions(pot, bc, spectrum)
+        assert table.shape == (300, 300) and np.max(np.abs(table)) == 1.0

@@ -89,16 +89,13 @@ class TestJetIsThePolynomial:
         got = _terminal(pot, bc, _Series([x, 1], m), exact=True).c
         assert got + [0] * (m + 1 - len(got)) == want
 
-    def test_value_and_vector_jets(self):
-        """A float lambda gives P(lambda); a vector x gives one jet per entry."""
+    def test_value_is_the_jets_constant_term(self):
+        """A float lambda gives P(lambda), the order-0 coefficient of the jet at lambda."""
         pot = Potential(np.random.default_rng(4).uniform(-1, 1, 30))
-        xs = np.array([-0.5, 0.25, 1.7])
         for bc in BCS:
-            vector = _terminal(pot, bc, _Series([xs, 1.0], 2)).c
-            for i, x in enumerate(xs.tolist()):
-                scalar = _terminal(pot, bc, _Series([x, 1.0], 2)).c
-                assert bits([c[i] for c in vector]) == bits(scalar)
-                assert bits([_terminal(pot, bc, x)]) == bits(scalar[:1])
+            for x in (-0.5, 0.25, 1.7):
+                jet = _terminal(pot, bc, _Series([x, 1.0], 2)).c
+                assert bits([_terminal(pot, bc, x)]) == bits(jet[:1])
 
 
 def fraction_terminal(potential, bc, lam):
@@ -176,14 +173,6 @@ class TestSeriesScalars:
         assert (s * 3).c == (3 * s).c == [3, 6]
         assert (s * s).c == [1, 4, 4] and (s * s * s).c == [1, 6, 12, 8]
         assert (s * s * s * s).c == [1, 8, 24, 32]  # truncated above order 3
-
-    def test_numpy_on_the_left(self):
-        x = np.array([1.0, 2.0])
-        s = _Series([x, 1.0], 1)
-        for got, want in ((x - s, [[0.0, 0.0], -1.0]), (x + s, [[2.0, 4.0], 1.0]),
-                          (x * s, [[1.0, 4.0], [1.0, 2.0]])):
-            assert isinstance(got, _Series)
-            assert all(np.array_equal(g, w) for g, w in zip(got.c, want))
 
 
 class TestLeadAndDegree:

@@ -32,8 +32,9 @@ from gylat import (
     step_matrix,
     twisted,
 )
+from gylat.core import Spectrum
 from gylat.spectrum import tridiagonal_matrix
-from gylat.transfer import Propagator, _sweep
+from gylat.transfer import Propagator
 
 
 def random_potential(rng, nu, lo=-1.0, hi=1.0):
@@ -465,81 +466,95 @@ class TestSymplecticInvariance:
                 assert abs(a - b) <= 1e-8 * scale
 
 
-def ref_eigenfunctions(potential, bc, spectrum):
-    """The per-mode loop the batched eigenfunctions replaced: scalar Newton
-    on the terminal residual, then one _sweep row per mode."""
-    vin, out = bc.in_vector(), bc.out_adjoint()
-    a0, b0 = float(vin.a), float(vin.b)
-    oa, ob = float(out.a), float(out.b)
-
-    def terminal_residual(lam):
-        a, b, da, db = a0, b0, 0.0, 0.0
-        for v in potential:
-            w = float(v) + 2.0 - lam
-            a, b, da, db = b, -a + w * b, db, -da + w * db - b
-        return oa * a + ob * b, oa * da + ob * db
-
-    nu = potential.nu
-    table = np.empty((nu, nu))
-    for n, lam in enumerate(spectrum):
-        lam = float(lam)
-        for _ in range(3):
-            res, slope = terminal_residual(lam)
-            if slope == 0.0:
-                break
-            step = res / slope
-            if abs(step) > 1e-6 * max(1.0, abs(lam)):
-                break
-            lam -= step
-            if abs(step) <= 1e-16 * max(1.0, abs(lam)):
-                break
-        ys = [b0]
-        _sweep((v + 2 - lam for v in potential), a0, b0, path=ys)
-        table[n, :] = ys[:nu]
-    return table
+def guard_residuals(table, pot, bc, spectrum, chunk=500):
+    """max_j |(T - lambda) y|_j / max_j |y_j| per row, from the matrix form,
+    ``chunk`` rows at a time."""
+    d, _ = tridiagonal_matrix(pot, bc)
+    lams = np.array(spectrum.lambdas)
+    out = []
+    for lo in range(0, len(table), chunk):
+        rows = table[lo:lo + chunk]
+        ty = (d - lams[lo:lo + chunk, None]) * rows
+        ty[:, 1:] -= rows[:, :-1]
+        ty[:, :-1] -= rows[:, 1:]
+        out.append(np.max(np.abs(ty), axis=1) / np.max(np.abs(rows), axis=1))
+    return np.concatenate(out)
 
 
-INTERVAL_BCS = [dirichlet(), neumann(), robin(0.3, -0.4)]
+def off_centre_well(nu):
+    """0.5 everywhere but a -1 well on the seventh tenth of the sites."""
+    v = np.full(nu, 0.5)
+    v[6 * nu // 10:7 * nu // 10] = -1.0
+    return Potential(v)
+
+
+def seeded(lo, hi):
+    return lambda nu: Potential(np.random.default_rng(nu).uniform(lo, hi, nu))
+
+
+POTENTIALS = {"uniform(0, 1)": seeded(0.0, 1.0), "uniform(-1, 1)": seeded(-1.0, 1.0),
+              "off-centre well": off_centre_well}
 
 
 class TestEigenfunctions:
-    @pytest.mark.parametrize("nu", [1, 2, 3, 50, 300])
-    @pytest.mark.parametrize("bc", INTERVAL_BCS, ids=["dirichlet", "neumann", "robin"])
-    def test_bit_identical_to_per_mode_loop(self, nu, bc):
-        rng = np.random.default_rng(nu)
-        for pot in (Potential.zeros(nu), Potential(tuple(rng.uniform(-0.01, 0.01, nu)))):
-            spectrum = oracle_spectrum(pot, bc)
-            assert np.array_equal(eigenfunctions(pot, bc, spectrum),
-                                  ref_eigenfunctions(pot, bc, spectrum))
-
-    @pytest.mark.parametrize("bc", INTERVAL_BCS, ids=["dirichlet", "neumann", "robin"])
-    def test_bit_identical_with_order_one_potentials(self, bc):
-        rng = np.random.default_rng(20)
-        for nu in range(1, 21):
-            pot = Potential(tuple(rng.uniform(-1, 1, nu)))
-            spectrum = oracle_spectrum(pot, bc)
-            assert np.array_equal(eigenfunctions(pot, bc, spectrum),
-                                  ref_eigenfunctions(pot, bc, spectrum))
-
-    def test_bit_identical_robin_large_nu(self):
-        # the benchmark's spectral potentials: h^2 uniform(0, 100) at h = 1/(nu + 1)
-        nu = 1000
-        pot = Potential(np.random.default_rng(1000).uniform(0, 100, nu) / (nu + 1) ** 2)
-        bc = robin(1.5, 0.25)
-        spectrum = oracle_spectrum(pot, bc)
-        assert np.array_equal(eigenfunctions(pot, bc, spectrum),
-                              ref_eigenfunctions(pot, bc, spectrum))
-
-    @pytest.mark.parametrize("nu, nonfinite", [(400, "0 rows"), (1500, r"[1-9]\d* rows")])
-    def test_localised_modes_raise(self, nu, nonfinite):
-        # uniform(-1, 1) at h = 1 localises most modes within a few dozen
-        # sites; forward shooting then misses T y = lambda y, and at nu = 1500
-        # some rows overflow
-        pot = Potential(tuple(np.random.default_rng(nu).uniform(-1, 1, nu)))
+    @pytest.mark.parametrize("kind, nu", [("uniform(0, 1)", 1000), ("uniform(0, 1)", 3000),
+                                          ("uniform(-1, 1)", 100), ("uniform(-1, 1)", 400),
+                                          ("uniform(-1, 1)", 1000), ("uniform(-1, 1)", 1500),
+                                          ("uniform(-1, 1)", 3000)])
+    def test_localised_modes_meet_the_guard(self, kind, nu):
+        # h = 1 disorder localises most modes within a few dozen sites, anywhere
+        # along the lattice; every row's full residual stays at rounding level
+        pot = POTENTIALS[kind](nu)
         spectrum = oracle_spectrum(pot, dirichlet())
+        table = eigenfunctions(pot, dirichlet(), spectrum)
+        assert table.shape == (nu, nu)
+        assert np.max(guard_residuals(table, pot, dirichlet(), spectrum)) <= 1e-11
+
+    @pytest.mark.parametrize("nu", [400, 1000])
+    @pytest.mark.parametrize("kind", list(POTENTIALS))
+    def test_rows_are_eigh_eigenvectors(self, kind, nu):
+        pot = POTENTIALS[kind](nu)
+        bc = dirichlet()
+        table = eigenfunctions(pot, bc, oracle_spectrum(pot, bc))
+        d, e = tridiagonal_matrix(pot, bc)
+        w, v = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        gaps = np.diff(w)
+        gap = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
+        cos = np.abs(np.sum(v.T * table, axis=1)) / np.linalg.norm(table, axis=1)
+        assert np.count_nonzero(gap > 1e-8) > 0.9 * nu
+        assert np.min(cos[gap > 1e-8]) >= 1 - 1e-10
+
+    @pytest.mark.parametrize("bc", [dirichlet(), neumann(), robin(0.3, -0.4)],
+                             ids=["dirichlet", "neumann", "robin"])
+    def test_rows_scaled_to_their_first_largest_entry(self, bc):
+        for nu in (1, 2, 3, 50, 300):
+            pot = seeded(-1.0, 1.0)(nu)
+            table = eigenfunctions(pot, bc, oracle_spectrum(pot, bc))
+            first = np.argmax(np.abs(table), axis=1)
+            assert np.all(table[np.arange(nu), first] == 1.0)
+            assert np.max(np.abs(table)) == 1.0
+
+    def test_exact_zero_pivots(self):
+        # lambda = 2 exactly zeroes the pivots r_1, r_3, s_1 and s_3 of the free
+        # field; its mode is (1, 0, -1)
+        spectrum = Spectrum((2 - math.sqrt(2), 2.0, 2 + math.sqrt(2)))
+        table = eigenfunctions(Potential.zeros(3), dirichlet(), spectrum)
+        assert np.allclose(table[1], [1.0, 0.0, -1.0], rtol=0.0, atol=1e-15)
+        assert np.max(guard_residuals(table, Potential.zeros(3), dirichlet(), spectrum)) <= 1e-15
+
+    def test_shifted_spectrum_raises(self):
+        pot = seeded(0.0, 1.0)(200)
+        shifted = Spectrum(tuple(x + 1e-6 for x in oracle_spectrum(pot, dirichlet()).lambdas))
         with pytest.raises(ArithmeticError,
-                           match=rf"^\d+ of {nu} eigenfunction rows .*, {nonfinite} not finite"):
-            eigenfunctions(pot, dirichlet(), spectrum)
+                           match=r"^\d+ of 200 eigenfunction rows miss T y = lambda y: twisted "):
+            eigenfunctions(pot, dirichlet(), shifted)
+
+    def test_pinned_robin_end_raises(self):
+        pot = Potential.zeros(4)
+        spectrum = oracle_spectrum(pot, robin(0.0, 0.5))
+        for bc in (robin(-1.0, 0.5), robin(0.5, -1.0)):
+            with pytest.raises(ValueError, match="degenerate Robin"):
+                eigenfunctions(pot, bc, spectrum)
 
     def test_weak_disorder_returns_eigenfunctions(self):
         pot = Potential(tuple(np.random.default_rng(400).uniform(-0.01, 0.01, 400)))
