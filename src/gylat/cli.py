@@ -427,7 +427,7 @@ def cmd_limit(args) -> tuple[dict, int]:
     fine_err = abs(fine_val - target)
     coarse_err = abs(coarse_val - target)
     order = None
-    if fine_err > 0 and coarse_err > 0:
+    if fine_err > 0 and coarse_err > 0 and coarse_h != fine_h:  # at nu = 2 the lattices coincide
         order = math.log(coarse_err / fine_err) / math.log(coarse_h / fine_h)
     payload = {
         **_head(args),

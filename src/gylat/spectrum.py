@@ -3,13 +3,15 @@
 The oracle never touches the transfer-matrix code: it assembles the operator
 as a symmetric tridiagonal (interval) or Hermitian cyclic (circle) matrix in
 the dimensionless variables and solves it by Sturm-sequence bisection on
-IEEE pivot signs, with Newton steps on the same pivots once an eigenvalue
-sits alone in its bracket (tridiagonal), or by dense diagonalisation of the
-nu x nu matrix itself (cyclic).  Root finding for characteristic polynomials goes
-the other way - Sturm chains of the polynomial itself, with every value
-computed in integer arithmetic, and Newton steps on those exact values kept
-inside each isolating bracket - so the two routes stay independent checks of
-one another.
+IEEE pivot signs (tridiagonal), or by dense diagonalisation of the nu x nu
+matrix itself (cyclic).  The bisection runs in two steps over one record of
+counted shifts: Newton steps on the same pivots first close in on each
+eigenvalue that sits alone in its bracket, then bisection is replayed from
+the record, so it counts only the midpoints the record leaves open.  Root
+finding for characteristic polynomials goes the other way - Sturm chains of
+the polynomial itself, with every value computed in integer arithmetic, and
+Newton steps on those exact values kept inside each isolating bracket - so
+the two routes stay independent checks of one another.
 """
 
 from __future__ import annotations
@@ -207,144 +209,112 @@ def _counts(d: np.ndarray, xs: np.ndarray, m: int = 0) -> tuple[np.ndarray, np.n
     return np.concatenate([counts[:m], counts[m:][np.cumsum(fresh) - 1]]), slopes
 
 
-def _close(x: np.ndarray) -> np.ndarray:
-    """How far from a converged Newton root x its closing shifts go."""
-    return _NEWTON_CLOSE * np.maximum(1.0, np.abs(x))
-
-
-class _Known:
-    """Per index i (0-based), the tightest counted shifts low < high with
-    count(low) <= i < count(high), and their counts; -inf and inf count 0
-    and n.  No shift counted here is -0, so comparing floats orders shifts
-    as the count, which is monotone, does."""
+class _Counted:
+    """The record of counted shifts: for each count c = 0..n, the largest
+    and the smallest shift counted c (-inf and inf where none was).  No
+    shift counted here is -0, so comparing floats orders shifts as the
+    count, which is monotone, does."""
 
     def __init__(self, n: int):
-        self.low, self.high = np.full(n, -np.inf), np.full(n, np.inf)
-        self.n_low, self.n_high = np.zeros(n, dtype=np.int64), np.full(n, n, dtype=np.int64)
-        self.index = np.arange(n)
+        self.top, self.bottom = np.full(n + 1, -np.inf), np.full(n + 1, np.inf)
 
-    def alone(self) -> np.ndarray:
-        """Which (low, high) hold their eigenvalue alone."""
-        return (self.n_low == self.index) & (self.n_high == self.index + 1)
+    def add(self, xs: np.ndarray, got: np.ndarray) -> None:
+        """Record shifts xs, counted got."""
+        np.maximum.at(self.top, got, xs)
+        np.minimum.at(self.bottom, got, xs)
 
-    def open(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Which shifts xs lie strictly between low and high of their index."""
-        return (self.low[idx] < xs) & (xs < self.high[idx])
+    def brackets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per index i (0-based): low, the largest shift counted <= i (-inf
+        if none), and high, the smallest counted > i (inf if none)."""
+        low = np.maximum.accumulate(self.top[:-1])
+        high = np.minimum.accumulate(self.bottom[:0:-1])[::-1]
+        return low, high
 
-    def narrow(self, idx: np.ndarray, xs: np.ndarray, got: np.ndarray) -> None:
-        """Move low or high of each index in idx (repeats allowed), alone in
-        (low, high), to its shift in xs, counted got, where that is tighter;
-        the counts stay i and i + 1."""
-        up = got > idx
-        np.minimum.at(self.high, idx[up], xs[up])
-        np.maximum.at(self.low, idx[~up], xs[~up])
-
-    def take(self, todo: np.ndarray, mids: np.ndarray, got: np.ndarray) -> None:
-        """Move low or high of each index in todo to its midpoint, which lies
-        strictly between, counted got (in the order of the indices)."""
-        full = np.zeros(len(mids), dtype=np.int64)
-        full[todo] = got
-        up = full > self.index
-        down = todo & ~up
-        self.high, self.n_high = np.where(up, mids, self.high), np.where(up, full, self.n_high)
-        self.low, self.n_low = np.where(down, mids, self.low), np.where(down, full, self.n_low)
+    def alone(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+        """Which brackets hold their eigenvalue alone: counts i and i + 1."""
+        return (self.top[:-1] == low) & (self.bottom[1:] == high) & (low > -np.inf) & (high < np.inf)
 
 
-class _Newton:
-    """Newton's iteration on Q(x) = det(x - T) for the indices whose
-    (low, high) holds their eigenvalue alone, until a pair of shifts closes
-    in on the root."""
+def _close_in(d: np.ndarray, lo: float, hi: float, counted: _Counted) -> None:
+    """Step one: count shifts into counted, one _sturm_counts call a round,
+    until every eigenvalue has a tight bracket there or Newton steps can no
+    longer pay.
 
-    def __init__(self, n: int):
-        self.busy = np.zeros(n, dtype=bool)  # alone, not yet closed in
-        self.closed = np.zeros(n, dtype=bool)
-        self.guess = np.full(n, np.nan)  # Newton's root
-        self.error = np.full(n, np.inf)  # its estimated error
-        self.stride = np.full(n, np.nan)  # the step that gave it
-        self.sure = np.zeros(n, dtype=bool)  # error estimated from two steps
-        self.reach = np.ones(n)  # the closing pair's width, in _close units
-
-    def count(self, d: np.ndarray, known: _Known, todo: np.ndarray, mids: np.ndarray,
-              left: float) -> None:
-        """Decide every midpoint in todo, in one _sturm_counts call as a rule,
-        about left rounds before the bisection stops."""
-        j = np.flatnonzero(self.busy)
-        if len(j):
-            idle = todo & ~self.busy
-            rest = np.flatnonzero(idle)
-        # Newton steps cost three more numpy calls per site; they pay in bulk,
-        # or once the busy indices are most of what is left to count and a
-        # dozen rounds remain for the calls they spare
-        if not len(j) or (len(j) * (left - 6) < _NEWTON_WORK
-                          and (len(j) < len(rest) or left < 12)):
-            if todo.any():
-                known.take(todo, mids, _counts(d, mids[todo])[0])
-                self.busy = known.alone() & ~self.closed
-            return
-        # roots, margins and steps may overflow on diagonals near the float
-        # range; an infinite or nan one is never near, far or settled
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            self._step(d, known, todo, mids, j, idle, rest)
-
-    def _step(self, d: np.ndarray, known: _Known, todo: np.ndarray, mids: np.ndarray,
-              j: np.ndarray, idle: np.ndarray, rest: np.ndarray) -> None:
-        """One round with Newton steps for the busy indices j; rest are the
-        other undecided indices (idle as a mask)."""
-        asked = todo[j]
-        m, g, e, sure = mids[j], self.guess[j], self.error[j], self.sure[j]
-        low, high = known.low[j], known.high[j]
-        # a root just outside (low, high) is taken to its edge, where the
-        # count steps
-        slack = self.reach[j] * _close(g)
-        near = (low - slack <= g) & (g <= high + slack)
-        g = np.clip(g, low, high)
-        inside = (low < g) & (g < high)
-        settled = near & (e <= 0.5 * _close(g))
-        margin = np.where(settled, self.reach[j] * _close(g), np.maximum(_close(g), 2.0 * e))
-        side = np.copysign(margin, m - g)
-        # a shift between the root and the midpoint, clear of the root's
-        # error, decides the midpoint and closes in on the root
-        far = asked & near & (settled | sure) & (np.abs(m - g) > 2.0 * margin)
-        # a root not yet sure steps on from itself, beside the midpoint
-        onward = inside & ~sure
-        x = np.where(far, g + side, np.where(asked & ~onward, m, g))
-        sloped = ~settled & (asked | inside)
-        plain = asked & ~far & (settled | onward)  # midpoints still to count
-        # a converged root is closed in from both sides at once
-        below, above = g - margin, g + margin
-        pair_lo = settled & known.open(j, below)
-        pair_hi = settled & known.open(j, above)
-        k = j[sloped]
-        idx = np.concatenate([k, j[plain], j[pair_lo], j[pair_hi]])
-        xs = np.concatenate([x[sloped], m[plain], below[pair_lo], above[pair_hi]])
-        got, slopes = _counts(d, np.concatenate([xs[:len(k)], mids[rest], xs[len(k):]]), len(k))
-        r = len(k) + len(rest)
-        known.take(idle, mids, got[len(k):r])
-        known.narrow(idx, xs, np.concatenate([got[:len(k)], got[r:]]))
-        if len(k):
-            step = 1.0 / slopes
-            z = x[sloped] - step
-            size = np.abs(step)
-            # Newton's error after a step s is about C s^2, and the last root,
-            # from a step s_last, was about C s_last^2 off
-            est = np.fmin(size, np.abs(z - g[sloped]) * (size / self.stride[k]) ** 2)
-            ok = np.isfinite(z)
-            steady = ok & near[sloped]  # stepped from near the last root
-            self.guess[k] = np.where(ok, z, np.nan)
-            self.error[k] = np.where(steady, est, np.where(ok, size, np.inf))
-            self.stride[k] = size
-            self.sure[k] = steady
-        if far.any():
-            # a root off by more than its margin leaves the midpoint open
-            miss = far & known.open(j, m)
-            if miss.any():
-                self.sure[j[miss]] = False
-                known.narrow(j[miss], m[miss], _counts(d, m[miss])[0])
-        # a pair that missed the step of the count tries again four times wider
-        shut = settled & (known.low[j] >= below) & (known.high[j] <= above)
-        self.closed[j[shut]] = True
-        self.reach[j[settled & ~shut]] *= 4.0
-        self.busy = known.alone() & ~self.closed
+    An index that is not alone bisects from the Gershgorin bounds (lo, hi]
+    as step two will, and counts each midpoint the record does not decide.
+    An index alone in (low, high) takes Newton steps x - Q/Q',
+    Q(x) = det(x - T), on the same pivots (Li & Zeng, SIAM J. Sci. Comput.
+    15 (1994) 1145-1173): from its last root, or from the midpoint of
+    (low, high) where the last step left the bracket or did not halve.
+    Once converged, it counts a pair of shifts _NEWTON_CLOSE max(1, |root|)
+    either side of the root, four times wider after a pair that misses the
+    step of the count.  Newton steps cost three more numpy calls a site, so
+    they run only in bulk, or once the alone indices are most of what is
+    left to count and a dozen rounds remain for the counts they spare;
+    otherwise alone indices bisect too.
+    """
+    n = len(d)
+    index = np.arange(n)
+    los, his = np.full(n, lo), np.full(n, hi)
+    root = np.full(n, np.nan)  # Newton's last root, nan to restart from the midpoint
+    step = np.full(n, np.inf)  # the step that gave it
+    error = np.full(n, np.inf)  # its estimated error
+    reach = np.ones(n)  # the closing pair's width, in _NEWTON_CLOSE max(1, |root|)
+    shut = np.zeros(n, dtype=bool)  # a tight bracket in the record
+    width = min(hi - lo, np.finfo(float).max)  # halves every round, so that step one ends
+    # roots, margins and steps may overflow on diagonals near the float
+    # range; a root that is not finite is dropped, and nan is never inside,
+    # near or converged, so every shift counted is finite
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while True:
+            left = math.log2(max(width, 1e-14)) - math.log2(1e-14)
+            # once Newton steps can no longer pay, what is left is bisection,
+            # which step two does
+            if shut.all() or (left < 12 and n * (left - 6) < _NEWTON_WORK):
+                return
+            low, high = counted.brackets()
+            mids = 0.5 * (los + his)
+            todo = (low < mids) & (mids < high)
+            j = np.flatnonzero(counted.alone(low, high) & ~shut)
+            rest = np.count_nonzero(todo) - np.count_nonzero(todo[j])
+            if len(j) * (left - 6) < _NEWTON_WORK and (len(j) < rest or left < 12):
+                j = j[:0]
+            todo[j] = False  # the midpoints to count
+            k = p = j  # the indices taking Newton steps and closing pairs
+            xs = mids[todo]
+            if len(j):
+                g, lj, hj = root[j], low[j], high[j]
+                close = _NEWTON_CLOSE * np.maximum(1.0, np.abs(g))
+                margin = reach[j] * close
+                pair = (lj - margin <= g) & (g <= hj + margin) & (error[j] <= 0.5 * close)
+                ends = np.clip([g - margin, g + margin], lj, hj)[:, pair].ravel()
+                k, p, g, lj, hj = j[~pair], j[pair], g[~pair], lj[~pair], hj[~pair]
+                inside = (lj < g) & (g < hj)
+                x = np.where(inside, g, 0.5 * (lj + hj))
+                xs = np.concatenate([x, xs, ends])
+            got, slopes = _counts(d, xs, len(k))
+            counted.add(xs, got)
+            b = len(xs) - 2 * len(p)
+            if len(k):
+                # Newton's error after a step s is about C s^2, and the last
+                # root, from a step s_last, was about C s_last^2 off
+                size = np.abs(1.0 / slopes)
+                ratio = np.where(inside, size / step[k], 1.0)
+                error[k] = size * np.minimum(1.0, ratio) ** 2
+                z = x - 1.0 / slopes
+                root[k] = np.where(((ratio <= 0.5) | ~inside) & np.isfinite(z), z, np.nan)
+                step[k] = size
+            if len(p):
+                tight = (got[b:b + len(p)] <= p) & (got[b + len(p):] > p)
+                shut[p[tight]] = True
+                reach[p[~tight]] *= 4.0
+            # a midpoint moves as bisection moves it once it is counted or
+            # the record decides it
+            below = mids >= high
+            moved = todo | below | (mids <= low)
+            below[todo] = got[len(k):b] > index[todo]
+            his, los = np.where(moved & below, mids, his), np.where(moved & ~below, mids, los)
+            width *= 0.5
 
 
 def _tridiagonal_eigenvalues(d: np.ndarray) -> np.ndarray:
@@ -358,37 +328,36 @@ def _tridiagonal_eigenvalues(d: np.ndarray) -> np.ndarray:
     cap: both stops come after about log2(Gershgorin width / 1e-14) rounds,
     which is more than 64 once max |d| is above ~1e5.
 
-    The decisions, and so the bits, are those of counting every midpoint,
-    but most are taken without a count.  The computed count is monotone in
-    the shift (IEEE arithmetic; Demmel, Dhillon & Ren 1995), so a midpoint
-    at or below the low of its index, or at or above its high (_Known), is
-    decided by comparison.  The other midpoints are counted, each run of
-    equal ones once, in one _sturm_counts call a round, and every count
-    tightens a low or a high.
-
-    An index whose (low, high) holds its eigenvalue alone takes Newton
-    steps x - Q/Q', Q(x) = det(x - T), on the same pivots and in the same
-    call (Li & Zeng, SIAM J. Sci. Comput. 15 (1994) 1145-1173): from its
-    midpoint, then from its last root, or from just short of that root on
-    the side of its midpoint, a shift that decides the midpoint as well.
-    Once a root has converged, a pair of shifts a few 1e-16 either side of
-    it closes (low, high) in, and almost every later midpoint is decided.
-    An index that never isolates, such as a pair of eigenvalues closer than
-    1e-14, bisects as before.
+    It runs in two steps over one record of counted shifts (_Counted).
+    Step one (_close_in) counts shifts of its own choosing, bisection
+    midpoints and Newton steps, until every eigenvalue has a tight counted
+    bracket or Newton steps can no longer pay.  Step two is the bisection
+    above: it decides each midpoint by comparing it with the record, and
+    counts, in one _sturm_counts call a round, only the midpoints that fall
+    inside a bracket.  The computed count is monotone in the shift (IEEE
+    arithmetic; Demmel, Dhillon & Ren 1995), so step two is plain
+    bisection, and step one only adds counted shifts: the bits are those of
+    counting every midpoint, whatever step one counted.
     """
     n = len(d)
     # Gershgorin bounds; couplings contribute at most 2.
     lo = float(np.min(d)) - 2.0
     hi = float(np.max(d)) + 2.0
+    counted = _Counted(n)
+    _close_in(d, lo, hi, counted)
+    index = np.arange(n)
     los = np.full(n, lo)
     his = np.full(n, hi)
-    known, newton = _Known(n), _Newton(n)
-    width = hi - lo
+    low, high = counted.brackets()
     while True:
         mids = 0.5 * (los + his)
-        todo = (known.low < mids) & (mids < known.high)
-        newton.count(d, known, todo, mids, math.log2(max(width, 1e-14)) - math.log2(1e-14))
-        below = mids >= known.high
+        below = mids >= high
+        todo = (low < mids) & ~below
+        if todo.any():
+            got = _counts(d, mids[todo])[0]
+            counted.add(mids[todo], got)
+            below[todo] = got > index[todo]
+            low, high = counted.brackets()
         new_his = np.where(below, mids, his)
         new_los = np.where(below, los, mids)
         # a round that moves no bracket end repeats itself forever; brackets
@@ -396,8 +365,7 @@ def _tridiagonal_eigenvalues(d: np.ndarray) -> np.ndarray:
         if np.array_equal(new_his, his) and np.array_equal(new_los, los):
             break
         his, los = new_his, new_los
-        width = np.max(his - los)
-        if width < 1e-14:
+        if np.max(his - los) < 1e-14:
             break
     return 0.5 * (los + his)
 
@@ -407,10 +375,13 @@ def oracle_spectrum(potential: Potential, bc: BoundaryCondition,
     """All nu dimensionless eigenvalues, ascending, multiplicities preserved.
 
     Interval conditions use Sturm-sequence bisection on the tridiagonal
-    form, with Newton steps in isolated brackets that only spare counts
-    (absolute accuracy ~1e-14, an ulp or two above |lambda| = 64, at any
-    height of the potential; clustered eigenvalues come out as exact
-    multiplicities because bisection is driven by Sturm counts).  Circle
+    form (absolute accuracy ~1e-14, an ulp or two above |lambda| = 64, at
+    any height of the potential; clustered eigenvalues come out as exact
+    multiplicities because bisection is driven by Sturm counts).  It runs
+    in two steps over one record of counted shifts: Newton steps in
+    isolated brackets close in on their eigenvalues first, and bisection,
+    replayed from the record, counts only the midpoints it leaves open, so
+    the eigenvalues are those of plain bisection, bit for bit.  Circle
     conditions diagonalise the nu x nu Hermitian H, as a real symmetric
     matrix when H is real (periodic and tau = 1/2).
     """

@@ -717,6 +717,17 @@ class TestLimit:
         assert data["rel_error"] < 1e-6
         assert abs(data["observed_order"] - 2) < 0.1
 
+    @pytest.mark.parametrize("bc", [["dirichlet", "--mass", "1"], ["neumann"],
+                                    ["robin", "--alpha", "1", "--beta", "2"],
+                                    ["twisted", "--tau", "0.3"], ["periodic"]], ids=str)
+    def test_order_is_null_where_the_lattices_coincide(self, capsys, bc):
+        # at nu = 2 the half-resolution lattice max(2, nu // 2) is the lattice
+        # itself, so the two runs give no order
+        code, data = run_json(capsys, "limit", "--bc", *bc, "--nu", "2", "--L", "1")
+        assert code == 0
+        assert data["coarse_nu"] == data["nu"] == 2
+        assert data["observed_order"] is None
+
 
 class TestChebyshevSelfTest:
     def test_all_pass(self, capsys):

@@ -11,6 +11,7 @@ bit for bit.
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -745,6 +746,78 @@ class TestOracleAgainstReferences:
         for bc in (periodic(), twisted(1.0), twisted(0.5)):
             assert not cyclic_matrix(pot, bc).imag.any()
         assert cyclic_matrix(pot, twisted(0.3)).imag.any() == (nu > 1)
+
+
+def assert_replay_keeps_the_bits(d):
+    """Step two alone, and step one after 3n random counted shifts in the
+    Gershgorin bracket, give the oracle's bits."""
+    want = spectrum._tridiagonal_eigenvalues(d).view(np.int64)
+    step_one = spectrum._close_in
+    rng = np.random.default_rng(len(d))
+
+    def seeded(d, lo, hi, counted):
+        xs = rng.uniform(lo, hi, 3 * len(d))
+        counted.add(xs, _sturm_counts(d, xs))
+        step_one(d, lo, hi, counted)
+    for first in (lambda *args: None, seeded):
+        with mock.patch.object(spectrum, "_close_in", first):
+            got = spectrum._tridiagonal_eigenvalues(d)
+        assert np.array_equal(got.view(np.int64), want)
+
+
+class TestReplay:
+    """Step two is bisection on a monotone count, and step one only adds
+    counted shifts, so what step one counts never changes a bit."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(d=hard_diagonals())
+    def test_hard_diagonals(self, d):
+        assert_replay_keeps_the_bits(d)
+
+    @pytest.mark.parametrize("nu", [3, 40, 90])
+    def test_diagonals_near_the_float_range(self, nu):
+        assert_replay_keeps_the_bits(np.random.default_rng(nu).uniform(-4e307, 4e307, nu))
+
+    def test_step_one_ends_when_the_gershgorin_width_overflows(self):
+        # the width that step one halves each round is at most the largest
+        # float, so the W+-like pair at 1e10, which never separates, ends
+        d = np.array([-1.7e308, 1e10] + [0.0] * 12 + [1e10, 1.7e308])
+        with np.errstate(over="ignore"):  # bisection's own midpoints overflow here
+            got = spectrum._tridiagonal_eigenvalues(d)
+            want = plain_bisection(d)[0]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(nu=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1.0, 30.0, 1e4]), batches=st.integers(1, 4))
+    def test_brackets_against_a_direct_scan(self, nu, seed, scale, batches):
+        # low_i is the largest shift counted <= i, high_i the smallest counted
+        # > i, and i is alone when their counts are i and i + 1; batches
+        # repeat shifts and reach beyond the Gershgorin bounds (counts 0, n)
+        rng = np.random.default_rng(seed)
+        d = 2.0 + scale * rng.uniform(-1.0, 1.0, nu)
+        lo, hi = float(np.min(d)) - 2.0, float(np.max(d)) + 2.0
+        counted = spectrum._Counted(nu)
+        xs_seen, counts_seen = np.zeros(0), np.zeros(0, dtype=np.int64)
+        index = np.arange(nu)[:, None]
+        for _ in range(batches):
+            xs = rng.uniform(lo - 1.0, hi + 1.0, rng.integers(0, 3 * nu + 1))
+            xs = np.concatenate([xs, xs[:len(xs) // 3], xs[:2]])
+            got = _sturm_counts(d, xs) if len(xs) else np.zeros(0, dtype=np.int64)
+            counted.add(xs, got)
+            xs_seen, counts_seen = np.concatenate([xs_seen, xs]), np.concatenate([counts_seen, got])
+            low, high = counted.brackets()
+            at_most = counts_seen[None, :] <= index
+            below = np.where(at_most, xs_seen[None, :], -np.inf)
+            above = np.where(at_most, np.inf, xs_seen[None, :])
+            assert np.array_equal(low, below.max(axis=1, initial=-np.inf))
+            assert np.array_equal(high, above.min(axis=1, initial=np.inf))
+            has_low, has_high = at_most.any(axis=1), (~at_most).any(axis=1)
+            low_count = counts_seen[below.argmax(axis=1)] if len(xs_seen) else 0
+            high_count = counts_seen[above.argmin(axis=1)] if len(xs_seen) else 0
+            alone = has_low & has_high & (low_count == index[:, 0]) & (high_count == index[:, 0] + 1)
+            assert np.array_equal(counted.alone(low, high), alone)
 
 
 # -- poly_roots against the bisection narrowing it replaced --
