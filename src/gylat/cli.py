@@ -5,6 +5,12 @@ Output is byte-deterministic for a fixed invocation: field order is fixed
 (documented in docs/cli_schema.md, schema version 1) and floats are
 rendered with 17 significant digits.  CSV output is the flattened JSON.
 
+Output is written to stdout as it is rendered, in 64 KiB batches, with the
+bytes of rendering it whole; the eigenfunction table stays one float64
+array and is formatted a row at a time, so ``spectrum --eigenfunctions``
+peaks at about the nu x nu table plus the two pivot tables of
+:func:`transfer.eigenfunctions`.
+
 Exit codes: 0 ok, 2 configuration error, 3 numerical-consistency failure.
 """
 
@@ -13,10 +19,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from . import chebyshev as cheb
 from .closedform import (
@@ -66,92 +75,188 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def render_json(obj, indent: int = 0) -> str:
-    """Schema-v1 JSON text: fixed field order, floats with 17 significant digits.
+def _float_text(xs, sep: str) -> str:
+    """A list of ``float`` items by one ``%`` format over the whole list.
 
-    A list or tuple whose items are all of type ``float`` (eigenvalue lists,
-    eigenfunction rows) is rendered by one ``%`` format over the whole list;
     "%.17g" gives the bytes of :func:`_fmt_float` for every finite float, and
-    a list holding NaN or an infinity falls back to it per item.  Subclasses
-    such as numpy's float64 take the per-item path.
+    a list holding NaN or an infinity falls back to it per item.
     """
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  "{k}": {render_json(v, indent + 1)}' for k, v in obj.items())
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if set(map(type, obj)) == {float}:
-            text = ("[" + ", ".join(["%.17g"] * len(obj)) + "]") % tuple(obj)
-            if "n" not in text:  # only "inf" and "nan" put an "n" in %g output
-                return text
-            return "[" + ", ".join(map(_fmt_float, obj)) + "]"
-        items = ", ".join(render_json(v, indent + 1) for v in obj)
-        return "[" + items + "]"
+    text = sep.join(["%.17g"] * len(xs)) % tuple(xs)
+    if "n" in text:  # only "inf" and "nan" put an "n" in %g output
+        text = sep.join(map(_fmt_float, xs))
+    return text
+
+
+def _floats(obj) -> bool:
+    """True for a nonempty list or tuple whose items are all of type ``float``.
+
+    Subclasses such as numpy's float64 make it False: they take the per-item path.
+    """
+    return isinstance(obj, (list, tuple)) and bool(obj) and set(map(type, obj)) == {float}
+
+
+def _lists(obj):
+    """An ndarray as its ``tolist()``, a row at a time from 2-D up; anything else as is."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist() if obj.ndim < 2 else list(obj)
+    return obj
+
+
+_NESTED = (dict, list, tuple, np.ndarray)  # what the walks below descend into
+
+
+def _json_scalar(obj) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, int):
         return str(obj)
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
+    return "null" if obj is None else json.dumps(str(obj))
 
 
-def _walk(obj, prefix: str, out: list, chunk: bool) -> bool:
-    """Append (dotted key, CSV cell) for each leaf of ``obj``; list entries get indices.
-
-    All-``float`` lists format as in :func:`render_json`; with ``chunk`` one
-    pair of comma-joined keys and cells stands for the whole list.  False if
-    a dict key is not a str or holds a ".", as two leaves could share a key.
-    """
-    plain = True
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            plain &= _walk(v, f"{prefix}{k}.", out, chunk) and isinstance(k, str) and "." not in k
-    elif isinstance(obj, (list, tuple)) and obj and set(map(type, obj)) == {float}:
-        keys = [f"{prefix}{i}" for i in range(len(obj))]
-        text = ",".join(["%.17g"] * len(obj)) % tuple(obj)
-        if "n" in text:  # only "inf" and "nan" put an "n" in %g output
-            text = ",".join(map(_fmt_float, obj))
-        out.extend([(",".join(keys), text)] if chunk else zip(keys, text.split(",")))
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            plain &= _walk(v, f"{prefix}{i}.", out, chunk)
+def _json_chunks(obj, indent: int = 0):
+    """The text of :func:`render_json` in pieces: one per scalar with the keys
+    and punctuation before it, and one per all-``float`` list and per row of
+    a 2-D array, so a table is never held as text or as Python floats all at once."""
+    obj = _lists(obj)
+    if _floats(obj):
+        yield "[" + _float_text(obj, ", ") + "]"
+    elif not isinstance(obj, (dict, list, tuple)):
+        yield _json_scalar(obj)
+    elif not obj:
+        yield "{}" if isinstance(obj, dict) else "[]"
     else:
-        out.append((prefix[:-1], "true" if obj is True else "false" if obj is False else
-                    "" if obj is None else _fmt_float(obj) if isinstance(obj, float) else str(obj)))
-    return plain
+        pad = "  " * indent
+        if isinstance(obj, dict):
+            opening, sep, close = "{\n", ",\n", "\n" + pad + "}"
+            items = ((f'{pad}  "{k}": ', v) for k, v in obj.items())
+        else:
+            opening, sep, close = "[", ", ", "]"
+            items = (("", v) for v in obj)
+        for key, v in items:
+            if isinstance(v, _NESTED):
+                yield opening + key
+                yield from _json_chunks(v, indent + 1)
+            else:
+                yield opening + key + _json_scalar(v)
+            opening = sep
+        yield close
+
+
+def render_json(obj, indent: int = 0) -> str:
+    """Schema-v1 JSON text: fixed field order, floats with 17 significant digits.
+
+    A list or tuple whose items are all of type ``float`` (eigenvalue lists)
+    and each row of a 2-D ndarray (the eigenfunction table) is rendered by
+    one ``%`` format (:func:`_float_text`); an ndarray renders as its ``tolist()``.
+    """
+    return "".join(_json_chunks(obj, indent))
+
+
+def _leaves(obj, prefix: str = ""):
+    """(dotted key + ".", value) for each leaf of ``obj``; list entries get indices.
+
+    A nonempty all-``float`` list (a table row among them) is one leaf, whose
+    entries get their indices from the reader.
+    """
+    obj = _lists(obj)
+    if isinstance(obj, dict):
+        items = ((f"{prefix}{k}.", v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)) and not _floats(obj):
+        items = ((f"{prefix}{i}.", v) for i, v in enumerate(obj))
+    else:
+        yield prefix, obj
+        return
+    for key, v in items:
+        if isinstance(v, _NESTED):
+            yield from _leaves(v, key)
+        else:
+            yield key, v
+
+
+def _keys(prefix: str, v) -> list[str]:
+    """The dotted keys of one leaf of :func:`_leaves`."""
+    if isinstance(v, (list, tuple)):
+        return [f"{prefix}{i}" for i in range(len(v))]
+    return [prefix[:-1]]
+
+
+def _cells(v) -> str:
+    """The CSV cells of one leaf of :func:`_leaves`, comma-joined."""
+    if isinstance(v, (list, tuple)):
+        return _float_text(v, ",")
+    return ("true" if v is True else "false" if v is False else "" if v is None else
+            _fmt_float(v) if isinstance(v, float) else str(v))
+
+
+def _plain(obj) -> bool:
+    """No dict key is a non-str or holds a ".", so no two leaves share a dotted key."""
+    if isinstance(obj, dict):
+        return all(isinstance(k, str) and "." not in k and _plain(v) for k, v in obj.items())
+    return not isinstance(obj, (list, tuple)) or all(map(_plain, obj))
+
+
+def _csv_chunks(obj):
+    """The text of :func:`render_csv` in pieces.
+
+    A dict payload with plain keys is walked twice, once for the header and
+    once for the cells, each leaf one piece; otherwise the rows are gathered
+    in dicts and the text is one piece.
+    """
+    obj = _lists(obj)  # an array payload is a list of rows
+    if not isinstance(obj, list) and _plain(obj):
+        header = (",".join(_keys(prefix, v)) for prefix, v in _leaves(obj))
+        for start, line in (("", header), ("\n", (_cells(v) for _, v in _leaves(obj)))):
+            yield start + next(line, "")
+            for piece in line:
+                yield "," + piece
+        return
+    rows = []
+    for row in obj if isinstance(obj, list) else [obj]:
+        cells = {}
+        for prefix, v in _leaves(row):
+            if isinstance(v, (list, tuple)):
+                cells.update(zip(_keys(prefix, v), _cells(v).split(",")))
+            else:
+                cells[prefix[:-1]] = _cells(v)
+        rows.append(cells)
+    header = list(dict.fromkeys(k for row in rows for k in row))
+    lines = [header] + [[row.get(k, "") for k in header] for row in rows]
+    yield "\n".join(",".join(line) for line in lines)
 
 
 def render_csv(obj) -> str:
     """Header of dotted keys, then one line per row (per entry of a list payload).
 
     Keys in first-seen order; a missing key leaves its cell empty; a recurring
-    key keeps its first place and its last value.
+    key keeps its first place and its last value.  All-``float`` lists and
+    2-D ndarray rows format as in :func:`render_json`.
     """
-    out = []
-    if not isinstance(obj, list) and _walk(obj, "", out, chunk=True):  # no shared keys
-        return ",".join(k for k, _ in out) + "\n" + ",".join(c for _, c in out)
-    rows = []
-    for row in obj if isinstance(obj, list) else [obj]:
-        _walk(row, "", out := [], chunk=False)
-        rows.append(dict(out))
-    header = list(dict.fromkeys(k for row in rows for k in row))
-    lines = [header] + [[row.get(k, "") for k in header] for row in rows]
-    return "\n".join(",".join(line) for line in lines)
+    return "".join(_csv_chunks(obj))
+
+
+def _batches(pieces):
+    """The pieces joined into strings of at least 64 KiB, and the rest."""
+    batch, length = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        length += len(piece)
+        if length >= 1 << 16:
+            yield "".join(batch)
+            batch, length = [], 0
+    yield "".join(batch)
 
 
 def emit(payload, fmt: str) -> None:
-    if fmt == "csv":
-        print(render_csv(payload))
-    else:
-        print(render_json(payload))
+    """Write ``payload`` and a newline to stdout as it is rendered.
+
+    The bytes are those of ``print(render_json(payload))`` (or
+    ``render_csv``), written in batches of 64 KiB: one write for a small
+    payload, and about one batch of a table's text held at a time.
+    """
+    pieces = _csv_chunks(payload) if fmt == "csv" else _json_chunks(payload)
+    sys.stdout.writelines(_batches(itertools.chain(pieces, ["\n"])))
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +414,7 @@ def cmd_spectrum(args) -> tuple[dict, int]:
     if args.eigenfunctions:
         if not bc.is_interval:
             raise ConfigError("--eigenfunctions needs an interval boundary condition")
-        table = eigenfunctions(pot, bc, lam)
-        payload["eigenfunctions"] = table.tolist()
+        payload["eigenfunctions"] = eigenfunctions(pot, bc, lam)  # rendered a row at a time
     return payload, EXIT_OK
 
 

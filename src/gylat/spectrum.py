@@ -381,9 +381,12 @@ def oracle_spectrum(potential: Potential, bc: BoundaryCondition,
     in two steps over one record of counted shifts: Newton steps in
     isolated brackets close in on their eigenvalues first, and bisection,
     replayed from the record, counts only the midpoints it leaves open, so
-    the eigenvalues are those of plain bisection, bit for bit.  Circle
-    conditions diagonalise the nu x nu Hermitian H, as a real symmetric
-    matrix when H is real (periodic and tau = 1/2).
+    the eigenvalues are those of plain bisection, bit for bit.  A diagonal
+    whose Gershgorin bound min d - 2 or max d + 2 reaches 2^1023 in
+    magnitude raises ValueError: bisection's midpoints would overflow to
+    infinite eigenvalues.  Circle conditions diagonalise the nu x nu
+    Hermitian H, as a real symmetric matrix when H is real (periodic and
+    tau = 1/2).
     """
     nu = potential.nu
     if nu < 1:
@@ -392,6 +395,11 @@ def oracle_spectrum(potential: Potential, bc: BoundaryCondition,
         if nu > ORACLE_MAX_NU:
             raise ValueError(f"oracle supports nu <= {ORACLE_MAX_NU} for interval conditions")
         d, _ = tridiagonal_matrix(potential, bc)
+        # below 2^1023 in magnitude no sum of two bracket ends, a midpoint's, overflows
+        bounds = float(np.min(d)) - 2.0, float(np.max(d)) + 2.0
+        if max(map(abs, bounds)) >= 2.0 ** 1023:
+            raise ValueError("oracle needs Gershgorin bounds below 2^1023 in magnitude, "
+                             f"got [{bounds[0]:.17g}, {bounds[1]:.17g}]")
         lams = _tridiagonal_eigenvalues(d)
         return Spectrum(tuple(lams), spec)
     if nu > ORACLE_MAX_NU_CYCLIC:

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import textwrap
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,10 +21,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import gylat
 from gylat import LatticeSpec, MassParam, Potential, determinant, dirichlet, free_determinant, robin
-from gylat.cli import _fmt_float, build_parser, main, render_csv, render_json
+from gylat.cli import _fmt_float, build_parser, emit, main, render_csv, render_json
 from gylat.closedform import free_eigenvalues
 from gylat.spectrum import tridiagonal_matrix
 
@@ -291,6 +293,15 @@ class TestConfigErrors:
         code, out, err = run_cli(capsys, "det", "--bc", "dirichlet", "--nu", "3", "--h", "1",
                                  "--potential", str(path))
         assert code == 2
+
+    def test_oracle_refuses_gershgorin_bounds_at_the_float_range(self, capsys, tmp_path):
+        # bisection's midpoint 0.5 (lo + hi) overflowed here, printing -Infinity and Infinity
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps([-1.7e308, 1e10, *[0.0] * 12, 1e10, 1.7e308]))
+        code, out, err = run_cli(capsys, "spectrum", "--bc", "dirichlet", "--nu", "16",
+                                 "--h", "1", "--potential", str(path))
+        assert (code, out) == (2, "")
+        assert "error: oracle needs Gershgorin bounds below 2^1023 in magnitude" in err
 
 
 # A valid invocation of each subcommand, and the options that every subcommand
@@ -938,6 +949,130 @@ class TestOutputDiscipline:
         assert code == 0
         assert len(data["eigenfunctions"]) == 3
         assert len(data["eigenfunctions"][0]) == 3
+
+
+def as_lists(obj):
+    """``obj`` with every ndarray in it replaced by its ``tolist()``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(map(as_lists, obj))
+    return obj
+
+
+class Writes(io.StringIO):
+    """A captured stdout that counts its write calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, s):
+        self.writes += 1
+        return super().write(s)
+
+
+class Sink(io.TextIOBase):
+    """A stdout that drops its text."""
+
+    def write(self, s):
+        return len(s)
+
+
+def emitted(payload, fmt) -> str:
+    with contextlib.redirect_stdout(out := io.StringIO()):
+        emit(payload, fmt)
+    return out.getvalue()
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+_FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+# schema-like payloads: scalars, float lists, 2-D float64 tables, nested in lists,
+# tuples and dicts whose keys may be ints or hold "." (the CSV's shared-key path)
+PAYLOADS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), _FLOATS,
+              st.text(max_size=3), _FLOATS.map(np.float64), st.lists(_FLOATS, max_size=5),
+              arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                     elements=_FLOATS)),
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.tuples(kids, kids),
+                           st.dictionaries(st.one_of(st.text(max_size=3), st.integers(0, 3)),
+                                           kids, max_size=4)),
+    max_leaves=12)
+
+
+class TestStreamedOutput:
+    """emit writes the text of render_json and render_csv as it is rendered, and a
+    float64 table in a payload renders as its tolist() would, a row at a time."""
+
+    @pytest.mark.parametrize("fmt, render", [("json", render_json), ("csv", render_csv)])
+    @pytest.mark.parametrize("obj", CSV_CASES)
+    def test_emit_writes_the_rendered_text(self, fmt, render, obj):
+        assert emitted(obj, fmt) == render(obj) + "\n"
+
+    @settings(max_examples=300)
+    @given(payload=PAYLOADS)
+    def test_random_payloads(self, payload):
+        for fmt, render, ref in (("json", render_json, ref_render_json),
+                                 ("csv", render_csv, ref_render_csv)):
+            text = ref(as_lists(payload))
+            assert render(payload) == text
+            assert emitted(payload, fmt) == text + "\n"
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (40, 40)])
+    def test_tables_render_as_their_lists(self, shape):
+        rng = np.random.default_rng(shape[1])
+        mixed = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        mixed.flat[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:mixed.size]
+        mixed = rng.permutation(mixed.ravel()).reshape(shape)
+        tables = [mixed, mixed.T.copy().T, *(np.full(shape, x) for x in SPECIAL_FLOATS)]
+        for table in tables:  # mixed.T.copy().T is column-major, as eigenfunctions' table
+            payload = {"nu": shape[1], "eigenvalues": table[0].tolist(), "table": table}
+            for fmt, render in (("json", render_json), ("csv", render_csv)):
+                text = render(as_lists(payload))
+                assert render(payload) == text
+                assert emitted(payload, fmt) == text + "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [
+        ["det", "--bc", "dirichlet", "--nu", "30", "--h", "1", "--exact"],
+        ["sums", "--bc", "robin", "--alpha", "0.5", "--beta", "1.5", "--nu", "30", "--h", "1"],
+        ["casimir", "--bc", "periodic", "--nu", "40"],
+        ["casimir", "--bc", "dirichlet", "--L", "1", "--nu", "9", "--sweep", "h:0.002:0.02:10"],
+        ["spectrum", "--bc", "dirichlet", "--nu", "100", "--h", "1"],
+    ])
+    def test_small_payloads_take_one_write(self, argv, fmt):
+        with contextlib.redirect_stdout(out := Writes()):
+            assert main([*argv, "--format", fmt]) == 0
+        assert out.writes == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_eigenfunction_table_is_not_held_as_text(self, tmp_path, fmt):
+        # the parent peaked at 12.1x (JSON) and 20.3x (CSV) the table's bytes, in
+        # nested lists and text; eigenfunctions' two pivot tables take about 2x
+        nu = 600
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps(np.random.default_rng(nu).uniform(0, 1, nu).tolist()))
+        argv = ["spectrum", "--bc", "dirichlet", "--nu", str(nu), "--h", "1",
+                "--potential", str(path), "--eigenfunctions", "--format", fmt]
+        with contextlib.redirect_stdout(Sink()):
+            assert main(argv) == 0  # warm-up: imports and caches stay out of the peak
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 3 * nu * nu * 8
+
+    def test_table_writes_come_in_batches(self, tmp_path):
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps(np.random.default_rng(300).uniform(0, 1, 300).tolist()))
+        with contextlib.redirect_stdout(out := Writes()):
+            assert main(["spectrum", "--bc", "dirichlet", "--nu", "300", "--h", "1",
+                         "--potential", str(path), "--eigenfunctions"]) == 0
+        assert 1 < out.writes <= len(out.getvalue()) // 2 ** 16 + 1
 
 
 class TestParserReuse:

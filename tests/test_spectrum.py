@@ -142,6 +142,22 @@ class TestOracle:
             assert all(b >= a - 1e-10 for a, b in zip(before, after))
 
 
+    @pytest.mark.parametrize("values", [[2.0 ** 1023], [-(2.0 ** 1023), 0.0], [1.7e308],
+                                        [-1.7e308, 1e10, *[0.0] * 12, 1e10, 1.7e308]])
+    def test_gershgorin_bound_at_the_float_range_is_refused(self, values):
+        # bisection's midpoint 0.5 (lo + hi) overflows here: the outer
+        # eigenvalues came out infinite
+        with pytest.raises(ValueError, match=r"below 2\^1023 in magnitude"):
+            oracle_spectrum(Potential(tuple(values)), dirichlet())
+
+    def test_gershgorin_bound_just_below_the_float_range_is_finite(self):
+        top = float(np.nextafter(2.0 ** 1023, 0.0))
+        values = (-top, 1e10, *[0.0] * 12, 1e10, top)
+        lams = np.array(oracle_spectrum(Potential(values), dirichlet()).lambdas)
+        assert np.isfinite(lams).all()  # the outer two within an ulp of -+top
+        assert (lams[0], lams[-1]) == pytest.approx((-top, top), rel=1e-15)
+
+
 class TestPolyRoots:
     def test_factorable(self):
         assert max(abs(a - b) for a, b in zip(
