@@ -49,7 +49,7 @@ chs = [2 * math.pi / n for n in range(30, 330, 20)]
 fit = extract_constant(periodic(), 2 * math.pi, chs)
 print(f"  periodic      : {fit.constant:+.8f}   target -1/12     = {-1/12:+.8f}")
 for tau in (0.25, 0.5, 0.75):
-    fit = extract_constant(twisted(tau), 2 * math.pi, chs, tau=tau)
+    fit = extract_constant(twisted(tau), 2 * math.pi, chs)
     want = -(1 / 6 - tau + tau * tau)
     print(f"  twisted {tau:4.2f}  : {fit.constant:+.8f}   target -B2({tau}) = {want:+.8f}")
 print()

@@ -24,7 +24,6 @@ from .core import (
     robin,
     twisted,
     load_potential,
-    to_dimensionless,
     to_physical,
 )
 from .chebyshev import (

@@ -144,14 +144,14 @@ def _json_chunks(obj, indent: int = 0):
         yield close
 
 
-def render_json(obj, indent: int = 0) -> str:
+def render_json(obj) -> str:
     """Schema-v1 JSON text: fixed field order, floats with 17 significant digits.
 
     A list or tuple whose items are all of type ``float`` (eigenvalue lists)
     and each row of a 2-D ndarray (the eigenfunction table) is rendered by
     one ``%`` format (:func:`_float_text`); an ndarray renders as its ``tolist()``.
     """
-    return "".join(_json_chunks(obj, indent))
+    return "".join(_json_chunks(obj))
 
 
 def _leaves(obj, prefix: str = ""):
@@ -190,48 +190,22 @@ def _cells(v) -> str:
             _fmt_float(v) if isinstance(v, float) else str(v))
 
 
-def _plain(obj) -> bool:
-    """No dict key is a non-str or holds a ".", so no two leaves share a dotted key."""
-    if isinstance(obj, dict):
-        return all(isinstance(k, str) and "." not in k and _plain(v) for k, v in obj.items())
-    return not isinstance(obj, (list, tuple)) or all(map(_plain, obj))
-
-
 def _csv_chunks(obj):
-    """The text of :func:`render_csv` in pieces.
-
-    A dict payload with plain keys is walked twice, once for the header and
-    once for the cells, each leaf one piece; otherwise the rows are gathered
-    in dicts and the text is one piece.
-    """
-    obj = _lists(obj)  # an array payload is a list of rows
-    if not isinstance(obj, list) and _plain(obj):
-        header = (",".join(_keys(prefix, v)) for prefix, v in _leaves(obj))
-        for start, line in (("", header), ("\n", (_cells(v) for _, v in _leaves(obj)))):
-            yield start + next(line, "")
-            for piece in line:
-                yield "," + piece
-        return
-    rows = []
-    for row in obj if isinstance(obj, list) else [obj]:
-        cells = {}
-        for prefix, v in _leaves(row):
-            if isinstance(v, (list, tuple)):
-                cells.update(zip(_keys(prefix, v), _cells(v).split(",")))
-            else:
-                cells[prefix[:-1]] = _cells(v)
-        rows.append(cells)
-    header = list(dict.fromkeys(k for row in rows for k in row))
-    lines = [header] + [[row.get(k, "") for k in header] for row in rows]
-    yield "\n".join(",".join(line) for line in lines)
+    """The text of :func:`render_csv` in pieces: the payload is walked twice,
+    once for the header and once for the cells, each leaf one piece."""
+    header = (",".join(_keys(prefix, v)) for prefix, v in _leaves(obj))
+    for start, line in (("", header), ("\n", (_cells(v) for _, v in _leaves(obj)))):
+        yield start + next(line, "")
+        for piece in line:
+            yield "," + piece
 
 
 def render_csv(obj) -> str:
-    """Header of dotted keys, then one line per row (per entry of a list payload).
+    """Header of dotted keys, then one line of cells.
 
-    Keys in first-seen order; a missing key leaves its cell empty; a recurring
-    key keeps its first place and its last value.  All-``float`` lists and
-    2-D ndarray rows format as in :func:`render_json`.
+    The payload is a dict whose keys are str and hold no ".", as every
+    subcommand's is, so no two leaves share a dotted key.  All-``float``
+    lists and 2-D ndarray rows format as in :func:`render_json`.
     """
     return "".join(_csv_chunks(obj))
 
@@ -405,6 +379,8 @@ def cmd_spectrum(args) -> tuple[dict, int]:
     bc = _build_bc(args)
     spec = _build_spec(args, bc)
     pot = _build_potential(args, spec)
+    if args.eigenfunctions and not bc.is_interval:  # refused before the oracle runs
+        raise ConfigError("--eigenfunctions needs an interval boundary condition")
     lam = oracle_spectrum(pot, bc, spec)
     payload = {
         **_head(args, spec),
@@ -412,8 +388,6 @@ def cmd_spectrum(args) -> tuple[dict, int]:
         "eigenvalues_physical": list(lam.physical),
     }
     if args.eigenfunctions:
-        if not bc.is_interval:
-            raise ConfigError("--eigenfunctions needs an interval boundary condition")
         payload["eigenfunctions"] = eigenfunctions(pot, bc, lam)  # rendered a row at a time
     return payload, EXIT_OK
 
@@ -462,7 +436,7 @@ def _casimir_point(bc: BoundaryCondition, spec: LatticeSpec) -> dict:
     }
 
 
-def cmd_casimir(args) -> tuple[dict | list, int]:
+def cmd_casimir(args) -> tuple[dict, int]:
     bc = _build_bc(args)
     spec = _build_spec(args, bc)
     pot = _build_potential(args, spec)
@@ -476,7 +450,7 @@ def cmd_casimir(args) -> tuple[dict | list, int]:
         if param != "h":
             raise ConfigError("casimir sweeps run over h (use --sweep h:lo:hi:n)")
         hs = _geometric(lo, hi, n)
-        fit = extract_constant(bc, spec.L, hs, tau=bc.tau if bc.kind == TWISTED else None)
+        fit = extract_constant(bc, spec.L, hs)
         points = [_casimir_point(bc, _admissible_lattice(bc, spec.L, h)) for h in fit.h_values]
         payload = {
             **_head(args),

@@ -105,18 +105,12 @@ def free_eigenvalues(bc: BoundaryCondition, spec: LatticeSpec,
     return Spectrum(tuple(sorted(lams)), spec)
 
 
-def _logdet_from(sign: int, log_dimless: float, nu: int, h: float,
-                 removed: int = 0, complexified: bool = False) -> LogDet:
-    log_abs = log_dimless - 2.0 * (nu - removed) * math.log(h)
-    if complexified:
-        log_abs *= 2.0
-        sign *= sign
-    return LogDet(sign, log_abs, removed)
+def _logdet_from(sign: int, log_dimless: float, nu: int, h: float) -> LogDet:
+    return LogDet(sign, log_dimless - 2.0 * nu * math.log(h))
 
 
 def free_determinant(bc: BoundaryCondition, spec: LatticeSpec,
-                     mass: MassParam | None = None, prime: bool = False,
-                     complexified: bool = False) -> LogDet:
+                     mass: MassParam | None = None, prime: bool = False) -> LogDet:
     """Closed-form free determinant as a LogDet (product of physical modes).
 
     Dirichlet: U_nu(x0) / h^(2 nu).
@@ -124,7 +118,7 @@ def free_determinant(bc: BoundaryCondition, spec: LatticeSpec,
                where Det' = nu / h^(2 nu - 2).
     Twisted:   2 (T_nu(x0) - cos 2 pi tau) / h^(2 nu); this is the
                half (real-product) form, matching the transfer-matrix and
-               eigenvalue-product values; ``complexified`` squares it.
+               eigenvalue-product values.
     Periodic:  Twisted at tau = 1; sign 0 at mu = 0 unless primed, where
                Det' = 4 L^2 / h^(2 nu + 2) (the removed mode's (2/h)^2
                prefactor is kept in this convention).
@@ -136,7 +130,7 @@ def free_determinant(bc: BoundaryCondition, spec: LatticeSpec,
     if nu == 0:
         return LogDet(1, 0.0)
     if bc.kind == DIRICHLET:
-        return _logdet_from(1, _log_u(nu, g), nu, h, complexified=complexified)
+        return _logdet_from(1, _log_u(nu, g), nu, h)
     if bc.kind in (NEUMANN, ROBIN):
         alpha, beta = bc.robin_alpha, bc.robin_beta
         if bc.kind == NEUMANN or (alpha == 0.0 and beta == 0.0):
@@ -145,9 +139,8 @@ def free_determinant(bc: BoundaryCondition, spec: LatticeSpec,
                     return LogDet(0, math.nan, 0)
                 # remove the uniform zero mode: product of the others is nu
                 return LogDet(1, math.log(nu) - (2.0 * nu - 2.0) * math.log(h), 1)
-            return _logdet_from(1, _log_u(nu - 1, g) + 2.0 * math.log(mass.mu), nu, h,
-                                complexified=complexified)
-        return _robin_free_determinant(nu, alpha, beta, mass, h, complexified)
+            return _logdet_from(1, _log_u(nu - 1, g) + 2.0 * math.log(mass.mu), nu, h)
+        return _robin_free_determinant(nu, alpha, beta, mass, h)
     # circle conditions
     tau = bc.twist
     if abs(tau - round(tau)) < 1e-15 and mass.mu == 0.0:
@@ -155,10 +148,7 @@ def free_determinant(bc: BoundaryCondition, spec: LatticeSpec,
             return LogDet(0, math.nan, 0)
         # paper bookkeeping: drop the zero mode's sin^2 factor but keep its
         # (2/h)^2 prefactor, giving Det' = 4 L^2 / h^(2 nu + 2)
-        log_abs = math.log(4.0 * spec.L * spec.L) - (2.0 * nu + 2.0) * math.log(h)
-        if complexified:
-            log_abs *= 2.0
-        return LogDet(1, log_abs, 1)
+        return LogDet(1, math.log(4.0 * spec.L * spec.L) - (2.0 * nu + 2.0) * math.log(h), 1)
     # F(0) = 4 (sinh^2(nu g) + sin^2(pi tau)); tau - round(tau) makes the
     # sine exactly 0 at integer tau and keeps it accurate as tau -> 1.  The
     # zero-mode return above leaves at least one term nonzero.
@@ -169,7 +159,7 @@ def free_determinant(bc: BoundaryCondition, spec: LatticeSpec,
     if sine:
         terms.append((1.0, 2.0 * math.log(sine)))
     log_dimless = math.log(4.0) + _signed_log_sum(terms)[1]
-    return _logdet_from(1, log_dimless, nu, h, complexified=complexified)
+    return _logdet_from(1, log_dimless, nu, h)
 
 
 def _log_u(n: int, g: float) -> float:
@@ -180,7 +170,7 @@ def _log_u(n: int, g: float) -> float:
 
 
 def _robin_free_determinant(nu: int, alpha: float, beta: float, mass: MassParam,
-                            h: float, complexified: bool) -> LogDet:
+                            h: float) -> LogDet:
     """((a+b) V_nu + ab U_nu + mu^2 U_{nu-1}) / ((1+a)(1+b)), normalised.
 
     This is (a+b+ab) U_nu - (a+b-mu^2) U_{nu-1} with U_nu - U_{nu-1} = V_nu
@@ -197,8 +187,7 @@ def _robin_free_determinant(nu: int, alpha: float, beta: float, mass: MassParam,
     if sign == 0:
         return LogDet(0, math.nan, 0)
     sign = sign if norm > 0 else -sign
-    return _logdet_from(sign, log_p0 - math.log(abs(norm)), nu, h,
-                        complexified=complexified)
+    return _logdet_from(sign, log_p0 - math.log(abs(norm)), nu, h)
 
 
 def _signed_log_sum(terms) -> tuple[int, float]:

@@ -87,11 +87,6 @@ def to_physical(lam: float, spec: LatticeSpec) -> float:
     return lam / (spec.h * spec.h)
 
 
-def to_dimensionless(lambar: float, spec: LatticeSpec) -> float:
-    """Inverse of :func:`to_physical`: h^2 * lambda_bar."""
-    return lambar * spec.h * spec.h
-
-
 class Potential:
     """Dimensionless site potential v_j = h^2 * vbar_j; ``values[j-1]`` holds v_j.
 
@@ -637,10 +632,10 @@ class LogDet:
             raise ValueError("sign must be -1, 0 or +1")
 
     @classmethod
-    def from_value(cls, x: float, zero_modes_removed: int = 0) -> "LogDet":
+    def from_value(cls, x: float) -> "LogDet":
         if x == 0:
-            return cls(0, math.nan, zero_modes_removed)
-        return cls(1 if x > 0 else -1, math.log(abs(x)), zero_modes_removed)
+            return cls(0, math.nan)
+        return cls(1 if x > 0 else -1, math.log(abs(x)))
 
     @property
     def value(self) -> float:

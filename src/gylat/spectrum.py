@@ -565,7 +565,7 @@ def _narrow(q: list[int], a: float, b: float) -> tuple[float, float, float]:
     return t, a, b
 
 
-def poly_roots(p: CharPoly, spec: LatticeSpec | None = None) -> Spectrum:
+def poly_roots(p: CharPoly) -> Spectrum:
     """All real roots of p, ascending with multiplicity, each the nearest float.
 
     Every sign is decided in integer arithmetic: p is scaled to a primitive
@@ -603,7 +603,7 @@ def poly_roots(p: CharPoly, spec: LatticeSpec | None = None) -> Spectrum:
         raise ArithmeticError(
             f"found {len(roots)} real roots for a degree-{p.degree} polynomial; "
             "the others are complex")
-    return Spectrum(tuple(sorted(roots)), spec)
+    return Spectrum(tuple(sorted(roots)))
 
 
 # ---------------------------------------------------------------------------

@@ -170,8 +170,7 @@ def _pairwise_rows(a: np.ndarray) -> np.ndarray:
     return a[0]
 
 
-def free_energy_closed(bc: BoundaryCondition, spec: LatticeSpec,
-                       tau: float | None = None) -> float:
+def free_energy_closed(bc: BoundaryCondition, spec: LatticeSpec) -> float:
     """Closed-form massless vacuum energy; equals the direct mode sum.
 
     Dirichlet: (1/(2h)) (cot(pi/(4(nu+1))) - 1)
@@ -190,9 +189,8 @@ def free_energy_closed(bc: BoundaryCondition, spec: LatticeSpec,
     if bc.kind == PERIODIC:
         return 1.0 / (h * math.tan(math.pi / (2.0 * nu)))
     if bc.kind == TWISTED:
-        t = bc.tau if tau is None else tau
         x = math.pi / (2.0 * nu)
-        return 2.0 / (h * math.sin(x)) * math.cos(x * (2.0 * t - 1.0))
+        return 2.0 / (h * math.sin(x)) * math.cos(x * (2.0 * bc.tau - 1.0))
     raise ValueError(f"no closed-form vacuum energy for {bc.kind}")
 
 
@@ -223,13 +221,12 @@ def _admissible_lattice(bc: BoundaryCondition, L: float, h: float) -> LatticeSpe
 
 
 def extract_constant(bc: BoundaryCondition, L: float, h_values,
-                     tau: float | None = None,
                      with_positive_powers: bool = False) -> EnergyExpansion:
     """Fit E(h) over a geometric h sweep and extract the universal constant.
 
     Targets: -pi/(24 L) for Dirichlet and Neumann; on the unit circle
-    (L = 2 pi), -1/12 for Periodic and -(1/6 - tau + tau^2) for
-    Twisted(tau).  Each requested h snaps to the nearest admissible
+    (L = 2 pi), -1/12 for Periodic and -(1/6 - tau + tau^2) for Twisted,
+    with tau = ``bc.tau``.  Each requested h snaps to the nearest admissible
     lattice.  Raises when fewer than 5 distinct lattices survive or when
     the fit is too ill-conditioned (advice: widen the h window).
     """
@@ -242,7 +239,7 @@ def extract_constant(bc: BoundaryCondition, L: float, h_values,
                          "use a geometric sweep spanning at least a decade")
     lattices = sorted(specs.values(), key=lambda s: s.h)
     hs = np.array([s.h for s in lattices])
-    es = np.array([free_energy_closed(bc, s, tau=tau) for s in lattices])
+    es = np.array([free_energy_closed(bc, s) for s in lattices])
     powers = [-2, -1, 0] + ([1, 2] if with_positive_powers else [])
     cols = [hs.astype(float) ** p for p in powers]
     design = np.column_stack(cols)

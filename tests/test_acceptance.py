@@ -262,7 +262,7 @@ def test_criterion_09_vacuum_energies():
     fit = extract_constant(periodic(), 2 * math.pi, chs)
     assert abs(fit.constant + 1.0 / 12.0) <= 1e-4
     for tau in (0.25, 0.5, 0.75):
-        fit = extract_constant(twisted(tau), 2 * math.pi, chs, tau=tau)
+        fit = extract_constant(twisted(tau), 2 * math.pi, chs)
         assert abs(fit.constant + (1.0 / 6.0 - tau + tau * tau)) <= 1e-4
     _report(9, f"closed forms = mode sums to rel {worst:.2e} <= 1e-12 up to "
                f"nu = 10^4; extracted constants hit -pi/24, -1/12, "

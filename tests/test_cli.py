@@ -303,6 +303,17 @@ class TestConfigErrors:
         assert (code, out) == (2, "")
         assert "error: oracle needs Gershgorin bounds below 2^1023 in magnitude" in err
 
+    @pytest.mark.parametrize("nu", ["40", "801"])  # 801 is above the dense oracle's cap
+    def test_circle_eigenfunctions_are_refused_before_the_oracle(self, capsys, monkeypatch, nu):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(gylat.cli, "oracle_spectrum", refuse)
+        code, out, err = run_cli(capsys, "spectrum", "--bc", "twisted", "--tau", "0.3",
+                                 "--nu", nu, "--eigenfunctions")
+        assert (code, out) == (2, "")
+        assert "error: --eigenfunctions needs an interval boundary condition" in err
+
 
 # A valid invocation of each subcommand, and the options that every subcommand
 # once accepted but that this one does not read: given one, it exits 2.
@@ -824,10 +835,8 @@ def _ref_flatten(obj, prefix="", out=None):
 
 
 def ref_render_csv(obj):
-    """The dict-per-row renderer that render_csv must match byte for byte."""
-    rows = obj if isinstance(obj, list) else [obj]
-    flats = [_ref_flatten(r) for r in rows]
-    keys = list(dict.fromkeys(k for f in flats for k in f))
+    """The flattened-dict renderer that render_csv must match byte for byte."""
+    flat = _ref_flatten(obj)
 
     def cell(v):
         if isinstance(v, bool):
@@ -836,21 +845,33 @@ def ref_render_csv(obj):
             return _fmt_float(v)
         return "" if v is None else str(v)
 
-    return "\n".join([",".join(keys)] + [",".join(cell(f.get(k)) for k in keys) for f in flats])
+    return ",".join(flat) + "\n" + ",".join(map(cell, flat.values()))
 
 
-CSV_CASES = RENDER_CASES + [
+# JSON renders any payload: scalars, lists of rows, and dicts whose keys are
+# ints or hold "." (one JSON key each, however they would flatten)
+JSON_CASES = RENDER_CASES + [
     {}, [], 5, 2.5, None, "x", [{}], [[0.5, 1.5]], [1.5, 2.5], [{"a": 1}, {}],
-    # dotted keys that collide: first place, last value
     {"a": [0.5, 1.5], "a.1": 7.0, "b": {"c": 1}, "b.c": None},
     {"a": {"b": [0.25]}, "a.b.0": [0.5, math.nan], "a.b": {"0": True}},
     {1: 0.5, "1": [0.25, 0.75]}, {"x": (1.5, 2.5), "y": [[0.1, -0.0], [math.inf]]},
     [{"a": [0.1, 0.2]}, {"a": [0.3], "b": 1}, {"a.0": 9.0}],
 ]
 
+# CSV payloads are dicts whose keys are str and hold no ".", as the CLI's are
+CSV_CASES = [{"v": obj} for obj in RENDER_CASES if not isinstance(obj, dict)] + [
+    {}, {"a": {}, "b": []}, {"n": 5, "x": 2.5, "none": None, "s": "x"},
+    {"a": [0.25, -7.5e-300], "b": [], "c": {"d": [math.nan], "e": "x"}},
+    {"x": (1.5, 2.5), "y": [[0.1, -0.0], [math.inf]]},
+    # fit_coefficients' keys are the powers of nu; rows of dicts flatten by index
+    {"fit_coefficients": {"-2": 0.5, "-1": -1.25, "0": 3.0}},
+    {"ok": True, "eigenvalues": [0.5, 1.5], "eigenfunctions": [[0.1, -0.2], [0.3, 0.4]]},
+    {"rows": [{"a": [0.1, 0.2]}, {}, {"a": [0.3], "b": 1}]},
+]
+
 
 class TestOutputDiscipline:
-    @pytest.mark.parametrize("obj", RENDER_CASES)
+    @pytest.mark.parametrize("obj", JSON_CASES)
     def test_render_json_matches_per_item_renderer(self, obj):
         assert render_json(obj) == ref_render_json(obj)
 
@@ -921,9 +942,21 @@ class TestOutputDiscipline:
         ix = cols.index("eigenvalues_dimensionless.0")
         assert abs(float(vals[ix]) - 1.0) < 1e-9
 
-    def test_csv_header_is_union_of_keys_in_first_seen_order(self):
-        rows = [{"a": 1, "b": {"x": 2.5}}, {"c": None, "a": True}, {"b": {"y": [3, 4.0]}}]
-        assert render_csv(rows) == "a,b.x,c,b.y.0,b.y.1\n1,2.5,,,\ntrue,,,,\n,,,3,4"
+    def test_cli_payloads_flatten_to_unique_keys(self, monkeypatch, tmp_path):
+        """CSV's one path writes the payload's dotted keys as the header, which is
+        the flattened JSON's only while no key is a non-str or holds a "."."""
+        from make_golden import CASES, case_argv
+
+        payloads = []
+        monkeypatch.setattr(gylat.cli, "emit", lambda payload, fmt: payloads.append(payload))
+        for name, argv in CASES.items():
+            with contextlib.redirect_stderr(io.StringIO()):
+                main(case_argv(argv, tmp_path))
+            for payload in payloads:
+                header = render_csv(payload).split("\n", 1)[0].split(",")
+                assert len(set(header)) == len(header), name
+                assert header == list(_ref_flatten(json.loads(render_json(payload)))), name
+            payloads.clear()
 
     def test_seventeen_digit_floats(self, capsys):
         _, out, _ = run_cli(capsys, "casimir", "--bc", "periodic", "--nu", "4")
@@ -989,36 +1022,45 @@ def emitted(payload, fmt) -> str:
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
 _FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
-# schema-like payloads: scalars, float lists, 2-D float64 tables, nested in lists,
-# tuples and dicts whose keys may be ints or hold "." (the CSV's shared-key path)
-PAYLOADS = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), _FLOATS,
-              st.text(max_size=3), _FLOATS.map(np.float64), st.lists(_FLOATS, max_size=5),
-              arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(0, 4)),
-                     elements=_FLOATS)),
-    lambda kids: st.one_of(st.lists(kids, max_size=4), st.tuples(kids, kids),
-                           st.dictionaries(st.one_of(st.text(max_size=3), st.integers(0, 3)),
-                                           kids, max_size=4)),
-    max_leaves=12)
+
+
+def payload_strategy(keys):
+    """Schema-like payloads: scalars, float lists, 2-D float64 tables, nested in
+    lists, tuples and dicts with ``keys``."""
+    return st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), _FLOATS,
+                  st.text(max_size=3), _FLOATS.map(np.float64), st.lists(_FLOATS, max_size=5),
+                  arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                         elements=_FLOATS)),
+        lambda kids: st.one_of(st.lists(kids, max_size=4), st.tuples(kids, kids),
+                               st.dictionaries(keys, kids, max_size=4)),
+        max_leaves=12)
+
+
+# JSON takes keys that are ints or hold "."; CSV takes dicts of plain str keys
+PAYLOADS = payload_strategy(st.one_of(st.text(max_size=3), st.integers(0, 3)))
+_PLAIN_KEYS = st.text(max_size=3).filter(lambda k: "." not in k)
+CSV_PAYLOADS = st.dictionaries(_PLAIN_KEYS, payload_strategy(_PLAIN_KEYS), max_size=4)
 
 
 class TestStreamedOutput:
     """emit writes the text of render_json and render_csv as it is rendered, and a
     float64 table in a payload renders as its tolist() would, a row at a time."""
 
-    @pytest.mark.parametrize("fmt, render", [("json", render_json), ("csv", render_csv)])
-    @pytest.mark.parametrize("obj", CSV_CASES)
+    @pytest.mark.parametrize("fmt, render, obj",
+                             [("json", render_json, obj) for obj in JSON_CASES]
+                             + [("csv", render_csv, obj) for obj in CSV_CASES])
     def test_emit_writes_the_rendered_text(self, fmt, render, obj):
         assert emitted(obj, fmt) == render(obj) + "\n"
 
     @settings(max_examples=300)
-    @given(payload=PAYLOADS)
-    def test_random_payloads(self, payload):
-        for fmt, render, ref in (("json", render_json, ref_render_json),
-                                 ("csv", render_csv, ref_render_csv)):
-            text = ref(as_lists(payload))
-            assert render(payload) == text
-            assert emitted(payload, fmt) == text + "\n"
+    @given(payload=PAYLOADS, plain=CSV_PAYLOADS)
+    def test_random_payloads(self, payload, plain):
+        for fmt, render, ref, obj in (("json", render_json, ref_render_json, payload),
+                                      ("csv", render_csv, ref_render_csv, plain)):
+            text = ref(as_lists(obj))
+            assert render(obj) == text
+            assert emitted(obj, fmt) == text + "\n"
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (40, 40)])
     def test_tables_render_as_their_lists(self, shape):

@@ -139,12 +139,6 @@ class TestFreeDeterminant:
             want = 4 * (2 * math.pi) ** 2 / spec.h ** (2 * nu + 2)
             assert abs(ld.value - want) < 1e-9 * want
 
-    def test_complexified_squares(self):
-        spec = LatticeSpec.circle(5, h=1.0)
-        half = free_determinant(twisted(0.3), spec)
-        full = free_determinant(twisted(0.3), spec, complexified=True)
-        assert abs(full.log_abs - 2 * half.log_abs) < 1e-12
-
     def test_product_formula(self):
         # prod lambda_bar from the spectrum equals the determinant (log domain)
         for bc in ALL_FREE_BCS:

@@ -1,17 +1,21 @@
-"""Every name a library module imports is used in that module, and every
-module it imports is from the standard library or numpy.
+"""Every name a library module imports is used in that module, every
+module it imports is from the standard library or numpy, and every
+parameter with a default is set by some call in the repository.
 
 Checked on the syntax tree with the standard library only; the package's
 ``__init__.py`` re-exports its imports and is exempt from the first rule.
 """
 
 import ast
+import math
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gylat"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gylat"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -56,6 +60,80 @@ def test_every_import_is_used(path):
 def test_the_check_sees_a_leftover():
     source = "from itertools import repeat\nfrom .core import Vec2\n\ndef f(x) -> 'Vec2':\n    return x\n"
     assert unused_imports(source) == ["repeat"]
+
+
+def optional_parameters(source: str):
+    """(called name, function, parameter, position) for each parameter with a
+    default; a method's position leaves out self or cls, keyword-only ones have
+    None, and ``__init__`` is called by its class's name."""
+    tree = ast.parse(source)
+    owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        cls = owner.get(id(node))
+        bound = cls is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        called = cls if node.name == "__init__" else node.name
+        name = f"{cls}.{node.name}" if cls else node.name
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first - bound):
+            yield called, name, arg.arg, i
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield called, name, arg.arg, None
+
+
+def calls(source: str):
+    """(called name, positional count, keyword names) of each call by name or
+    attribute; ``*args`` passes every later position, ``**kwargs`` (None) every keyword."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            starred = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+            count = math.inf if starred else len(node.args)
+            yield name, count, {k.arg for k in node.keywords}
+
+
+def unset_options(library: list[str], callers: list[str]) -> list[str]:
+    """``function(parameter=)`` for each defaulted parameter of ``library`` that no
+    call in ``callers`` sets, by keyword or by position."""
+    passed = {}
+    for source in callers:
+        for name, count, keywords in calls(source):
+            passed.setdefault(name, []).append((count, keywords))
+    return sorted(f"{name}({param}=)" for source in library
+                  for called, name, param, pos in optional_parameters(source)
+                  if not any(param in kw or None in kw or pos is not None and pos < count
+                             for count, kw in passed.get(called, ())))
+
+
+def test_every_optional_parameter_is_passed():
+    """An option that no caller sets is a code path that never runs."""
+    callers = [p.read_text() for d in ("src", "tests", "demos", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unset_options([p.read_text() for p in MODULES], callers) == []
+
+
+def test_the_option_check_sees_a_leftover():
+    source = textwrap.dedent("""
+        def f(x, y=1, *, z=2):
+            return x
+        class C:
+            def __init__(self, a=0, b=0):
+                pass
+            def m(self, c=1):
+                pass
+            @staticmethod
+            def s(d=1):
+                pass
+        f(1, 2)
+        C(1, **{"b": 2}).m(*[1])
+        C.s(z=1)
+    """)
+    assert unset_options([source], [source]) == ["C.s(d=)", "f(z=)"]
 
 
 def imported_modules(source: str) -> set[str]:

@@ -258,7 +258,7 @@ class TestExtractConstant:
     def test_twisted_universal(self):
         hs = [2 * math.pi / n for n in range(30, 330, 20)]
         for tau in (0.25, 0.5, 0.75):
-            fit = extract_constant(twisted(tau), 2 * math.pi, hs, tau=tau)
+            fit = extract_constant(twisted(tau), 2 * math.pi, hs)
             want = -(1.0 / 6.0 - tau + tau * tau)
             assert abs(fit.constant - want) < 1e-4
 
