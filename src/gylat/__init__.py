@@ -24,14 +24,12 @@ from .core import (
     robin,
     twisted,
     load_potential,
-    to_physical,
 )
 from .chebyshev import (
     cheb_matrix_power,
     cheb_t,
     cheb_t_poly,
     cheb_u,
-    cheb_u_log,
     cheb_u_poly,
     cheb_v,
     cheb_v_poly,
@@ -52,7 +50,6 @@ from .closedform import (
     continuum_scaling_exponent,
     free_determinant,
     free_eigenvalues,
-    robin_matrix_element,
 )
 from .spectrum import (
     cosecant_sum,

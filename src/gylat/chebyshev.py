@@ -15,23 +15,16 @@ seeded appropriately (U_{-2} = -1, U_{-1} = 0), never by sinh/sin ratios,
 so one code path covers the oscillatory (|x| < 1), boundary (|x| = 1) and
 hyperbolic (|x| > 1) regimes.  That recurrence is the lattice sweep of
 :mod:`gylat.transfer` with the constant weight 2x (2 - lambda for the
-polynomials in lambda), so it runs on the same kernel.  A separate
-log-scaled path exists for the hyperbolic regime when the recurrence would
-overflow float64.
+polynomials in lambda), so it runs on the same kernel.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import repeat
 
 from .core import CharPoly, Mat2
 from .transfer import _sweep
-
-# Beyond this value of n*acosh|x| the recurrence leaves float64 range soon
-# enough that callers should switch to the log-scaled path.
-LOG_PATH_THRESHOLD = 300.0
 
 
 def cheb_u(n: int, x):
@@ -155,51 +148,3 @@ def cheb_t_poly(n: int) -> CharPoly:
     twice = _poly_path(n - 1, [2], [2, -1])[-1]
     return CharPoly([Fraction(c, 2) for c in twice.coeffs], backend="exact")
 
-
-def cheb_u_log(n: int, x: float) -> tuple[int, float]:
-    """(sign, log|U_n(x)|) valid far outside float64 range; n >= 0.
-
-    For |x| <= 1 or small n*acosh|x| this defers to the recurrence.  In the
-    deep hyperbolic regime it uses U_n(x) = sinh((n+1)t)/sinh t with
-    t = acosh|x| evaluated in the log domain, plus the parity flip
-    U_n(-x) = (-1)^n U_n(x).
-    """
-    if n < 0:
-        raise ValueError(f"cheb_u_log needs n >= 0, got {n}")
-    ax = abs(float(x))
-    if ax <= 1.0 or (n + 1) * math.acosh(ax) <= LOG_PATH_THRESHOLD:
-        val = cheb_u(n, float(x))
-        if val == 0.0:
-            return 0, -math.inf
-        return (1 if val > 0 else -1), math.log(abs(val))
-    t = math.acosh(ax)
-    log_mag = _log_sinh((n + 1) * t) - _log_sinh(t)
-    sign = -1 if (x < 0 and n % 2 == 1) else 1
-    return sign, log_mag
-
-
-def cheb_t_log(n: int, x: float) -> tuple[int, float]:
-    """(sign, log|T_n(x)|) companion of :func:`cheb_u_log`."""
-    if n < 0:
-        raise ValueError(f"cheb_t_log needs n >= 0, got {n}")
-    ax = abs(float(x))
-    if ax <= 1.0 or n * math.acosh(ax) <= LOG_PATH_THRESHOLD:
-        val = cheb_t(n, float(x))
-        if val == 0.0:
-            return 0, -math.inf
-        return (1 if val > 0 else -1), math.log(abs(val))
-    t = math.acosh(ax)
-    sign = -1 if (x < 0 and n % 2 == 1) else 1
-    return sign, _log_cosh(n * t)
-
-
-def _log_sinh(z: float) -> float:
-    if z > 30.0:
-        return z - math.log(2.0) + math.log1p(-math.exp(-2.0 * z))
-    return math.log(math.sinh(z))
-
-
-def _log_cosh(z: float) -> float:
-    if z > 30.0:
-        return z - math.log(2.0) + math.log1p(math.exp(-2.0 * z))
-    return math.log(math.cosh(z))

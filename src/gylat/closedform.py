@@ -12,7 +12,9 @@ small.  With x0 = cosh 2g,
     T_n(x0) - cos(2 pi tau) = 2 sinh^2(n g) + 2 sin^2(pi tau),
 
 and none of them subtracts nearly equal numbers.  At mu = 0 they take their
-limits U_n = n+1, V_n = 1, T_n = 1.
+limits U_n = n+1, V_n = 1, T_n = 1.  Nothing here runs the GY sweep: the
+module takes only the domain types of :mod:`gylat.core`, so it stays an
+independent check of the terminal value.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chebyshev import _log_cosh, _log_sinh
 from .core import (
     DIRICHLET,
     NEUMANN,
@@ -30,11 +31,8 @@ from .core import (
     BoundaryCondition,
     LatticeSpec,
     LogDet,
-    Potential,
     Spectrum,
-    robin,
 )
-from .transfer import _terminal
 
 
 @dataclass(frozen=True)
@@ -55,17 +53,8 @@ class MassParam:
         return cls(mubar=mubar, mu=mu, gamma0=math.asinh(0.5 * mu))
 
     @classmethod
-    def dimensionless(cls, mu: float, spec: LatticeSpec) -> "MassParam":
-        return cls(mubar=mu / spec.h, mu=mu, gamma0=math.asinh(0.5 * mu))
-
-    @classmethod
     def massless(cls) -> "MassParam":
         return cls(0.0, 0.0, 0.0)
-
-    @property
-    def x0(self) -> float:
-        """Chebyshev argument at lambda = 0: cosh(2 gamma0) = 1 + mu^2/2."""
-        return 1.0 + 0.5 * self.mu * self.mu
 
 
 def free_eigenvalues(bc: BoundaryCondition, spec: LatticeSpec,
@@ -169,6 +158,18 @@ def _log_u(n: int, g: float) -> float:
     return _log_sinh(2.0 * (n + 1) * g) - _log_sinh(2.0 * g)
 
 
+def _log_sinh(z: float) -> float:
+    if z > 30.0:
+        return z - math.log(2.0) + math.log1p(-math.exp(-2.0 * z))
+    return math.log(math.sinh(z))
+
+
+def _log_cosh(z: float) -> float:
+    if z > 30.0:
+        return z - math.log(2.0) + math.log1p(math.exp(-2.0 * z))
+    return math.log(math.cosh(z))
+
+
 def _robin_free_determinant(nu: int, alpha: float, beta: float, mass: MassParam,
                             h: float) -> LogDet:
     """((a+b) V_nu + ab U_nu + mu^2 U_{nu-1}) / ((1+a)(1+b)), normalised.
@@ -200,22 +201,6 @@ def _signed_log_sum(terms) -> tuple[int, float]:
     if total == 0.0:
         return 0, math.nan
     return (1 if total > 0 else -1), top + math.log(abs(total))
-
-
-def robin_matrix_element(nu: int, alpha: float, beta: float,
-                         mass: MassParam | None = None, lam: float = 0.0) -> float:
-    """Boundary matrix element out_adjoint . M^nu . in_vector, constant v = mu^2.
-
-    The terminal value of the GY sweep; equals
-    (a+b+ab) U_nu(x) - (a+b+lambda-mu^2) U_{nu-1}(x) at x = 1+(mu^2-lambda)/2.
-    Its zeros are the free Robin eigenvalues; at lambda = 0, dividing by
-    (1+a)(1+b) gives the dimensionless determinant, (ab(nu+1)+a+b) / ((1+a)(1+b))
-    in the massless case.
-    """
-    if nu < 0:
-        raise ValueError("need nu >= 0")
-    mass = mass or MassParam.massless()
-    return _terminal(Potential.constant(nu, mass.mu * mass.mu), robin(alpha, beta), float(lam))
 
 
 def continuum_limit_targets(bc: BoundaryCondition, mubar: float = 0.0,

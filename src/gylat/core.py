@@ -82,11 +82,6 @@ def _resolve_spacing(links: int, h: float | None, L: float | None) -> tuple[floa
     return float(L) / links, float(L)
 
 
-def to_physical(lam: float, spec: LatticeSpec) -> float:
-    """Convert a dimensionless eigenvalue to physical units: lambda / h^2."""
-    return lam / (spec.h * spec.h)
-
-
 class Potential:
     """Dimensionless site potential v_j = h^2 * vbar_j; ``values[j-1]`` holds v_j.
 
@@ -153,9 +148,6 @@ class Potential:
     def from_physical(cls, vbar: Sequence[float], h: float) -> "Potential":
         hh = h * h  # (h*h)*v per site, as Python evaluates h * h * v
         return cls(hh * np.array(vbar, float) if isinstance(hh, float) else [hh * v for v in vbar])
-
-    def to_physical(self, h: float) -> tuple:
-        return tuple(v / (h * h) for v in self.values)
 
     def as_array(self) -> np.ndarray:
         if self._array is None:
@@ -630,12 +622,6 @@ class LogDet:
     def __post_init__(self):
         if self.sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
-
-    @classmethod
-    def from_value(cls, x: float) -> "LogDet":
-        if x == 0:
-            return cls(0, math.nan)
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
 
     @property
     def value(self) -> float:

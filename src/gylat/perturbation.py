@@ -46,11 +46,11 @@ def _exact_or_not(potential: Potential, exact: bool | None) -> tuple[Potential, 
 
 
 def _resolve_order(potential: Potential, order) -> int:
-    if order is FULL_ORDER or order == "full":
+    if order is FULL_ORDER:
         return potential.nu
     order = int(order)
     if order < 0 or order > potential.nu:
-        raise ValueError(f"order must be in 0..nu={potential.nu} or full")
+        raise ValueError(f"order must be in 0..nu={potential.nu} or FULL_ORDER")
     return order
 
 

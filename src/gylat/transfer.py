@@ -78,8 +78,8 @@ _BLOCK_GROWTH_BITS = 500
 # leaves room to square it.
 _FOLD_BITS = 500
 
-# An eigenfunction row whose residual |(T - lambda) y| exceeds this fraction
-# of its largest entry is not returned.
+# An eigenfunction row whose backward error, max_j |(T - lambda) y|_j over
+# |d_j| + |lambda| + 2, exceeds this fraction of its largest entry is not returned.
 _EIGENFUNCTION_RTOL = 1e-8
 
 _LN2 = math.log(2.0)
@@ -171,10 +171,6 @@ class Propagator:
         self.potential = potential
         self.lam = lam
         self._one = (lam - lam) + 1
-
-    def step(self, j: int) -> Mat2:
-        """The one-site step matrix M(j)."""
-        return self.matrix(j, j - 1)
 
     def matrix(self, j: int, jprime: int = 0) -> Mat2:
         nu = len(self.potential)
@@ -509,8 +505,9 @@ def eigenfunctions(potential: Potential, bc: BoundaryCondition, spectrum: Spectr
     the twist k minimising |r_k + s_k - (d_k - lambda)|, where the mode is near
     its largest; from y(k) = 1, y(j) = y(j+1)/r_j for j < k and y(j-1)/s_j for
     j > k.  Each row is scaled so that its first entry of largest magnitude is
-    exactly +1.  A row whose residual max_j |(T - lambda) y|_j exceeds
-    1e-8 max_j |y_j|, or is not finite, raises ArithmeticError.
+    exactly +1.  A row whose backward error max_j |(T - lambda) y|_j / (|d_j| +
+    |lambda| + 2), the residual of each site against the rounding of its row,
+    exceeds 1e-8 max_j |y_j|, or is not finite, raises ArithmeticError.
     """
     d, _ = tridiagonal_matrix(potential, bc)
     nu = len(d)
@@ -545,8 +542,10 @@ def eigenfunctions(potential: Potential, bc: BoundaryCondition, spectrum: Spectr
         ys = fwd[1:-1]
         ys *= bwd[1:-1]
         res, size, peak = np.zeros(nu), np.zeros(nu), np.zeros(nu, dtype=np.intp)
-        for b in blocks:  # max_j |(T - lambda) y|_j and the first j of largest |y_j|
+        row_size = np.abs(lam) + 2.0  # with |d_j|, the size of row j of T - lambda
+        for b in blocks:  # the backward error and the first j of largest |y_j|
             r = np.abs((d[b, None] - lam) * ys[b] - fwd[:-2][b] - fwd[2:][b])
+            r /= np.abs(d[b, None]) + row_size
             np.maximum(res, r.max(axis=0), out=res)
             np.abs(ys[b], out=r)
             at = r.argmax(axis=0)
@@ -559,6 +558,7 @@ def eigenfunctions(potential: Potential, bc: BoundaryCondition, spectrum: Spectr
         finite = np.isfinite(rel)
         raise ArithmeticError(
             f"{int(bad.sum())} of {nu} eigenfunction rows miss T y = lambda y: twisted "
-            f"factorisation, worst finite residual {float(np.max(rel[finite], initial=0.0)):.3g} "
-            f"of max|y| against {_EIGENFUNCTION_RTOL:g}, {int((~finite).sum())} rows not finite")
+            f"factorisation, worst finite backward error "
+            f"{float(np.max(rel[finite], initial=0.0)):.3g} of max|y| against "
+            f"{_EIGENFUNCTION_RTOL:g}, {int((~finite).sum())} rows not finite")
     return ys.T

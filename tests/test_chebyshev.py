@@ -12,13 +12,11 @@ from gylat import (
     cheb_t,
     cheb_t_poly,
     cheb_u,
-    cheb_u_log,
     cheb_u_poly,
     cheb_v,
     cheb_v_poly,
 )
-from gylat.chebyshev import (cheb_t_log, cheb_u_pair, cheb_u_path, cheb_u_poly_path,
-                             cheb_v_poly_path)
+from gylat.chebyshev import cheb_u_pair, cheb_u_path, cheb_u_poly_path, cheb_v_poly_path
 
 
 class TestValues:
@@ -195,36 +193,6 @@ class TestPolynomials:
             got = p(Fraction(1, 2))
             ref = cheb_t(n, Fraction(3, 4))
             assert got == ref
-
-
-class TestLogScaledPath:
-    def test_matches_recurrence_in_range(self):
-        for x in (1.5, 3.0, -2.5):
-            for n in (5, 40, 120):
-                s, lg = cheb_u_log(n, x)
-                val = cheb_u(n, float(x))
-                assert s == (1 if val > 0 else -1)
-                assert abs(lg - math.log(abs(val))) < 1e-10 * max(1.0, abs(lg))
-
-    def test_deep_hyperbolic(self):
-        # n * acosh(x) >> 300: value overflows float64, the log path must not
-        s, lg = cheb_u_log(2000, 2.0)
-        t = math.acosh(2.0)
-        ref = 2001 * t - math.log(math.sinh(t))  # sinh((n+1)t) ~ e^((n+1)t)/2
-        assert s == 1
-        assert abs(lg - (ref - math.log(2))) < 1e-9 * abs(lg)
-
-    def test_negative_argument_parity(self):
-        s_even, _ = cheb_u_log(2000, -2.0)
-        s_odd, _ = cheb_u_log(2001, -2.0)
-        assert s_even == 1 and s_odd == -1
-
-    def test_t_log(self):
-        s, lg = cheb_t_log(1500, 1.8)
-        z = 1500 * math.acosh(1.8)
-        ref = z - math.log(2)  # cosh(z) ~ e^z / 2 far out
-        assert s == 1
-        assert abs(lg - ref) < 1e-9 * abs(ref)
 
 
 class TestErrors:

@@ -911,6 +911,17 @@ class TestOutputDiscipline:
         assert code == 0
         assert eigenfunction_residual(data, Potential.zeros(10), robin(-0.9999997, 0.5)) <= 1e-8
 
+    def test_eigenfunctions_of_a_robin_end_within_1e_13_of_minus_one(self, capsys):
+        # d_1 is about -1e13; the rounding of that row alone is 2e-3 of max|y|, so the
+        # guard weighs each site's residual against |d_j| + |lambda| + 2
+        code, data = run_json(capsys, "spectrum", "--bc", "robin", "--alpha", "-0.9999999999999",
+                              "--beta", "0.5", "--nu", "10", "--h", "1", "--eigenfunctions")
+        assert code == 0
+        d, e = tridiagonal_matrix(Potential.zeros(10), robin(-0.9999999999999, 0.5))
+        _, v = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        want = v.T / v.T[np.arange(10), np.argmax(np.abs(v.T), axis=1), None]
+        assert np.max(np.abs(np.array(data["eigenfunctions"]) - want)) <= 1e-12
+
     def test_eigenfunction_json_and_csv_agree(self, capsys, tmp_path):
         path = tmp_path / "pot.json"
         path.write_text(json.dumps(np.random.default_rng(300).uniform(-1, 1, 300).tolist()))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -11,6 +12,7 @@ from gylat import (
     MassParam,
     Potential,
     cheb_u,
+    cheb_v,
     continuum_limit_targets,
     continuum_scaling_exponent,
     determinant,
@@ -20,9 +22,10 @@ from gylat import (
     neumann,
     periodic,
     robin,
-    robin_matrix_element,
     twisted,
 )
+from gylat.closedform import _log_cosh, _log_sinh, _log_u
+from gylat.transfer import _terminal
 
 ALL_FREE_BCS = (dirichlet(), neumann(), periodic(), twisted(0.25), twisted(0.5))
 
@@ -31,20 +34,31 @@ def spec_for(bc, nu, h=1.0):
     return LatticeSpec.circle(nu, h=h) if bc.is_circle else LatticeSpec.interval(nu, h=h)
 
 
+def from_mu(mu, spec):
+    """A MassParam built from its dimensionless mu, so that only mubar can overflow."""
+    return MassParam(mubar=mu / spec.h, mu=mu, gamma0=math.asinh(0.5 * mu))
+
+
+def robin_element(nu, a, b, lam, mu=0.0):
+    """out . K(lambda; nu) . in for Robin(a, b) on the constant potential mu^2: the
+    terminal value of one GY sweep, whose Chebyshev forms the tests below check."""
+    return _terminal(Potential.constant(nu, mu * mu), robin(a, b), float(lam))
+
+
 class TestMassParam:
     def test_dimensionless_relation(self):
         spec = LatticeSpec.interval(10, h=0.25)
         m = MassParam.physical(2.0, spec)
         assert m.mu == 0.5
         assert abs(4.0 * math.sinh(m.gamma0) ** 2 - m.mu ** 2) < 1e-14
-        assert abs(m.x0 - math.cosh(2 * m.gamma0)) < 1e-14
+        assert abs(1.0 + 0.5 * m.mu * m.mu - math.cosh(2 * m.gamma0)) < 1e-14
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
             MassParam.physical(-1.0, LatticeSpec.interval(2, h=1.0))
 
     @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf, 1e308])
-    @pytest.mark.parametrize("make", [MassParam.physical, MassParam.dimensionless])
+    @pytest.mark.parametrize("make", [MassParam.physical, from_mu])
     def test_non_finite_mass_rejected(self, make, mass):
         """NaN passed the old mubar < 0 test; 1e308 at h = 10 gives an infinite mu."""
         with pytest.raises(ValueError, match="finite"):
@@ -211,7 +225,7 @@ class TestMassiveAgainstMpmath:
     def test_log_det(self, nu, bc):
         spec = spec_for(bc, nu)
         for mu in (0.75 / nu, 3.0 / nu, 0.5):
-            ld = free_determinant(bc, spec, MassParam.dimensionless(mu, spec))
+            ld = free_determinant(bc, spec, MassParam.physical(mu, spec))  # h = 1: mubar is mu
             with mpmath.workdps(50):
                 want = mp_free_det(bc, nu, mu)
                 assert ld.sign == (1 if want > 0 else -1)
@@ -229,25 +243,61 @@ class TestMassiveAgainstMpmath:
         assert abs(ld.log_abs - want) <= 1e-14 * max(1.0, abs(want))
 
 
+def log_v(n, g):
+    """log V_n(cosh 2g) = log cosh((2n+1)g) - log cosh(g), as free_determinant forms it."""
+    return _log_cosh((2.0 * n + 1.0) * g) - _log_cosh(g)
+
+
+class TestLogDomain:
+    """The log-domain forms of U_n and V_n at x = cosh 2g; z > 30 takes the
+    exponential branch of _log_sinh and _log_cosh, smaller z the direct one."""
+
+    @pytest.mark.parametrize("z", [1e-3, 1.0, 29.5, 30.5, 700.0, 5000.0])
+    def test_log_sinh_and_log_cosh(self, z):
+        with mpmath.workdps(50):
+            want_sinh = float(mpmath.log(mpmath.sinh(z)))
+            want_cosh = float(mpmath.log(mpmath.cosh(z)))
+        assert abs(_log_sinh(z) - want_sinh) <= 1e-13 * max(1.0, abs(want_sinh))
+        assert abs(_log_cosh(z) - want_cosh) <= 1e-13 * max(1.0, abs(want_cosh))
+
+    @pytest.mark.parametrize("n, g", [(5, 0.01), (40, 0.3), (200, 0.1), (300, 1.0)])
+    def test_in_float_range_against_the_recurrence(self, n, g):
+        x = math.cosh(2 * g)
+        for got, want in ((_log_u(n, g), math.log(cheb_u(n, x))),
+                          (log_v(n, g), math.log(cheb_v(n, x)))):
+            assert abs(got - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("g", [0.2, 1.0, 3.0])
+    def test_beyond_float_range_against_mpmath(self, g):
+        n = 2000
+        with mpmath.workdps(50):
+            mg = mpmath.mpf(g)
+            want_u = float(mpmath.log(mpmath.sinh(2 * (n + 1) * mg) / mpmath.sinh(2 * mg)))
+            want_v = float(mpmath.log(mpmath.cosh((2 * n + 1) * mg) / mpmath.cosh(mg)))
+        assert want_u > math.log(sys.float_info.max)  # U_n itself overflows
+        assert abs(_log_u(n, g) - want_u) <= 1e-13 * want_u
+        assert abs(log_v(n, g) - want_v) <= 1e-13 * want_v
+
+
 class TestRobinMatrixElement:
     def test_neumann_reduction(self):
         # alpha = beta = 0: P = -lambda U_{nu-1}(1 - lambda/2)
         for nu in (1, 2, 5, 9):
             for lam in (0.3, 1.7, 3.9):
-                got = robin_matrix_element(nu, 0.0, 0.0, lam=lam)
+                got = robin_element(nu, 0.0, 0.0, lam)
                 want = -lam * cheb_u(nu - 1, 1 - lam / 2)
                 assert abs(got - want) < 1e-11 * max(1.0, abs(want))
 
     def test_nu1_hand_product(self):
         for lam in (0.0, 0.5, 2.0):
-            assert abs(robin_matrix_element(1, 1.0, 0.0, lam=lam) - (1 - 2 * lam)) < 1e-13
+            assert abs(robin_element(1, 1.0, 0.0, lam) - (1 - 2 * lam)) < 1e-13
 
     def test_massless_normalised_determinant(self):
         rng = random.Random(22)
         for _ in range(20):
             nu = rng.randint(1, 12)
             a, b = rng.uniform(-0.5, 1.5), rng.uniform(-0.5, 1.5)
-            got = robin_matrix_element(nu, a, b, lam=0.0) / ((1 + a) * (1 + b))
+            got = robin_element(nu, a, b, 0.0) / ((1 + a) * (1 + b))
             want = (a * b * (nu + 1) + a + b) / ((1 + a) * (1 + b))
             assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
@@ -263,7 +313,7 @@ class TestRobinMatrixElement:
             x = 1 + (m.mu ** 2 - lam) / 2
             want = ((a + b + a * b) * cheb_u(nu, x)
                     - (a + b + lam - m.mu ** 2) * cheb_u(nu - 1, x))
-            got = robin_matrix_element(nu, a, b, m, lam)
+            got = robin_element(nu, a, b, lam, m.mu)
             assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
     def test_trace_form_and_binomial_expansion(self):
@@ -289,7 +339,7 @@ class TestRobinMatrixElement:
             assert u_sum == cheb_u(nu - 1, x)
             # and the trace form reassembles the direct matrix element
             a, b = rng.uniform(-1, 1), rng.uniform(-1, 1)
-            got = robin_matrix_element(nu, a, b, lam=float(lam))
+            got = robin_element(nu, a, b, lam)
             want = ((a + b + a * b) * float(t_sum)
                     + (a * b - 0.5 * (a * b + a + b + 2) * float(lam)) * float(u_sum))
             assert abs(got - want) < 1e-8 * max(1.0, abs(want), abs(float(t_sum)))

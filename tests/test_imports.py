@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
-module it imports is from the standard library or numpy, and every
-parameter with a default is set by some call in the repository.
+module it imports is from the standard library or numpy, every parameter
+with a default is set by some call in the repository, and every public name
+has a caller outside the tests or a stated reason to stay.
 
 Checked on the syntax tree with the standard library only; the package's
 ``__init__.py`` re-exports its imports and is exempt from the first rule.
@@ -17,6 +18,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gylat"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _sources(*dirs: str) -> list[str]:
+    return [p.read_text() for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
 
 
 def _annotation_names(tree: ast.AST):
@@ -112,8 +117,7 @@ def unset_options(library: list[str], callers: list[str]) -> list[str]:
 
 def test_every_optional_parameter_is_passed():
     """An option that no caller sets is a code path that never runs."""
-    callers = [p.read_text() for d in ("src", "tests", "demos", "perfbench")
-               for p in sorted((ROOT / d).rglob("*.py"))]
+    callers = _sources("src", "tests", "demos", "perfbench")
     assert unset_options([p.read_text() for p in MODULES], callers) == []
 
 
@@ -134,6 +138,90 @@ def test_the_option_check_sees_a_leftover():
         C.s(z=1)
     """)
     assert unset_options([source], [source]) == ["C.s(d=)", "f(z=)"]
+
+
+def public_names(source: str) -> list[str]:
+    """The public module-level functions, classes and constants ``source`` defines."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def loaded_names(source: str) -> set[str]:
+    """Every name ``source`` reads, bare or as an attribute (``gylat.Potential``)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def uncalled(library: list[str], callers: list[str]) -> set[str]:
+    """The public names of ``library`` that no source in ``callers`` reads."""
+    read = set().union(*map(loaded_names, callers))
+    return {name for source in library for name in public_names(source) if name not in read}
+
+
+_PAPER = "the paper's formalism, kept as the tests' reference: "
+_SERIES = "perfbench/workloads.py builds its name in an f-string"
+_TRACED = "perfbench/tracing.py names it, to leave it unwrapped"
+#: Public names with no caller in src/, demos/ or perfbench/, and why they stay.
+ALLOWED = {
+    **{f"cmd_{command}": "main looks up each subcommand's handler by name"
+       for command in ("det", "spectrum", "sums", "casimir", "limit", "chebyshev")},
+    **dict.fromkeys(["dirichlet_trace_series", "neumann_trace_series",
+                     "dirichlet_det_series", "neumann_det_series"], _SERIES),
+    "render_json": _TRACED,
+    "render_csv": _TRACED,
+    "step_matrix": _PAPER + "the one-site matrix M(j); " + _TRACED,
+    "casoratian": _PAPER + "the discrete Wronskian, constant along solutions",
+    "propagate": _PAPER + "the phase-space path Upsilon(j)",
+    "Propagator": _PAPER + "the vertex-ordered products K(lambda; j, j')",
+    "J": _PAPER + "the symplectic metric that every step matrix keeps",
+    "A_PROJ": _PAPER + "the projector A of the split M = B - lambda A",
+    "periodic_char_fn": _PAPER + "the circle condition tr K - 2 cos(2 pi tau)",
+    "symmetric_factor_check": _PAPER + "the nu = 3 factor theorem",
+    "trace_series_by_tuples": _PAPER + "the vertex-tuple formula, off the GY sweep",
+    "cheb_v": "tests/test_golden_poly.py hashes its values",
+    "cheb_t_poly": "tests/test_golden_poly.py hashes its coefficients",
+}
+
+
+def test_every_public_name_has_a_caller():
+    """A public name that only tests read copies another route or wraps a private
+    call, unless ALLOWED states why it stays; the package's re-exports are no
+    caller, and an ALLOWED name that gains a caller leaves ALLOWED."""
+    callers = [p.read_text() for p in MODULES] + _sources("demos", "perfbench")
+    found = uncalled([p.read_text() for p in MODULES], callers)
+    assert sorted(found - set(ALLOWED)) == []  # delete these, or state why they stay
+    assert sorted(set(ALLOWED) - found) == []  # these have a caller now: not ALLOWED
+
+
+def test_every_allowed_name_is_tested():
+    """An ALLOWED name stays only as long as a test uses it; a handler counts as
+    used where a test names its subcommand."""
+    tests = _sources("tests")
+    used = set().union(*map(loaded_names, tests))
+    used |= {f"cmd_{node.value}" for source in tests for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert sorted(set(ALLOWED) - used) == []
+
+
+def test_the_caller_check_sees_a_leftover():
+    library = textwrap.dedent("""
+        LIMIT = 3
+        def used(x):
+            return x
+        def leftover(x):
+            return used(x) + LIMIT
+        class Kept:
+            pass
+    """)
+    callers = [library, "import lib\nlib.Kept()\n"]
+    assert uncalled([library], callers) == {"leftover"}
 
 
 def imported_modules(source: str) -> set[str]:
@@ -177,6 +265,13 @@ def test_transfer_does_not_import_the_oracle():
              if isinstance(node, ast.ImportFrom) and node.module == "spectrum"
              for alias in node.names}
     assert taken == {"tridiagonal_matrix"}
+
+
+def test_closed_forms_share_no_code_with_the_sweep():
+    """The free closed forms check the GY terminal value, so closedform takes
+    only the domain types from the package, nothing from transfer or chebyshev."""
+    source = (SRC / "closedform.py").read_text()
+    assert {name for name in imported_modules(source) if name.startswith(".")} == {".core"}
 
 
 def test_the_import_check_sees_a_nested_import():

@@ -134,7 +134,7 @@ class TestPropagator:
                 if j == jp:
                     assert (lhs.a, lhs.b, lhs.c, lhs.d) == (1, 0, 0, 1)
                     continue
-                rhs = prop.step(j) @ prop.matrix(j - 1, jp)
+                rhs = prop.matrix(j, j - 1) @ prop.matrix(j - 1, jp)
                 assert (lhs.a, lhs.b, lhs.c, lhs.d) == (rhs.a, rhs.b, rhs.c, rhs.d)
 
     def test_power_series_decomposition_exact(self):
@@ -146,7 +146,7 @@ class TestPropagator:
             for j in range(jp, 7):
                 acc = Mat2.identity(Fraction(1))
                 for k in range(jp + 1, j + 1):
-                    acc = prop.step(k) @ acc
+                    acc = prop.matrix(k, k - 1) @ acc
                 got = prop.matrix(j, jp)
                 assert (got.a, got.b, got.c, got.d) == (acc.a, acc.b, acc.c, acc.d)
 
