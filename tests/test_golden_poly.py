@@ -2,7 +2,8 @@
 
 The CLI never prints a CharPoly, so the golden CLI bytes cannot see a changed
 coefficient.  This test builds a seeded dump of ``char_poly`` (float and
-exact, every boundary condition, int, float, Fraction and zero potentials),
+exact, every boundary condition, int, float, Fraction and zero potentials, up
+to nu = 200 in one group and at nu 120-400 in another),
 the Chebyshev polynomials and the perturbation series, one line per value
 holding its ``repr`` (for a CharPoly, that of its coefficient list and its
 backend), and compares the sha256 of each group with the recorded one.  A
@@ -63,6 +64,18 @@ def _char_polys():
                 yield char_poly(pot, bc, exact=exact)
 
 
+def _char_polys_large():
+    """The sizes past ``CHAR_POLY_NUS``: float at nu 120 and 400 on every kind of
+    potential, exact at nu 300 on int potentials, under every condition."""
+    rng = random.Random(23)
+    for nu in (120, 400):
+        for bc in BCS:
+            for kind in KINDS:
+                yield char_poly(_potential(kind, nu, rng), bc)
+    for bc in BCS:
+        yield char_poly(_potential("int", 300, rng), bc, exact=True)
+
+
 def _chebyshev():
     for n in range(41):
         yield from (cheb_u_poly(n), cheb_v_poly(n), cheb_t_poly(n))
@@ -88,10 +101,12 @@ def _series():
                     yield trace_series_by_tuples(pot, order, neumann=True)
 
 
-GROUPS = {"char_poly": _char_polys, "chebyshev": _chebyshev, "series": _series}
+GROUPS = {"char_poly": _char_polys, "char_poly_large": _char_polys_large,
+          "chebyshev": _chebyshev, "series": _series}
 
 RECORDED = {
     "char_poly": "f0c503e1f9424e10988506bf6019dfc3558348e7d9817f7e2818bc7c4c87ee35",
+    "char_poly_large": "09fc9c508f4f3ff7afbeb3941ff4e06aaf2fca19c4889a28ff2bee29faf25e89",
     "chebyshev": "ca5ff094bb7839a75d43ff6aced8c76c6ccbc8dfeee178c036c78cb242440018",
     "series": "396b0a401ad16e77f11608d306ab8f7c921b51ee8f6bdde1ca6a48c4ed1011ab",
 }
