@@ -578,10 +578,14 @@ def poly_roots(p: CharPoly) -> Spectrum:
     would return, bit for bit.  A root's multiplicity is the
     number of square-free chains (of p, gcd(p, p'), ...) that count it in the
     final bracket.  The count must equal the degree, otherwise p has complex
-    roots and an ArithmeticError is raised.
+    roots and an ArithmeticError is raised.  A non-finite float coefficient
+    raises ValueError.
     """
     if p.degree < 1:
         raise ValueError("poly_roots needs degree >= 1")
+    if p.backend == "float" and (bad := [k for k, c in enumerate(p.coeffs) if not math.isfinite(c)]):
+        raise ValueError(f"poly_roots needs finite coefficients; that of lambda^{bad[0]} "
+                         f"is {p.coeffs[bad[0]]}")
     chains = _square_free_chains(_primitive(p.coeffs))
     chain = chains[0]
     bound = _root_bound(chain[0])

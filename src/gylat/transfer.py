@@ -30,6 +30,14 @@ Taylor jet (:class:`_Series`, for ``sums --exact``).  Exact reads sweep
 Python integers over the inputs' common denominator and divide once at the
 end (the fraction-free idea of Bareiss, Math. Comp. 22 (1968) 565).
 
+:func:`char_poly` packs the states of its sweep: an exact Y(j) into one
+Python int, coefficient k in slot k of S bits (Kronecker substitution, lambda
+-> 2**S, S from an a-priori bound on every coefficient), a float one into one
+float64 vector.  A site then costs a few whole-int or whole-array operations
+instead of a pass of Python over every coefficient, and the polynomial is
+unpacked once at the end, with the coefficients (and float bits) that
+CharPoly states would give.
+
 Determinants and the float sums read the Taylor coefficients of P at 0
 from :func:`_taylor_at_zero`, one zero test for both
 (:func:`_nonzero_coefficient`).  Its sweep carries (y(j), Delta(j) =
@@ -203,6 +211,15 @@ def _terminal(potential: Potential, bc: BoundaryCondition, lam, exact: bool = Fa
     coefficient, instead of reducing a Fraction at every step.  Integer
     inputs (D = 1) take the plain sweep.  The twist is subtracted after
     that division.
+
+    A CharPoly ``lam`` is not swept as CharPoly states: each state is packed
+    into one object (:class:`_Packed`), an int by Kronecker substitution when
+    exact, its slot width S fixed before the sweep by an a-priori bound on
+    every coefficient of every state and of the read-out (:func:`_slot_bits`),
+    else a float64 vector.  The same :func:`_sweep` steps them, and the
+    read-out is unpacked once (:func:`_unpack`).  The coefficients are those
+    of the CharPoly states, float bits included; a float coefficient that is
+    not finite raises OverflowError instead of being returned.
     """
     nu = potential.nu
     if bc.is_circle and nu < 1:
@@ -219,20 +236,134 @@ def _terminal(potential: Potential, bc: BoundaryCondition, lam, exact: bool = Fa
             lam = d * lam
         vs, ends = vs[:nu], vs[nu:]
     two = 2 * d
-    ws = [v + two - lam for v in vs]  # D w_j
     zero = lam - lam
     d2 = d * d if d != 1 else None
+    if bc.is_interval and nu in (1, 2) and _lead_and_degree(bc, nu)[1] == 0:
+        # every site pinned: no eigenvalues, P is lead (the sweep's 0 at nu = 1)
+        return zero + _lead_and_degree(bc, nu, exact)[0]
+    packed = isinstance(lam, CharPoly)
+    if packed:  # one int (exact) or one float64 vector per state, see _Packed
+        if exact:
+            slot = _slot_bits([v + two for v in vs], d, ends)
+            dlam, d2 = _Scale(d, slot), d2 and _Scale(d2)  # D = 2^e for floats: shifts
+        else:
+            slot = dlam = None
+            ends = [float(x) for x in ends]
+        ws = [_Packed(v + two, dlam) for v in vs]
+        const = lambda c: _pack(c, nu, slot)  # noqa: E731
+    else:
+        ws = [v + two - lam for v in vs]  # D w_j
+        const = lambda c: zero + c  # noqa: E731
     if bc.is_interval:
-        if nu in (1, 2) and _lead_and_degree(bc, nu)[1] == 0:  # every site pinned: no eigenvalues
-            return zero + _lead_and_degree(bc, nu, exact)[0]  # P is lead (the sweep's 0 at nu = 1)
         # seeded with D (y(0), D y(1)), the sweep ends on D^(nu+1) (y(nu), D y(nu+1))
         ia, ib, oa, ob = ends
-        a, b = _sweep(ws, zero + ia, zero + d * ib, d2=d2)
-        return _unscale(oa * d * a + ob * b, d, nu + 3)
-    seed = zero + d
-    # tr K = top of the (1, 0) column + bottom of the (0, 1) column, both seeded with D
-    trace = _sweep(ws, seed, zero, d2=d2)[0] + _sweep(ws, zero, seed, d2=d2)[1]
-    return _unscale(trace, d, nu + 1) - _twist_shift(bc.twist, exact)
+        a, b = _sweep(ws, const(ia), const(d * ib), d2=d2)
+        p, power = oa * d * a + ob * b, nu + 3
+    else:
+        seed, nil = const(d), const(0)
+        # tr K = top of the (1, 0) column + bottom of the (0, 1) column, both seeded with D
+        p, power = _sweep(ws, seed, nil, d2=d2)[0] + _sweep(ws, nil, seed, d2=d2)[1], nu + 1
+    p = _unscale(_unpack(p, nu, slot) if packed else p, d, power)
+    return p if bc.is_interval else p - _twist_shift(bc.twist, exact)
+
+
+class _Packed:
+    """The weight D w_j = a0 - D lambda of :func:`_terminal`, acting on a packed state.
+
+    A packed state holds every coefficient of y(j), or of Y(j) = D^j y(j) when
+    exact, in one object, so that a site costs a few whole-object operations
+    instead of a pass of Python over up to nu coefficients:
+
+    - exact: one Python int, coefficient k in signed slot k of S bits, that is
+      Y(j) at lambda = 2**S (Kronecker substitution, Kronecker 1882; von zur
+      Gathen & Gerhard, *Modern Computer Algebra*, section 8.4).  D lambda is the scale
+      D 2**S (``dlam``), so the weight is a multiply, a shift and a
+      subtraction.  S is :func:`_slot_bits`.
+    - float (``dlam`` None, D = 1): one float64 vector of nu + 2 coefficients.
+      Coefficient k of the product is a0 y_k - y_(k-1), rounded as
+      ``CharPoly.__mul__`` rounds it.  CharPoly also adds 0.0 to every
+      product, which only turns a -0.0 into 0.0; the sign of a zero never
+      changes a nonzero result, so :func:`_unpack` adds that 0.0 once, at the
+      end, and every bit is the same.
+    """
+
+    __slots__ = ("a0", "dlam")
+
+    def __init__(self, a0, dlam: _Scale | None):
+        self.a0, self.dlam = (a0 if dlam else float(a0)), dlam
+
+    def __mul__(self, y):
+        if self.dlam:
+            return self.a0 * y - self.dlam * y
+        out = self.a0 * y
+        out[1:] -= y[:-1]
+        return out
+
+
+class _Scale:
+    """Multiplication of a packed int by d 2**k: with d = m 2**e, m odd, a shift by
+    k + e after a multiply by m unless m is 1."""
+
+    __slots__ = ("m", "k")
+
+    def __init__(self, d: int, k: int = 0):
+        e = (d & -d).bit_length() - 1
+        self.m, self.k = d >> e, k + e
+
+    def __mul__(self, y):
+        return (y if self.m == 1 else self.m * y) << self.k
+
+
+def _slot_bits(a0s: list[int], d: int, ends: list[int]) -> int:
+    """Slot width S of the exact packed carrier, a multiple of 8, such that every
+    coefficient of every swept state Y(j) and of the read-out is below 2**(S - 1)
+    in magnitude; ``ends`` are :func:`_terminal`'s lifted boundary entries.
+
+    A bound B(j) on the coefficients of Y(j) follows from the step Y(j+1) =
+    (a0_j - D lambda) Y(j) - D^2 Y(j-1): B(j+1) = (|a0_j| + D) B(j) + D^2 B(j-1),
+    from the seeds D (y(0), D y(1)); both circle sweeps are bounded by one from
+    (D, D), read as B(nu) + B(nu+1).  B grows from j = 1 on, so its largest
+    value is B(0) or B(nu+1).
+    """
+    (lo, hi), reads = ((ends[0], d * ends[1]), (ends[2] * d, ends[3])) if ends else ((d, d), (1, 1))
+    lo, hi = abs(lo), abs(hi)
+    top, dd = lo, d * d
+    for a0 in a0s:
+        lo, hi = hi, (abs(a0) + d) * hi + dd * lo
+    top = max(top, hi, abs(reads[0]) * lo + abs(reads[1]) * hi)
+    return -(-(top.bit_length() + 1) // 8) * 8
+
+
+def _pack(c, nu: int, slot: int | None):
+    """The constant c as a packed state (see :class:`_Packed`)."""
+    if slot:
+        return c
+    y = np.zeros(nu + 2)
+    y[0] = c
+    return y
+
+
+def _unpack(y, nu: int, slot: int | None) -> CharPoly:
+    """The CharPoly of a packed state of nu + 2 coefficients (see :class:`_Packed`).
+
+    Adding 2**(S - 1) to every slot of an int makes each one a plain unsigned
+    field of its bytes.  A vector gets 0.0 added to each entry, and a
+    coefficient that is not finite raises OverflowError.
+    """
+    n = nu + 2
+    if slot is None:
+        c = y + 0.0
+        bad = np.flatnonzero(~np.isfinite(c))
+        if bad.size:
+            k = int(bad[0])
+            raise OverflowError(
+                f"float char_poly overflows: the coefficient of lambda^{k} is {c[k]} "
+                f"({bad.size} of {n - 1} not finite); char_poly(..., exact=True) has no such limit")
+        return CharPoly(c.tolist(), backend="float")
+    width, half = slot // 8, 1 << (slot - 1)
+    raw = (y + int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")).to_bytes(n * width, "little")
+    return CharPoly([int.from_bytes(raw[i:i + width], "little") - half
+                     for i in range(0, n * width, width)], backend="exact")
 
 
 def _lift(xs: list) -> tuple[list[int], int]:
@@ -263,7 +394,8 @@ def char_poly(potential: Potential, bc: BoundaryCondition, exact: bool = False) 
     polynomial (doubly degenerate periodic eigenvalues appear as double
     roots).  nu = 0 yields a constant polynomial, not an error.
     """
-    return _terminal(potential, bc, CharPoly.lam(exact=exact), exact)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite float raises below
+        return _terminal(potential, bc, CharPoly.lam(exact=exact), exact)
 
 
 def _twist_shift(tau: float, exact: bool):

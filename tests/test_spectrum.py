@@ -181,6 +181,11 @@ class TestPolyRoots:
         with pytest.raises(ArithmeticError):
             poly_roots(CharPoly([1, 0, 1]))  # x^2 + 1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_raises(self, bad):
+        with pytest.raises(ValueError, match=r"finite coefficients; that of lambda\^1 is"):
+            poly_roots(CharPoly([1.0, bad, 1.0]))
+
     @pytest.mark.parametrize("roots", [[Fraction(1, 2 ** k)] for k in (1076, 1080, 1200, 5000)]
                              + [[Fraction(1, 2 ** 1080), Fraction(-1, 2 ** 1080)]],
                              ids=["2^-1076", "2^-1080", "2^-1200", "2^-5000", "pm2^-1080"])

@@ -21,6 +21,7 @@ from gylat import (
     Potential,
     char_poly,
     dirichlet,
+    inverse_power_sums,
     neumann,
     periodic,
     periodic_char_fn,
@@ -29,7 +30,16 @@ from gylat import (
     twisted,
 )
 from gylat.core import _exactify
-from gylat.transfer import _lead_and_degree, _Series, _terminal, _twist_shift
+from gylat.transfer import (
+    _lead_and_degree,
+    _lift,
+    _Series,
+    _slot_bits,
+    _sweep,
+    _terminal,
+    _twist_shift,
+    _unscale,
+)
 
 BCS = [dirichlet(), neumann(), robin(0.5, 1.5), robin(-1.0, 0.3), robin(0.25, -1.0),
        periodic(), twisted(0.3), twisted(0.25)]
@@ -163,6 +173,129 @@ class TestIntegerCarrier:
         p = _terminal(Potential([1, -2, 3]), robin(1, 3), CharPoly.lam(exact=True), exact=True)
         assert all(type(c) is int for c in p.coeffs)
         assert type(_terminal(Potential([1, -2, 3]), periodic(), 0, exact=True)) is int
+
+
+def charpoly_terminal(potential, bc, exact, states=None):
+    """P(lambda) swept with CharPoly states over the weights v + 2 - CharPoly.lam(exact),
+    lifted over D as ``_terminal`` lifts them: the carrier that the packed states of
+    ``char_poly`` replaced.  With ``states``, the seeds, every swept state and the
+    read-out before its division by a power of D are appended to it."""
+    nu, lam = potential.nu, CharPoly.lam(exact)
+    ends = [*bc.in_vector(), *bc.out_adjoint()] if bc.is_interval else []
+    vs, d = potential, 1
+    if exact:
+        vs, d = _lift([*potential, *ends])
+        vs, ends, lam = vs[:nu], vs[nu:], d * lam
+    ws = [v + 2 * d - lam for v in vs]
+    zero, d2 = lam - lam, (d * d if d != 1 else None)
+    states = [] if states is None else states
+    if bc.is_interval:
+        if nu in (1, 2) and _lead_and_degree(bc, nu)[1] == 0:
+            return zero + _lead_and_degree(bc, nu, exact)[0]
+        ia, ib, oa, ob = ends
+        seeds = [zero + ia, zero + d * ib]
+        a, b = _sweep(ws, *seeds, path=states, d2=d2)
+        states += [*seeds, oa * d * a + ob * b]
+        return _unscale(states[-1], d, nu + 3)
+    seed = zero + d
+    states.append(_sweep(ws, seed, zero, path=states, d2=d2)[0]
+                  + _sweep(ws, zero, seed, path=states, d2=d2)[1])
+    return _unscale(states[-1], d, nu + 1) - _twist_shift(bc.twist, exact)
+
+
+PACKED_BCS = [dirichlet(), neumann(), robin(0.5, 1.5), robin(-1, 0.7), robin(0.25, -1.0),
+              robin(-1, -1), robin(Fraction(1, 3), -0.75), twisted(0.25), twisted(0.3),
+              twisted(0.5), periodic()]
+
+# float entries: the weight-zero site -2.0, O(1) values and magnitudes 1e-30 to 1e30
+FLOAT_ENTRIES = st.one_of(
+    st.just(-2.0), st.floats(-3.0, 3.0),
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]), st.floats(-30, 30)))
+
+
+@st.composite
+def packed_cases(draw):
+    bc, exact = draw(st.sampled_from(PACKED_BCS)), draw(st.booleans())
+    kind = draw(st.sampled_from(["int", "fraction", "float", "zero"]))
+    # exact sweeps of float inputs carry ~100 bits a site; their reference is slow past 60
+    top = 60 if exact and kind == "float" else 300
+    nu = max(draw(st.one_of(st.integers(0, 4), st.integers(0, 40), st.integers(0, top))),
+             int(bc.is_circle))
+    entry = {"int": st.integers(-9, 9), "float": FLOAT_ENTRIES, "zero": st.just(0),
+             "fraction": st.builds(Fraction, st.integers(-30, 30), st.sampled_from([3, 5, 6, 7, 9]))}
+    return Potential(draw(st.lists(entry[kind], min_size=nu, max_size=nu))), bc, exact
+
+
+M = 2 ** 40 + 3
+PRIMES = [1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051, 1061, 1063, 1069]
+# exact inputs that push the coefficients of the swept states towards the slot bound
+ADVERSARIAL = {
+    "all -M": [-M] * 40,
+    "alternating M": [(-1) ** j * M for j in range(40)],
+    "all weight zero": [-2] * 40,
+    "coprime denominators": [Fraction((-1) ** j * M, p) for j, p in enumerate(PRIMES)],
+    "-M over coprime denominators": [Fraction(-M, p) for p in PRIMES],
+    "dyadic": [math.ldexp(-1.0, -60)] + [-M * 1.0] * 20,
+}
+
+
+class TestPackedCarriers:
+    """``char_poly`` packs each swept state into one int (exact) or one float64
+    vector; the coefficients are those of the CharPoly carrier, float bit for bit."""
+
+    @settings(max_examples=200)
+    @given(case=packed_cases())
+    def test_matches_charpoly_states(self, case):
+        pot, bc, exact = case
+        want = charpoly_terminal(pot, bc, exact)
+        if not all(map(math.isfinite, want.coeffs)):
+            with pytest.raises(OverflowError, match="exact=True"):
+                char_poly(pot, bc)
+            return
+        got = char_poly(pot, bc, exact=exact)
+        assert (got.backend, got.degree) == (want.backend, want.degree)
+        if exact:
+            assert got.coeffs == want.coeffs and list(map(type, got.coeffs)) == list(map(type, want.coeffs))
+        else:
+            assert bits(got.coeffs) == bits(want.coeffs)
+
+    @pytest.mark.parametrize("values", [(-2, 0, -4, -2), (-2, -1, -3, -2)])
+    @pytest.mark.parametrize("bc", [periodic(), twisted(0.25)])
+    def test_zero_coefficients_keep_their_sign(self, values, bc):
+        """Packed states may hold a -0.0 where CharPoly's 0.0 + x holds 0.0; here one
+        reaches an interior zero of P unless the read-out turns it into 0.0."""
+        pot = Potential(values)
+        want = charpoly_terminal(pot, bc, False)
+        assert 0.0 in want.coeffs and bits(char_poly(pot, bc).coeffs) == bits(want.coeffs)
+
+    @pytest.mark.parametrize("bc", PACKED_BCS)
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+    def test_every_state_fits_its_slot(self, bc, name):
+        pot = Potential(ADVERSARIAL[name])
+        states = []
+        charpoly_terminal(pot, bc, True, states)
+        ends = [*bc.in_vector(), *bc.out_adjoint()] if bc.is_interval else []
+        vs, d = _lift([*pot, *ends])
+        slot = _slot_bits([v + 2 * d for v in vs[:pot.nu]], d, vs[pot.nu:])
+        assert max(abs(c).bit_length() for y in states for c in y.coeffs) <= slot - 1
+
+
+class TestFloatOverflow:
+    """A float char_poly whose coefficients leave the float range raises."""
+
+    def test_large_potential(self):
+        with pytest.raises(OverflowError, match=r"lambda\^0 is nan .*exact=True"):
+            char_poly(Potential([1e200] * 5), dirichlet())
+        assert char_poly(Potential([1e200] * 5), dirichlet(), exact=True).degree == 5
+
+    def test_names_the_first_non_finite_coefficient(self):
+        pot = Potential(np.random.default_rng(1).uniform(0.0, 2.0, 700))
+        first = next(k for k, c in enumerate(charpoly_terminal(pot, neumann(), False).coeffs)
+                     if not math.isfinite(c))
+        with pytest.raises(OverflowError, match=rf"lambda\^{first} is -?(inf|nan) "):
+            char_poly(pot, neumann())
+        with pytest.raises(OverflowError):  # the sums read the polynomial first
+            inverse_power_sums(char_poly(pot, neumann()), 1)
 
 
 class TestSeriesScalars:
