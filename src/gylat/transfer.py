@@ -392,7 +392,9 @@ def char_poly(potential: Potential, bc: BoundaryCondition, exact: bool = False) 
     Interval conditions use the boundary matrix element; circle conditions
     use tr K(lambda; nu) - 2 cos(2 pi tau), still a degree-nu real
     polynomial (doubly degenerate periodic eigenvalues appear as double
-    roots).  nu = 0 yields a constant polynomial, not an error.
+    roots).  nu = 0 yields a constant polynomial, not an error.  A float
+    coefficient outside the float range raises OverflowError; ``exact``
+    has no such limit.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite float raises below
         return _terminal(potential, bc, CharPoly.lam(exact=exact), exact)
