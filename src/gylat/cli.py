@@ -41,6 +41,7 @@ from .core import (
     ROBIN,
     TWISTED,
     BoundaryCondition,
+    CharPoly,
     LatticeSpec,
     LogDet,
     Potential,
@@ -48,8 +49,8 @@ from .core import (
 )
 from .spectrum import (CONSISTENCY_RTOL, ZERO_MODE_MESSAGE, _exact_newton_sums, _float_newton_sums,
                        cosecant_sum, oracle_spectrum, robin_cosec_sum)
-from .transfer import (_h_power, _lead_and_degree, _nonzero_coefficient, _Series, _taylor_at_zero,
-                       _terminal, determinant, eigenfunctions)
+from .transfer import (_h_power, _lead_and_degree, _nonzero_coefficient, _taylor_at_zero, _terminal,
+                       determinant, eigenfunctions)
 from .vacuum import _admissible_lattice, extract_constant, free_energy_closed, vacuum_energy
 
 SCHEMA_VERSION = 1
@@ -369,7 +370,7 @@ def cmd_det(args) -> tuple[dict, int]:
     if args.exact and spec.nu <= 64 and bc.is_interval:
         # the exact sweep at lambda = 0: Det = (-1)^degree P(0) / lead
         lead, degree = _lead_and_degree(bc, spec.nu, exact=True)
-        exact_det = Fraction(_terminal(pot, bc, 0, exact=True)) / lead
+        exact_det = Fraction(_terminal(pot, bc, CharPoly.lam(exact=True), order=0).coeffs[0]) / lead
         exact_det = -exact_det if degree % 2 else exact_det
         payload["dimensionless_det_exact"] = f"{exact_det.numerator}/{exact_det.denominator}"
     return payload, code
@@ -400,7 +401,7 @@ def cmd_sums(args) -> tuple[dict, int]:
     if not 1 <= kmax <= 4:
         raise ConfigError("--order must be 1..4 for sums")
     if args.exact:
-        coeffs = _terminal(pot, bc, _Series([0, 1], kmax), exact=True).c
+        coeffs = _terminal(pot, bc, CharPoly.lam(exact=True), order=kmax).coeffs
         if coeffs[0] == 0:
             raise ConfigError(ZERO_MODE_MESSAGE)
         sums = _exact_newton_sums(coeffs, kmax)

@@ -30,9 +30,35 @@ from itertools import combinations
 
 from .chebyshev import cheb_u_poly, cheb_v_poly
 from .core import CharPoly, Potential, _exactify, dirichlet
-from .transfer import _Series, _sweep, _terminal
+from .transfer import _sweep, char_poly
 
 FULL_ORDER = None  # sentinel: include every order up to nu
+
+
+class _Series:
+    """Series c[0] + c[1] e + ... truncated above e^m, with exact zeros past the
+    end of ``c``: a graded y(j) for :func:`_sweep`, over any scalar it takes."""
+
+    __slots__ = ("c", "m")
+
+    def __init__(self, c, m):
+        self.c, self.m = (c if len(c) <= m + 1 else c[:m + 1]), m
+
+    def __sub__(self, other):
+        a, b = self.c, other.c
+        return _Series([x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]],
+                       self.m)
+
+    def __mul__(self, other):
+        a, b = self.c, other.c
+        out = []
+        for k in range(min(len(a) + len(b) - 1, self.m + 1)):
+            lo = max(0, k - len(b) + 1)
+            acc = a[lo] * b[k - lo]
+            for i in range(lo + 1, min(k, len(a) - 1) + 1):
+                acc = acc + a[i] * b[k - i]
+            out.append(acc)
+        return _Series(out, self.m)
 
 
 def _is_exact_potential(potential: Potential) -> bool:
@@ -195,4 +221,4 @@ def symmetric_factor_check(v1, v2, v3=None) -> bool:
         v3 = v1
     # the root from the exactified v1, matching the sweep's own lift of the
     # potential (computing v1 + 2 in float first would round)
-    return _terminal(Potential((v1, v2, v3)), dirichlet(), _exactify(v1) + 2, exact=True) == 0
+    return char_poly(Potential((v1, v2, v3)), dirichlet(), exact=True)(_exactify(v1) + 2) == 0

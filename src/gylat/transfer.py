@@ -24,19 +24,19 @@ tables (ratios y(j+1)/y(j) swept from both ends), the perturbation series
 included, runs on one kernel, :func:`_sweep`, which advances
 y(j+1) = w_j y(j) - y(j-1) over weights w_j = v_j + 2 - lambda; each column
 of K is one sweep from a unit seed.  Every read of P itself is one call of
-:func:`_terminal`, which sweeps in the arithmetic of lambda: a float, a
-CharPoly (:func:`char_poly`), exact scalars (``det --exact``) or a truncated
-Taylor jet (:class:`_Series`, for ``sums --exact``).  Exact reads sweep
-Python integers over the inputs' common denominator and divide once at the
-end (the fraction-free idea of Bareiss, Math. Comp. 22 (1968) 565).
+:func:`_terminal`, which sweeps in the arithmetic of lambda: a float gives
+the value, a CharPoly (:func:`char_poly`) the polynomial or, truncated, its
+low coefficients (``det --exact`` reads P(0), ``sums --exact`` the Taylor
+coefficients at 0).  Exact reads sweep Python integers over the inputs'
+common denominator and divide once at the end (the fraction-free idea of
+Bareiss, Math. Comp. 22 (1968) 565).
 
-:func:`char_poly` packs the states of its sweep: an exact Y(j) into one
-Python int, coefficient k in slot k of S bits (Kronecker substitution, lambda
--> 2**S, S from an a-priori bound on every coefficient), a float one into one
-float64 vector.  A site then costs a few whole-int or whole-array operations
-instead of a pass of Python over every coefficient, and the polynomial is
-unpacked once at the end, with the coefficients (and float bits) that
-CharPoly states would give.
+A CharPoly read packs the states of the sweep: an exact Y(j) into one Python
+int, coefficient k in slot k of S bits (Kronecker substitution, lambda ->
+2**S, S from an a-priori bound on every coefficient), a float one into one
+float64 vector, so that a site costs a few whole-object operations.  A read
+of the coefficients up to lambda^m keeps each exact state modulo
+2**(S (m + 1)), a float one as its m + 1 low entries.
 
 Determinants and the float sums read the Taylor coefficients of P at 0
 from :func:`_taylor_at_zero`, one zero test for both
@@ -120,46 +120,6 @@ def _sweep(ws, a, b, path=None, d2=None):
     return a, b
 
 
-class _Series:
-    """Series c[0] + c[1] e + ... truncated above e^m, with exact zeros past the
-    end of ``c``: a graded y(j) for :func:`_sweep`, over any scalar it takes.
-    A plain scalar on either side of ``+``, ``-`` or ``*`` is the series c[0]."""
-
-    __slots__ = ("c", "m")
-
-    def __init__(self, c, m):
-        self.c, self.m = (c if len(c) <= m + 1 else c[:m + 1]), m
-
-    def __add__(self, other):
-        a, b = self.c, other.c if isinstance(other, _Series) else [other]
-        return _Series([x + y for x, y in zip(a, b)] + a[len(b):] + b[len(a):], self.m)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        a, b = self.c, other.c if isinstance(other, _Series) else [other]
-        return _Series([x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]],
-                       self.m)
-
-    def __rsub__(self, other):
-        return _Series([other - self.c[0]] + [-y for y in self.c[1:]], self.m)
-
-    def __mul__(self, other):
-        if not isinstance(other, _Series):
-            return _Series([x * other for x in self.c], self.m)
-        a, b = self.c, other.c
-        out = []
-        for k in range(min(len(a) + len(b) - 1, self.m + 1)):
-            lo = max(0, k - len(b) + 1)
-            acc = a[lo] * b[k - lo]
-            for i in range(lo + 1, min(k, len(a) - 1) + 1):
-                acc = acc + a[i] * b[k - i]
-            out.append(acc)
-        return _Series(out, self.m)
-
-    __rmul__ = __mul__
-
-
 def propagate(potential: Potential, lam, v0: Vec2) -> list[Vec2]:
     """All phase-space vectors Upsilon(j) = M(j)...M(1) v0 for j = 0..nu."""
     ys = [v0.a, v0.b]
@@ -194,65 +154,55 @@ class Propagator:
         return Mat2(a1, a2, b1, b2)
 
 
-def _terminal(potential: Potential, bc: BoundaryCondition, lam, exact: bool = False):
+def _terminal(potential: Potential, bc: BoundaryCondition, lam, order: int | None = None):
     """P(lambda), the terminal value of one GY sweep, in the arithmetic of ``lam``.
 
     out . K(lambda; nu) . in on the interval, tr K(lambda; nu) - 2 cos(2 pi tau)
     on the circle.  A float ``lam`` gives the value, ``CharPoly.lam(exact)``
-    the polynomial, ``_Series([x, 1], m)`` the Taylor coefficients of P at x
-    up to order m.
+    the polynomial, and with ``order`` = m its coefficients of
+    lambda^0..lambda^m (P modulo lambda^(m+1), a CharPoly).
 
-    With ``exact`` the potential, the boundary vectors' entries and a scalar
-    ``lam`` are lifted once into exact scalars (a float among them would
-    drag the arithmetic back to floats), over their common denominator D: a
-    power of two for float inputs, 1 for integers.  The sweep then carries
-    Y(j) = D^j y(j) in Python ints, Y(j+1) = D w_j Y(j) - D^2 Y(j-1), and the
-    result is divided by a power of D once at the end, one Fraction per
-    coefficient, instead of reducing a Fraction at every step.  Integer
-    inputs (D = 1) take the plain sweep.  The twist is subtracted after
-    that division.
-
-    A CharPoly ``lam`` is not swept as CharPoly states: each state is packed
-    into one object (:class:`_Packed`), an int by Kronecker substitution when
-    exact, its slot width S fixed before the sweep by an a-priori bound on
-    every coefficient of every state and of the read-out (:func:`_slot_bits`),
-    else a float64 vector.  The same :func:`_sweep` steps them, and the
-    read-out is unpacked once (:func:`_unpack`).  The coefficients are those
-    of the CharPoly states, float bits included; a float coefficient that is
-    not finite raises OverflowError instead of being returned.
+    A CharPoly ``lam`` sweeps packed states (:class:`_Packed`), unpacked once
+    (:func:`_unpack`) into the coefficients, float bits included, that
+    CharPoly states would give; a float one read that is not finite raises
+    OverflowError.  An exact read lifts the potential and the boundary
+    vectors' entries once into ints over their common denominator D (a
+    power of two for float inputs, 1 for integers) and carries Y(j) = D^j
+    y(j), Y(j+1) = D w_j Y(j) - D^2 Y(j-1), each one int of slots of S bits
+    (:func:`_slot_bits`).  The result is divided by a power of D once, one
+    Fraction per coefficient, and only then is the twist subtracted.  A
+    truncated exact read keeps each state modulo 2**(S (m + 1)): a ring map
+    that sends every slot above m to 0 and leaves the low ones as they are.
     """
     nu = potential.nu
     if bc.is_circle and nu < 1:
         raise ValueError("circle topology needs nu >= 1")
+    packed = isinstance(lam, CharPoly)
+    exact = packed and lam.backend == "exact"
     # the in-vector and the out-adjoint, (y(0), y(1)) and the row read at nu
     ends = [*bc.in_vector(), *bc.out_adjoint()] if bc.is_interval else []
     vs, d = potential, 1
     if exact:
-        scalar = isinstance(lam, (int, Fraction))
-        vs, d = _lift([*potential, *ends] + ([lam] if scalar else []))
-        if scalar:
-            lam = vs.pop()
-        elif d != 1:
-            lam = d * lam
+        vs, d = _lift([*potential, *ends])
         vs, ends = vs[:nu], vs[nu:]
-    two = 2 * d
     zero = lam - lam
-    d2 = d * d if d != 1 else None
     if bc.is_interval and nu in (1, 2) and _lead_and_degree(bc, nu)[1] == 0:
         # every site pinned: no eigenvalues, P is lead (the sweep's 0 at nu = 1)
         return zero + _lead_and_degree(bc, nu, exact)[0]
-    packed = isinstance(lam, CharPoly)
+    two, d2 = 2 * d, (d * d if d != 1 else None)
     if packed:  # one int (exact) or one float64 vector per state, see _Packed
+        n = nu + 1 if order is None else min(order + 1, nu + 1)  # coefficients read
         if exact:
             slot = _slot_bits([v + two for v in vs], d, ends)
             dlam, d2 = _Scale(d, slot), d2 and _Scale(d2)  # D = 2^e for floats: shifts
+            mask = (1 << slot * n) - 1 if n <= nu else 0  # truncated reads only
         else:
-            slot = dlam = None
+            slot = dlam = mask = None
             ends = [float(x) for x in ends]
-        ws = [_Packed(v + two, dlam) for v in vs]
-        const = lambda c: _pack(c, nu, slot)  # noqa: E731
+        ws = [_Packed(v + two, dlam, mask) for v in vs]
+        const = lambda c: _pack(c, n, slot)  # noqa: E731
     else:
-        ws = [v + two - lam for v in vs]  # D w_j
+        ws = [v + two - lam for v in vs]
         const = lambda c: zero + c  # noqa: E731
     if bc.is_interval:
         # seeded with D (y(0), D y(1)), the sweep ends on D^(nu+1) (y(nu), D y(nu+1))
@@ -263,23 +213,26 @@ def _terminal(potential: Potential, bc: BoundaryCondition, lam, exact: bool = Fa
         seed, nil = const(d), const(0)
         # tr K = top of the (1, 0) column + bottom of the (0, 1) column, both seeded with D
         p, power = _sweep(ws, seed, nil, d2=d2)[0] + _sweep(ws, nil, seed, d2=d2)[1], nu + 1
-    p = _unscale(_unpack(p, nu, slot) if packed else p, d, power)
+    if packed:
+        p = _unscale(_unpack(p, n, slot), d, power)
     return p if bc.is_interval else p - _twist_shift(bc.twist, exact)
 
 
 class _Packed:
     """The weight D w_j = a0 - D lambda of :func:`_terminal`, acting on a packed state.
 
-    A packed state holds every coefficient of y(j), or of Y(j) = D^j y(j) when
+    A packed state holds the coefficients of y(j), or of Y(j) = D^j y(j) when
     exact, in one object, so that a site costs a few whole-object operations
-    instead of a pass of Python over up to nu coefficients:
+    instead of a pass of Python over up to nu coefficients.  y(nu + 1), the
+    last state, has degree at most nu, so a full read packs nu + 1 of them.
 
     - exact: one Python int, coefficient k in signed slot k of S bits, that is
       Y(j) at lambda = 2**S (Kronecker substitution, Kronecker 1882; von zur
       Gathen & Gerhard, *Modern Computer Algebra*, section 8.4).  D lambda is the scale
       D 2**S (``dlam``), so the weight is a multiply, a shift and a
-      subtraction.  S is :func:`_slot_bits`.
-    - float (``dlam`` None, D = 1): one float64 vector of nu + 2 coefficients.
+      subtraction; a truncated read of slots 0..m then keeps the product
+      modulo 2**(S (m + 1)) (``mask``).  S is :func:`_slot_bits`.
+    - float (``dlam`` None, D = 1): one float64 vector of the coefficients read.
       Coefficient k of the product is a0 y_k - y_(k-1), rounded as
       ``CharPoly.__mul__`` rounds it.  CharPoly also adds 0.0 to every
       product, which only turns a -0.0 into 0.0; the sign of a zero never
@@ -287,14 +240,15 @@ class _Packed:
       end, and every bit is the same.
     """
 
-    __slots__ = ("a0", "dlam")
+    __slots__ = ("a0", "dlam", "mask")
 
-    def __init__(self, a0, dlam: _Scale | None):
-        self.a0, self.dlam = (a0 if dlam else float(a0)), dlam
+    def __init__(self, a0, dlam: _Scale | None, mask: int | None):
+        self.a0, self.dlam, self.mask = (a0 if dlam else float(a0)), dlam, mask
 
     def __mul__(self, y):
         if self.dlam:
-            return self.a0 * y - self.dlam * y
+            y = self.a0 * y - self.dlam * y
+            return y & self.mask if self.mask else y
         out = self.a0 * y
         out[1:] -= y[:-1]
         return out
@@ -323,7 +277,8 @@ def _slot_bits(a0s: list[int], d: int, ends: list[int]) -> int:
     (a0_j - D lambda) Y(j) - D^2 Y(j-1): B(j+1) = (|a0_j| + D) B(j) + D^2 B(j-1),
     from the seeds D (y(0), D y(1)); both circle sweeps are bounded by one from
     (D, D), read as B(nu) + B(nu+1).  B grows from j = 1 on, so its largest
-    value is B(0) or B(nu+1).
+    value is B(0) or B(nu+1).  A truncated read needs no other bound: its
+    slots are the low ones of the full read-out.
     """
     (lo, hi), reads = ((ends[0], d * ends[1]), (ends[2] * d, ends[3])) if ends else ((d, d), (1, 1))
     lo, hi = abs(lo), abs(hi)
@@ -334,23 +289,23 @@ def _slot_bits(a0s: list[int], d: int, ends: list[int]) -> int:
     return -(-(top.bit_length() + 1) // 8) * 8
 
 
-def _pack(c, nu: int, slot: int | None):
-    """The constant c as a packed state (see :class:`_Packed`)."""
+def _pack(c, n: int, slot: int | None):
+    """The constant c as a packed state of n coefficients (see :class:`_Packed`)."""
     if slot:
         return c
-    y = np.zeros(nu + 2)
+    y = np.zeros(n)
     y[0] = c
     return y
 
 
-def _unpack(y, nu: int, slot: int | None) -> CharPoly:
-    """The CharPoly of a packed state of nu + 2 coefficients (see :class:`_Packed`).
+def _unpack(y, n: int, slot: int | None) -> CharPoly:
+    """The CharPoly of the n low coefficients of a packed state (see :class:`_Packed`).
 
-    Adding 2**(S - 1) to every slot of an int makes each one a plain unsigned
-    field of its bytes.  A vector gets 0.0 added to each entry, and a
+    Adding 2**(S - 1) to each of the n low slots of an int and keeping the sum
+    modulo 2**(S n) makes each slot a plain unsigned field of its bytes,
+    whatever lies above them.  A vector gets 0.0 added to each entry, and a
     coefficient that is not finite raises OverflowError.
     """
-    n = nu + 2
     if slot is None:
         c = y + 0.0
         bad = np.flatnonzero(~np.isfinite(c))
@@ -358,10 +313,11 @@ def _unpack(y, nu: int, slot: int | None) -> CharPoly:
             k = int(bad[0])
             raise OverflowError(
                 f"float char_poly overflows: the coefficient of lambda^{k} is {c[k]} "
-                f"({bad.size} of {n - 1} not finite); char_poly(..., exact=True) has no such limit")
+                f"({bad.size} of {n} not finite); char_poly(..., exact=True) has no such limit")
         return CharPoly(c.tolist(), backend="float")
     width, half = slot // 8, 1 << (slot - 1)
-    raw = (y + int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")).to_bytes(n * width, "little")
+    offsets = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    raw = ((y + offsets) & ((1 << slot * n) - 1)).to_bytes(n * width, "little")
     return CharPoly([int.from_bytes(raw[i:i + width], "little") - half
                      for i in range(0, n * width, width)], backend="exact")
 
@@ -374,16 +330,12 @@ def _lift(xs: list) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
-def _unscale(x, d: int, power: int):
-    """x / d**power for the exact carrier, one Fraction per coefficient; x if d is 1."""
+def _unscale(p: CharPoly, d: int, power: int) -> CharPoly:
+    """p / d**power for the exact carrier, one Fraction per coefficient; p if d is 1."""
     if d == 1:
-        return x
+        return p
     n = d ** power
-    if isinstance(x, CharPoly):
-        return CharPoly([Fraction(c, n) for c in x.coeffs], backend="exact")
-    if isinstance(x, _Series):
-        return _Series([Fraction(c, n) for c in x.c], x.m)
-    return Fraction(x, n)
+    return CharPoly([Fraction(c, n) for c in p.coeffs], backend="exact")
 
 
 def char_poly(potential: Potential, bc: BoundaryCondition, exact: bool = False) -> CharPoly:
@@ -397,7 +349,7 @@ def char_poly(potential: Potential, bc: BoundaryCondition, exact: bool = False) 
     has no such limit.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite float raises below
-        return _terminal(potential, bc, CharPoly.lam(exact=exact), exact)
+        return _terminal(potential, bc, CharPoly.lam(exact=exact))
 
 
 def _twist_shift(tau: float, exact: bool):

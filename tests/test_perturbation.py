@@ -25,7 +25,7 @@ from gylat import (
     oracle_spectrum,
     symmetric_factor_check,
 )
-from gylat.perturbation import trace_series_by_tuples
+from gylat.perturbation import _Series, trace_series_by_tuples
 
 
 class TestDirichletSeries:
@@ -222,3 +222,17 @@ class TestSymmetricFactor:
     def test_asymmetric_case(self):
         assert not symmetric_factor_check(1, 0, 2)
         assert not symmetric_factor_check(0.5, 0.1, 0.5001)
+
+
+class TestSeries:
+    """The graded states of the series sweep: products truncated above e^m,
+    differences of series of unequal length."""
+
+    def test_product_truncates_above_order_m(self):
+        s = _Series([1, 2], 3)
+        assert (s * s).c == [1, 4, 4] and (s * s * s).c == [1, 6, 12, 8]
+        assert (s * s * s * s).c == [1, 8, 24, 32]
+
+    def test_difference_of_unequal_lengths(self):
+        a, b = _Series([1, 2, 3], 3), _Series([5], 3)
+        assert (a - b).c == [-4, 2, 3] and (b - a).c == [4, -2, -3]

@@ -1,10 +1,10 @@
 """One terminal-value routine for every read of P(lambda).
 
 ``transfer._terminal`` sweeps once in the arithmetic of lambda: a float gives
-the value, ``CharPoly.lam`` the polynomial, ``_Series([x, 1], m)`` the
-Taylor coefficients of P at x up to order m.  The jet must reproduce the
-polynomial's coefficients exactly (bit for bit in floats), and the routes
-rebuilt on it must keep their answers.
+the value, ``CharPoly.lam`` the polynomial, and ``order=m`` only its
+coefficients of lambda^0..lambda^m, read from the same packed sweep kept
+modulo lambda^(m+1).  They must be the polynomial's own coefficients
+(bit for bit in floats), and the routes rebuilt on it must keep their answers.
 """
 
 import math
@@ -33,7 +33,6 @@ from gylat.core import _exactify
 from gylat.transfer import (
     _lead_and_degree,
     _lift,
-    _Series,
     _slot_bits,
     _sweep,
     _terminal,
@@ -49,63 +48,18 @@ def bits(values) -> list[int]:
     return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
 
 
-def _potential(draw, nu: int, kind: str) -> Potential:
-    if kind == "int":
-        return Potential(draw(st.lists(st.integers(-3, 3), min_size=nu, max_size=nu)))
-    if kind == "fraction":
-        return Potential([Fraction(n, d) for n, d in draw(st.lists(
-            st.tuples(st.integers(-9, 9), st.integers(1, 7)), min_size=nu, max_size=nu))])
-    return Potential(draw(st.lists(st.floats(-2.0, 2.0), min_size=nu, max_size=nu)))
+def truncated(p: CharPoly, m: int) -> CharPoly:
+    """P modulo lambda^(m+1): the coefficients of lambda^0..lambda^m, trimmed as CharPoly trims."""
+    return CharPoly(p.coeffs[:m + 1], backend=p.backend)
 
 
-@st.composite
-def cases(draw, max_nu: int):
-    bc = draw(st.sampled_from(BCS))
-    nu = draw(st.integers(1 if bc.is_circle else 0, max_nu))
-    return _potential(draw, nu, draw(st.sampled_from(["int", "fraction", "float"]))), bc
-
-
-class TestJetIsThePolynomial:
-    @settings(max_examples=60)
-    @given(case=cases(60), m=st.integers(0, 4))
-    def test_float_jet_bits(self, case, m):
-        pot, bc = case
-        want = char_poly(pot, bc).coeffs[:m + 1]
-        got = _terminal(pot, bc, _Series([0.0, 1.0], m)).c
-        # the polynomial drops exact zeros at the top; the jet keeps them
-        assert bits(got[:len(want)]) == bits(want)
-        assert all(c == 0 for c in got[len(want):])
-
-    @settings(max_examples=40)
-    @given(case=cases(40), m=st.integers(0, 4))
-    def test_exact_jet(self, case, m):
-        pot, bc = case
-        want = char_poly(pot, bc, exact=True).coeffs[:m + 1]
-        got = _terminal(pot, bc, _Series([0, 1], m), exact=True).c
-        assert got[:len(want)] == want and not any(got[len(want):])
-        assert all(type(c) in (int, Fraction) for c in got)
-
-    @settings(max_examples=20)
-    @given(case=cases(12), m=st.integers(0, 4),
-           x=st.fractions(-3, 3, max_denominator=5))
-    def test_exact_jet_away_from_zero(self, case, m, x):
-        """c_k = P^(k)(x) / k!, from the exact polynomial's derivatives."""
-        pot, bc = case
-        p = char_poly(pot, bc, exact=True)
-        want = []
-        for k in range(m + 1):
-            want.append(Fraction(p(x)) / math.factorial(k))
-            p = p.derivative()
-        got = _terminal(pot, bc, _Series([x, 1], m), exact=True).c
-        assert got + [0] * (m + 1 - len(got)) == want
-
-    def test_value_is_the_jets_constant_term(self):
-        """A float lambda gives P(lambda), the order-0 coefficient of the jet at lambda."""
-        pot = Potential(np.random.default_rng(4).uniform(-1, 1, 30))
-        for bc in BCS:
-            for x in (-0.5, 0.25, 1.7):
-                jet = _terminal(pot, bc, _Series([x, 1.0], 2)).c
-                assert bits([_terminal(pot, bc, x)]) == bits(jet[:1])
+def assert_same(got: CharPoly, want: CharPoly):
+    """Equal values and types when exact, equal bits when float."""
+    assert got.backend == want.backend
+    if want.backend == "exact":
+        assert got.coeffs == want.coeffs and list(map(type, got.coeffs)) == list(map(type, want.coeffs))
+    else:
+        assert bits(got.coeffs) == bits(want.coeffs)
 
 
 def fraction_terminal(potential, bc, lam):
@@ -146,33 +100,7 @@ def carrier_cases(draw):
         "float": st.floats(-3.0, 3.0),
         "fraction": st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7])),
     }[draw(st.sampled_from(["int", "dyadic", "float", "fraction"]))]
-    pot = Potential(draw(st.lists(entry, min_size=nu, max_size=nu)))
-    lam = draw(st.sampled_from([
-        0, CharPoly.lam(exact=True), _Series([0, 1], 4),
-        Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from([1, 3, 4, 7])))]))
-    return pot, bc, lam
-
-
-class TestIntegerCarrier:
-    """``_terminal(..., exact=True)`` sweeps integers over one common denominator."""
-
-    @settings(max_examples=150)
-    @given(case=carrier_cases())
-    def test_equals_fraction_sweep(self, case):
-        pot, bc, lam = case
-        got, want = _terminal(pot, bc, lam, exact=True), fraction_terminal(pot, bc, lam)
-        if isinstance(lam, CharPoly):
-            assert got.backend == "exact" and got.coeffs == want.coeffs
-        elif isinstance(lam, _Series):
-            assert got.m == want.m and got.c == want.c
-        else:
-            assert got == want
-
-    def test_integer_inputs_stay_integers(self):
-        """D = 1: no scaling, and the plain sweep's ints come back."""
-        p = _terminal(Potential([1, -2, 3]), robin(1, 3), CharPoly.lam(exact=True), exact=True)
-        assert all(type(c) is int for c in p.coeffs)
-        assert type(_terminal(Potential([1, -2, 3]), periodic(), 0, exact=True)) is int
+    return Potential(draw(st.lists(entry, min_size=nu, max_size=nu))), bc
 
 
 def charpoly_terminal(potential, bc, exact, states=None):
@@ -252,12 +180,7 @@ class TestPackedCarriers:
             with pytest.raises(OverflowError, match="exact=True"):
                 char_poly(pot, bc)
             return
-        got = char_poly(pot, bc, exact=exact)
-        assert (got.backend, got.degree) == (want.backend, want.degree)
-        if exact:
-            assert got.coeffs == want.coeffs and list(map(type, got.coeffs)) == list(map(type, want.coeffs))
-        else:
-            assert bits(got.coeffs) == bits(want.coeffs)
+        assert_same(char_poly(pot, bc, exact=exact), want)
 
     @pytest.mark.parametrize("values", [(-2, 0, -4, -2), (-2, -1, -3, -2)])
     @pytest.mark.parametrize("bc", [periodic(), twisted(0.25)])
@@ -280,6 +203,54 @@ class TestPackedCarriers:
         assert max(abs(c).bit_length() for y in states for c in y.coeffs) <= slot - 1
 
 
+class TestTruncatedRead:
+    """``_terminal(..., order=m)`` reads lambda^0..lambda^m of ``char_poly``'s packed
+    sweep, each exact state kept modulo 2**(S (m + 1)), each float one as m + 1 entries."""
+
+    @settings(max_examples=200)
+    @given(case=packed_cases(), data=st.data())
+    def test_is_the_polynomials_prefix(self, case, data):
+        pot, bc, exact = case
+        m = data.draw(st.sampled_from([0, 1, 2, 3, 4, pot.nu, pot.nu + 1]), label="m")
+        try:
+            full = char_poly(pot, bc, exact=exact)
+        except OverflowError:  # a float coefficient past the float range: the reference's own
+            full = charpoly_terminal(pot, bc, False)
+        want = truncated(full, m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if all(map(math.isfinite, want.coeffs)):
+                assert_same(_terminal(pot, bc, CharPoly.lam(exact), order=m), want)
+                return
+            # the error counts the non-finite coefficients among those read
+            n = min(m + 1, pot.nu + 1)
+            bad = sum(not math.isfinite(c) for c in full.coeffs[:n])
+            with pytest.raises(OverflowError, match=rf"\({bad} of {n} not finite\)"):
+                _terminal(pot, bc, CharPoly.lam(exact), order=m)
+
+    @settings(max_examples=150)
+    @given(case=carrier_cases(), m=st.sampled_from([0, 4]))
+    def test_equals_fraction_sweep(self, case, m):
+        pot, bc = case
+        lam = CharPoly.lam(exact=True)
+        assert_same(_terminal(pot, bc, lam, order=m), truncated(fraction_terminal(pot, bc, lam), m))
+
+    @pytest.mark.parametrize("bc", PACKED_BCS)
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+    def test_adversarial_inputs(self, bc, name):
+        pot = Potential(ADVERSARIAL[name])
+        full = charpoly_terminal(pot, bc, True)
+        for m in range(5):
+            assert_same(_terminal(pot, bc, CharPoly.lam(exact=True), order=m), truncated(full, m))
+
+    def test_integer_inputs_stay_integers(self):
+        """D = 1: no scaling, and the packed sweep's ints come back."""
+        lam = CharPoly.lam(exact=True)
+        for bc in (robin(1, 3), periodic()):
+            for m in (0, 2, None):
+                p = _terminal(Potential([1, -2, 3]), bc, lam, order=m)
+                assert p.coeffs != [0] and all(type(c) is int for c in p.coeffs)
+
+
 class TestFloatOverflow:
     """A float char_poly whose coefficients leave the float range raises."""
 
@@ -296,16 +267,6 @@ class TestFloatOverflow:
             char_poly(pot, neumann())
         with pytest.raises(OverflowError):  # the sums read the polynomial first
             inverse_power_sums(char_poly(pot, neumann()), 1)
-
-
-class TestSeriesScalars:
-    def test_either_side(self):
-        s = _Series([1, 2], 3)
-        assert (s + 1).c == (1 + s).c == [2, 2]
-        assert (s - 1).c == [0, 2] and (1 - s).c == [0, -2]
-        assert (s * 3).c == (3 * s).c == [3, 6]
-        assert (s * s).c == [1, 4, 4] and (s * s * s).c == [1, 6, 12, 8]
-        assert (s * s * s * s).c == [1, 8, 24, 32]  # truncated above order 3
 
 
 class TestLeadAndDegree:
