@@ -4,7 +4,8 @@ The CLI never prints a CharPoly, so the golden CLI bytes cannot see a changed
 coefficient.  This test builds a seeded dump of ``char_poly`` (float and
 exact, every boundary condition, int, float, Fraction and zero potentials, up
 to nu = 200 in one group and at nu 120-400 in another),
-the Chebyshev polynomials and the perturbation series, one line per value
+the Chebyshev polynomials and the perturbation series (up to nu = 12 in one
+group and at the benchmark's sizes, nu 20-100, in another), one line per value
 holding its ``repr`` (for a CharPoly, that of its coefficient list and its
 backend), and compares the sha256 of each group with the recorded one.  A
 change that alters a value on purpose re-records with
@@ -101,14 +102,35 @@ def _series():
                     yield trace_series_by_tuples(pot, order, neumann=True)
 
 
+def _series_large():
+    """The series at the benchmark's sizes: the trace series, float and exact, at nu
+    20-40 (exact on float potentials at nu 20 only), and the determinant series at nu
+    50-100, every kind of potential, at orders 0, 1, 2, nu // 2 and nu."""
+    rng = random.Random(29)
+    for nu in (20, 31, 40):
+        for kind in KINDS:
+            pot = _potential(kind, nu, rng)
+            for order in (0, 1, 2, nu // 2, nu):
+                for exact in (False, True)[:1 + (kind != "float" or nu == 20)]:
+                    yield dirichlet_trace_series(pot, order, exact=exact)
+                    yield neumann_trace_series(pot, order, exact=exact)
+    for nu in (50, 73, 100):
+        for kind in KINDS:
+            pot = _potential(kind, nu, rng)
+            for order in (0, 1, 2, nu // 2, nu):
+                yield dirichlet_det_series(pot, order)
+                yield neumann_det_series(pot, order)
+
+
 GROUPS = {"char_poly": _char_polys, "char_poly_large": _char_polys_large,
-          "chebyshev": _chebyshev, "series": _series}
+          "chebyshev": _chebyshev, "series": _series, "series_large": _series_large}
 
 RECORDED = {
     "char_poly": "f0c503e1f9424e10988506bf6019dfc3558348e7d9817f7e2818bc7c4c87ee35",
     "char_poly_large": "09fc9c508f4f3ff7afbeb3941ff4e06aaf2fca19c4889a28ff2bee29faf25e89",
     "chebyshev": "ca5ff094bb7839a75d43ff6aced8c76c6ccbc8dfeee178c036c78cb242440018",
     "series": "396b0a401ad16e77f11608d306ab8f7c921b51ee8f6bdde1ca6a48c4ed1011ab",
+    "series_large": "39bb6a073f5d61e18acd2f952b54a730bbe275dd6771b3a71bb918b53e1ed4b6",
 }
 
 
