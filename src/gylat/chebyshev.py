@@ -36,11 +36,7 @@ def cheb_u(n: int, x):
     if n < -2:
         raise ValueError(f"cheb_u needs n >= -2, got {n}")
     zero = x - x
-    if n == -2:
-        return zero - 1
-    if n == -1:
-        return zero
-    return _sweep(repeat(2 * x, n), zero, zero + 1)[1]  # from U_{-1}, U_0
+    return (zero - 1, zero)[n + 2] if n < 0 else cheb_u_pair(n, x)[1]
 
 
 def cheb_u_pair(n: int, x):
@@ -90,16 +86,15 @@ def cheb_matrix_power(n: int, x) -> Mat2:
     if n < 0:
         raise ValueError(f"cheb_matrix_power needs n >= 0, got {n}")
     um1, un = cheb_u_pair(n, x)
-    if n == 0:
-        unm2 = (x - x) - 1  # U_{-2}
-    else:
-        unm2 = 2 * x * um1 - un
+    unm2 = 2 * x * um1 - un if n else (x - x) - 1  # U_{-2} = -1
     return Mat2(-unm2, um1, -um1, un)
 
 
 def _poly_path(n: int, seed_prev, seed_cur) -> list[CharPoly]:
     """[P_0, ..., P_n] of P_{k+1} = (2 - lambda) P_k - P_{k-1}, i.e. x = 1 - lambda/2,
-    from one sweep."""
+    from one sweep; n >= 0."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     two_x = CharPoly([2, -1], backend="exact")
     path = [CharPoly(seed_cur, backend="exact")]
     _sweep(repeat(two_x, n), CharPoly(seed_prev, backend="exact"), path[0], path)
@@ -112,29 +107,21 @@ def cheb_u_poly(n: int) -> CharPoly:
     2x = 2 - lambda has integer coefficients, so the recurrence stays in
     integer arithmetic throughout; Python ints cannot overflow.
     """
-    if n < 0:
-        raise ValueError(f"cheb_u_poly needs n >= 0, got {n}")
-    return _poly_path(n, [0], [1])[-1]
+    return cheb_u_poly_path(n)[-1]
 
 
 def cheb_v_poly(n: int) -> CharPoly:
     """Exact coefficients of V_n(1 - lambda/2); V_{-1} = 1 seeds the recurrence."""
-    if n < 0:
-        raise ValueError(f"cheb_v_poly needs n >= 0, got {n}")
-    return _poly_path(n, [1], [1])[-1]
+    return cheb_v_poly_path(n)[-1]
 
 
 def cheb_u_poly_path(n: int) -> list[CharPoly]:
     """[cheb_u_poly(0), ..., cheb_u_poly(n)] from one sweep; n >= 0."""
-    if n < 0:
-        raise ValueError(f"cheb_u_poly_path needs n >= 0, got {n}")
     return _poly_path(n, [0], [1])
 
 
 def cheb_v_poly_path(n: int) -> list[CharPoly]:
     """[cheb_v_poly(0), ..., cheb_v_poly(n)] from one sweep; n >= 0."""
-    if n < 0:
-        raise ValueError(f"cheb_v_poly_path needs n >= 0, got {n}")
     return _poly_path(n, [1], [1])
 
 

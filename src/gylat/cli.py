@@ -528,22 +528,28 @@ def cmd_chebyshev(args) -> tuple[dict, int]:
     the U_j and V_j in lambda, come from one recurrence sweep each, and every
     identity reads those shared paths."""
     checks: dict[str, bool] = {}
-    u = {(k, x): uk for x in range(-3, 4) for k, uk in enumerate(cheb.cheb_u_path(30, x), -2)}
+    # paths[x][k + 2] = U_k(x), k = -2..30
+    paths = {x: cheb.cheb_u_path(30, x) for x in range(-3, 4)}
     # Turan: U_{n-1}^2 - U_n U_{n-2} = 1, integer arguments, exact
-    checks["turan"] = all(u[n - 1, x] * u[n - 1, x] - u[n, x] * u[n - 2, x] == 1
-                          for x in range(-3, 4) for n in range(0, 31))
-    triples = [(m, n, x) for x in range(-2, 3) for m in range(0, 13) for n in range(0, 13)]
+    checks["turan"] = all(u[n + 1] * u[n + 1] - u[n + 2] * u[n] == 1
+                          for u in paths.values() for n in range(0, 31))
+    pairs = [(m, n) for m in range(0, 13) for n in range(0, 13)]
+    inner = [paths[x] for x in range(-2, 3)]
     # Composition: U_{m+n} = U_m U_n - U_{m-1} U_{n-1}
-    checks["composition"] = all(
-        u[m + n, x] == u[m, x] * u[n, x] - u[m - 1, x] * u[n - 1, x] for m, n, x in triples)
-    # Product series with parity step 2
-    checks["product_series"] = all(
-        u[m, x] * u[n, x] == sum(u[k, x] for k in range(abs(m - n), m + n + 1, 2))
-        for m, n, x in triples)
+    checks["composition"] = all(u[m + n + 2] == u[m + 2] * u[n + 2] - u[m + 1] * u[n + 1]
+                                for u in inner for m, n in pairs)
+    # Product series with parity step 2: sum_{k=|m-n|, step 2}^{m+n} U_k = s(m+n) - s(|m-n|-2)
+    # for the parity sums s(k) = U_k + U_{k-2} + ..., s(-1) = s(-2) = 0, held at s[k + 2]
+    sums = [[0, 0] for _ in inner]
+    for u, s in zip(inner, sums):
+        for k in range(25):
+            s.append(u[k + 2] + s[k])
+    checks["product_series"] = all(u[m + 2] * u[n + 2] == s[m + n + 2] - s[abs(m - n)]
+                                   for u, s in zip(inner, sums) for m, n in pairs)
     # det C^n = 1, C^n = [[-U_{n-2}, U_{n-1}], [-U_{n-1}, U_n]]
     checks["matrix_power_det"] = all(
-        cheb.Mat2(-u[n - 2, x], u[n - 1, x], -u[n - 1, x], u[n, x]).det() == 1
-        for x in range(-2, 3) for n in range(0, 31))
+        cheb.Mat2(-u[n], u[n + 1], -u[n + 1], u[n + 2]).det() == 1
+        for u in inner for n in range(0, 31))
     # V_j - V_{j-1} = (2x - 2) U_{j-1} as polynomials
     us, v = cheb.cheb_u_poly_path(29), cheb.cheb_v_poly_path(30)
     minus_lambda = cheb.CharPoly([0, -1], backend="exact")

@@ -394,8 +394,6 @@ class CharPoly:
         return acc
 
     def derivative(self) -> "CharPoly":
-        if self.degree == 0:
-            return CharPoly([0], backend=self.backend) if self.backend == "exact" else CharPoly([0.0], backend="float")
         return CharPoly([k * c for k, c in enumerate(self.coeffs)][1:], backend=self.backend)
 
     # -- arithmetic ----------------------------------------------------------

@@ -14,12 +14,12 @@ lambda = 0 (U_n -> n+1, V_n -> 1) gives the determinant series.
 
 The order-k term is the e^k part of P when the potential is scaled to e v,
 so the whole series is one GY sweep (:func:`gylat.transfer._sweep`) over the
-weights (2 - lambda) + e v_j, each y(j) carried as a series in e truncated
-at the requested order.  A site costs O(order) polynomial products, the
-series O(nu * order); the determinant series is the same sweep with 2 in
-place of 2 - lambda.  The vertex-tuple enumeration
-:func:`trace_series_by_tuples` shares no code with the sweep and stays as
-the independent reference for small nu.
+weights (2 - lambda) + e v_j, each y(j) truncated above the requested order:
+the packed states of ``char_poly`` (:class:`gylat.transfer._Packed`), graded
+by e, one int per state when exact and one float64 array otherwise.  The
+determinant series is the same sweep with 2 in place of 2 - lambda.  The
+vertex-tuple enumeration :func:`trace_series_by_tuples` shares no code with
+the sweep and stays as the independent reference for small nu.
 """
 
 from __future__ import annotations
@@ -28,47 +28,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .chebyshev import cheb_u_poly, cheb_v_poly
+from .chebyshev import cheb_u_poly, cheb_u_poly_path, cheb_v_poly_path
 from .core import CharPoly, Potential, _exactify, dirichlet
-from .transfer import _sweep, char_poly
+from .transfer import (_lift, _pack, _Packed, _Scale, _slot_bits, _sweep, _unpack, _unscale,
+                       char_poly)
 
 FULL_ORDER = None  # sentinel: include every order up to nu
 
 
-class _Series:
-    """Series c[0] + c[1] e + ... truncated above e^m, with exact zeros past the
-    end of ``c``: a graded y(j) for :func:`_sweep`, over any scalar it takes."""
-
-    __slots__ = ("c", "m")
-
-    def __init__(self, c, m):
-        self.c, self.m = (c if len(c) <= m + 1 else c[:m + 1]), m
-
-    def __sub__(self, other):
-        a, b = self.c, other.c
-        return _Series([x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]],
-                       self.m)
-
-    def __mul__(self, other):
-        a, b = self.c, other.c
-        out = []
-        for k in range(min(len(a) + len(b) - 1, self.m + 1)):
-            lo = max(0, k - len(b) + 1)
-            acc = a[lo] * b[k - lo]
-            for i in range(lo + 1, min(k, len(a) - 1) + 1):
-                acc = acc + a[i] * b[k - i]
-            out.append(acc)
-        return _Series(out, self.m)
-
-
 def _is_exact_potential(potential: Potential) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in potential.values)
-
-
-def _exact_or_not(potential: Potential, exact: bool | None) -> tuple[Potential, bool]:
-    if exact is None:
-        exact = _is_exact_potential(potential)
-    return (Potential(map(_exactify, potential)) if exact else potential), exact
 
 
 def _resolve_order(potential: Potential, order) -> int:
@@ -80,25 +49,37 @@ def _resolve_order(potential: Potential, order) -> int:
     return order
 
 
-def _graded_terminal(potential: Potential, order: int, two, neumann: bool) -> list:
-    """Order-k parts, k = 0..order, of the terminal value on weights two + e v_j.
-
-    The Dirichlet seed (0, 1) ends on y(nu+1), the Neumann seed (1, 1) on
-    y(nu+1) - y(nu).  A site with v_j = 0 keeps the one-term weight.
+def _graded_terminal(values, order: int, width: int, neumann: bool, exact: bool):
+    """The terminal value on the weights (2 - lambda) + e v_j (no e term where v_j = 0;
+    2 + e v_j at width 1) up to e^order, y(nu+1) from the seed (0, 1) or y(nu+1) - y(nu)
+    from the Neumann seed (1, 1), by one packed sweep (:class:`gylat.transfer._Packed`)
+    over e^k lambda^i, k <= order, i < width.  Exact ``values`` lift to ints n_j over
+    their common denominator D, step Y(j+1) = (2D - D lambda + e n_j) Y(j) - D^2 Y(j-1)
+    with S from :func:`gylat.transfer._slot_bits` at a0_j = D (2 + |v_j|), and return P
+    at e = 1 as a CharPoly, divided by D^(nu+1) once.  Float ones return the (order + 1,
+    width) array; its rows summed from row 0 (the free sweep's) turn each zero into 0.0.
     """
-    zero = two - two
-    one = zero + 1
-    ws = (_Series([two, v] if v else [two], order) for v in potential.values)
-    a, b = _sweep(ws, _Series([one if neumann else zero], order), _Series([one], order))
-    return (b - a).c if neumann else b.c
+    nu = len(values)
+    if exact:
+        ns, d = _lift(values)
+        # the seeds y(0), y(1) and the read of y(nu), y(nu + 1): -y(nu) + y(nu + 1) for Neumann
+        slot = _slot_bits([2 * d + abs(n) for n in ns], d, [+neumann, 1, -neumann, 1])
+        mask = (1 << slot * width * (order + 1)) - 1 if 0 < order < nu else None
+        lam = _Scale(d, slot) if width > 1 else None
+        ws = [_Packed(2 * d, lam, n and order and _Scale(n, slot * width), mask) for n in ns]
+        a, b = _sweep(ws, int(neumann), d, d2=_Scale(d * d) if d != 1 else None)
+        return _unscale(_unpack(b - d * a if neumann else b, width, slot, order + 1), d, nu + 1)
+    ws = [_Packed(2.0, width > 1, float(v), None) for v in values]
+    a, b = _sweep(ws, _pack(float(neumann), (order + 1, width)), _pack(1.0, (order + 1, width)))
+    return b - a if neumann else b
 
 
 def _trace_series(potential: Potential, order, exact: bool | None, neumann: bool) -> CharPoly:
     order = _resolve_order(potential, order)
-    potential, exact = _exact_or_not(potential, exact)
-    two = CharPoly([2, -1], backend="exact" if exact else "float")  # 2 - lambda
-    terms = _graded_terminal(potential, order, two, neumann)
-    return sum(terms[1:], terms[0])
+    exact = _is_exact_potential(potential) if exact is None else exact
+    rows = _graded_terminal(potential.values, order, potential.nu + 1, neumann, exact)
+    # the float rows summed in the order of the e^k terms, as CharPoly sums them
+    return rows if exact else CharPoly(sum(rows[1:], rows[0]).tolist(), backend="float")
 
 
 def dirichlet_trace_series(potential: Potential, order=FULL_ORDER,
@@ -122,11 +103,19 @@ def neumann_trace_series(potential: Potential, order=FULL_ORDER,
 
 
 def _det_series(potential: Potential, order, neumann: bool):
-    """Order-by-order determinant at lambda = 0, summed up to ``order``."""
+    """Order-by-order determinant at lambda = 0, summed up to ``order``: an int from int
+    insertions or none, else a Fraction or a float as the insertions are."""
     order = _resolve_order(potential, order)
-    if not potential.nu:
+    nu, vs = potential.nu, potential.values
+    if not nu:
         return 1  # the empty product (the Neumann seed would give y(1) - y(0) = 0)
-    return sum(_graded_terminal(potential, order, 2, neumann))
+    if not (order and any(vs)):
+        return 0 if neumann else nu + 1  # the free determinant, the order-0 term
+    if not _is_exact_potential(potential):
+        c = _graded_terminal(vs, order, 1, neumann, False)[:, 0].tolist()
+        return sum(c[1:], int(c[0]))  # from an int c_0, as the e^k terms add
+    p = _graded_terminal(vs, order, 1, neumann, True).coeffs[0]
+    return Fraction(p) if any(v and isinstance(v, Fraction) for v in vs) else p
 
 
 def dirichlet_det_series(potential: Potential, order=FULL_ORDER):
@@ -158,13 +147,10 @@ def trace_series_by_tuples(potential: Potential, order=FULL_ORDER,
     nu = potential.nu
     order = _resolve_order(potential, order)
     exact = _is_exact_potential(potential)
-    u = [cheb_u_poly(m) if exact else cheb_u_poly(m).to_float() for m in range(nu + 1)]
-    v = [cheb_v_poly(m) if exact else cheb_v_poly(m).to_float() for m in range(nu + 1)]
+    u = [p if exact else p.to_float() for p in cheb_u_poly_path(nu)]
+    v = [p if exact else p.to_float() for p in cheb_v_poly_path(nu)]
     end = v if neumann else u
-    if neumann:
-        total = v[nu] - v[nu - 1] if nu >= 1 else CharPoly([0])
-    else:
-        total = u[nu]
+    total = (v[nu] - v[nu - 1] if nu >= 1 else CharPoly([0])) if neumann else u[nu]
     vals = potential.values
     for k in range(1, order + 1):
         for tup in combinations(range(nu, 0, -1), k):  # j1 > j2 > ... > jk

@@ -496,8 +496,7 @@ def _square_free_chains(p: list[int]) -> list[list[list[int]]]:
 
 def _variations(chain: list[list[int]], x: float) -> int:
     """Sign changes along the chain at x, zeros dropped."""
-    n, d = x.as_integer_ratio()
-    s = d.bit_length() - 1
+    n, s = _dyadic(x)
     signs = [v > 0 for v in (_value(m, n, s) for m in chain) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 

@@ -31,12 +31,13 @@ coefficients at 0).  Exact reads sweep Python integers over the inputs'
 common denominator and divide once at the end (the fraction-free idea of
 Bareiss, Math. Comp. 22 (1968) 565).
 
-A CharPoly read packs the states of the sweep: an exact Y(j) into one Python
-int, coefficient k in slot k of S bits (Kronecker substitution, lambda ->
-2**S, S from an a-priori bound on every coefficient), a float one into one
-float64 vector, so that a site costs a few whole-object operations.  A read
-of the coefficients up to lambda^m keeps each exact state modulo
-2**(S (m + 1)), a float one as its m + 1 low entries.
+A CharPoly read and the perturbation series pack the states of the sweep
+(:class:`_Packed`): an exact Y(j) into one Python int, coefficient k in slot
+k of S bits (Kronecker substitution, lambda -> 2**S, S from an a-priori
+bound on every coefficient), a float one into one float64 array, so that a
+site costs a few whole-object operations.  A read of the coefficients up to
+lambda^m keeps each exact state modulo 2**(S (m + 1)), a float one as its
+m + 1 low entries.
 
 Determinants and the float sums read the Taylor coefficients of P at 0
 from :func:`_taylor_at_zero`, one zero test for both
@@ -53,6 +54,8 @@ no eigenvalue is ever computed here.
 from __future__ import annotations
 
 import math
+import numbers
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -169,8 +172,8 @@ def _terminal(potential: Potential, bc: BoundaryCondition, lam, order: int | Non
     vectors' entries once into ints over their common denominator D (a
     power of two for float inputs, 1 for integers) and carries Y(j) = D^j
     y(j), Y(j+1) = D w_j Y(j) - D^2 Y(j-1), each one int of slots of S bits
-    (:func:`_slot_bits`).  The result is divided by a power of D once, one
-    Fraction per coefficient, and only then is the twist subtracted.  A
+    (:func:`_slot_bits`).  The result is divided by a power of D once
+    (:func:`_unscale`), and only then is the twist subtracted.  A
     truncated exact read keeps each state modulo 2**(S (m + 1)): a ring map
     that sends every slot above m to 0 and leaves the low ones as they are.
     """
@@ -192,15 +195,16 @@ def _terminal(potential: Potential, bc: BoundaryCondition, lam, order: int | Non
     two, d2 = 2 * d, (d * d if d != 1 else None)
     if packed:  # one int (exact) or one float64 vector per state, see _Packed
         n = nu + 1 if order is None else min(order + 1, nu + 1)  # coefficients read
+        slot = mask = None
         if exact:
-            slot = _slot_bits([v + two for v in vs], d, ends)
-            dlam, d2 = _Scale(d, slot), d2 and _Scale(d2)  # D = 2^e for floats: shifts
-            mask = (1 << slot * n) - 1 if n <= nu else 0  # truncated reads only
+            if n > 1:  # a read of P(0) alone sweeps the plain ints
+                slot = _slot_bits([v + two for v in vs], d, ends)
+                mask = (1 << slot * n) - 1 if n <= nu else None  # truncated reads only
+            lam, d2 = slot and _Scale(d, slot), d2 and _Scale(d2)  # D = 2^e for floats: shifts
         else:
-            slot = dlam = mask = None
-            ends = [float(x) for x in ends]
-        ws = [_Packed(v + two, dlam, mask) for v in vs]
-        const = lambda c: _pack(c, n, slot)  # noqa: E731
+            lam, ends = n > 1, [float(x) for x in ends]
+        ws = [_Packed(v + two if exact else float(v + two), lam, None, mask) for v in vs]
+        const = (lambda c: c) if exact else (lambda c: _pack(c, n))  # noqa: E731
     else:
         ws = [v + two - lam for v in vs]
         const = lambda c: zero + c  # noqa: E731
@@ -219,38 +223,44 @@ def _terminal(potential: Potential, bc: BoundaryCondition, lam, order: int | Non
 
 
 class _Packed:
-    """The weight D w_j = a0 - D lambda of :func:`_terminal`, acting on a packed state.
+    """A weight acting on a packed state: D w_j = a0 - D lambda in :func:`_terminal`,
+    plus e n_j (n_j = D v_j) in the graded sweeps of :mod:`gylat.perturbation`.
 
     A packed state holds the coefficients of y(j), or of Y(j) = D^j y(j) when
     exact, in one object, so that a site costs a few whole-object operations
-    instead of a pass of Python over up to nu coefficients.  y(nu + 1), the
-    last state, has degree at most nu, so a full read packs nu + 1 of them.
+    instead of a pass of Python over up to nu coefficients.
 
-    - exact: one Python int, coefficient k in signed slot k of S bits, that is
-      Y(j) at lambda = 2**S (Kronecker substitution, Kronecker 1882; von zur
-      Gathen & Gerhard, *Modern Computer Algebra*, section 8.4).  D lambda is the scale
-      D 2**S (``dlam``), so the weight is a multiply, a shift and a
-      subtraction; a truncated read of slots 0..m then keeps the product
-      modulo 2**(S (m + 1)) (``mask``).  S is :func:`_slot_bits`.
-    - float (``dlam`` None, D = 1): one float64 vector of the coefficients read.
-      Coefficient k of the product is a0 y_k - y_(k-1), rounded as
-      ``CharPoly.__mul__`` rounds it.  CharPoly also adds 0.0 to every
-      product, which only turns a -0.0 into 0.0; the sign of a zero never
-      changes a nonzero result, so :func:`_unpack` adds that 0.0 once, at the
-      end, and every bit is the same.
+    - exact: one Python int, lambda^i in signed slot i of S bits and e^k lambda^i
+      in slot k W + i, that is Y(j) at lambda = 2**S, e = 2**(S W) (Kronecker
+      substitution, Kronecker 1882; von zur Gathen & Gerhard, *Modern Computer
+      Algebra*, section 8.4).  ``lam`` and ``e`` scale by D 2**S and n_j 2**(S W)
+      (:class:`_Scale`); ``mask`` keeps a truncated read's slots 0..m, modulo
+      2**(S (m + 1)).  A read of one slot needs neither scale: plain ints.
+    - float (D = 1): one float64 array, lambda^i in column i and e^k in row k.
+      Entry (k, i) of the product is (a0 y_(k,i) - y_(k,i-1)) + v_j y_(k-1,i)
+      (``lam`` true, ``e`` = v_j), rounded as CharPoly's products and sums round
+      it, less the 0.0 that CharPoly adds to every product: that only turns a
+      -0.0 into 0.0, which never changes a nonzero result, so the read-out
+      turns each zero into 0.0 once, at the end, and every bit is the same.
     """
 
-    __slots__ = ("a0", "dlam", "mask")
+    __slots__ = ("a0", "lam", "e", "mask")
 
-    def __init__(self, a0, dlam: _Scale | None, mask: int | None):
-        self.a0, self.dlam, self.mask = (a0 if dlam else float(a0)), dlam, mask
+    def __init__(self, a0, lam, e, mask: int | None):
+        self.a0, self.lam, self.e, self.mask = a0, lam, e, mask
 
     def __mul__(self, y):
-        if self.dlam:
-            y = self.a0 * y - self.dlam * y
-            return y & self.mask if self.mask else y
         out = self.a0 * y
-        out[1:] -= y[:-1]
+        if isinstance(y, int):
+            if self.lam:
+                out -= self.lam * y
+            if self.e:
+                out += self.e * y
+            return out & self.mask if self.mask else out
+        if self.lam:
+            out[..., 1:] -= y[..., :-1]
+        if self.e:
+            out[1:] += self.e * y[:-1]
         return out
 
 
@@ -278,7 +288,8 @@ def _slot_bits(a0s: list[int], d: int, ends: list[int]) -> int:
     from the seeds D (y(0), D y(1)); both circle sweeps are bounded by one from
     (D, D), read as B(nu) + B(nu+1).  B grows from j = 1 on, so its largest
     value is B(0) or B(nu+1).  A truncated read needs no other bound: its
-    slots are the low ones of the full read-out.
+    slots are the low ones of the full read-out.  A graded sweep passes a0_j =
+    D (2 + |v_j|), which bounds its e n_j term too.
     """
     (lo, hi), reads = ((ends[0], d * ends[1]), (ends[2] * d, ends[3])) if ends else ((d, d), (1, 1))
     lo, hi = abs(lo), abs(hi)
@@ -289,24 +300,24 @@ def _slot_bits(a0s: list[int], d: int, ends: list[int]) -> int:
     return -(-(top.bit_length() + 1) // 8) * 8
 
 
-def _pack(c, n: int, slot: int | None):
-    """The constant c as a packed state of n coefficients (see :class:`_Packed`)."""
-    if slot:
-        return c
-    y = np.zeros(n)
-    y[0] = c
+def _pack(c: float, shape) -> np.ndarray:
+    """The constant c as a float packed state (see :class:`_Packed`); an exact one
+    is the int c itself."""
+    y = np.zeros(shape)
+    y.flat[0] = c
     return y
 
 
-def _unpack(y, n: int, slot: int | None) -> CharPoly:
-    """The CharPoly of the n low coefficients of a packed state (see :class:`_Packed`).
+def _unpack(y, n: int, slot: int | None, rows: int = 1) -> CharPoly:
+    """The CharPoly of the n low coefficients of a packed state (see :class:`_Packed`);
+    with ``rows``, the sum of its ``rows`` blocks of n, a graded state at e = 1.
 
     Adding 2**(S - 1) to each of the n low slots of an int and keeping the sum
     modulo 2**(S n) makes each slot a plain unsigned field of its bytes,
     whatever lies above them.  A vector gets 0.0 added to each entry, and a
     coefficient that is not finite raises OverflowError.
     """
-    if slot is None:
+    if isinstance(y, np.ndarray):
         c = y + 0.0
         bad = np.flatnonzero(~np.isfinite(c))
         if bad.size:
@@ -315,11 +326,13 @@ def _unpack(y, n: int, slot: int | None) -> CharPoly:
                 f"float char_poly overflows: the coefficient of lambda^{k} is {c[k]} "
                 f"({bad.size} of {n} not finite); char_poly(..., exact=True) has no such limit")
         return CharPoly(c.tolist(), backend="float")
-    width, half = slot // 8, 1 << (slot - 1)
-    offsets = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    raw = ((y + offsets) & ((1 << slot * n) - 1)).to_bytes(n * width, "little")
-    return CharPoly([int.from_bytes(raw[i:i + width], "little") - half
-                     for i in range(0, n * width, width)], backend="exact")
+    if n * rows == 1:  # a plain int, see _Packed
+        return CharPoly([y], backend="exact")
+    width, half, size = slot // 8, 1 << (slot - 1), n * rows
+    offsets = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+    raw = ((y + offsets) & ((1 << slot * size) - 1)).to_bytes(size * width, "little")
+    c = [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, size * width, width)]
+    return CharPoly([sum(c[i::n]) for i in range(n)] if rows > 1 else c, backend="exact")
 
 
 def _lift(xs: list) -> tuple[list[int], int]:
@@ -331,11 +344,22 @@ def _lift(xs: list) -> tuple[list[int], int]:
 
 
 def _unscale(p: CharPoly, d: int, power: int) -> CharPoly:
-    """p / d**power for the exact carrier, one Fraction per coefficient; p if d is 1."""
+    """p / d**power for the exact carrier, one exact scalar per coefficient; p if d is 1."""
     if d == 1:
         return p
-    n = d ** power
-    return CharPoly([Fraction(c, n) for c in p.coeffs], backend="exact")
+    if d & (d - 1):
+        n = d ** power
+        return CharPoly([Fraction(c, n) for c in p.coeffs], backend="exact")
+    k, out = (d.bit_length() - 1) * power, []
+    for c in p.coeffs:  # a power of two d (every float input's): c's trailing zeros, no gcd
+        z = min((c & -c).bit_length() - 1, k) if c else k
+        out.append(c >> z if z == k else Fraction(_Reduced(c >> z, 1 << (k - z))))
+    return CharPoly(out, backend="exact")
+
+
+# a numerator and denominator in lowest terms: Fraction(_Reduced(n, d)) copies them
+_Reduced = namedtuple("_Reduced", "numerator denominator")
+numbers.Rational.register(_Reduced)
 
 
 def char_poly(potential: Potential, bc: BoundaryCondition, exact: bool = False) -> CharPoly:

@@ -763,6 +763,14 @@ class TestChebyshevSelfTest:
         ("cheb_u", (5, 1), {"turan", "composition", "product_series", "matrix_power_det"}),
         # the product series never reads U_{-1}
         ("cheb_u", (-1, -2), {"turan", "composition", "matrix_power_det"}),
+        # the ends of what the product series' parity sums read: U_0 and U_24
+        ("cheb_u", (0, 0), {"turan", "composition", "product_series", "matrix_power_det"}),
+        ("cheb_u", (24, 2), {"turan", "composition", "product_series", "matrix_power_det"}),
+        # past them, and the seed U_{-2}, only the n <= 30 checks read
+        ("cheb_u", (25, -1), {"turan", "matrix_power_det"}),
+        ("cheb_u", (-2, 1), {"turan", "matrix_power_det"}),
+        # x = 3 is Turan's alone
+        ("cheb_u", (7, 3), {"turan"}),
         ("cheb_v_poly", (17,), {"neumann_difference"}),
     ])
     def test_one_wrong_value_fails(self, capsys, monkeypatch, name, bad, failing):

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,10 @@ from gylat import (
     oracle_spectrum,
     symmetric_factor_check,
 )
-from gylat.perturbation import _Series, trace_series_by_tuples
+from gylat import perturbation
+from gylat.core import _exactify
+from gylat.perturbation import trace_series_by_tuples
+from gylat.transfer import _lift, _slot_bits
 
 
 class TestDirichletSeries:
@@ -224,15 +228,150 @@ class TestSymmetricFactor:
         assert not symmetric_factor_check(0.5, 0.1, 0.5001)
 
 
-class TestSeries:
-    """The graded states of the series sweep: products truncated above e^m,
-    differences of series of unequal length."""
+def graded_reference(values, order, two, neumann, states=None):
+    """Order-k parts, k = 0..order, of the terminal value on the weights two + e v_j,
+    swept term by term: the reference of the packed graded sweep.  A state is the list
+    of its e^k parts (CharPolys, or scalars for the determinant series), exact zeros
+    past its end; (two + e v) y keeps two y_k + v y_(k-1) up to e^order (two y_k alone
+    where v = 0), and a difference of unequal lengths copies or negates the longer
+    one's tail.  With ``states`` the seeds and each y(j) are appended to it."""
+    zero = two - two
+    a, b = [zero + 1 if neumann else zero], [zero + 1]
+    states = [] if states is None else states
+    states += [a, b]
+    for v in values:
+        w = [two * y for y in b]
+        if v:
+            w = ([w[0]] + [x + v * y for x, y in zip(w[1:], b)] + [v * b[-1]])[:order + 1]
+        a, b = b, difference(w, a)
+        states.append(b)
+    return difference(b, a) if neumann else b
 
-    def test_product_truncates_above_order_m(self):
-        s = _Series([1, 2], 3)
-        assert (s * s).c == [1, 4, 4] and (s * s * s).c == [1, 6, 12, 8]
-        assert (s * s * s * s).c == [1, 8, 24, 32]
 
-    def test_difference_of_unequal_lengths(self):
-        a, b = _Series([1, 2, 3], 3), _Series([5], 3)
-        assert (a - b).c == [-4, 2, 3] and (b - a).c == [4, -2, -3]
+def difference(a, b):
+    return [x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]]
+
+
+def trace_reference(pot, order, exact, neumann):
+    two = CharPoly([2, -1], backend="exact" if exact else "float")  # 2 - lambda
+    terms = graded_reference([_exactify(v) for v in pot] if exact else pot.values, order, two,
+                             neumann)
+    return sum(terms[1:], terms[0])
+
+
+def det_reference(pot, order, neumann):
+    return sum(graded_reference(pot.values, order, 2, neumann)) if pot.nu else 1
+
+
+def float_bits(x) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def assert_identical(got, want):
+    """Equal values and Python types, float bits included (so the sign of a zero)."""
+    if isinstance(want, CharPoly):
+        assert got.backend == want.backend
+        got, want = got.coeffs, want.coeffs
+        assert len(got) == len(want)
+    else:
+        got, want = [got], [want]
+    assert list(map(type, got)) == list(map(type, want))
+    assert [float_bits(x) if isinstance(x, float) else x for x in got] == \
+        [float_bits(x) if isinstance(x, float) else x for x in want]
+
+
+SERIES_ENTRIES = {
+    "int": st.integers(-9, 9),
+    "fraction": st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 6, 7])),
+    # the weight-zero site -2.0, zeros of either sign, O(1) and dyadic values
+    "float": st.one_of(st.sampled_from([-2.0, 0.0, -0.0]), st.floats(-3.0, 3.0),
+                       st.builds(lambda n, e: math.ldexp(n, -e), st.integers(-99, 99),
+                                 st.integers(0, 60))),
+    "zero": st.just(0),
+}
+
+
+@st.composite
+def series_cases(draw):
+    kind = draw(st.sampled_from(sorted(SERIES_ENTRIES)))
+    exact = draw(st.booleans())
+    # the exact reference on Fraction and float inputs is slow past nu 20
+    top = 20 if exact and kind in ("fraction", "float") else 60
+    nu = draw(st.one_of(st.integers(0, 6), st.integers(0, top)))
+    values = draw(st.lists(SERIES_ENTRIES[kind], min_size=nu, max_size=nu))
+    return Potential(values), draw(st.integers(0, nu)), exact, draw(st.booleans())
+
+
+class TestPackedSeries:
+    """The series sweep packs each graded state into one int (exact) or one float64
+    array; the values are those of the term-by-term sweep, with its Python types and
+    float bits."""
+
+    @settings(max_examples=300)
+    @given(case=series_cases())
+    def test_trace_series(self, case):
+        pot, order, exact, is_neumann = case
+        trace = neumann_trace_series if is_neumann else dirichlet_trace_series
+        want = trace_reference(pot, order, exact, is_neumann)
+        assert_identical(trace(pot, order, exact=exact), want)
+
+    @settings(max_examples=300)
+    @given(case=series_cases())
+    def test_det_series(self, case):
+        pot, order, _, is_neumann = case
+        det = neumann_det_series if is_neumann else dirichlet_det_series
+        assert_identical(det(pot, order), det_reference(pot, order, is_neumann))
+
+    def test_det_series_types(self):
+        """An int at order 0 and from int insertions; a Fraction once a Fraction enters,
+        integral or not; a float once a float does."""
+        cases = [((1, 2, 3), 0, int), ((1, 2, 3), 2, int), ((Fraction(1, 2), 0, 1), 0, int),
+                 ((Fraction(2), 1), 1, Fraction), ((Fraction(1, 2), Fraction(1, 2)), 2, Fraction),
+                 ((Fraction(0), 3), 1, int), ((0.5, 1.5), 0, int), ((0.5, 1.5), 1, float),
+                 ((0.0, -0.0), 2, int)]
+        for values, order, kind in cases:
+            for det, is_neumann in ((dirichlet_det_series, False), (neumann_det_series, True)):
+                got = det(Potential(values), order)
+                assert type(got) is kind
+                assert_identical(got, det_reference(Potential(values), order, is_neumann))
+
+
+M = 2 ** 40 + 3
+# exact inputs whose graded coefficients come near the slot bound
+GRADED_ADVERSARIAL = {"all -M": [-M] * 30, "alternating M": [(-1) ** j * M for j in range(30)],
+                      "all weight zero": [-2] * 30,
+                      "-M thirds": [Fraction(-M, 3)] * 12 + [Fraction(M, 7)] * 12}
+
+
+class TestGradedSlots:
+    """The slot width S of the graded sweep bounds every coefficient of every state."""
+
+    @pytest.mark.parametrize("is_neumann", [False, True])
+    @pytest.mark.parametrize("name", sorted(GRADED_ADVERSARIAL))
+    def test_every_state_fits(self, name, is_neumann):
+        pot = Potential(GRADED_ADVERSARIAL[name])
+        ns, d = _lift(list(pot))
+        slot = _slot_bits([2 * d + abs(n) for n in ns], d,
+                          [1, 1, -1, 1] if is_neumann else [0, 1, 0, 1])
+        # the packed sweep holds D^j y(j), j = 0..nu+1, and reads D^(nu+1) times the
+        # result, its e^k parts and their sum
+        states = []
+        read = graded_reference(pot.values, pot.nu, CharPoly([2, -1], backend="exact"),
+                                is_neumann, states)
+        scaled = [(y, d ** j) for j, y in enumerate(states)]
+        scaled += [(read, d ** (pot.nu + 1)), ([sum(read[1:], read[0])], d ** (pot.nu + 1))]
+        assert max(abs(int(c * scale)).bit_length()
+                   for y, scale in scaled for t in y for c in t.coeffs) <= slot - 1
+
+    @pytest.mark.parametrize("is_neumann", [False, True])
+    @pytest.mark.parametrize("name", ["all -M", "alternating M", "-M thirds"])
+    def test_one_byte_less_does_not_fit(self, name, is_neumann, monkeypatch):
+        """Where the coefficients reach the bound, a slot one byte narrower breaks both series."""
+        pot = Potential(GRADED_ADVERSARIAL[name])
+        trace = neumann_trace_series if is_neumann else dirichlet_trace_series
+        det = neumann_det_series if is_neumann else dirichlet_det_series
+        want = [trace_reference(pot, pot.nu, True, is_neumann),
+                det_reference(pot, pot.nu, is_neumann)]
+        assert [trace(pot), det(pot)] == want
+        monkeypatch.setattr(perturbation, "_slot_bits", lambda *args: _slot_bits(*args) - 8)
+        assert trace(pot) != want[0] and det(pot) != want[1]

@@ -251,6 +251,25 @@ class TestTruncatedRead:
                 assert p.coeffs != [0] and all(type(c) is int for c in p.coeffs)
 
 
+class TestUnscale:
+    """``_unscale`` divides the exact carrier's coefficients by D**power once; a power of
+    two D takes each numerator's trailing zero bits off instead of a gcd."""
+
+    @pytest.mark.parametrize("values", [[1, -2, 3], [Fraction(1, 3), Fraction(-5, 6)],
+                                        [Fraction(3, 4), -1], [0.5, -0.375, 1e-30],
+                                        [math.ldexp(1.0, -60), 3.0]])
+    def test_equals_reduced_fraction(self, values):
+        d = _lift(values)[1]
+        for power in (1, 4, 37):
+            k = d ** power
+            cs = [0, 1, -1, 7, -12, k, -k, 3 * k, k // 2 or 1, -(k << 5), 5 << 300, -(3 << 4000),
+                  k * (2 ** 6000 + 1), (2 ** 6000 + 1) << 150]
+            for c, got in zip(cs, _unscale(CharPoly(cs + [1], backend="exact"), d, power).coeffs):
+                want = Fraction(c, k)
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+                assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
 class TestFloatOverflow:
     """A float char_poly whose coefficients leave the float range raises."""
 
