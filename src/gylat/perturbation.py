@@ -13,13 +13,13 @@ polynomials V and the zeroth-order term is V_nu - V_{nu-1}.  Setting
 lambda = 0 (U_n -> n+1, V_n -> 1) gives the determinant series.
 
 The order-k term is the e^k part of P when the potential is scaled to e v,
-so the whole series is one GY sweep (:func:`gylat.transfer._sweep`) over the
-weights (2 - lambda) + e v_j, each y(j) truncated above the requested order:
-the packed states of ``char_poly`` (:class:`gylat.transfer._Packed`), graded
-by e, one int per state when exact and one float64 array otherwise.  The
-determinant series is the same sweep with 2 in place of 2 - lambda.  The
-vertex-tuple enumeration :func:`trace_series_by_tuples` shares no code with
-the sweep and stays as the independent reference for small nu.
+so the whole series is one GY sweep (:func:`gylat.transfer._graded_terminal`)
+over the weights (2 - lambda) + e v_j, each y(j) truncated above the
+requested order: the packed states of ``char_poly``, graded by e, one int
+per state when exact and one float64 array otherwise.  The determinant
+series is the same sweep with 2 in place of 2 - lambda.  The vertex-tuple
+enumeration :func:`trace_series_by_tuples` shares no code with the sweep and
+stays as the independent reference for small nu.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from itertools import combinations
 
 from .chebyshev import cheb_u_poly, cheb_u_poly_path, cheb_v_poly_path
 from .core import CharPoly, Potential, _exactify, dirichlet
-from .transfer import (_lift, _pack, _Packed, _Scale, _slot_bits, _sweep, _unpack, _unscale,
-                       char_poly)
+from .transfer import _graded_terminal, char_poly
 
 FULL_ORDER = None  # sentinel: include every order up to nu
 
@@ -47,31 +46,6 @@ def _resolve_order(potential: Potential, order) -> int:
     if order < 0 or order > potential.nu:
         raise ValueError(f"order must be in 0..nu={potential.nu} or FULL_ORDER")
     return order
-
-
-def _graded_terminal(values, order: int, width: int, neumann: bool, exact: bool):
-    """The terminal value on the weights (2 - lambda) + e v_j (no e term where v_j = 0;
-    2 + e v_j at width 1) up to e^order, y(nu+1) from the seed (0, 1) or y(nu+1) - y(nu)
-    from the Neumann seed (1, 1), by one packed sweep (:class:`gylat.transfer._Packed`)
-    over e^k lambda^i, k <= order, i < width.  Exact ``values`` lift to ints n_j over
-    their common denominator D, step Y(j+1) = (2D - D lambda + e n_j) Y(j) - D^2 Y(j-1)
-    with S from :func:`gylat.transfer._slot_bits` at a0_j = D (2 + |v_j|), and return P
-    at e = 1 as a CharPoly, divided by D^(nu+1) once.  Float ones return the (order + 1,
-    width) array; its rows summed from row 0 (the free sweep's) turn each zero into 0.0.
-    """
-    nu = len(values)
-    if exact:
-        ns, d = _lift(values)
-        # the seeds y(0), y(1) and the read of y(nu), y(nu + 1): -y(nu) + y(nu + 1) for Neumann
-        slot = _slot_bits([2 * d + abs(n) for n in ns], d, [+neumann, 1, -neumann, 1])
-        mask = (1 << slot * width * (order + 1)) - 1 if 0 < order < nu else None
-        lam = _Scale(d, slot) if width > 1 else None
-        ws = [_Packed(2 * d, lam, n and order and _Scale(n, slot * width), mask) for n in ns]
-        a, b = _sweep(ws, int(neumann), d, d2=_Scale(d * d) if d != 1 else None)
-        return _unscale(_unpack(b - d * a if neumann else b, width, slot, order + 1), d, nu + 1)
-    ws = [_Packed(2.0, width > 1, float(v), None) for v in values]
-    a, b = _sweep(ws, _pack(float(neumann), (order + 1, width)), _pack(1.0, (order + 1, width)))
-    return b - a if neumann else b
 
 
 def _trace_series(potential: Potential, order, exact: bool | None, neumann: bool) -> CharPoly:

@@ -335,6 +335,31 @@ def _unpack(y, n: int, slot: int | None, rows: int = 1) -> CharPoly:
     return CharPoly([sum(c[i::n]) for i in range(n)] if rows > 1 else c, backend="exact")
 
 
+def _graded_terminal(values, order: int, width: int, neumann: bool, exact: bool):
+    """The terminal value on the weights (2 - lambda) + e v_j (no e term where v_j = 0;
+    2 + e v_j at width 1) up to e^order, y(nu+1) from the seed (0, 1) or y(nu+1) - y(nu)
+    from the Neumann seed (1, 1), by one packed sweep (:class:`_Packed`) over e^k
+    lambda^i, k <= order, i < width: the perturbation series.  Exact ``values`` lift to
+    ints n_j over their common denominator D, step Y(j+1) = (2D - D lambda + e n_j) Y(j)
+    - D^2 Y(j-1) with S from :func:`_slot_bits` at a0_j = D (2 + |v_j|), and return P at
+    e = 1 as a CharPoly, divided by D^(nu+1) once.  Float ones return the (order + 1,
+    width) array; its rows summed from row 0 (the free sweep's) turn each zero into 0.0.
+    """
+    nu = len(values)
+    if exact:
+        ns, d = _lift(values)
+        # the seeds y(0), y(1) and the read of y(nu), y(nu + 1): -y(nu) + y(nu + 1) for Neumann
+        slot = _slot_bits([2 * d + abs(n) for n in ns], d, [+neumann, 1, -neumann, 1])
+        mask = (1 << slot * width * (order + 1)) - 1 if 0 < order < nu else None
+        lam = _Scale(d, slot) if width > 1 else None
+        ws = [_Packed(2 * d, lam, n and order and _Scale(n, slot * width), mask) for n in ns]
+        a, b = _sweep(ws, int(neumann), d, d2=_Scale(d * d) if d != 1 else None)
+        return _unscale(_unpack(b - d * a if neumann else b, width, slot, order + 1), d, nu + 1)
+    ws = [_Packed(2.0, width > 1, float(v), None) for v in values]
+    a, b = _sweep(ws, _pack(float(neumann), (order + 1, width)), _pack(1.0, (order + 1, width)))
+    return b - a if neumann else b
+
+
 def _lift(xs: list) -> tuple[list[int], int]:
     """(ns, d) with exact scalars xs = ns / d: d the lcm of their denominators
     (1 for ints, a power of two for floats) and ns ints."""

@@ -26,7 +26,7 @@ from gylat import (
     oracle_spectrum,
     symmetric_factor_check,
 )
-from gylat import perturbation
+from gylat import transfer
 from gylat.core import _exactify
 from gylat.perturbation import trace_series_by_tuples
 from gylat.transfer import _lift, _slot_bits
@@ -373,5 +373,5 @@ class TestGradedSlots:
         want = [trace_reference(pot, pot.nu, True, is_neumann),
                 det_reference(pot, pot.nu, is_neumann)]
         assert [trace(pot), det(pot)] == want
-        monkeypatch.setattr(perturbation, "_slot_bits", lambda *args: _slot_bits(*args) - 8)
+        monkeypatch.setattr(transfer, "_slot_bits", lambda *args: _slot_bits(*args) - 8)
         assert trace(pot) != want[0] and det(pot) != want[1]
