@@ -51,9 +51,9 @@ def _resolve_order(potential: Potential, order) -> int:
 def _trace_series(potential: Potential, order, exact: bool | None, neumann: bool) -> CharPoly:
     order = _resolve_order(potential, order)
     exact = _is_exact_potential(potential) if exact is None else exact
-    rows = _graded_terminal(potential.values, order, potential.nu + 1, neumann, exact)
-    # the float rows summed in the order of the e^k terms, as CharPoly sums them
-    return rows if exact else CharPoly(sum(rows[1:], rows[0]).tolist(), backend="float")
+    p = _graded_terminal(potential.values, order, potential.nu + 1, neumann, exact)
+    # the float e^k parts summed in order of k, as CharPoly sums them
+    return p if exact else CharPoly(sum(p.T[1:], p.T[0]).tolist(), backend="float")
 
 
 def dirichlet_trace_series(potential: Potential, order=FULL_ORDER,
@@ -86,7 +86,7 @@ def _det_series(potential: Potential, order, neumann: bool):
     if not (order and any(vs)):
         return 0 if neumann else nu + 1  # the free determinant, the order-0 term
     if not _is_exact_potential(potential):
-        c = _graded_terminal(vs, order, 1, neumann, False)[:, 0].tolist()
+        c = _graded_terminal(vs, order, 1, neumann, False)[0].tolist()
         return sum(c[1:], int(c[0]))  # from an int c_0, as the e^k terms add
     p = _graded_terminal(vs, order, 1, neumann, True).coeffs[0]
     return Fraction(p) if any(v and isinstance(v, Fraction) for v in vs) else p

@@ -236,8 +236,8 @@ class _Packed:
       Algebra*, section 8.4).  ``lam`` and ``e`` scale by D 2**S and n_j 2**(S W)
       (:class:`_Scale`); ``mask`` keeps a truncated read's slots 0..m, modulo
       2**(S (m + 1)).  A read of one slot needs neither scale: plain ints.
-    - float (D = 1): one float64 array, lambda^i in column i and e^k in row k.
-      Entry (k, i) of the product is (a0 y_(k,i) - y_(k,i-1)) + v_j y_(k-1,i)
+    - float (D = 1): one float64 array, lambda^i in row i and e^k in column k.
+      Entry (i, k) of the product is (a0 y_(i,k) - y_(i-1,k)) + v_j y_(i,k-1)
       (``lam`` true, ``e`` = v_j), rounded as CharPoly's products and sums round
       it, less the 0.0 that CharPoly adds to every product: that only turns a
       -0.0 into 0.0, which never changes a nonzero result, so the read-out
@@ -251,16 +251,16 @@ class _Packed:
 
     def __mul__(self, y):
         out = self.a0 * y
-        if isinstance(y, int):
+        if type(y) is int:
             if self.lam:
                 out -= self.lam * y
             if self.e:
                 out += self.e * y
             return out & self.mask if self.mask else out
         if self.lam:
-            out[..., 1:] -= y[..., :-1]
+            out[1:] -= y[:-1]
         if self.e:
-            out[1:] += self.e * y[:-1]
+            out[:, 1:] += self.e * y[:, :-1]
         return out
 
 
@@ -342,8 +342,8 @@ def _graded_terminal(values, order: int, width: int, neumann: bool, exact: bool)
     lambda^i, k <= order, i < width: the perturbation series.  Exact ``values`` lift to
     ints n_j over their common denominator D, step Y(j+1) = (2D - D lambda + e n_j) Y(j)
     - D^2 Y(j-1) with S from :func:`_slot_bits` at a0_j = D (2 + |v_j|), and return P at
-    e = 1 as a CharPoly, divided by D^(nu+1) once.  Float ones return the (order + 1,
-    width) array; its rows summed from row 0 (the free sweep's) turn each zero into 0.0.
+    e = 1 as a CharPoly, divided by D^(nu+1) once.  Float ones return the (width, order
+    + 1) array; its columns summed from column 0 (the free sweep's) make each zero 0.0.
     """
     nu = len(values)
     if exact:
@@ -356,7 +356,7 @@ def _graded_terminal(values, order: int, width: int, neumann: bool, exact: bool)
         a, b = _sweep(ws, int(neumann), d, d2=_Scale(d * d) if d != 1 else None)
         return _unscale(_unpack(b - d * a if neumann else b, width, slot, order + 1), d, nu + 1)
     ws = [_Packed(2.0, width > 1, float(v), None) for v in values]
-    a, b = _sweep(ws, _pack(float(neumann), (order + 1, width)), _pack(1.0, (order + 1, width)))
+    a, b = _sweep(ws, _pack(float(neumann), (width, order + 1)), _pack(1.0, (width, order + 1)))
     return b - a if neumann else b
 
 
