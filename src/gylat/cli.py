@@ -25,8 +25,6 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import chebyshev as cheb
 from .closedform import (
     MassParam,
@@ -45,6 +43,7 @@ from .core import (
     LatticeSpec,
     LogDet,
     Potential,
+    _NUMPY_SITES,
     load_potential,
 )
 from .spectrum import (CONSISTENCY_RTOL, ZERO_MODE_MESSAGE, _exact_newton_sums, _float_newton_sums,
@@ -96,14 +95,22 @@ def _floats(obj) -> bool:
     return isinstance(obj, (list, tuple)) and bool(obj) and set(map(type, obj)) == {float}
 
 
+def _ndarray(obj) -> bool:
+    """Whether obj is a numpy array; none can exist before numpy is loaded."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(obj, np.ndarray)
+
+
 def _lists(obj):
     """An ndarray as its ``tolist()``, a row at a time from 2-D up; anything else as is."""
-    if isinstance(obj, np.ndarray):
+    if _ndarray(obj):
         return obj.tolist() if obj.ndim < 2 else list(obj)
     return obj
 
 
-_NESTED = (dict, list, tuple, np.ndarray)  # what the walks below descend into
+def _nested(obj) -> bool:
+    """Whether the walks below descend into obj."""
+    return isinstance(obj, (dict, list, tuple)) or _ndarray(obj)
 
 
 def _json_scalar(obj) -> str:
@@ -136,7 +143,7 @@ def _json_chunks(obj, indent: int = 0):
             opening, sep, close = "[", ", ", "]"
             items = (("", v) for v in obj)
         for key, v in items:
-            if isinstance(v, _NESTED):
+            if _nested(v):
                 yield opening + key
                 yield from _json_chunks(v, indent + 1)
             else:
@@ -170,7 +177,7 @@ def _leaves(obj, prefix: str = ""):
         yield prefix, obj
         return
     for key, v in items:
-        if isinstance(v, _NESTED):
+        if _nested(v):
             yield from _leaves(v, key)
         else:
             yield key, v
@@ -288,7 +295,9 @@ def _build_potential(args, spec: LatticeSpec) -> Potential:
     if args.mass < 0:
         raise ConfigError(f"--mass must be >= 0, got {args.mass}")
     if args.mass:
-        pot = Potential(pot.as_array() + (spec.h * args.mass) ** 2)
+        mu2 = (spec.h * args.mass) ** 2
+        pot = Potential(pot.as_array() + mu2 if spec.nu > _NUMPY_SITES
+                        else [v + mu2 for v in pot._floats()])
     return pot
 
 

@@ -21,14 +21,24 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only: numpy loads in the functions that use arrays
+    import numpy as np
 
 INTERVAL = "interval"
 CIRCLE = "circle"
+
+# A site-by-site step over at most this many sites runs in Python floats, over
+# more as numpy operations: the in-process crossover of the two on the order-0
+# chain of transfer._blocked_difference_sweep, ~0.06 ms each at 300 sites.
+# Both give the same bits, so it only decides when a call pays numpy's import.
+_NUMPY_SITES = 300
 
 
 # ---------------------------------------------------------------------------
@@ -85,36 +95,62 @@ def _resolve_spacing(links: int, h: float | None, L: float | None) -> tuple[floa
 class Potential:
     """Dimensionless site potential v_j = h^2 * vbar_j; ``values[j-1]`` holds v_j.
 
-    All-int/Fraction entries (exact backend) stay a tuple; anything else, or
-    an ndarray, is one float64 array, whose ``values`` are Python floats.
-    ``as_array()`` returns the float64 array itself, read-only.
+    All-int/Fraction entries (exact backend) stay a tuple; anything else is
+    one ``array('d')`` of float64 entries, copied through the buffer from an
+    ndarray, whose ``values`` are Python floats.  ``as_array()`` returns a
+    read-only float64 ndarray viewing that storage, made on the first call
+    and then shared; an exact potential's is a float copy of its tuple.
+    Nothing here imports numpy until ``as_array()`` or an ndarray asks for it.
     """
 
-    __slots__ = ("_exact", "_array")
+    __slots__ = ("_exact", "_data", "_view")
 
     def __init__(self, values):
-        if not isinstance(values, np.ndarray):
-            values = tuple(values)
-            if all(isinstance(v, (int, Fraction)) for v in values):
-                self._exact, self._array = values, None
-                return
-        self._exact, self._array = None, np.array(values, dtype=np.float64)
-        if self._array.ndim != 1:
-            raise ValueError(f"a potential has one value per site, not shape {self._array.shape}")
-        if not np.isfinite(self._array).all():
-            raise ValueError("potential values must be finite numbers")
+        self._exact = self._view = None
+        np = sys.modules.get("numpy")  # no ndarray exists before numpy is loaded
+        if np is not None and isinstance(values, np.ndarray):
+            values = np.asarray(values, dtype=np.float64)
+            if values.ndim != 1:
+                raise ValueError(f"a potential has one value per site, not shape {values.shape}")
+            finite = np.isfinite(values).all()
+            self._data = array("d")
+            self._data.frombytes(memoryview(np.ascontiguousarray(values)).cast("B"))
+        else:
+            if not isinstance(values, array):
+                values = tuple(values)
+                if all(isinstance(v, (int, Fraction)) for v in values):
+                    self._exact, self._data = values, None
+                    return
+            self._data = array("d", values)
+            # a sum is finite only if every term is; one that overflows checks them one by one
+            finite = math.isfinite(sum(self._data)) or all(map(math.isfinite, self._data))
+        if not finite:
+            raise ValueError(_NOT_FINITE)
+
+    @classmethod
+    def _of(cls, data: array) -> "Potential":
+        """A float potential on ``data`` itself, whose entries the caller has checked."""
+        pot = cls.__new__(cls)
+        pot._exact, pot._data, pot._view = None, data, None
+        return pot
+
+    def _floats(self) -> array:
+        """The entries as an ``array('d')``, the storage itself; not to be written."""
+        if self._data is None:
+            self._data = array("d", map(float, self._exact))
+        return self._data
 
     @property
     def values(self) -> tuple:
-        return self._exact if self._exact is not None else tuple(self._array.tolist())
+        return self._exact if self._exact is not None else tuple(self._data)
 
     def __len__(self) -> int:
-        return len(self._exact if self._exact is not None else self._array)
+        return len(self._exact if self._exact is not None else self._data)
 
     nu = property(__len__)
 
     def __iter__(self):
-        return iter(self.values)
+        return iter(self._exact if self._exact is not None else self._data)
 
     def __eq__(self, other):
         return self.values == other.values if isinstance(other, Potential) else NotImplemented
@@ -125,38 +161,65 @@ class Potential:
     def __repr__(self):
         return f"Potential(values={self.values!r})"
 
+    def __reduce__(self):  # the entries alone; a copy makes its own view
+        return Potential, (self._exact if self._exact is not None else self._data,)
+
     @classmethod
     def zeros(cls, nu: int) -> "Potential":
-        pot = cls(())
-        pot._exact, pot._array = (0,) * nu, np.broadcast_to(0.0, nu)  # read-only, one 0.0
+        pot = cls._of(array("d", [0.0]) * nu)
+        pot._exact = (0,) * nu
         return pot
 
     @classmethod
     def constant(cls, nu: int, v) -> "Potential":
-        return cls((v,) * nu if isinstance(v, (int, Fraction)) else np.full(nu, v, np.float64))
+        if isinstance(v, (int, Fraction)):
+            return cls((v,) * nu)
+        return cls._of(array("d", [_finite(v)]) * nu)
 
     @classmethod
     def delta(cls, nu: int, site: int, v) -> "Potential":
         """Potential supported on a single vertex, 1-based ``site``."""
         if not 1 <= site <= nu:
             raise ValueError(f"site {site} outside 1..{nu}")
-        vals = [0] * nu if isinstance(v, (int, Fraction)) else np.zeros(nu)
-        vals[site - 1] = v
-        return cls(vals)
+        if isinstance(v, (int, Fraction)):
+            vals = [0] * nu
+            vals[site - 1] = v
+            return cls(vals)
+        data = array("d", [0.0]) * nu
+        data[site - 1] = _finite(v)
+        return cls._of(data)
 
     @classmethod
     def from_physical(cls, vbar: Sequence[float], h: float) -> "Potential":
         hh = h * h  # (h*h)*v per site, as Python evaluates h * h * v
-        return cls(hh * np.array(vbar, float) if isinstance(hh, float) else [hh * v for v in vbar])
+        if not isinstance(hh, float):
+            return cls([hh * v for v in vbar])
+        if len(vbar) > _NUMPY_SITES:
+            import numpy as np
+            return cls(hh * np.asarray(vbar, dtype=np.float64))
+        return cls(array("d", [hh * float(v) for v in vbar]))
 
     def as_array(self) -> np.ndarray:
-        if self._array is None:
-            self._array = np.fromiter(self._exact, dtype=float, count=len(self._exact))
-        self._array.flags.writeable = False  # also after a copy or unpickling
-        return self._array
+        if self._view is None:
+            import numpy as np
+            view = np.frombuffer(self._floats(), dtype=np.float64)
+            view.flags.writeable = False
+            self._view = view
+        return self._view
 
     def is_free(self) -> bool:
-        return not self._array.any() if self._exact is None else all(v == 0 for v in self._exact)
+        return not any(self._data) if self._exact is None else all(v == 0 for v in self._exact)
+
+
+_NOT_FINITE = "potential values must be finite numbers"
+
+
+def _finite(v) -> float:
+    """float(v), unless it is not finite."""
+    v = float(v)
+    if not math.isfinite(v):
+        raise ValueError(_NOT_FINITE)
+    return v
 
 
 def load_potential(source, nu: int | None = None) -> Potential:
@@ -165,7 +228,8 @@ def load_potential(source, nu: int | None = None) -> Potential:
     Accepts a path, an open file object, or a parsed object.  The JSON is
     either a plain array of dimensionless values, or an object
     ``{"physical": [...], "h": x}`` triggering the v = h^2 * vbar
-    conversion.  Raises ValueError unless values are finite and h positive.
+    conversion.  Each entry is read as ``float()`` reads it, into one
+    ``array('d')``.  Raises ValueError unless values are finite and h positive.
     """
     if isinstance(source, (str, bytes)):
         with open(source) as fh:
@@ -174,6 +238,7 @@ def load_potential(source, nu: int | None = None) -> Potential:
         data = json.load(source)
     else:
         data = source
+    h = None  # a plain array is already dimensionless
     if isinstance(data, dict):
         try:
             data, h = data["physical"], float(data["h"])
@@ -181,17 +246,18 @@ def load_potential(source, nu: int | None = None) -> Potential:
             raise ValueError("potential object needs 'physical' and a number 'h'") from exc
         if not 0 < h < math.inf:
             raise ValueError(f"potential 'h' must be finite and positive, got {h!r}")
-    elif isinstance(data, list):
-        h = 1.0  # already dimensionless; 1.0 * v is v, bit for bit
-    else:
+    elif not isinstance(data, list):
         raise ValueError(f"cannot interpret potential JSON of type {type(data).__name__}")
-    try:  # each entry as float() reads it
-        vbar = np.array(data, dtype=np.float64)
-        if vbar.ndim != 1:  # Potential refuses it, naming what it got
-            Potential.from_physical(vbar, h)
+    if not isinstance(data, list):  # 'physical' holds something else
+        raise ValueError(f"potential values must be a flat list of numbers, not {type(data).__name__}")
+    try:
+        try:
+            vbar = array("d", data)
+        except TypeError:  # numeric strings among the numbers
+            vbar = array("d", map(float, data))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"potential values must be a flat list of numbers ({exc})") from exc
-    pot = Potential.from_physical(vbar, h)  # refuses values that are not finite
+    pot = Potential(vbar) if h is None else Potential.from_physical(vbar, h)  # refuses non-finite
     if nu is not None and pot.nu != nu:
         raise ValueError(f"potential has {pot.nu} entries, lattice wants {nu}")
     return pot
@@ -311,9 +377,9 @@ def _exactify(x):
         return int(x) if x.denominator == 1 else x
     if isinstance(x, float):
         return _exactify(Fraction(x))
-    if isinstance(x, np.integer):
+    if isinstance(x, numbers.Integral):  # numpy's integer scalars among them
         return int(x)
-    if isinstance(x, np.floating):
+    if isinstance(x, numbers.Real):  # and its floating ones
         return _exactify(float(x))
     raise TypeError(f"cannot use {type(x).__name__} in exact arithmetic")
 
@@ -343,7 +409,7 @@ class CharPoly:
     def __init__(self, coeffs: Iterable, backend: str | None = None):
         coeffs = list(coeffs) or [0]
         if backend is None:
-            backend = "exact" if all(isinstance(c, (int, Fraction, np.integer)) for c in coeffs) else "float"
+            backend = "exact" if all(isinstance(c, (int, Fraction, numbers.Integral)) for c in coeffs) else "float"
         if backend not in ("exact", "float"):
             raise ValueError(f"unknown backend {backend!r}")
         self._fill(coeffs, backend, False)
@@ -406,10 +472,10 @@ class CharPoly:
             if self.backend == other.backend:
                 return other.coeffs, self.backend, self._plain and other._plain
             return other.coeffs, "float", False
-        if self.backend == "exact" and isinstance(other, (int, Fraction, np.integer)):
+        if self.backend == "exact" and isinstance(other, (int, Fraction, numbers.Integral)):
             other = _exactify(other)
             return [other], "exact", self._plain and type(other) is int
-        if isinstance(other, (int, float, Fraction, np.integer, np.floating)):
+        if isinstance(other, (int, float, Fraction, numbers.Real)):
             return [float(other)], "float", self.backend == "float"
         return None
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     DIRICHLET,
@@ -29,6 +28,9 @@ from .core import (
     Potential,
     Spectrum,
 )
+
+if TYPE_CHECKING:  # annotations only: numpy loads in the functions that use arrays
+    import numpy as np
 
 # Caps beyond which the oracle refuses (callers get an explicit error
 # rather than an open-ended run).
@@ -80,6 +82,7 @@ def tridiagonal_matrix(potential: Potential, bc: BoundaryCondition) -> tuple[np.
     """(diagonal, off-diagonal) of the dimensionless operator, interval bcs:
     :func:`_interval_diagonal` and -1 throughout.  A degenerate Robin end
     (alpha or beta exactly -1) raises ValueError."""
+    import numpy as np
     if not bc.is_interval:
         raise ValueError("tridiagonal form exists only for interval conditions")
     nu = potential.nu
@@ -100,6 +103,7 @@ def cyclic_matrix(potential: Potential, bc: BoundaryCondition) -> np.ndarray:
     those H are real, sits on the wrap-around couplings; for nu = 1 and
     nu = 2 the wrap-around and nearest-neighbour couplings merge.
     """
+    import numpy as np
     if not bc.is_circle:
         raise ValueError("cyclic form exists only for circle conditions")
     nu = potential.nu
@@ -137,6 +141,7 @@ def _sturm_counts(d: np.ndarray, xs: np.ndarray, slopes: np.ndarray | None = Non
     p'_k = 1 + p'_{k-1} / p_{k-1}^2 carried on those columns only.  A zero
     or tiny pivot can make a slope inf or nan; the counts never change.
     """
+    import numpy as np
     n, m, asked = len(d), (0 if slopes is None else len(slopes)), len(xs)
     if asked == 1 or m == 1:
         # numpy's in-place loops take twice as long on one element as on two
@@ -189,6 +194,7 @@ def _sturm_counts(d: np.ndarray, xs: np.ndarray, slopes: np.ndarray | None = Non
 
 def _fresh(xs: np.ndarray) -> np.ndarray:
     """Which shifts differ in bits from the one before: the first of each run."""
+    import numpy as np
     bits = xs.view(np.int64)
     fresh = np.ones(len(xs), dtype=bool)
     fresh[1:] = bits[1:] != bits[:-1]
@@ -198,6 +204,7 @@ def _fresh(xs: np.ndarray) -> np.ndarray:
 def _counts(d: np.ndarray, xs: np.ndarray, m: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
     """_sturm_counts at xs and the slopes at its first m shifts; each run of
     equal later shifts is counted once."""
+    import numpy as np
     if not len(xs):
         return np.zeros(0, dtype=np.int64), None
     if not m:
@@ -216,22 +223,26 @@ class _Counted:
     count, which is monotone, does."""
 
     def __init__(self, n: int):
+        import numpy as np
         self.top, self.bottom = np.full(n + 1, -np.inf), np.full(n + 1, np.inf)
 
     def add(self, xs: np.ndarray, got: np.ndarray) -> None:
         """Record shifts xs, counted got."""
+        import numpy as np
         np.maximum.at(self.top, got, xs)
         np.minimum.at(self.bottom, got, xs)
 
     def brackets(self) -> tuple[np.ndarray, np.ndarray]:
         """Per index i (0-based): low, the largest shift counted <= i (-inf
         if none), and high, the smallest counted > i (inf if none)."""
+        import numpy as np
         low = np.maximum.accumulate(self.top[:-1])
         high = np.minimum.accumulate(self.bottom[:0:-1])[::-1]
         return low, high
 
     def alone(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
         """Which brackets hold their eigenvalue alone: counts i and i + 1."""
+        import numpy as np
         return (self.top[:-1] == low) & (self.bottom[1:] == high) & (low > -np.inf) & (high < np.inf)
 
 
@@ -253,6 +264,7 @@ def _close_in(d: np.ndarray, lo: float, hi: float, counted: _Counted) -> None:
     left to count and a dozen rounds remain for the counts they spare;
     otherwise alone indices bisect too.
     """
+    import numpy as np
     n = len(d)
     index = np.arange(n)
     los, his = np.full(n, lo), np.full(n, hi)
@@ -339,6 +351,7 @@ def _tridiagonal_eigenvalues(d: np.ndarray) -> np.ndarray:
     bisection, and step one only adds counted shifts: the bits are those of
     counting every midpoint, whatever step one counted.
     """
+    import numpy as np
     n = len(d)
     # Gershgorin bounds; couplings contribute at most 2.
     lo = float(np.min(d)) - 2.0
@@ -388,6 +401,7 @@ def oracle_spectrum(potential: Potential, bc: BoundaryCondition,
     Hermitian H, as a real symmetric matrix when H is real (periodic and
     tau = 1/2).
     """
+    import numpy as np
     nu = potential.nu
     if nu < 1:
         raise ValueError("oracle needs nu >= 1")

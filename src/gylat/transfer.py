@@ -46,9 +46,12 @@ y(j) - y(j-1)), stepped as Delta += v_j y, y += Delta, so the rounded
 weight 2 + v_j is never formed.  By the composition law
 K(j, j'') = K(j, j') K(j', j''), the sites are cut into about sqrt(nu)
 blocks whose matrices, jets in lambda past order 0, advance together as
-numpy arrays (:func:`_block_matrices`); the blocks are then chained in
-Python with exact power-of-two renormalisation, so nothing overflows and
-no eigenvalue is ever computed here.
+numpy arrays (:func:`_block_matrices`), or at order 0 over at most
+``core._NUMPY_SITES`` sites one by one in Python floats, in the same bits
+(:func:`_unit_columns`); the blocks are then chained in Python with exact
+power-of-two renormalisation, so nothing overflows and no eigenvalue is
+ever computed here.  numpy is imported by the functions that use arrays,
+so a short determinant or an exact read never loads it.
 """
 
 from __future__ import annotations
@@ -57,8 +60,7 @@ import math
 import numbers
 from collections import namedtuple
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     CIRCLE,
@@ -71,10 +73,14 @@ from .core import (
     Potential,
     Spectrum,
     Vec2,
+    _NUMPY_SITES,
     _exactify,
     twisted,
 )
 from .spectrum import tridiagonal_matrix
+
+if TYPE_CHECKING:  # annotations only: numpy loads in the functions that use arrays
+    import numpy as np
 
 # A Taylor coefficient of P at lambda = 0 at most this fraction of the
 # magnitude of the swept state's entries of its order tests zero.
@@ -291,19 +297,28 @@ def _slot_bits(a0s: list[int], d: int, ends: list[int]) -> int:
     value is B(0) or B(nu+1).  A truncated read needs no other bound: its
     slots are the low ones of the full read-out.  A graded sweep passes a0_j =
     D (2 + |v_j|), which bounds its e n_j term too.
+
+    The recursion keeps B(j - 1) and B(j) as ints times a common 2**e, both
+    cut to 64 bits of B(j - 1) and rounded up, so a site costs a few word
+    operations, not an int as wide as the states.  Each cut adds at most a
+    part in 2**63 to the bound, so S is never below that of the exact bound.
     """
     (lo, hi), reads = ((ends[0], d * ends[1]), (ends[2] * d, ends[3])) if ends else ((d, d), (1, 1))
     lo, hi = abs(lo), abs(hi)
-    top, dd = lo, d * d
+    top, dd, e = lo, d * d, 0
     for a0 in a0s:
         lo, hi = hi, (abs(a0) + d) * hi + dd * lo
-    top = max(top, hi, abs(reads[0]) * lo + abs(reads[1]) * hi)
+        cut = lo.bit_length() - 64
+        if cut > 0:
+            lo, hi, e = (lo >> cut) + 1, (hi >> cut) + 1, e + cut
+    top = max(top, hi << e, (abs(reads[0]) * lo + abs(reads[1]) * hi) << e)
     return -(-(top.bit_length() + 1) // 8) * 8
 
 
 def _pack(c: float, shape) -> np.ndarray:
     """The constant c as a float packed state (see :class:`_Packed`); an exact one
     is the int c itself."""
+    import numpy as np
     y = np.zeros(shape)
     y.flat[0] = c
     return y
@@ -315,10 +330,15 @@ def _unpack(y, n: int, slot: int | None, rows: int = 1) -> CharPoly:
 
     Adding 2**(S - 1) to each of the n low slots of an int and keeping the sum
     modulo 2**(S n) makes each slot a plain unsigned field of its bytes,
-    whatever lies above them.  A vector gets 0.0 added to each entry, and a
-    coefficient that is not finite raises OverflowError.
+    whatever lies above them.  A graded state's ``rows`` blocks so offset add
+    up as plain ints into one block, each field the sum of ``rows`` of them;
+    the sums fit their slots (:func:`_slot_bits` bounds the sum of every
+    |coefficient|), so taking ``rows`` - 1 offsets off leaves n plain fields.
+    A vector gets 0.0 added to each entry, and a coefficient that is not
+    finite raises OverflowError.
     """
-    if isinstance(y, np.ndarray):
+    if not isinstance(y, int):  # a float state, one ndarray
+        import numpy as np
         c = y + 0.0
         bad = np.flatnonzero(~np.isfinite(c))
         if bad.size:
@@ -330,10 +350,15 @@ def _unpack(y, n: int, slot: int | None, rows: int = 1) -> CharPoly:
     if n * rows == 1:  # a plain int, see _Packed
         return CharPoly([y], backend="exact")
     width, half, size = slot // 8, 1 << (slot - 1), n * rows
-    offsets = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+    field = bytes(width - 1) + b"\x80"  # one slot's offset, 2**(S - 1)
+    offsets = int.from_bytes(field * size, "little")
     raw = ((y + offsets) & ((1 << slot * size) - 1)).to_bytes(size * width, "little")
-    c = [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, size * width, width)]
-    return CharPoly([sum(c[i::n]) for i in range(n)] if rows > 1 else c, backend="exact")
+    if rows > 1:  # one block of n fields, each the sum of rows offset slots
+        step = n * width
+        blocks = sum(int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step))
+        raw = (blocks - (rows - 1) * int.from_bytes(field * n, "little")).to_bytes(step, "little")
+    return CharPoly([int.from_bytes(raw[i:i + width], "little") - half
+                     for i in range(0, n * width, width)], backend="exact")
 
 
 def _graded_terminal(values, order: int, width: int, neumann: bool, exact: bool):
@@ -398,8 +423,11 @@ def char_poly(potential: Potential, bc: BoundaryCondition, exact: bool = False) 
     coefficient outside the float range raises OverflowError; ``exact``
     has no such limit.
     """
+    if exact:
+        return _terminal(potential, bc, CharPoly.lam(exact=True))
+    import numpy as np
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite float raises below
-        return _terminal(potential, bc, CharPoly.lam(exact=exact))
+        return _terminal(potential, bc, CharPoly.lam())
 
 
 def _twist_shift(tau: float, exact: bool):
@@ -425,6 +453,21 @@ def _lead_and_degree(bc: BoundaryCondition, nu: int, exact: bool = False):
     return (-1) ** nu * math.prod(kept), max(nu - (len(ends) - len(kept)), 0)
 
 
+def _block_partition(nu: int, top: float, block: int | None) -> tuple[int, int, int]:
+    """(nblocks, length, short): nu sites cut into nblocks blocks of length sites,
+    the first ``short`` of them one site shorter.
+
+    Blocks hold about sqrt(nu) sites (``block`` overrides that; it is a test
+    hook for checking other lengths), capped so that a block's growth bound
+    prod(|u_j| + 2), with ``top`` = max |u_j|, stays below 2**_BLOCK_GROWTH_BITS.
+    """
+    growth = math.log2(2.0 + top)  # bits one site may add
+    cap = int(_BLOCK_GROWTH_BITS / growth) if growth < _BLOCK_GROWTH_BITS else 1
+    nblocks = -(-nu // max(1, min(block or math.isqrt(nu), cap)))
+    length = -(-nu // nblocks)
+    return nblocks, length, nblocks * length - nu
+
+
 def _block_matrices(u: np.ndarray, order: int = 0,
                     block: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Difference-form matrices of every block of sites, as Taylor jets in lambda.
@@ -434,18 +477,12 @@ def _block_matrices(u: np.ndarray, order: int = 0,
     every entry is carried as its coefficients of lambda^0..lambda^order.
     Returns (ys, ds), each of shape (2, order + 1, nblocks): column c of
     block i sends the unit vector e_c of (y, Delta) to (ys[c, :, i], ds[c, :, i]).
-
-    The sites are cut into blocks of about sqrt(nu) (``block`` overrides
-    that; it is a test hook for checking other lengths), capped so that a
-    block's growth bound prod(|u_j| + 2) stays below 2**_BLOCK_GROWTH_BITS.
-    The unit columns of every block advance together as numpy arrays.
+    The blocks are :func:`_block_partition`'s, and the unit columns of every
+    block advance together as numpy arrays.
     """
+    import numpy as np
     nu = len(u)
-    growth = math.log2(2.0 + float(np.max(np.abs(u))))  # bits one site may add
-    cap = int(_BLOCK_GROWTH_BITS / growth) if growth < _BLOCK_GROWTH_BITS else 1
-    nblocks = -(-nu // max(1, min(block or math.isqrt(nu), cap)))
-    length = -(-nu // nblocks)
-    short = nblocks * length - nu  # the first ``short`` blocks have length - 1 sites
+    nblocks, length, short = _block_partition(nu, float(np.max(np.abs(u))), block)
     grid = np.zeros((length, nblocks))  # grid[k, i] = u at step k of block i
     cut = short * (length - 1)
     grid[1:, :short] = u[:cut].reshape(short, length - 1).T
@@ -463,25 +500,53 @@ def _block_matrices(u: np.ndarray, order: int = 0,
     return ys, ds
 
 
-def _blocked_difference_sweep(u: np.ndarray, cols: list[float],
+def _unit_columns(u, block: int | None = None):
+    """:func:`_block_matrices` at order 0 in Python floats: per block, (p, q, r, s)
+    with columns (p, r) and (q, s) the images of (y, Delta) = (1, 0) and (0, 1),
+    stepped site by site in the same operations, so in the same bits."""
+    nblocks, length, short = _block_partition(len(u), max(map(abs, u)), block)
+    stop = 0
+    for i in range(nblocks):
+        start, stop = stop, stop + length - (i < short)
+        p, q, r, s = 1.0, 0.0, 0.0, 1.0
+        for w in u[start:stop]:
+            r += w * p
+            p += r
+            s += w * q
+            q += s
+        yield p, q, r, s
+
+
+def _blocked_difference_sweep(u, cols: list[float],
                               block: int | None = None) -> tuple[list[float], int]:
     """Advance difference-form columns over every site, block by block.
 
-    ``cols`` = [y1, d1, y2, d2] holds two columns (y(j), Delta(j)) at j = 1;
-    each site steps them by Delta += u_j y, y += Delta.  Returns the columns
-    at j = nu + 1 as (mantissas, e), the true columns being mantissas * 2**e.
+    ``u`` holds the sites' floats (an ``array('d')`` or ndarray); ``cols`` =
+    [y1, d1, y2, d2] holds two columns (y(j), Delta(j)) at j = 1; each site
+    steps them by Delta += u_j y, y += Delta.  Returns the columns at
+    j = nu + 1 as (mantissas, e), the true columns being mantissas * 2**e.
 
-    The block matrices of :func:`_block_matrices` are chained onto ``cols``
-    in Python, with the largest entry brought to [0.5, 1) by an exact power
-    of two after each block, so exact zeros stay exact.
+    Each block's matrix (p, q, r, s) is chained onto ``cols`` in Python, with
+    the largest entry brought to [0.5, 1) by an exact power of two after each
+    block, so exact zeros stay exact.  Up to _NUMPY_SITES sites the matrices
+    come from :func:`_unit_columns` in Python floats, above it from
+    :func:`_block_matrices` in numpy: in process, numpy's per-call overhead
+    outweighs a short sweep (0.008 ms in Python against 0.024 ms at nu = 10;
+    the two meet near 300 sites), and a fresh process would also pay ~70 ms
+    to load numpy.  Both step the same blocks in the same operations, so the
+    bits are the same on either side of the switch.
     """
     if len(u) == 0:
         return cols, 0
-    ys, ds = _block_matrices(u, 0, block)
+    if len(u) > _NUMPY_SITES:
+        import numpy as np
+        ys, ds = _block_matrices(np.asarray(u, dtype=np.float64), 0, block)
+        blocks = zip(ys[0, 0].tolist(), ys[1, 0].tolist(), ds[0, 0].tolist(), ds[1, 0].tolist())
+    else:
+        blocks = _unit_columns(u, block)
     y1, d1, y2, d2 = cols
     exponent = 0
-    for p, q, r, s in zip(ys[0, 0].tolist(), ys[1, 0].tolist(), ds[0, 0].tolist(),
-                          ds[1, 0].tolist()):
+    for p, q, r, s in blocks:
         y1, d1 = p * y1 + q * d1, r * y1 + s * d1
         y2, d2 = p * y2 + q * d2, r * y2 + s * d2
         e = math.frexp(max(abs(y1), abs(d1), abs(y2), abs(d2)))[1]
@@ -503,6 +568,7 @@ def _blocked_jet_sweep(u: np.ndarray, cols: np.ndarray, order: int,
     """
     if len(u) == 0:
         return cols, 0
+    import numpy as np
     ys, ds = _block_matrices(u, order, block)
     m1 = order + 1
     i, j = np.tril_indices(m1)
@@ -527,14 +593,14 @@ def _taylor_at_zero(potential: Potential, bc: BoundaryCondition,
     magnitude of the swept state's order-k entries, of (y(nu), y(nu+1)) on
     the interval and of K on the circle: the yardstick of c_k's zero test
     (P's large mid coefficients are not) and of the float sums' guard.
-    Order 0 steps Python floats (:func:`_blocked_difference_sweep`), since
-    numpy's per-call overhead would outweigh a short sweep; higher orders
-    take one :func:`_blocked_jet_sweep`.
+    Order 0 chains Python floats (:func:`_blocked_difference_sweep`), and up
+    to _NUMPY_SITES sites steps its blocks in them too, so that a short
+    determinant never imports numpy; higher orders take one
+    :func:`_blocked_jet_sweep`.
     """
     lead, degree = _lead_and_degree(bc, potential.nu)
     if degree == 0 < potential.nu:  # every site pinned: P is lead, as in _terminal
         return [float(lead)] + [0.0] * order, [abs(float(lead))] + [0.0] * order, 0
-    u = potential.as_array()
     alpha = float(bc.robin_alpha)
     # (y(1), Delta(1)) from y(0) = 0, y(1) = 1, or from y(0) = 1, Delta y(0) =
     # alpha; on the circle the two columns of K, on (y, Delta)
@@ -542,9 +608,11 @@ def _taylor_at_zero(potential: Potential, bc: BoundaryCondition,
             else [1.0, 1.0] if bc.kind == DIRICHLET else [1.0 + alpha, alpha])
     if order == 0:
         # the chain steps two columns; an interval's second one is zero
-        cols, e = _blocked_difference_sweep(u, (seed + [0.0, 0.0])[:4])
+        cols, e = _blocked_difference_sweep(potential._floats(), (seed + [0.0, 0.0])[:4])
         rows = [cols[:len(seed)]]
     else:
+        import numpy as np
+        u = potential.as_array()
         m1 = order + 1
         cols = np.zeros((2 * m1, len(seed) // 2))
         cols[[0, m1]] = np.reshape(seed, (-1, 2)).T
@@ -645,6 +713,7 @@ def eigenfunctions(potential: Potential, bc: BoundaryCondition, spectrum: Spectr
     |lambda| + 2), the residual of each site against the rounding of its row,
     exceeds 1e-8 max_j |y_j|, or is not finite, raises ArithmeticError.
     """
+    import numpy as np
     d, _ = tridiagonal_matrix(potential, bc)
     nu = len(d)
     if len(spectrum) != nu:

@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     DIRICHLET,
@@ -36,6 +35,9 @@ from .core import (
 )
 from .closedform import free_eigenvalues
 from .spectrum import _interval_diagonal
+
+if TYPE_CHECKING:  # annotations only: numpy loads in the functions that use arrays
+    import numpy as np
 
 
 def _mode_weight(bc: BoundaryCondition) -> float:
@@ -122,6 +124,7 @@ def _interval_root_sum(potential: Potential, bc: BoundaryCondition) -> float:
     with alpha (or beta) = -1, which pins y(1) = 0 (or y(nu) = 0), leaves
     the matrix of the other sites.
     """
+    import numpy as np
     d = _interval_diagonal(potential, bc)
     n = len(d)
     if n == 0:
@@ -230,6 +233,7 @@ def extract_constant(bc: BoundaryCondition, L: float, h_values,
     lattice.  Raises when fewer than 5 distinct lattices survive or when
     the fit is too ill-conditioned (advice: widen the h window).
     """
+    import numpy as np
     specs = {}
     for h in h_values:
         spec = _admissible_lattice(bc, L, float(h))

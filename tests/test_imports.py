@@ -256,6 +256,55 @@ def test_the_dependency_check_sees_a_nested_import():
     assert foreign_imports(source) == {"scipy"}
 
 
+def import_time_numpy(source: str) -> list[int]:
+    """Lines where ``source`` imports numpy outside every function body, so that
+    importing the module would load it; an ``if TYPE_CHECKING:`` block never runs."""
+    lines = []
+
+    def visit(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+                visit(node.orelse)
+                continue
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom) and not node.level else [])
+            if any(name.split(".")[0] == "numpy" for name in names):
+                lines.append(node.lineno)
+            visit(ast.iter_child_nodes(node))
+
+    visit(ast.parse(source).body)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_numpy_when_imported(path):
+    """numpy loads in the functions that use arrays, so ``import gylat`` and the
+    calls that need none run without it (tests/test_startup.py)."""
+    assert import_time_numpy(path.read_text()) == []
+
+
+def test_the_numpy_check_sees_an_import_time_import():
+    source = textwrap.dedent("""\
+        from typing import TYPE_CHECKING
+        if TYPE_CHECKING:
+            import numpy as np
+        try:
+            from numpy import linalg
+        except ImportError:
+            pass
+        class C:
+            import numpy.random
+            def f(self):
+                import numpy as np
+        def g():
+            from . import numpy
+            return lambda: __import__("numpy")
+    """)
+    assert import_time_numpy(source) == [5, 9]
+
+
 def test_transfer_does_not_import_the_oracle():
     """Determinants, primed ones included, take no eigenvalue from gylat.spectrum:
     transfer imports only the operator's matrix form from it, for eigenfunctions."""

@@ -30,6 +30,7 @@ from gylat import transfer
 from gylat.core import _exactify
 from gylat.perturbation import trace_series_by_tuples
 from gylat.transfer import _lift, _slot_bits
+from test_terminal import exact_slot_bits
 
 
 class TestDirichletSeries:
@@ -362,6 +363,13 @@ class TestGradedSlots:
         scaled += [(read, d ** (pot.nu + 1)), ([sum(read[1:], read[0])], d ** (pot.nu + 1))]
         assert max(abs(int(c * scale)).bit_length()
                    for y, scale in scaled for t in y for c in t.coeffs) <= slot - 1
+
+    @pytest.mark.parametrize("is_neumann", [False, True])
+    @pytest.mark.parametrize("name", sorted(GRADED_ADVERSARIAL))
+    def test_slot_is_never_narrower_than_the_exact_bound(self, name, is_neumann):
+        ns, d = _lift(list(Potential(GRADED_ADVERSARIAL[name])))
+        args = [2 * d + abs(n) for n in ns], d, [1, 1, -1, 1] if is_neumann else [0, 1, 0, 1]
+        assert _slot_bits(*args) >= exact_slot_bits(*args)
 
     @pytest.mark.parametrize("is_neumann", [False, True])
     @pytest.mark.parametrize("name", ["all -M", "alternating M", "-M thirds"])

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import pickle
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -166,12 +167,43 @@ class TestStorage:
             with pytest.raises(ValueError):
                 other.as_array()[0] = 2.0
 
+    @pytest.mark.parametrize("pot", [Potential((0.1, 0.2)), Potential.zeros(3),
+                                     Potential((1, Fraction(1, 2))), Potential.delta(3, 1, 2.0)])
+    def test_copies_share_their_own_read_only_array(self, pot):
+        arr = pot.as_array()
+        for other in (copy.deepcopy(pot), pickle.loads(pickle.dumps(pot))):
+            assert other == pot and type(other.values[0]) is type(pot.values[0])
+            view = other.as_array()
+            assert view is other.as_array() and not np.shares_memory(view, arr)
+            assert np.array_equal(view, arr) and not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0] = 2.0
+
+    @pytest.mark.parametrize("nu", [50, 700])
+    def test_every_sequence_of_the_same_floats_is_one_potential(self, nu):
+        """A tuple, a list, an ndarray and an array('d') of the same numbers compare and
+        hash equal and give the same determinant bits, below and above _NUMPY_SITES."""
+        vals = np.random.default_rng(nu).uniform(-1, 2, nu).tolist()
+        pots = [Potential(tuple(vals)), Potential(vals), Potential(np.array(vals)),
+                Potential(array("d", vals))]
+        for bc in (dirichlet(), robin(0.3, 1.7), twisted(0.3)):
+            spec = LatticeSpec.circle(nu, h=0.5) if bc.is_circle else LatticeSpec.interval(nu, h=0.5)
+            want = determinant(pots[0], bc, spec)
+            for pot in pots:
+                assert pot == pots[0] and hash(pot) == hash(pots[0])
+                got = determinant(pot, bc, spec)
+                assert (got.sign, got.log_abs.hex()) == (want.sign, want.log_abs.hex())
+
     def test_caller_array_is_copied(self):
         src = np.array([0.5, 1.5])
         pot = Potential(src)
         src[0] = 9.0
         assert pot.values == (0.5, 1.5)
         assert src.flags.writeable
+        src = array("d", [0.5, 1.5])
+        pot = Potential(src)
+        src[0] = 9.0
+        assert pot.values == (0.5, 1.5)
 
     def test_tuple_and_ndarray_compare_and_hash_equal(self):
         vals = np.random.default_rng(3).uniform(-1, 1, 50)

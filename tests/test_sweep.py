@@ -12,6 +12,7 @@ sequential difference-form loop, mpmath, and LAPACK at user sizes.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -36,7 +37,8 @@ from gylat import (
     twisted,
 )
 from gylat import chebyshev as cheb
-from gylat.core import _exactify
+from gylat import transfer
+from gylat.core import _NUMPY_SITES, _exactify
 from gylat.spectrum import cyclic_matrix, tridiagonal_matrix
 from gylat.transfer import (
     Propagator,
@@ -275,6 +277,53 @@ class TestBlockedDifferenceSweep:
         u = np.full(50, 1e300)
         got, e = _blocked_difference_sweep(u, [1.0, 1.0, 0.0, 0.0])
         assert all(math.isfinite(x) for x in got) and e > 50 * 996
+
+
+class TestOrderZeroChains:
+    """Up to _NUMPY_SITES sites the order-0 chain steps its blocks in Python floats
+    (``transfer._unit_columns``), above it takes them from numpy's
+    ``_block_matrices``; on either side of the switch both give the same bits."""
+
+    BCS = [dirichlet(), neumann(), robin(0.5, -0.7), periodic(), twisted(0.3)]
+
+    @staticmethod
+    def both_sides(call):
+        """call() with every sweep stepped in Python floats, then in numpy."""
+        out = []
+        for sites in (2 * _NUMPY_SITES, -1):
+            with mock.patch.object(transfer, "_NUMPY_SITES", sites):
+                out.append(call())
+        return out
+
+    @staticmethod
+    def bits(cols, e):
+        return [x.hex() for x in cols], e
+
+    @settings(max_examples=150)
+    @given(nu=st.integers(0, 2 * _NUMPY_SITES), block=st.sampled_from([1, 2, 7, "sqrt", None]),
+           kind=st.sampled_from(["zeros", "int", "fraction", "float", "1e30", "1e300"]),
+           bc=st.sampled_from(BCS), seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical(self, nu, block, kind, bc, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "zeros":
+            pot = Potential.zeros(nu)
+        elif kind == "int":
+            pot = Potential(rng.integers(-3, 4, nu).tolist())
+        elif kind == "fraction":
+            pot = Potential([Fraction(int(n), 7) for n in rng.integers(-21, 22, nu)])
+        else:  # 1e30 and 1e300 hit the growth cap: 5 sites and 1 site per block
+            pot = Potential(rng.uniform(-1.0, 2.0, nu) * (1.0 if kind == "float" else float(kind)))
+        u = pot._floats()
+        size = math.isqrt(nu) if block == "sqrt" else block
+        alpha = float(bc.robin_alpha)
+        cols = ([1.0, 0.0, 0.0, 1.0] if bc.is_circle else [1.0, 1.0, 0.0, 0.0]
+                if bc.kind == "dirichlet" else [1.0 + alpha, alpha, 0.0, 0.0])
+        python, numpy = self.both_sides(lambda: self.bits(*_blocked_difference_sweep(u, cols, size)))
+        assert python == numpy
+        if block is None:  # the whole order-0 read of P(0), as determinant takes it
+            python, numpy = self.both_sides(lambda: _taylor_at_zero(pot, bc, 0))
+            assert self.bits(python[0] + python[1], python[2]) == \
+                self.bits(numpy[0] + numpy[1], numpy[2])
 
 
 class TestBlockedJetSweep:

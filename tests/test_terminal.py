@@ -203,6 +203,27 @@ class TestPackedCarriers:
         assert max(abs(c).bit_length() for y in states for c in y.coeffs) <= slot - 1
 
 
+    @pytest.mark.parametrize("bc", PACKED_BCS)
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+    def test_slot_is_never_narrower_than_the_exact_bound(self, bc, name):
+        pot = Potential(ADVERSARIAL[name])
+        ends = [*bc.in_vector(), *bc.out_adjoint()] if bc.is_interval else []
+        vs, d = _lift([*pot, *ends])
+        a0s = [v + 2 * d for v in vs[:pot.nu]]
+        assert _slot_bits(a0s, d, vs[pot.nu:]) >= exact_slot_bits(a0s, d, vs[pot.nu:])
+
+
+def exact_slot_bits(a0s, d, ends):
+    """``_slot_bits`` with its recursion in ints as wide as the bound itself."""
+    (lo, hi), reads = ((ends[0], d * ends[1]), (ends[2] * d, ends[3])) if ends else ((d, d), (1, 1))
+    lo, hi = abs(lo), abs(hi)
+    top, dd = lo, d * d
+    for a0 in a0s:
+        lo, hi = hi, (abs(a0) + d) * hi + dd * lo
+    top = max(top, hi, abs(reads[0]) * lo + abs(reads[1]) * hi)
+    return -(-(top.bit_length() + 1) // 8) * 8
+
+
 class TestTruncatedRead:
     """``_terminal(..., order=m)`` reads lambda^0..lambda^m of ``char_poly``'s packed
     sweep, each exact state kept modulo 2**(S (m + 1)), each float one as m + 1 entries."""
