@@ -99,8 +99,8 @@ class Potential:
     one ``array('d')`` of float64 entries, copied through the buffer from an
     ndarray, whose ``values`` are Python floats.  ``as_array()`` returns a
     read-only float64 ndarray viewing that storage, made on the first call
-    and then shared; an exact potential's is a float copy of its tuple.
-    Nothing here imports numpy until ``as_array()`` or an ndarray asks for it.
+    and then shared; an exact potential's is a float copy of its tuple.  Only
+    ``as_array()``, and ``from_physical`` above _NUMPY_SITES sites, import numpy.
     """
 
     __slots__ = ("_exact", "_data", "_view")
@@ -238,7 +238,7 @@ def load_potential(source, nu: int | None = None) -> Potential:
         data = json.load(source)
     else:
         data = source
-    h = None  # a plain array is already dimensionless
+    h = 1.0  # a plain array is already dimensionless; 1.0 * v is v, bit for bit
     if isinstance(data, dict):
         try:
             data, h = data["physical"], float(data["h"])
@@ -246,9 +246,7 @@ def load_potential(source, nu: int | None = None) -> Potential:
             raise ValueError("potential object needs 'physical' and a number 'h'") from exc
         if not 0 < h < math.inf:
             raise ValueError(f"potential 'h' must be finite and positive, got {h!r}")
-    elif not isinstance(data, list):
-        raise ValueError(f"cannot interpret potential JSON of type {type(data).__name__}")
-    if not isinstance(data, list):  # 'physical' holds something else
+    if not isinstance(data, list):
         raise ValueError(f"potential values must be a flat list of numbers, not {type(data).__name__}")
     try:
         try:
@@ -257,7 +255,7 @@ def load_potential(source, nu: int | None = None) -> Potential:
             vbar = array("d", map(float, data))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"potential values must be a flat list of numbers ({exc})") from exc
-    pot = Potential(vbar) if h is None else Potential.from_physical(vbar, h)  # refuses non-finite
+    pot = Potential.from_physical(vbar, h)  # refuses values that are not finite
     if nu is not None and pot.nu != nu:
         raise ValueError(f"potential has {pot.nu} entries, lattice wants {nu}")
     return pot
