@@ -392,39 +392,31 @@ class CharPoly:
     index of the last nonzero coefficient (exact alpha or beta = -1 Robin
     conditions yield exact zeros and lose their degrees).
 
-    Every constructor and operation keeps the invariants the arithmetic
-    relies on instead of re-checking: ``coeffs`` is a non-empty list of
-    Python floats, or of ints and Fractions whose denominator is not 1, with
-    a nonzero top unless it is the only one; ``_plain`` means no coefficient
-    needs a lift (always for floats, all ints for exact).  Each operation
-    builds one result.  A scalar acts coefficient by coefficient, lifted as a
-    one-term polynomial; a product starts each coefficient from 0 and adds
-    the terms in the order of the left factor's index, skipping its zeros.
+    Every result goes through the constructor, which lifts the coefficients
+    into the backend: Python floats, or ints and Fractions whose denominator
+    is not 1.  A scalar is a one-term polynomial, exact only when it is
+    integral or a Fraction and self is exact; an operation on two
+    polynomials is exact only when both are.  A product starts each
+    coefficient from 0 and adds the terms in the order of the left factor's
+    index, skipping its zeros.
     """
 
-    __slots__ = ("coeffs", "backend", "_plain")
+    __slots__ = ("coeffs", "backend")
 
     def __init__(self, coeffs: Iterable, backend: str | None = None):
         coeffs = list(coeffs) or [0]
         if backend is None:
-            backend = "exact" if all(isinstance(c, (int, Fraction, numbers.Integral)) for c in coeffs) else "float"
-        if backend not in ("exact", "float"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self._fill(coeffs, backend, False)
-
-    def _fill(self, coeffs: list, backend: str, plain: bool) -> "CharPoly":
-        """Take ``coeffs``, a list of our own, lifting them into ``backend`` unless
-        ``plain`` says they already are Python floats (float) or ints (exact)."""
-        if plain or (backend == "exact" and set(map(type, coeffs)) == {int}):
-            plain = True
-        elif backend == "float":
-            coeffs, plain = [float(c) for c in coeffs], True
+            backend = "exact" if all(isinstance(c, (Fraction, numbers.Integral)) for c in coeffs) else "float"
+        if backend == "float":
+            coeffs = [float(c) for c in coeffs]
+        elif backend == "exact":
+            if set(map(type, coeffs)) != {int}:
+                coeffs = [_exactify(c) for c in coeffs]
         else:
-            coeffs = [_exactify(c) for c in coeffs]
+            raise ValueError(f"unknown backend {backend!r}")
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
-        self.coeffs, self.backend, self._plain = coeffs, backend, plain
-        return self
+        self.coeffs, self.backend = coeffs, backend
 
     # -- constructors -------------------------------------------------------
 
@@ -445,11 +437,8 @@ class CharPoly:
         """Leading coefficient after the backend's zero-trim rule."""
         return self.coeffs[-1]
 
-    def as_floats(self) -> list[float]:
-        return [float(c) for c in self.coeffs]
-
     def to_float(self) -> "CharPoly":
-        return CharPoly(self.as_floats(), backend="float")
+        return CharPoly(self.coeffs, backend="float")
 
     def __call__(self, x):
         acc = self.coeffs[-1]
@@ -462,73 +451,51 @@ class CharPoly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _operand(self, other):
-        """(coefficients, result backend, plain) of ``other`` against self, a
-        scalar as one coefficient lifted into the result's backend; plain when
-        neither side needs a lift.  None if ``other`` is not a number."""
+    def _coerce(self, other) -> "CharPoly | None":
+        """``other`` as a polynomial, a scalar as a one-term one; None if it is not a number."""
         if isinstance(other, CharPoly):
-            if self.backend == other.backend:
-                return other.coeffs, self.backend, self._plain and other._plain
-            return other.coeffs, "float", False
-        if self.backend == "exact" and isinstance(other, (int, Fraction, numbers.Integral)):
-            other = _exactify(other)
-            return [other], "exact", self._plain and type(other) is int
-        if isinstance(other, (int, float, Fraction, numbers.Real)):
-            return [float(other)], "float", self.backend == "float"
+            return other
+        if self.backend == "exact" and isinstance(other, (Fraction, numbers.Integral)):
+            return CharPoly([other], backend="exact")
+        if isinstance(other, numbers.Real):
+            return CharPoly([other], backend="float")
         return None
 
+    def _join(self, other: "CharPoly") -> str:
+        return "exact" if self.backend == other.backend == "exact" else "float"
+
     def __add__(self, other):
-        operand = self._operand(other)
-        if operand is None:
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        b, backend, plain = operand
-        a = self.coeffs
+        a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return _new_poly([x + y for x, y in zip(a, b)] + a[len(b):], backend, plain)
+        return CharPoly([x + y for x, y in zip(a, b)] + a[len(b):], backend=self._join(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _new_poly([-c for c in self.coeffs], self.backend, self._plain)
+        return CharPoly([-c for c in self.coeffs], backend=self.backend)
 
     def __sub__(self, other):
-        operand = self._operand(other)
-        if operand is None:
-            return NotImplemented
-        b, backend, plain = operand
-        return _new_poly(_difference(self.coeffs, b, plain), backend, plain)
+        other = self._coerce(other)
+        return NotImplemented if other is None else _difference(self, other)
 
     def __rsub__(self, other):
-        operand = self._operand(other)
-        if operand is None:
-            return NotImplemented
-        b, backend, plain = operand
-        return _new_poly(_difference(b, self.coeffs, plain), backend, plain)
+        other = self._coerce(other)
+        return NotImplemented if other is None else _difference(other, self)
 
     def __mul__(self, other):
-        operand = self._operand(other)
-        if operand is None:
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        b, backend, plain = operand
-        a = self.coeffs
-        z = 0.0 if backend == "float" else 0  # what a skipped term leaves
-        if len(b) == 1:
-            s = b[0]
-            out = [z if x == 0 else z + x * s for x in a]
-        elif len(a) == 2:  # a degree-1 left factor, such as a GY weight: one pass
-            a0, a1 = a
-            if a0 == 0:
-                out = [z] + [z + a1 * x for x in b]
-            else:
-                out = ([z + a0 * b[0]] + [z + a0 * y + a1 * x for x, y in zip(b, b[1:])]
-                       + [z + a1 * b[-1]])
-        else:
-            out = [z] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x != 0:
-                    out[i:i + len(b)] = [o + x * y for o, y in zip(out[i:i + len(b)], b)]
-        return _new_poly(out, backend, plain)
+        a, b = self.coeffs, other.coeffs
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x != 0:
+                out[i:i + len(b)] = [o + x * y for o, y in zip(out[i:i + len(b)], b)]
+        return CharPoly(out, backend=self._join(other))
 
     __rmul__ = __mul__
 
@@ -544,16 +511,12 @@ class CharPoly:
         return f"CharPoly({self.coeffs}, backend={self.backend!r})"
 
 
-def _new_poly(coeffs: list, backend: str, plain: bool) -> CharPoly:
-    """One operation's result, without the public constructor's checks."""
-    return CharPoly.__new__(CharPoly)._fill(coeffs, backend, plain)
-
-
-def _difference(a: list, b: list, plain: bool) -> list:
-    """Coefficients of a - b; across backends a + (-b), since an int 0 has no
-    sign to flip: -0.0 + -0 is 0.0 where -0.0 - 0 is -0.0."""
-    head = [x - y for x, y in zip(a, b)] if plain else [x + -y for x, y in zip(a, b)]
-    return head + a[len(b):] + [-y for y in b[len(a):]]
+def _difference(p: CharPoly, q: CharPoly) -> CharPoly:
+    """p - q in one pass of x + -y, which is x - y on floats; across backends an
+    int 0 has no sign to flip, and -0.0 + -0 is 0.0 where -0.0 - 0 is -0.0."""
+    a, b = p.coeffs, q.coeffs
+    return CharPoly([x + -y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]],
+                    backend=p._join(q))
 
 
 # ---------------------------------------------------------------------------
