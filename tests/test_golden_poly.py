@@ -12,11 +12,14 @@ change that alters a value on purpose re-records with
 
     PYTHONPATH=src python tests/test_golden_poly.py
 
-and lists the changed groups in CHANGES.md.
+and lists the changed groups in CHANGES.md; ``--lines GROUP`` prints one
+group's lines instead, so that a re-record can be diffed against the lines of
+the parent commit entry by entry.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import random
@@ -134,8 +137,12 @@ RECORDED = {
 }
 
 
+def lines(name: str) -> str:
+    return "\n".join(map(_line, GROUPS[name]()))
+
+
 def digest(name: str) -> str:
-    return hashlib.sha256("\n".join(map(_line, GROUPS[name]())).encode()).hexdigest()
+    return hashlib.sha256(lines(name).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
@@ -144,4 +151,11 @@ def test_polynomial_values(name):
 
 
 if __name__ == "__main__":
-    print(json.dumps({name: digest(name) for name in GROUPS}, indent=4))
+    parser = argparse.ArgumentParser(description="Print every group's digest, or one group's lines.")
+    parser.add_argument("--lines", choices=sorted(GROUPS), metavar="GROUP",
+                        help="print this group's lines, one value per line")
+    args = parser.parse_args()
+    if args.lines:
+        print(lines(args.lines))
+    else:
+        print(json.dumps({name: digest(name) for name in GROUPS}, indent=4))
