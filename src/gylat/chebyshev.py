@@ -76,9 +76,7 @@ def cheb_t(n: int, x):
     diff = un - unm2
     if isinstance(diff, int):
         return diff // 2 if diff % 2 == 0 else Fraction(diff, 2)
-    if isinstance(diff, Fraction):
-        return diff / 2
-    return diff * 0.5
+    return diff * Fraction(1, 2)  # 0.5 on floats, exact on an exact CharPoly
 
 
 def cheb_matrix_power(n: int, x) -> Mat2:
@@ -127,11 +125,5 @@ def cheb_v_poly_path(n: int) -> list[CharPoly]:
 
 def cheb_t_poly(n: int) -> CharPoly:
     """Exact coefficients of T_n(1 - lambda/2); T_0 = 1, T_1 = x."""
-    if n < 0:
-        raise ValueError(f"cheb_t_poly needs n >= 0, got {n}")
-    if n == 0:
-        return CharPoly([1], backend="exact")
-    # Run the recurrence on 2*T_n to stay integral, halve at the end.
-    twice = _poly_path(n - 1, [2], [2, -1])[-1]
-    return CharPoly([Fraction(c, 2) for c in twice.coeffs], backend="exact")
+    return cheb_t(n, CharPoly([1, Fraction(-1, 2)], backend="exact"))
 

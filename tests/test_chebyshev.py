@@ -195,6 +195,14 @@ class TestPolynomials:
             assert got == ref
 
 
+    def test_t_keeps_an_exact_poly_exact(self):
+        # x = 1 - lambda/2 with an exact lambda gives cheb_t_poly(n), exact
+        x = 1 - CharPoly.lam(exact=True) * Fraction(1, 2)
+        for n in (0, 1, 2, 7, 60):
+            t = cheb_t(n, x)
+            assert t.backend == "exact" and t == cheb_t_poly(n)
+
+
 class TestErrors:
     def test_bad_order(self):
         with pytest.raises(ValueError):

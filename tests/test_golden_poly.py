@@ -131,7 +131,7 @@ GROUPS = {"char_poly": _char_polys, "char_poly_large": _char_polys_large,
 RECORDED = {
     "char_poly": "f0c503e1f9424e10988506bf6019dfc3558348e7d9817f7e2818bc7c4c87ee35",
     "char_poly_large": "09fc9c508f4f3ff7afbeb3941ff4e06aaf2fca19c4889a28ff2bee29faf25e89",
-    "chebyshev": "ca5ff094bb7839a75d43ff6aced8c76c6ccbc8dfeee178c036c78cb242440018",
+    "chebyshev": "fc79b23d3ee4844ec306d8ba38c6b0e4d30983afcd2128c20f0d27422e80a6b1",
     "series": "396b0a401ad16e77f11608d306ab8f7c921b51ee8f6bdde1ca6a48c4ed1011ab",
     "series_large": "39bb6a073f5d61e18acd2f952b54a730bbe275dd6771b3a71bb918b53e1ed4b6",
 }
