@@ -363,6 +363,14 @@ def twisted(tau: float) -> BoundaryCondition:
     return BoundaryCondition(TWISTED, tau=tau)
 
 
+def _check_lattice(potential: Potential, bc: BoundaryCondition, spec: LatticeSpec) -> None:
+    """Raise ValueError unless ``spec`` has the potential's nu and the topology of ``bc``."""
+    if potential.nu != spec.nu:
+        raise ValueError(f"potential has nu={potential.nu}, lattice spec has nu={spec.nu}")
+    if bc.is_circle != (spec.topology == CIRCLE):
+        raise ValueError(f"{bc.kind} conditions do not fit {spec.topology} topology")
+
+
 # ---------------------------------------------------------------------------
 # Characteristic polynomials
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .core import (
     LatticeSpec,
     Potential,
     Spectrum,
+    _check_lattice,
 )
 
 if TYPE_CHECKING:  # annotations only: numpy loads in the functions that use arrays
@@ -399,9 +400,11 @@ def oracle_spectrum(potential: Potential, bc: BoundaryCondition,
     magnitude raises ValueError: bisection's midpoints would overflow to
     infinite eigenvalues.  Circle conditions diagonalise the nu x nu
     Hermitian H, as a real symmetric matrix when H is real (periodic and
-    tau = 1/2).
+    tau = 1/2).  A given ``spec`` must fit the potential and ``bc``.
     """
     import numpy as np
+    if spec is not None:
+        _check_lattice(potential, bc, spec)
     nu = potential.nu
     if nu < 1:
         raise ValueError("oracle needs nu >= 1")

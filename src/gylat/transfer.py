@@ -63,7 +63,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .core import (
-    CIRCLE,
     DIRICHLET,
     BoundaryCondition,
     CharPoly,
@@ -74,6 +73,7 @@ from .core import (
     Spectrum,
     Vec2,
     _NUMPY_SITES,
+    _check_lattice,
     _exactify,
     twisted,
 )
@@ -666,11 +666,8 @@ def determinant(potential: Potential, bc: BoundaryCondition, spec: LatticeSpec,
     from one jet sweep), and Det' = (-1)^(d-k) c_k/a * h^(-2 (d-k)), with
     ``zero_modes_removed`` = k.  No eigenvalue is computed: no size limit.
     """
+    _check_lattice(potential, bc, spec)
     nu = potential.nu
-    if nu != spec.nu:
-        raise ValueError(f"potential has nu={nu}, lattice spec has nu={spec.nu}")
-    if bc.is_circle != (spec.topology == CIRCLE):
-        raise ValueError(f"{bc.kind} conditions do not fit {spec.topology} topology")
     if nu == 0:
         return LogDet(1, 0.0, 0)  # empty product
 

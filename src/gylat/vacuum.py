@@ -32,6 +32,7 @@ from .core import (
     BoundaryCondition,
     LatticeSpec,
     Potential,
+    _check_lattice,
 )
 from .closedform import free_eigenvalues
 from .spectrum import _interval_diagonal
@@ -71,12 +72,11 @@ def vacuum_energy(potential: Potential | None, bc: BoundaryCondition,
     - circle conditions with any other potential sum the eigenvalue
       oracle's spectrum (nu <= 800).
     Negative eigenvalues raise ValueError: no analytic continuation is
-    attempted.
+    attempted; so does a ``spec`` that does not fit the potential and ``bc``.
     """
     if potential is None:
         potential = Potential.zeros(spec.nu)
-    if potential.nu != spec.nu:
-        raise ValueError(f"potential has nu={potential.nu}, lattice has nu={spec.nu}")
+    _check_lattice(potential, bc, spec)
     if potential.is_free() and bc.kind != ROBIN:
         lams = free_eigenvalues(bc, spec).lambdas
     elif bc.is_interval:

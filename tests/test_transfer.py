@@ -31,6 +31,7 @@ from gylat import (
     robin,
     step_matrix,
     twisted,
+    vacuum_energy,
 )
 from gylat.core import Spectrum
 from gylat.spectrum import tridiagonal_matrix
@@ -300,12 +301,16 @@ class TestDeterminant:
         ld = determinant(Potential.zeros(0), dirichlet(), spec)
         assert ld.sign == 1 and ld.log_abs == 0.0
 
-    def test_topology_mismatch_rejected(self):
-        pot = Potential.zeros(3)
-        with pytest.raises(ValueError):
-            determinant(pot, dirichlet(), LatticeSpec.circle(3, h=1.0))
-        with pytest.raises(ValueError):
-            determinant(pot, periodic(), LatticeSpec.interval(3, h=1.0))
+    @pytest.mark.parametrize("route", [determinant, oracle_spectrum, vacuum_energy])
+    def test_lattice_mismatch_rejected(self, route):
+        # every route that takes a LatticeSpec refuses one that does not fit
+        pot = Potential.delta(5, 2, 0.5)
+        with pytest.raises(ValueError, match="potential has nu=5, lattice spec has nu=9"):
+            route(pot, dirichlet(), LatticeSpec.interval(9, L=1.0))
+        with pytest.raises(ValueError, match="periodic conditions do not fit interval topology"):
+            route(pot, periodic(), LatticeSpec.interval(5, L=1.0))
+        with pytest.raises(ValueError, match="dirichlet conditions do not fit circle topology"):
+            route(pot, dirichlet(), LatticeSpec.circle(5, L=1.0))
 
     def test_prime_beyond_oracle_cap(self):
         # one past the interval oracle's cap: the free Neumann Det' is nu h^(2 - 2 nu)
