@@ -1,11 +1,12 @@
-"""CharPoly arithmetic against the generic coefficient loops it replaces.
+"""CharPoly arithmetic against generic coefficient loops.
 
 The reference below builds every operand and result with the public
 constructor, coerces a scalar to a one-term polynomial and runs one plain
-loop per operation (subtraction as addition of the negation).  The fast
-paths in ``core.CharPoly`` must give the same ``repr`` of the coefficients
-and the same backend, bit for bit, on both backends, mixed backends and
-scalars on either side, or raise the same exception type.
+loop per operation (subtraction as addition of the negation).  The one
+implementation in ``core.CharPoly`` must give the same ``repr`` of the
+coefficients and the same backend, bit for bit, on both backends, mixed
+backends and scalars on either side (Python, Fraction, numpy and bool), or
+raise the same exception type.
 """
 
 from __future__ import annotations
@@ -94,7 +95,9 @@ def polys(draw):
 
 
 scalars = st.one_of(ints, fractions, floats, floats.map(np.float64),
-                    st.integers(-2 ** 62, 2 ** 62).map(np.int64))
+                    st.integers(-2 ** 62, 2 ** 62).map(np.int64),
+                    st.floats(width=32).map(np.float32),
+                    st.integers(-2 ** 31, 2 ** 31 - 1).map(np.int32), st.booleans())
 
 OPS = [(operator.add, ref_add, ref_add), (operator.sub, ref_sub, ref_rsub),
        (operator.mul, ref_mul, ref_mul)]
