@@ -245,10 +245,10 @@ class _Packed:
     - float (D = 1): one float64 array, lambda^i in row i and e^k in column k.
       Entry (i, k) of the product is (a0 y_(i,k) - y_(i-1,k)) + v_j y_(i,k-1)
       (``lam`` true, ``e`` = v_j), rounded as CharPoly's products and sums
-      round it, less the 0.0 that CharPoly adds to every product: that only
-      turns a -0.0 into 0.0, which never changes a nonzero result, so the
-      read-out turns each zero into 0.0 once, at the end, and every bit is
-      the same.
+      round it, except that a CharPoly product starts each coefficient from
+      0: that only turns a -0.0 into 0.0, which never changes a nonzero
+      result, so the read-out turns each zero into 0.0 once, at the end, and
+      every bit is the same.
     """
 
     __slots__ = ("a0", "lam", "e", "mask")
