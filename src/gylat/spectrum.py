@@ -402,9 +402,9 @@ def oracle_spectrum(potential: Potential, bc: BoundaryCondition,
     Hermitian H, as a real symmetric matrix when H is real (periodic and
     tau = 1/2).  A given ``spec`` must fit the potential and ``bc``.
     """
-    import numpy as np
     if spec is not None:
         _check_lattice(potential, bc, spec)
+    import numpy as np
     nu = potential.nu
     if nu < 1:
         raise ValueError("oracle needs nu >= 1")
