@@ -367,6 +367,11 @@ def _check_lattice(potential: Potential, bc: BoundaryCondition, spec: LatticeSpe
     """Raise ValueError unless ``spec`` has the potential's nu and the topology of ``bc``."""
     if potential.nu != spec.nu:
         raise ValueError(f"potential has nu={potential.nu}, lattice spec has nu={spec.nu}")
+    _check_topology(bc, spec)
+
+
+def _check_topology(bc: BoundaryCondition, spec: LatticeSpec) -> None:
+    """Raise ValueError unless ``spec`` has the topology of ``bc``."""
     if bc.is_circle != (spec.topology == CIRCLE):
         raise ValueError(f"{bc.kind} conditions do not fit {spec.topology} topology")
 
@@ -388,6 +393,14 @@ def _exactify(x):
     if isinstance(x, numbers.Real):  # and its floating ones
         return _exactify(float(x))
     raise TypeError(f"cannot use {type(x).__name__} in exact arithmetic")
+
+
+def _lift(xs: list) -> tuple[list[int], int]:
+    """(ns, d) with exact scalars xs = ns / d: d the lcm of their denominators
+    (1 for ints, a power of two for floats) and ns ints."""
+    xs = [_exactify(x) for x in xs]
+    d = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
 
 
 class CharPoly:

@@ -51,9 +51,7 @@ def _resolve_order(potential: Potential, order) -> int:
 def _trace_series(potential: Potential, order, exact: bool | None, neumann: bool) -> CharPoly:
     order = _resolve_order(potential, order)
     exact = _is_exact_potential(potential) if exact is None else exact
-    p = _graded_terminal(potential.values, order, potential.nu + 1, neumann, exact)
-    # the float e^k parts summed in order of k, as CharPoly sums them
-    return p if exact else CharPoly(sum(p.T[1:], p.T[0]).tolist(), backend="float")
+    return _graded_terminal(potential.values, order, potential.nu + 1, neumann, exact)
 
 
 def dirichlet_trace_series(potential: Potential, order=FULL_ORDER,
@@ -85,10 +83,7 @@ def _det_series(potential: Potential, order, neumann: bool):
         return 1  # the empty product (the Neumann seed would give y(1) - y(0) = 0)
     if not (order and any(vs)):
         return 0 if neumann else nu + 1  # the free determinant, the order-0 term
-    if not _is_exact_potential(potential):
-        c = _graded_terminal(vs, order, 1, neumann, False)[0].tolist()
-        return sum(c[1:], int(c[0]))  # from an int c_0, as the e^k terms add
-    p = _graded_terminal(vs, order, 1, neumann, True).coeffs[0]
+    p = _graded_terminal(vs, order, 1, neumann, _is_exact_potential(potential)).coeffs[0]
     return Fraction(p) if any(v and isinstance(v, Fraction) for v in vs) else p
 
 

@@ -28,6 +28,7 @@ from .core import (
     Potential,
     Spectrum,
     _check_lattice,
+    _lift,
 )
 
 if TYPE_CHECKING:  # annotations only: numpy loads in the functions that use arrays
@@ -436,9 +437,7 @@ def _primitive(coeffs) -> list[int]:
 
     Float coefficients are exact dyadic rationals, so every backend lands here.
     """
-    fracs = [Fraction(c) for c in coeffs]
-    den = math.lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (den // f.denominator) for f in fracs]
+    ints = _lift(coeffs)[0]
     while len(ints) > 1 and ints[-1] == 0:
         ints.pop()
     content = math.gcd(*ints) or 1
@@ -698,8 +697,7 @@ def _exact_newton_sums(coeffs: list, kmax: int) -> list[float]:
     """:func:`_newton_sums` of exact c_k = p_k / q (q their common denominator,
     c_0 != 0) in integers: T_m = S_m p_0^m = -m p_m p_0^(m-1) - sum_(0<i<m)
     p_i p_0^(i-1) T_(m-i), and S_m = T_m / p_0^m, rounded once as float(Fraction)."""
-    q = math.lcm(*(c.denominator for c in coeffs[:kmax + 1]))
-    p = [c.numerator * (q // c.denominator) for c in coeffs[:kmax + 1]]
+    p = _lift(coeffs[:kmax + 1])[0]
     p = [-c for c in p] if p[0] < 0 else p  # a positive p_0^m keeps the sign of a zero S_m
     p += [0] * (kmax + 1 - len(p))
     powers = [p[0] ** m for m in range(kmax + 1)]

@@ -75,6 +75,7 @@ from .core import (
     _NUMPY_SITES,
     _check_lattice,
     _exactify,
+    _lift,
     twisted,
 )
 from .spectrum import tridiagonal_matrix
@@ -163,17 +164,17 @@ class Propagator:
         return Mat2(a1, a2, b1, b2)
 
 
-def _terminal(potential: Potential, bc: BoundaryCondition, lam, order: int | None = None):
-    """P(lambda), the terminal value of one GY sweep, in the arithmetic of ``lam``.
+def _terminal(potential: Potential, bc: BoundaryCondition, lam: CharPoly,
+              order: int | None = None) -> CharPoly:
+    """P(lambda), the terminal value of one GY sweep, for ``lam`` = ``CharPoly.lam(exact)``.
 
     out . K(lambda; nu) . in on the interval, tr K(lambda; nu) - 2 cos(2 pi tau)
-    on the circle.  A float ``lam`` gives the value, ``CharPoly.lam(exact)``
-    the polynomial, and with ``order`` = m its coefficients of
-    lambda^0..lambda^m (P modulo lambda^(m+1), a CharPoly).
+    on the circle: the polynomial in the backend of ``lam``, or with ``order``
+    = m its coefficients of lambda^0..lambda^m (P modulo lambda^(m+1)).
 
-    A CharPoly ``lam`` sweeps packed states (:class:`_Packed`), unpacked once
+    The sweep runs on packed states (:class:`_Packed`), unpacked once
     (:func:`_unpack`) into the coefficients, float bits included, that
-    CharPoly states would give; a float one read that is not finite raises
+    CharPoly states would give; a float read that is not finite raises
     OverflowError.  An exact read lifts the potential and the boundary
     vectors' entries once into ints over their common denominator D (a
     power of two for float inputs, 1 for integers) and carries Y(j) = D^j
@@ -186,45 +187,34 @@ def _terminal(potential: Potential, bc: BoundaryCondition, lam, order: int | Non
     nu = potential.nu
     if bc.is_circle and nu < 1:
         raise ValueError("circle topology needs nu >= 1")
-    packed = isinstance(lam, CharPoly)
-    exact = packed and lam.backend == "exact"
-    # the in-vector and the out-adjoint, (y(0), y(1)) and the row read at nu
-    ends = [*bc.in_vector(), *bc.out_adjoint()] if bc.is_interval else []
-    vs, d = potential, 1
-    if exact:
-        vs, d = _lift([*potential, *ends])
-        vs, ends = vs[:nu], vs[nu:]
-    zero = lam - lam
+    exact = lam.backend == "exact"
     if bc.is_interval and nu in (1, 2) and _lead_and_degree(bc, nu)[1] == 0:
         # every site pinned: no eigenvalues, P is lead (the sweep's 0 at nu = 1)
-        return zero + _lead_and_degree(bc, nu, exact)[0]
-    two, d2 = 2 * d, (d * d if d != 1 else None)
-    if packed:  # one int (exact) or one float64 vector per state, see _Packed
-        n = nu + 1 if order is None else min(order + 1, nu + 1)  # coefficients read
-        slot = mask = None
-        if exact:
-            if n > 1:  # a read of P(0) alone sweeps the plain ints
-                slot = _slot_bits([v + two for v in vs], d, ends)
-                mask = (1 << slot * n) - 1 if n <= nu else None  # truncated reads only
-            lam, d2 = slot and _Scale(d, slot), d2 and _Scale(d2)  # D = 2^e for floats: shifts
-        else:
-            lam, ends = n > 1, [float(x) for x in ends]
-        ws = [_Packed(v + two if exact else float(v + two), lam, None, mask) for v in vs]
-        const = (lambda c: c) if exact else (lambda c: _pack(c, n))  # noqa: E731
-    else:
-        ws = [v + two - lam for v in vs]
-        const = lambda c: zero + c  # noqa: E731
+        return (lam - lam) + _lead_and_degree(bc, nu, exact)[0]
+    # the in-vector and the out-adjoint, (y(0), y(1)) and the row read at nu
+    ends = [*bc.in_vector(), *bc.out_adjoint()] if bc.is_interval else []
+    n = nu + 1 if order is None else min(order + 1, nu + 1)  # coefficients read
+    vs, d, d2, slot, mask, shape = potential, 1, None, None, None, None
+    if exact:  # one int per state, see _Packed
+        vs, d = _lift([*potential, *ends])
+        vs, ends = vs[:nu], vs[nu:]
+        if n > 1:  # a read of P(0) alone sweeps the plain ints
+            slot = _slot_bits([v + 2 * d for v in vs], d, ends)
+            mask = (1 << slot * n) - 1 if n <= nu else None  # truncated reads only
+        lam, d2 = slot and _Scale(d, slot), _Scale(d * d) if d != 1 else None  # D = 2^e: shifts
+    else:  # one float64 column per state
+        lam, ends, shape = n > 1, [float(x) for x in ends], (n, 1)
+    ws = [_Packed(v + 2 * d if exact else float(v + 2), lam, None, mask) for v in vs]
     if bc.is_interval:
         # seeded with D (y(0), D y(1)), the sweep ends on D^(nu+1) (y(nu), D y(nu+1))
         ia, ib, oa, ob = ends
-        a, b = _sweep(ws, const(ia), const(d * ib), d2=d2)
+        a, b = _sweep(ws, _pack(ia, shape), _pack(d * ib, shape), d2=d2)
         p, power = oa * d * a + ob * b, nu + 3
     else:
-        seed, nil = const(d), const(0)
+        seed, nil = _pack(d, shape), _pack(0, shape)
         # tr K = top of the (1, 0) column + bottom of the (0, 1) column, both seeded with D
         p, power = _sweep(ws, seed, nil, d2=d2)[0] + _sweep(ws, nil, seed, d2=d2)[1], nu + 1
-    if packed:
-        p = _unscale(_unpack(p, n, slot), d, power)
+    p = _unscale(_unpack(p, n, slot), d, power)
     return p if bc.is_interval else p - _twist_shift(bc.twist, exact)
 
 
@@ -315,18 +305,21 @@ def _slot_bits(a0s: list[int], d: int, ends: list[int]) -> int:
     return -(-(top.bit_length() + 1) // 8) * 8
 
 
-def _pack(c: float, shape) -> np.ndarray:
-    """The constant c as a float packed state (see :class:`_Packed`); an exact one
-    is the int c itself."""
+def _pack(c, shape: tuple[int, int] | None):
+    """The constant c as a packed state (see :class:`_Packed`): a float64 array of
+    ``shape`` with c in entry (0, 0), or the int c itself when exact (``shape`` None)."""
+    if shape is None:
+        return c
     import numpy as np
     y = np.zeros(shape)
-    y.flat[0] = c
+    y[0, 0] = c
     return y
 
 
 def _unpack(y, n: int, slot: int | None, rows: int = 1) -> CharPoly:
-    """The CharPoly of the n low coefficients of a packed state (see :class:`_Packed`);
-    with ``rows``, the sum of its ``rows`` blocks of n, a graded state at e = 1.
+    """The CharPoly of the n low coefficients of a packed state (see :class:`_Packed`)
+    at e = 1: an exact one with ``rows`` blocks of n slots sums them, a float one sums
+    its columns.
 
     Adding 2**(S - 1) to each of the n low slots of an int and keeping the sum
     modulo 2**(S n) makes each slot a plain unsigned field of its bytes,
@@ -334,18 +327,20 @@ def _unpack(y, n: int, slot: int | None, rows: int = 1) -> CharPoly:
     up as plain ints into one block, each field the sum of ``rows`` of them;
     the sums fit their slots (:func:`_slot_bits` bounds the sum of every
     |coefficient|), so taking ``rows`` - 1 offsets off leaves n plain fields.
-    A vector gets 0.0 added to each entry, and a coefficient that is not
-    finite raises OverflowError.
+    An array's columns are added in order from column 0 (``cumsum``, not the
+    pairwise ``sum``), as CharPoly sums add the e^k parts, then 0.0 to each
+    entry, so every zero is 0.0; a coefficient that is not finite raises
+    OverflowError.
     """
     if not isinstance(y, int):  # a float state, one ndarray
         import numpy as np
-        c = y + 0.0
+        c = np.cumsum(y, axis=1)[:, -1] + 0.0
         bad = np.flatnonzero(~np.isfinite(c))
         if bad.size:
             k = int(bad[0])
             raise OverflowError(
-                f"float char_poly overflows: the coefficient of lambda^{k} is {c[k]} "
-                f"({bad.size} of {n} not finite); char_poly(..., exact=True) has no such limit")
+                f"float sweep overflows: the coefficient of lambda^{k} is {c[k]} "
+                f"({bad.size} of {n} not finite); exact=True has no such limit")
         return CharPoly(c.tolist(), backend="float")
     if n * rows == 1:  # a plain int, see _Packed
         return CharPoly([y], backend="exact")
@@ -361,37 +356,33 @@ def _unpack(y, n: int, slot: int | None, rows: int = 1) -> CharPoly:
                      for i in range(0, n * width, width)], backend="exact")
 
 
-def _graded_terminal(values, order: int, width: int, neumann: bool, exact: bool):
+def _graded_terminal(values, order: int, width: int, neumann: bool, exact: bool) -> CharPoly:
     """The terminal value on the weights (2 - lambda) + e v_j (no e term where v_j = 0;
     2 + e v_j at width 1) up to e^order, y(nu+1) from the seed (0, 1) or y(nu+1) - y(nu)
     from the Neumann seed (1, 1), by one packed sweep (:class:`_Packed`) over e^k
-    lambda^i, k <= order, i < width: the perturbation series.  Exact ``values`` lift to
-    ints n_j over their common denominator D, step Y(j+1) = (2D - D lambda + e n_j) Y(j)
-    - D^2 Y(j-1) with S from :func:`_slot_bits` at a0_j = D (2 + |v_j|), and return P at
-    e = 1 as a CharPoly, divided by D^(nu+1) once.  Float ones return the (width, order
-    + 1) array; its columns summed from column 0 (the free sweep's) make each zero 0.0.
+    lambda^i, k <= order, i < width: the perturbation series, P at e = 1 as a CharPoly
+    (:func:`_unpack`).  Exact ``values`` lift to ints n_j over their common denominator
+    D, step Y(j+1) = (2D - D lambda + e n_j) Y(j) - D^2 Y(j-1) with S from
+    :func:`_slot_bits` at a0_j = D (2 + |v_j|), and are divided by D^(nu+1) once.  Float
+    ones sweep (width, order + 1) arrays under ``char_poly``'s error state: a coefficient
+    that is not finite raises OverflowError.
     """
     nu = len(values)
-    if exact:
-        ns, d = _lift(values)
-        # the seeds y(0), y(1) and the read of y(nu), y(nu + 1): -y(nu) + y(nu + 1) for Neumann
-        slot = _slot_bits([2 * d + abs(n) for n in ns], d, [+neumann, 1, -neumann, 1])
-        mask = (1 << slot * width * (order + 1)) - 1 if 0 < order < nu else None
-        lam = _Scale(d, slot) if width > 1 else None
-        ws = [_Packed(2 * d, lam, n and order and _Scale(n, slot * width), mask) for n in ns]
-        a, b = _sweep(ws, int(neumann), d, d2=_Scale(d * d) if d != 1 else None)
-        return _unscale(_unpack(b - d * a if neumann else b, width, slot, order + 1), d, nu + 1)
-    ws = [_Packed(2.0, width > 1, float(v), None) for v in values]
-    a, b = _sweep(ws, _pack(float(neumann), (width, order + 1)), _pack(1.0, (width, order + 1)))
-    return b - a if neumann else b
-
-
-def _lift(xs: list) -> tuple[list[int], int]:
-    """(ns, d) with exact scalars xs = ns / d: d the lcm of their denominators
-    (1 for ints, a power of two for floats) and ns ints."""
-    xs = [_exactify(x) for x in xs]
-    d = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
+    if not exact:
+        import numpy as np
+        ws = [_Packed(2.0, width > 1, float(v), None) for v in values]
+        shape = (width, order + 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite float raises below
+            a, b = _sweep(ws, _pack(float(neumann), shape), _pack(1.0, shape))
+            return _unpack(b - a if neumann else b, width, None)
+    ns, d = _lift(values)
+    # the seeds y(0), y(1) and the read of y(nu), y(nu + 1): -y(nu) + y(nu + 1) for Neumann
+    slot = _slot_bits([2 * d + abs(n) for n in ns], d, [+neumann, 1, -neumann, 1])
+    mask = (1 << slot * width * (order + 1)) - 1 if 0 < order < nu else None
+    lam = _Scale(d, slot) if width > 1 else None
+    ws = [_Packed(2 * d, lam, n and order and _Scale(n, slot * width), mask) for n in ns]
+    a, b = _sweep(ws, int(neumann), d, d2=_Scale(d * d) if d != 1 else None)
+    return _unscale(_unpack(b - d * a if neumann else b, width, slot, order + 1), d, nu + 1)
 
 
 def _unscale(p: CharPoly, d: int, power: int) -> CharPoly:
@@ -438,7 +429,10 @@ def _twist_shift(tau: float, exact: bool):
 
 def periodic_char_fn(potential: Potential, tau: float, lam: float) -> float:
     """tr K(lambda; nu) - 2 cos(2 pi tau); zeros are the twisted eigenvalues."""
-    return _terminal(potential, twisted(tau), float(lam))
+    shift = _twist_shift(twisted(tau).twist, False)  # twisted() checks tau
+    if potential.nu < 1:
+        raise ValueError("circle topology needs nu >= 1")
+    return Propagator(potential, float(lam)).matrix(potential.nu).trace() - shift
 
 
 def _lead_and_degree(bc: BoundaryCondition, nu: int, exact: bool = False):

@@ -115,10 +115,21 @@ def unset_options(library: list[str], callers: list[str]) -> list[str]:
                              for count, kw in passed.get(called, ())))
 
 
+def options_only_tests_set(library: list[str], callers: list[str], tests: list[str]) -> list[str]:
+    """The options of ``library`` that ``tests`` set and no source in ``callers`` does."""
+    return sorted(set(unset_options(library, callers)) - set(unset_options(library, callers + tests)))
+
+
 def test_every_optional_parameter_is_passed():
-    """An option that no caller sets is a code path that never runs."""
-    callers = _sources("src", "tests", "demos", "perfbench")
-    assert unset_options([p.read_text() for p in MODULES], callers) == []
+    """An option that no caller sets is a code path that never runs; one that only
+    tests set has a stated reason in TEST_ONLY_OPTIONS, and an entry whose option
+    gains a caller in src/, demos/ or perfbench/ leaves TEST_ONLY_OPTIONS."""
+    library = [p.read_text() for p in MODULES]
+    callers, tests = _sources("src", "demos", "perfbench"), _sources("tests")
+    assert unset_options(library, callers + tests) == []
+    found = set(options_only_tests_set(library, callers, tests))
+    assert sorted(found - set(TEST_ONLY_OPTIONS)) == []  # give these a caller, or state why they stay
+    assert sorted(set(TEST_ONLY_OPTIONS) - found) == []  # these have a caller now
 
 
 def test_the_option_check_sees_a_leftover():
@@ -138,6 +149,7 @@ def test_the_option_check_sees_a_leftover():
         C.s(z=1)
     """)
     assert unset_options([source], [source]) == ["C.s(d=)", "f(z=)"]
+    assert options_only_tests_set([source], [source], ["f(1, z=3)\nC(b=1)\n"]) == ["f(z=)"]
 
 
 def public_names(source: str) -> list[str]:
@@ -179,7 +191,6 @@ ALLOWED = {
     "step_matrix": _PAPER + "the one-site matrix M(j); " + _TRACED,
     "casoratian": _PAPER + "the discrete Wronskian, constant along solutions",
     "propagate": _PAPER + "the phase-space path Upsilon(j)",
-    "Propagator": _PAPER + "the vertex-ordered products K(lambda; j, j')",
     "J": _PAPER + "the symplectic metric that every step matrix keeps",
     "A_PROJ": _PAPER + "the projector A of the split M = B - lambda A",
     "periodic_char_fn": _PAPER + "the circle condition tr K - 2 cos(2 pi tau)",
@@ -187,6 +198,26 @@ ALLOWED = {
     "trace_series_by_tuples": _PAPER + "the vertex-tuple formula, off the GY sweep",
     "cheb_v": "tests/test_golden_poly.py hashes its values",
     "cheb_t_poly": "tests/test_golden_poly.py hashes its coefficients",
+}
+
+
+_ORDER = "the paper's order-by-order truncation; perfbench/workloads.py runs the full series"
+_HOOK = "test hook: block lengths other than sqrt(nu) must give the same bits"
+#: Options that only tests set, and why they stay.
+TEST_ONLY_OPTIONS = {
+    **dict.fromkeys([f"{kind}_{series}_series(order=)" for kind in ("dirichlet", "neumann")
+                     for series in ("det", "trace")], _ORDER),
+    **dict.fromkeys(["dirichlet_trace_series(exact=)", "neumann_trace_series(exact=)"],
+                    "the float or the exact sweep for either kind of potential, as in char_poly"),
+    "trace_series_by_tuples(order=)": "the tests' independent reference for truncated series",
+    "trace_series_by_tuples(neumann=)": "the tests' independent reference for Neumann series",
+    "symmetric_factor_check(v3=)": "an asymmetric potential, where the factor must be absent",
+    "free_eigenvalues(mass=)": "the massive free spectrum that tests/test_cli.py checks "
+                               "`casimir --mass` against",
+    "Mat2.identity(one=)": "the identity over the ring of the tests' matrix products",
+    "Propagator.matrix(jprime=)": _PAPER + "K(lambda; j, j') for j' > 0, the composition law",
+    "_blocked_difference_sweep(block=)": _HOOK,
+    "_blocked_jet_sweep(block=)": _HOOK,
 }
 
 

@@ -27,9 +27,9 @@ from gylat import (
     symmetric_factor_check,
 )
 from gylat import transfer
-from gylat.core import _exactify
+from gylat.core import _exactify, _lift
 from gylat.perturbation import trace_series_by_tuples
-from gylat.transfer import _lift, _slot_bits
+from gylat.transfer import _slot_bits
 from test_terminal import exact_slot_bits
 
 

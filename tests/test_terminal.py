@@ -29,10 +29,9 @@ from gylat import (
     symmetric_factor_check,
     twisted,
 )
-from gylat.core import _exactify
+from gylat.core import _exactify, _lift
 from gylat.transfer import (
     _lead_and_degree,
-    _lift,
     _slot_bits,
     _sweep,
     _terminal,
