@@ -19,6 +19,7 @@ from gylat import (
     dirichlet,
     free_determinant,
     free_eigenvalues,
+    free_energy_closed,
     neumann,
     periodic,
     robin,
@@ -124,6 +125,24 @@ class TestFreeEigenvalues:
     def test_robin_has_no_closed_form(self):
         with pytest.raises(ValueError):
             free_eigenvalues(robin(0.5, 0.5), LatticeSpec.interval(3, h=1.0))
+
+
+class TestTopologyCheck:
+    """A closed form on a spec of the other topology used to take L from the wrong
+    link count: free_determinant(periodic(), interval spec, prime=True) gave log_abs
+    4.605 where the circle spec gives 4.159."""
+
+    @pytest.mark.parametrize("closed", [
+        free_eigenvalues, free_determinant, free_energy_closed,
+        lambda bc, spec: free_determinant(bc, spec, prime=True)],
+        ids=["free_eigenvalues", "free_determinant", "free_energy_closed", "free_determinant'"])
+    @pytest.mark.parametrize("bc, spec", [
+        (periodic(), LatticeSpec.interval(4, h=1.0)), (twisted(0.3), LatticeSpec.interval(4, h=1.0)),
+        (dirichlet(), LatticeSpec.circle(4, h=1.0)), (neumann(), LatticeSpec.circle(4, h=1.0))],
+        ids=["periodic-interval", "twisted-interval", "dirichlet-circle", "neumann-circle"])
+    def test_mismatch_raises(self, closed, bc, spec):
+        with pytest.raises(ValueError, match=f"{bc.kind} conditions do not fit {spec.topology}"):
+            closed(bc, spec)
 
 
 class TestFreeDeterminant:

@@ -336,6 +336,17 @@ class TestPackedSeries:
                 assert type(got) is kind
                 assert_identical(got, det_reference(Potential(values), order, is_neumann))
 
+    @pytest.mark.parametrize("series", [dirichlet_det_series, neumann_det_series,
+                                        dirichlet_trace_series, neumann_trace_series])
+    def test_float_out_of_range_raises(self, series):
+        """The float series are read out as float char_poly is: the det series used to
+        return nan here, the Dirichlet trace series [nan, nan, inf, -inf, 5e200, -1.0]."""
+        with pytest.raises(OverflowError, match="exact=True"):
+            series(Potential([1e200] * 5))
+
+    def test_exact_trace_series_has_no_float_range(self):
+        assert neumann_trace_series(Potential([1e200] * 5), exact=True).degree == 5
+
 
 M = 2 ** 40 + 3
 # exact inputs whose graded coefficients come near the slot bound
