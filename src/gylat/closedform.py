@@ -68,7 +68,6 @@ def free_eigenvalues(bc: BoundaryCondition, spec: LatticeSpec,
     Periodic:  real-field bookkeeping - the zero mode, doubly degenerate
     pairs, and for even nu the single alternating mode at mu^2 + 4 (a wave
     at the lattice cutoff).  The multiset coincides with Twisted(1).
-    A ``spec`` whose topology does not fit ``bc`` raises ValueError.
     """
     _check_topology(bc, spec)
     mass = mass or MassParam.massless()
@@ -114,7 +113,6 @@ def free_determinant(bc: BoundaryCondition, spec: LatticeSpec,
     Periodic:  Twisted at tau = 1; sign 0 at mu = 0 unless primed, where
                Det' = 4 L^2 / h^(2 nu + 2) (the removed mode's (2/h)^2
                prefactor is kept in this convention).
-    A ``spec`` whose topology does not fit ``bc`` raises ValueError.
     """
     _check_topology(bc, spec)
     mass = mass or MassParam.massless()

@@ -444,9 +444,7 @@ class CharPoly:
     @classmethod
     def lam(cls, exact: bool = False) -> "CharPoly":
         """The monomial lambda."""
-        if exact:
-            return cls([0, 1], backend="exact")
-        return cls([0.0, 1.0], backend="float")
+        return cls([0, 1], backend="exact" if exact else "float")
 
     # -- basic queries -------------------------------------------------------
 

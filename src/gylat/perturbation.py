@@ -16,10 +16,11 @@ The order-k term is the e^k part of P when the potential is scaled to e v,
 so the whole series is one GY sweep (:func:`gylat.transfer._graded_terminal`)
 over the weights (2 - lambda) + e v_j, each y(j) truncated above the
 requested order: the packed states of ``char_poly``, graded by e, one int
-per state when exact and one float64 array otherwise.  The determinant
-series is the same sweep with 2 in place of 2 - lambda.  The vertex-tuple
-enumeration :func:`trace_series_by_tuples` shares no code with the sweep and
-stays as the independent reference for small nu.
+per state when exact and one float64 array otherwise, read out as
+``char_poly``'s are (a float outside the float range raises OverflowError).
+The determinant series is the same sweep with 2 in place of 2 - lambda.
+The vertex-tuple enumeration :func:`trace_series_by_tuples` shares no code
+with the sweep and stays as the independent reference for small nu.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def dirichlet_trace_series(potential: Potential, order=FULL_ORDER,
     """Dirichlet characteristic polynomial, truncated at ``order`` insertions.
 
     At full order this equals the transfer-matrix char_poly identically
-    (coefficient-exact in the exact backend).
+    (coefficient-exact in the exact backend).  Floats out of range raise OverflowError.
     """
     return _trace_series(potential, order, exact, neumann=False)
 
@@ -69,14 +70,14 @@ def neumann_trace_series(potential: Potential, order=FULL_ORDER,
     """Neumann characteristic polynomial; end propagators are third kind.
 
     Computed as the terminal difference y(nu+1) - y(nu) of the Neumann-seed
-    series, which reproduces the V-ended vertex sums.
+    series, which reproduces the V-ended vertex sums.  Floats out of range raise.
     """
     return _trace_series(potential, order, exact, neumann=True)
 
 
 def _det_series(potential: Potential, order, neumann: bool):
     """Order-by-order determinant at lambda = 0, summed up to ``order``: an int from int
-    insertions or none, else a Fraction or a float as the insertions are."""
+    insertions or none, else a Fraction or a float (finite, or OverflowError) as they are."""
     order = _resolve_order(potential, order)
     nu, vs = potential.nu, potential.values
     if not nu:

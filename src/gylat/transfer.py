@@ -23,21 +23,21 @@ Every route but the float reads at lambda = 0 (below) and the eigenfunction
 tables (ratios y(j+1)/y(j) swept from both ends), the perturbation series
 included, runs on one kernel, :func:`_sweep`, which advances
 y(j+1) = w_j y(j) - y(j-1) over weights w_j = v_j + 2 - lambda; each column
-of K is one sweep from a unit seed.  Every read of P itself is one call of
-:func:`_terminal`, which sweeps in the arithmetic of lambda: a float gives
-the value, a CharPoly (:func:`char_poly`) the polynomial or, truncated, its
-low coefficients (``det --exact`` reads P(0), ``sums --exact`` the Taylor
-coefficients at 0).  Exact reads sweep Python integers over the inputs'
-common denominator and divide once at the end (the fraction-free idea of
-Bareiss, Math. Comp. 22 (1968) 565).
+of K is one sweep from a unit seed (:class:`Propagator`; :func:`periodic_char_fn`
+is its trace at a float lambda).  Every read of the polynomial P is one call of
+:func:`_terminal`, float or exact, whole or, truncated, its low coefficients
+(``det --exact`` reads P(0), ``sums --exact`` the Taylor coefficients at 0).
+Exact reads sweep Python integers over the inputs' common denominator and
+divide once at the end (the fraction-free idea of Bareiss, Math. Comp. 22
+(1968) 565).
 
-A CharPoly read and the perturbation series pack the states of the sweep
+Those reads and the perturbation series pack the states of the sweep
 (:class:`_Packed`): an exact Y(j) into one Python int, coefficient k in slot
 k of S bits (Kronecker substitution, lambda -> 2**S, S from an a-priori
 bound on every coefficient), a float one into one float64 array, so that a
-site costs a few whole-object operations.  A read of the coefficients up to
-lambda^m keeps each exact state modulo 2**(S (m + 1)), a float one as its
-m + 1 low entries.
+site costs a few whole-object operations; :func:`_unpack` reads out every
+one.  A read of the coefficients up to lambda^m keeps each exact state
+modulo 2**(S (m + 1)), a float one as its m + 1 low rows.
 
 Determinants and the float sums read the Taylor coefficients of P at 0
 from :func:`_taylor_at_zero`, one zero test for both
@@ -317,20 +317,17 @@ def _pack(c, shape: tuple[int, int] | None):
 
 
 def _unpack(y, n: int, slot: int | None, rows: int = 1) -> CharPoly:
-    """The CharPoly of the n low coefficients of a packed state (see :class:`_Packed`)
-    at e = 1: an exact one with ``rows`` blocks of n slots sums them, a float one sums
-    its columns.
-
+    """The CharPoly of the n low coefficients of a packed state (see :class:`_Packed`) at
+    e = 1: the sum of an exact one's ``rows`` blocks of n slots, or of a float one's columns.
     Adding 2**(S - 1) to each of the n low slots of an int and keeping the sum
     modulo 2**(S n) makes each slot a plain unsigned field of its bytes,
     whatever lies above them.  A graded state's ``rows`` blocks so offset add
     up as plain ints into one block, each field the sum of ``rows`` of them;
     the sums fit their slots (:func:`_slot_bits` bounds the sum of every
     |coefficient|), so taking ``rows`` - 1 offsets off leaves n plain fields.
-    An array's columns are added in order from column 0 (``cumsum``, not the
-    pairwise ``sum``), as CharPoly sums add the e^k parts, then 0.0 to each
-    entry, so every zero is 0.0; a coefficient that is not finite raises
-    OverflowError.
+    Float columns add in order from column 0 (``cumsum``; ``sum`` is pairwise), as
+    CharPoly sums the e^k parts, then 0.0 to each entry; a coefficient that is not
+    finite raises OverflowError.
     """
     if not isinstance(y, int):  # a float state, one ndarray
         import numpy as np
@@ -360,12 +357,10 @@ def _graded_terminal(values, order: int, width: int, neumann: bool, exact: bool)
     """The terminal value on the weights (2 - lambda) + e v_j (no e term where v_j = 0;
     2 + e v_j at width 1) up to e^order, y(nu+1) from the seed (0, 1) or y(nu+1) - y(nu)
     from the Neumann seed (1, 1), by one packed sweep (:class:`_Packed`) over e^k
-    lambda^i, k <= order, i < width: the perturbation series, P at e = 1 as a CharPoly
-    (:func:`_unpack`).  Exact ``values`` lift to ints n_j over their common denominator
-    D, step Y(j+1) = (2D - D lambda + e n_j) Y(j) - D^2 Y(j-1) with S from
-    :func:`_slot_bits` at a0_j = D (2 + |v_j|), and are divided by D^(nu+1) once.  Float
-    ones sweep (width, order + 1) arrays under ``char_poly``'s error state: a coefficient
-    that is not finite raises OverflowError.
+    lambda^i, k <= order, i < width: the perturbation series, P at e = 1 read out as
+    ``char_poly`` reads it.  Exact ``values`` lift to ints n_j over their common
+    denominator D, step Y(j+1) = (2D - D lambda + e n_j) Y(j) - D^2 Y(j-1) with S from
+    :func:`_slot_bits` at a0_j = D (2 + |v_j|), and are divided by D^(nu+1) once.
     """
     nu = len(values)
     if not exact:
@@ -428,7 +423,7 @@ def _twist_shift(tau: float, exact: bool):
 
 
 def periodic_char_fn(potential: Potential, tau: float, lam: float) -> float:
-    """tr K(lambda; nu) - 2 cos(2 pi tau); zeros are the twisted eigenvalues."""
+    """tr K(lambda; nu) - 2 cos(2 pi tau), K by :class:`Propagator`; zeros: twisted eigenvalues."""
     shift = _twist_shift(twisted(tau).twist, False)  # twisted() checks tau
     if potential.nu < 1:
         raise ValueError("circle topology needs nu >= 1")

@@ -181,8 +181,6 @@ def free_energy_closed(bc: BoundaryCondition, spec: LatticeSpec) -> float:
     Neumann:   (1/(2h)) (cot(pi/(4 nu)) - 1)
     Periodic:  (1/h) cot(pi/(2 nu))             [= (1/h) cot(h/4) at L = 2 pi]
     Twisted:   (2/h) cosec(pi/(2 nu)) cos((pi/(2 nu))(2 tau - 1))
-
-    A ``spec`` whose topology does not fit ``bc`` raises ValueError.
     """
     _check_topology(bc, spec)
     nu = spec.nu
