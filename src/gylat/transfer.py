@@ -363,21 +363,21 @@ def _graded_terminal(values, order: int, width: int, neumann: bool, exact: bool)
     :func:`_slot_bits` at a0_j = D (2 + |v_j|), and are divided by D^(nu+1) once.
     """
     nu = len(values)
-    if not exact:
-        import numpy as np
-        ws = [_Packed(2.0, width > 1, float(v), None) for v in values]
-        shape = (width, order + 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite float raises below
-            a, b = _sweep(ws, _pack(float(neumann), shape), _pack(1.0, shape))
-            return _unpack(b - a if neumann else b, width, None)
-    ns, d = _lift(values)
-    # the seeds y(0), y(1) and the read of y(nu), y(nu + 1): -y(nu) + y(nu + 1) for Neumann
-    slot = _slot_bits([2 * d + abs(n) for n in ns], d, [+neumann, 1, -neumann, 1])
-    mask = (1 << slot * width * (order + 1)) - 1 if 0 < order < nu else None
-    lam = _Scale(d, slot) if width > 1 else None
-    ws = [_Packed(2 * d, lam, n and order and _Scale(n, slot * width), mask) for n in ns]
-    a, b = _sweep(ws, int(neumann), d, d2=_Scale(d * d) if d != 1 else None)
-    return _unscale(_unpack(b - d * a if neumann else b, width, slot, order + 1), d, nu + 1)
+    if exact:
+        ns, d = _lift(values)
+        # the seeds y(0), y(1) and the read of y(nu), y(nu + 1): -y(nu) + y(nu + 1) for Neumann
+        slot = _slot_bits([2 * d + abs(n) for n in ns], d, [+neumann, 1, -neumann, 1])
+        mask = (1 << slot * width * (order + 1)) - 1 if 0 < order < nu else None
+        lam = _Scale(d, slot) if width > 1 else None
+        ws = [_Packed(2 * d, lam, n and order and _Scale(n, slot * width), mask) for n in ns]
+        a, b = _sweep(ws, int(neumann), d, d2=_Scale(d * d) if d != 1 else None)
+        return _unscale(_unpack(b - d * a if neumann else b, width, slot, order + 1), d, nu + 1)
+    import numpy as np
+    ws = [_Packed(2.0, width > 1, float(v), None) for v in values]
+    shape = (width, order + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite float raises below
+        a, b = _sweep(ws, _pack(float(neumann), shape), _pack(1.0, shape))
+        return _unpack(b - a if neumann else b, width, None)
 
 
 def _unscale(p: CharPoly, d: int, power: int) -> CharPoly:
