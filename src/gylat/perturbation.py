@@ -70,7 +70,7 @@ def neumann_trace_series(potential: Potential, order=FULL_ORDER,
     """Neumann characteristic polynomial; end propagators are third kind.
 
     Computed as the terminal difference y(nu+1) - y(nu) of the Neumann-seed
-    series, which reproduces the V-ended vertex sums.  Floats out of range raise.
+    series, which reproduces the V-ended vertex sums.  Floats out of range raise OverflowError.
     """
     return _trace_series(potential, order, exact, neumann=True)
 

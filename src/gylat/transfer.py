@@ -336,8 +336,8 @@ def _unpack(y, n: int, slot: int | None, rows: int = 1) -> CharPoly:
         if bad.size:
             k = int(bad[0])
             raise OverflowError(
-                f"float sweep overflows: the coefficient of lambda^{k} is {c[k]} "
-                f"({bad.size} of {n} not finite); exact=True has no such limit")
+                f"float sweep overflows: the coefficient of lambda^{k} is {c[k]} ({bad.size} "
+                f"of {n} not finite); exact=True, or int and Fraction inputs, have no such limit")
         return CharPoly(c.tolist(), backend="float")
     if n * rows == 1:  # a plain int, see _Packed
         return CharPoly([y], backend="exact")
