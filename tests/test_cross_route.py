@@ -32,6 +32,7 @@ from gylat import (
     twisted,
 )
 from gylat.spectrum import cyclic_matrix, tridiagonal_matrix
+from test_closedform import spec_for
 
 EPS = 2.0 ** -52
 
@@ -44,10 +45,6 @@ def dense(pot, bc):
         return cyclic_matrix(pot, bc)
     d, e = tridiagonal_matrix(pot, bc)
     return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-
-
-def spec_for(bc, nu, h=1.0):
-    return LatticeSpec.circle(nu, h=h) if bc.is_circle else LatticeSpec.interval(nu, h=h)
 
 
 def rounding_bound(matrix, bc, log_abs: float) -> float:
