@@ -12,7 +12,9 @@ and lists every changed entry in CHANGES.md.
 ``{pot}`` in an argv stands for a potential file of the case's nu, with the
 deterministic values of :func:`potential_values`; ``{phys}`` stands for a
 ``{"physical": [...], "h": ...}`` file with :func:`physical_values` and
-h = 1/(nu + 1).  Giving case names records only those cases and keeps the
+h = 1/(nu + 1); ``{wells}`` stands for a file of :func:`well_values`, whose
+O(1) disorder localises the eigenfunctions, so their tables span exponents
+down to e-252.  Giving case names records only those cases and keeps the
 other entries of the file as they are:
 
     PYTHONPATH=src python tests/make_golden.py det-phys-periodic limit-periodic
@@ -47,6 +49,12 @@ CASES: dict[str, list[str]] = {
         "--h", "1", *_EF, "--format", "csv"],
     "spectrum-dirichlet-eigenfunctions-large": [
         "spectrum", "--bc", "dirichlet", "--nu", "300", "--L", "1", *_EF],
+    "spectrum-dirichlet-eigenfunctions-wells": [
+        "spectrum", "--bc", "dirichlet", "--nu", "300", "--h", "1", "--potential", "{wells}",
+        "--eigenfunctions"],
+    "spectrum-dirichlet-eigenfunctions-wells-csv": [
+        "spectrum", "--bc", "dirichlet", "--nu", "120", "--h", "1", "--potential", "{wells}",
+        "--eigenfunctions", "--format", "csv"],
     "spectrum-periodic": [
         "spectrum", "--bc", "periodic", "--nu", "50", "--potential", "{pot}"],
     "spectrum-twisted": ["spectrum", "--bc", "twisted", "--tau", "0.3", "--nu", "40"],
@@ -136,10 +144,17 @@ def physical_values(nu: int) -> list[float]:
     return [((53 * j + 7) % 97) / 3 for j in range(1, nu + 1)]
 
 
+def well_values(nu: int) -> list[float]:
+    """A fixed lattice potential in [0, 20]: O(1) disorder in lattice units."""
+    return [((37 * j + 11) % 101) / 5 for j in range(1, nu + 1)]
+
+
 def case_argv(argv: list[str], workdir: Path) -> list[str]:
-    """``argv`` with ``{pot}`` and ``{phys}`` replaced by files written to ``workdir``."""
+    """``argv`` with ``{pot}``, ``{phys}`` and ``{wells}`` replaced by files written
+    to ``workdir``."""
     files = {
         "{pot}": lambda nu: potential_values(nu),
+        "{wells}": lambda nu: well_values(nu),
         "{phys}": lambda nu: {"physical": physical_values(nu), "h": 1 / (nu + 1)},
     }
     for key, data in files.items():
