@@ -6,10 +6,11 @@ Output is byte-deterministic for a fixed invocation: field order is fixed
 rendered with 17 significant digits.  CSV output is the flattened JSON.
 
 Output is written to stdout as it is rendered, in 64 KiB batches, with the
-bytes of rendering it whole; the eigenfunction table stays one float64
-array and is formatted a row at a time, so ``spectrum --eigenfunctions``
-peaks at about the nu x nu table plus the two pivot tables of
-:func:`transfer.eigenfunctions`.
+bytes of rendering it whole.  Lists of Python floats take one ``%`` format;
+float64 arrays (the eigenvalue lists and the eigenfunction table) are
+formatted in numpy, about 16k floats at a time, with the bytes of "%.17g"
+(:func:`_float_blocks`), so ``spectrum --eigenfunctions`` peaks at about the
+nu x nu table plus the two pivot tables of :func:`transfer.eigenfunctions`.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical-consistency failure.
 """
@@ -87,6 +88,274 @@ def _float_text(xs, sep: str) -> str:
     return text
 
 
+_BLOCK = 1 << 14  # floats per pass of _float_blocks
+_E0 = 325  # decimal exponent E sits at index E + _E0 of the per-exponent tables; finite floats
+# have E in -324..308
+_TIE = 0.5 - 2.0 ** -30  # |y - N| beyond this is too near a tie for y's error of 2^-46
+_FEW = 64  # fewer items of a block than this take _rare's "%.17g" path alone
+
+
+@functools.cache
+def _tables():
+    """numpy and the tables of :func:`_float_blocks`: four digits as ASCII bytes (also shifted
+    to the high half, and with their trailing zeros cut), the digits kept by the cut, the
+    head word and its length per exponent, sign and first digit, and _rare's permutations."""
+    import numpy as np
+    u = np.uint64
+    v = np.arange(10000)
+    digits = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10]).astype(u) + u(48)
+    kept = np.logical_or.accumulate(digits[::-1] != 48)[::-1]  # the digits before trailing zeros
+    ascii4, stripped = (d[0] | d[1] << u(8) | d[2] << u(16) | d[3] << u(24) for d in (digits, digits * kept))
+    # the head, right-aligned to byte 7, at ((E + _E0) * 2 + negative) * 10 + d0: "-d." for the
+    # exponent form and for E >= 0, "-0.d" to "-0.000d" for E = -1..-4
+    E = np.arange(_E0 + 310) - _E0
+    small = (E < 0) & (E >= -4)
+    z = np.where(small, -E - 1, 0)  # zeros after "0."
+    fixed = np.where(small, 46 << 8 * (6 - z) | 48 << 8 * (5 - z) | 0x303030 >> 8 * (3 - z) << 8 * (7 - z),
+                     46 << 56).astype(u)
+    sign = (u(45) << np.where(small, 4 - z, 5).astype(u) * u(8))[:, None] * np.arange(2, dtype=u)
+    d0 = (np.arange(10, dtype=u) + u(48)) << np.where(small, 56, 48).astype(u)[:, None]
+    head = fixed[:, None, None] | sign[:, :, None] | d0[:, None, :]
+    size = np.where(small, 3 + z, 2)[:, None, None] + np.arange(2)[:, None] + np.zeros(10, int)
+    # _rare's byte permutations of its rows, by form and by the count of digits after d0:
+    # exponent form; "0.0..0d" for E = -1..-4; E = 0..16 with the point after d_E
+    digit = [None, *range(8, 24)]
+    perm = []
+    for form in range(22):
+        for nk in range(17):
+            if form == 0:
+                body = [1, *([3, *digit[1:nk + 1]] if nk else [])]
+            elif form <= 4:
+                body = [2, 3, *[2] * (form - 1), 1, *digit[1:nk + 1]]
+            else:
+                body = [1, *digit[1:form - 4], *([3, *digit[form - 4:nk + 1]] if nk > form - 5 else [])]
+            row = [4, 0, *body, *range(24, 32)]
+            perm.append(row + [7] * (32 - len(row)))
+    return (np, ascii4, ascii4 << u(32), stripped << u(32), kept.sum(axis=0), head.reshape(-1),
+            size.reshape(-1), np.array(perm))
+
+
+@functools.cache
+def _powers():
+    """Rows 2^s, hi and lo at index E + _E0, with 10^(16 - E) = (hi + lo) 2^s; NaN until
+    :func:`_build_powers` fills the entry."""
+    import numpy as np
+    return np.full((3, _E0 + 310), np.nan)
+
+
+def _build_powers(lo: int, hi: int) -> None:
+    """Fill the entries lo..hi of :func:`_powers` that are still NaN, from exact integers."""
+    scale, mh, ml = _powers()
+    for i in range(lo, hi + 1):
+        if math.isnan(scale[i]):
+            k = 16 - (i - _E0)
+            s = min(math.floor(k * math.log2(10)), 1000)  # 2^s and hi stay finite
+            num, den = 10 ** max(k, 0) << max(-s, 0), 10 ** max(-k, 0) << max(s, 0)
+            h = num / den  # correctly rounded
+            n, d = h.as_integer_ratio()
+            scale[i], mh[i], ml[i] = math.ldexp(1.0, s), h, (num * d - n * den) / (den * d)
+
+
+@functools.cache
+def _tail(s: str):
+    """Per exponent E, %g's exponent suffix ("" for -4 <= E < 17) and then s: the bytes as one
+    word, and their number."""
+    import numpy as np
+    text = [(b"" if -4 <= E < 17 else b"e%+03d" % E) + s.encode() for E in range(-_E0, 310)]
+    return (np.array([int.from_bytes(t, "little") for t in text], dtype=np.uint64),
+            np.array(list(map(len, text))))
+
+
+def _float_blocks(a, sep: str, open_: str, close: str, between: str):
+    """The text of ``between.join(open_ + sep.join("%.17g" % x for x in row) + close for row
+    in a)`` for a 2-D float64 array, in pieces of about _BLOCK floats; a non-finite x reads
+    as :func:`_fmt_float` has it.
+
+    Each x is scaled to y = |x| 10^(16 - E), E = floor(log10 |x|), as a double-double by
+    Dekker's product (Numer. Math. 18 (1971) 224) with a table of 10^k; y is within 2^-46
+    of exact, so N = round(y) holds the 17 significant digits %.17g prints.  The text of x
+    is one run of bytes in a 32-byte slot: a head ("-d." or "-0.00d") ending at byte 7,
+    digits d1..d8, then d9..d16 without their trailing zeros, the exponent suffix and the
+    separator.  The slots are written at the runs' offsets in the output, in phases whose
+    slots do not overlap, and the phases OR-ed together.  Items near a tie, not finite,
+    zero, with the point inside the digits or with their last four digits zero take
+    :func:`_rare`.  All blocks share one set of scratch arrays.
+    """
+    np, ascii4, ascii4_hi, stripped_hi, kept, head, size, perm = _tables()
+    scale, mh, ml = _powers()
+    tails = [_tail(s) for s in (sep, close + between, close)]
+    u = np.uint64
+    nr, nc = a.shape
+    step = max(1, _BLOCK // nc)
+    n = min(step, nr) * nc
+    pool = np.empty((16, n), np.int64)
+    flags = np.empty((3, n), bool)
+    G = np.empty((n, 4), u)
+    slots = G.view(np.dtype((np.void, 32))).reshape(-1)
+    phases = []  # a byte buffer and its 32-byte windows per phase
+    for first in range(0, nr, step):
+        if first:
+            yield between
+        block = a[first:first + step]
+        k = block.size
+        w = pool[:, :k]
+        f, b = w.view(np.float64), w.view(u)
+        rare, flag, neg = flags[:, :k]
+        x, ax, xs, m, p, xh, xl, err, t = f[:9]  # x, err, e, d0, lo4 and hi4 stay for _rare
+        e, N, q = w[9:12]
+        np.copyto(x.reshape(block.shape), block)
+        np.abs(x, out=ax)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            E = np.floor(np.log10(ax, out=xh), out=xh)
+        lo, hi = E.min(), E.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):  # zero, infinity or NaN: to _rare
+            special = ~np.isfinite(E)
+            ax[special], E[special] = 1.0, 0.0
+            lo, hi = E.min(), E.max()
+        if np.isnan(scale[int(lo) - 1 + _E0:int(hi) + 2 + _E0]).any():
+            _build_powers(int(lo) - 1 + _E0, int(hi) + 1 + _E0)
+        np.add(E, _E0, out=e, casting="unsafe")
+        np.take(scale, e, out=xs, mode="clip")
+        xs *= ax
+        np.take(mh, e, out=m, mode="clip")
+        np.multiply(xs, m, out=p)  # y = p + err, err exact from the split factors
+        for v, vh, vl in ((xs, xh, xl), (m, ax, m)):  # v = vh + vl, vh with 26 significant bits
+            np.add(v.view(u), u(1 << 26), out=vh.view(u))
+            np.bitwise_and(vh.view(u), u(-1 << 27 & (1 << 64) - 1), out=vh.view(u))
+            np.subtract(v, vh, out=vl)
+        np.multiply(xh, ax, out=err)
+        err -= p
+        for y, z in ((xh, m), (xl, ax), (xl, m)):
+            np.multiply(y, z, out=t)
+            err += t
+        np.take(ml, e, out=t, mode="clip")
+        t *= xs
+        err += t
+        np.rint(err, out=t)
+        err -= t
+        np.copyto(N, p, casting="unsafe")
+        np.copyto(q, t, casting="unsafe")
+        N += q
+        np.subtract(N, 10 ** 16 + 1, out=q)  # N outside (10^16, 10^17) or y near a tie: to _rare
+        np.greater_equal(q.view(u), u(9 * 10 ** 16 - 1), out=rare)
+        np.abs(err, out=t)
+        np.greater(t, _TIE, out=flag)
+        rare |= flag
+        wild = np.flatnonzero(rare)
+        Nw = N[wild]
+        N[wild] = 10 ** 16  # for the digits; _rare reads Nw
+        lo4, hi4, d0, idx = w[1:3], w[3:5], w[5], w[6]
+        np.floor_divide(N, 10 ** 8, out=q)
+        np.multiply(q, 10 ** 8, out=idx)
+        np.subtract(N, idx, out=lo4[1])
+        np.floor_divide(q, 10 ** 8, out=d0)
+        np.multiply(d0, 10 ** 8, out=idx)
+        np.subtract(q, idx, out=lo4[0])  # d1..d8 and d9..d16
+        np.floor_divide(lo4, 10 ** 4, out=hi4)
+        np.multiply(hi4, 10 ** 4, out=w[8:11:2])
+        lo4 -= w[8:11:2]
+        np.multiply(e, 20, out=idx)
+        idx += d0
+        np.signbit(x, out=neg)
+        np.multiply(neg, 10, out=q)
+        idx += q
+        length, back, word, tail, shift, tmp = w[12], w[13], b[14], b[15], b[10], b[11]
+        np.take(head, idx, out=G[:k, 0], mode="clip")
+        np.take(size, idx, out=back, mode="clip")  # the text starts at byte 8 - back of the slot
+        np.take(ascii4_hi, lo4[0], out=word, mode="clip")
+        np.take(ascii4, hi4[0], out=tmp, mode="clip")
+        np.bitwise_or(word, tmp, out=G[:k, 1])
+        np.take(kept, lo4[1], out=shift.view(np.int64), mode="clip")
+        np.add(back, shift.view(np.int64), out=length)
+        for (words, sizes), at in zip(tails, (slice(None), slice(nc - 1, None, nc), slice(k - 1, k))):
+            np.take(words, e[at], out=tail[at], mode="clip")
+            np.take(sizes, e[at], out=idx[at], mode="clip")
+        length += idx
+        length += 12
+        shift += u(4)
+        shift <<= u(3)
+        np.take(stripped_hi, lo4[1], out=word, mode="clip")
+        np.take(ascii4, hi4[1], out=tmp, mode="clip")
+        word |= tmp
+        np.left_shift(tail, shift, out=tmp)
+        np.bitwise_or(word, tmp, out=G[:k, 2])
+        np.subtract(u(64), shift, out=shift)
+        np.right_shift(tail, shift, out=G[:k, 3])
+        if open_:  # the row's opening byte just before its first head
+            G[:k:nc, 0] |= u(ord(open_)) << (u(7) - back[::nc].astype(u)) * u(8)
+            back[::nc] += 1
+            length[::nc] += 1
+        np.equal(lo4[1], 0, out=flag)
+        rare |= flag
+        np.greater(e, _E0, out=flag)
+        rare |= flag
+        if rare.any():
+            ends = (sep, close + between, close)
+            _rare(np, perm, ascii4, G, length, back, x, np.flatnonzero(rare), wild, Nw, err, e, d0, hi4, lo4,
+                  nc, open_, ends)
+        # slot i goes to 24 + c_i + back_i of a buffer whose output starts at byte 32, c_i
+        # the offset of its text there; no two slots of a phase i % K overlap
+        c = t.view(np.int64)
+        np.cumsum(length, out=c)
+        total = int(c[-1])
+        c -= length
+        c += back
+        c += 24
+        K = 2
+        while K < k and (c[K:] - c[:-K]).min() < 32:
+            K += 1
+        for ph in range(min(K, k)):
+            if ph == len(phases):
+                buf = np.empty(32 * n + 96, np.uint8)
+                phases.append((buf, np.ndarray((32 * n + 65,), slots.dtype, buf, strides=(1,))))
+            buf, windows = phases[ph]
+            buf[:total + 96].fill(0)
+            windows[c[ph::K]] = slots[ph:k:K]
+            if ph:
+                phases[0][0][:total + 96] |= buf[:total + 96]
+        yield str(phases[0][0][32:32 + total], "ascii")
+
+
+def _rare(np, perm, ascii4, G, length, back, x, idx, wild, Nw, err, e, d0, hi4, lo4, nc, open_, ends):
+    """The slots of items idx of a block of _float_blocks, their text from byte 0: by byte
+    permutations of their digits, or by "%.17g" % x (:func:`_fmt_float` if not finite)
+    where N is not the correct rounding, and where there are fewer than _FEW items.
+    ends holds the text after an item inside a row, at a row's end, and at the block's end."""
+    u = np.uint64
+    slots = G.view(np.uint8).reshape(-1, 32)
+    back[idx] = 8
+    end = np.where(idx % nc == nc - 1, 1, 0)
+    end[idx == len(x) - 1] = 2
+    if idx.size >= _FEW:
+        v, d, ei = x[idx], err[idx], e[idx]
+        n = hi4[:, idx] * 10000 + lo4[:, idx]  # d1..d8, d9..d16
+        N = d0[idx] * 10 ** 16 + n[0] * 10 ** 8 + n[1]
+        N[np.searchsorted(idx, wild)] = Nw
+        ok = (N > 10 ** 16) | (N == 10 ** 16) & (d >= 0)
+        ok &= (N < 10 ** 17) & (np.abs(d) <= _TIE) & np.isfinite(v)
+        rows = np.empty((idx.size, 4), u)
+        d0c = np.where(v == 0, 48, d0[idx] + 48).astype(u)
+        rows[:, 0] = np.signbit(v) * u(45) | d0c << u(8) | u(48 << 16 | 46 << 24)
+        if open_:
+            rows[:, 0] |= (idx % nc == 0) * u(ord(open_) << 32)
+        rows[:, 1] = ascii4.take(hi4[0, idx]) | ascii4.take(lo4[0, idx]) << u(32)
+        rows[:, 2] = ascii4.take(hi4[1, idx]) | ascii4.take(lo4[1, idx]) << u(32)
+        rows[:, 3] = np.choose(end, [_tail(s)[0].take(ei) for s in ends])
+        frac = n[0] * 10 ** 8 + n[1]
+        nk = 16 - (frac[:, None] % 10 ** np.arange(1, 17) == 0).sum(axis=1)
+        E = ei - _E0
+        form = np.where((E < -4) | (E > 16), 0, np.where(E < 0, -E, 5 + E))
+        text = np.take_along_axis(rows.view(np.uint8).reshape(-1, 32), perm[form * 17 + nk], axis=1)
+        text = np.take_along_axis(text, np.argsort(text == 0, axis=1, kind="stable"), axis=1)[ok]
+        slots[idx[ok]] = text
+        length[idx[ok]] = (text != 0).sum(axis=1)
+        idx, end = idx[~ok], end[~ok]
+    texts = [((open_ if i % nc == 0 else "") + ("%.17g" % y if math.isfinite(y) else _fmt_float(y))
+              + ends[j]).encode() for i, y, j in zip(idx.tolist(), x[idx].tolist(), end.tolist())]
+    slots[idx] = np.frombuffer(b"".join(t.ljust(32, b"\0") for t in texts), np.uint8).reshape(-1, 32)
+    length[idx] = [len(t) for t in texts]
+
+
 def _floats(obj) -> bool:
     """True for a nonempty list or tuple whose items are all of type ``float``.
 
@@ -101,11 +370,27 @@ def _ndarray(obj) -> bool:
     return np is not None and isinstance(obj, np.ndarray)
 
 
+def _table(obj) -> bool:
+    """Whether obj is a nonempty float64 ndarray of one or two axes, formatted by _float_blocks."""
+    return _ndarray(obj) and obj.dtype == "float64" and 1 <= obj.ndim <= 2 and obj.size > 0
+
+
 def _lists(obj):
-    """An ndarray as its ``tolist()``, a row at a time from 2-D up; anything else as is."""
-    if _ndarray(obj):
-        return obj.tolist() if obj.ndim < 2 else list(obj)
+    """Any other ndarray as its rows from 3-D up and as its ``tolist()`` below; anything else as is."""
+    if _ndarray(obj) and not _table(obj):
+        return list(obj) if obj.ndim > 2 else obj.tolist()
     return obj
+
+
+def _rows(a, sep: str, brackets: bool):
+    """A :func:`_table`'s items joined by sep, each row in brackets if asked, in pieces."""
+    rows = a.reshape(1, -1) if a.ndim == 1 else a
+    opening, closing = ("[", "]") if brackets else ("", "")
+    if brackets and a.ndim == 2:
+        yield "["
+    yield from _float_blocks(rows, sep, opening, closing, sep)
+    if brackets and a.ndim == 2:
+        yield "]"
 
 
 def _nested(obj) -> bool:
@@ -125,11 +410,14 @@ def _json_scalar(obj) -> str:
 
 def _json_chunks(obj, indent: int = 0):
     """The text of :func:`render_json` in pieces: one per scalar with the keys
-    and punctuation before it, and one per all-``float`` list and per row of
-    a 2-D array, so a table is never held as text or as Python floats all at once."""
+    and punctuation before it, one per all-``float`` list, and about one per
+    _BLOCK floats of a float64 array, so a table is never held as text or as
+    Python floats all at once."""
     obj = _lists(obj)
     if _floats(obj):
         yield "[" + _float_text(obj, ", ") + "]"
+    elif _table(obj):
+        yield from _rows(obj, ", ", True)
     elif not isinstance(obj, (dict, list, tuple)):
         yield _json_scalar(obj)
     elif not obj:
@@ -155,9 +443,10 @@ def _json_chunks(obj, indent: int = 0):
 def render_json(obj) -> str:
     """Schema-v1 JSON text: fixed field order, floats with 17 significant digits.
 
-    A list or tuple whose items are all of type ``float`` (eigenvalue lists)
-    and each row of a 2-D ndarray (the eigenfunction table) is rendered by
-    one ``%`` format (:func:`_float_text`); an ndarray renders as its ``tolist()``.
+    A list or tuple whose items are all of type ``float`` is rendered by one
+    ``%`` format (:func:`_float_text`); a float64 ndarray (the eigenvalue lists
+    and the eigenfunction table) by :func:`_float_blocks`, which gives the
+    same bytes from numpy; any other ndarray renders as its ``tolist()``.
     """
     return "".join(_json_chunks(obj))
 
@@ -165,8 +454,8 @@ def render_json(obj) -> str:
 def _leaves(obj, prefix: str = ""):
     """(dotted key + ".", value) for each leaf of ``obj``; list entries get indices.
 
-    A nonempty all-``float`` list (a table row among them) is one leaf, whose
-    entries get their indices from the reader.
+    A nonempty all-``float`` list and a float64 ndarray of one or two axes are
+    one leaf each, whose entries get their indices from the reader.
     """
     obj = _lists(obj)
     if isinstance(obj, dict):
@@ -183,37 +472,49 @@ def _leaves(obj, prefix: str = ""):
             yield key, v
 
 
-def _keys(prefix: str, v) -> list[str]:
-    """The dotted keys of one leaf of :func:`_leaves`."""
-    if isinstance(v, (list, tuple)):
-        return [f"{prefix}{i}" for i in range(len(v))]
-    return [prefix[:-1]]
+def _keys(prefix: str, v):
+    """The dotted keys of one leaf of :func:`_leaves`, one join per list or table row."""
+    if _table(v) and v.ndim == 2:
+        rows, width = [f"{prefix}{i}." for i in range(len(v))], v.shape[1]
+    elif _table(v) or isinstance(v, (list, tuple)):
+        rows, width = [prefix], len(v)
+    else:
+        yield prefix[:-1]
+        return
+    columns = list(map(str, range(width)))
+    for i, row in enumerate(rows):
+        yield ("," if i else "") + row + ("," + row).join(columns)
 
 
-def _cells(v) -> str:
-    """The CSV cells of one leaf of :func:`_leaves`, comma-joined."""
-    if isinstance(v, (list, tuple)):
-        return _float_text(v, ",")
-    return ("true" if v is True else "false" if v is False else "" if v is None else
-            _fmt_float(v) if isinstance(v, float) else str(v))
+def _cells(prefix: str, v):
+    """The CSV cells of one leaf of :func:`_leaves`, comma-joined, in pieces."""
+    if _table(v):
+        yield from _rows(v, ",", False)
+    elif isinstance(v, (list, tuple)):
+        yield _float_text(v, ",")
+    else:
+        yield ("true" if v is True else "false" if v is False else "" if v is None else
+               _fmt_float(v) if isinstance(v, float) else str(v))
 
 
 def _csv_chunks(obj):
     """The text of :func:`render_csv` in pieces: the payload is walked twice,
-    once for the header and once for the cells, each leaf one piece."""
-    header = (",".join(_keys(prefix, v)) for prefix, v in _leaves(obj))
-    for start, line in (("", header), ("\n", (_cells(v) for _, v in _leaves(obj)))):
-        yield start + next(line, "")
-        for piece in line:
-            yield "," + piece
+    once for the header and once for the cells."""
+    for start, part in (("", _keys), ("\n", _cells)):
+        yield start
+        comma = ""
+        for prefix, v in _leaves(obj):
+            yield comma
+            yield from part(prefix, v)
+            comma = ","
 
 
 def render_csv(obj) -> str:
     """Header of dotted keys, then one line of cells.
 
     The payload is a dict whose keys are str and hold no ".", as every
-    subcommand's is, so no two leaves share a dotted key.  All-``float``
-    lists and 2-D ndarray rows format as in :func:`render_json`.
+    subcommand's is, so no two leaves share a dotted key.  Floats format as
+    in :func:`render_json`.
     """
     return "".join(_csv_chunks(obj))
 
@@ -392,13 +693,14 @@ def cmd_spectrum(args) -> tuple[dict, int]:
     if args.eigenfunctions and not bc.is_interval:  # refused before the oracle runs
         raise ConfigError("--eigenfunctions needs an interval boundary condition")
     lam = oracle_spectrum(pot, bc, spec)
+    import numpy as np  # loaded by the oracle
     payload = {
         **_head(args, spec),
-        "eigenvalues_dimensionless": list(lam.lambdas),
-        "eigenvalues_physical": list(lam.physical),
+        "eigenvalues_dimensionless": np.array(lam.lambdas),
+        "eigenvalues_physical": np.array(lam.physical),
     }
     if args.eigenfunctions:
-        payload["eigenfunctions"] = eigenfunctions(pot, bc, lam)  # rendered a row at a time
+        payload["eigenfunctions"] = eigenfunctions(pot, bc, lam)  # rendered a block at a time
     return payload, EXIT_OK
 
 

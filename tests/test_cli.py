@@ -25,7 +25,7 @@ from hypothesis.extra.numpy import arrays
 
 import gylat
 from gylat import LatticeSpec, MassParam, Potential, determinant, dirichlet, free_determinant, robin
-from gylat.cli import _fmt_float, build_parser, emit, main, render_csv, render_json
+from gylat.cli import _BLOCK, _fmt_float, _float_blocks, build_parser, emit, main, render_csv, render_json
 from gylat.closedform import free_eigenvalues
 from gylat.spectrum import tridiagonal_matrix
 
@@ -1060,6 +1060,71 @@ def payload_strategy(keys):
 PAYLOADS = payload_strategy(st.one_of(st.text(max_size=3), st.integers(0, 3)))
 _PLAIN_KEYS = st.text(max_size=3).filter(lambda k: "." not in k)
 CSV_PAYLOADS = st.dictionaries(_PLAIN_KEYS, payload_strategy(_PLAIN_KEYS), max_size=4)
+
+
+def percent_rows(table, sep: str, open_: str, close: str, between: str) -> str:
+    """The text _float_blocks must give: one "%" format per row, _fmt_float for a row
+    holding NaN or an infinity."""
+    rows = []
+    for row in np.asarray(table).tolist():
+        if all(map(math.isfinite, row)):
+            text = sep.join(["%.17g"] * len(row)) % tuple(row)
+        else:
+            text = sep.join("%.17g" % x if math.isfinite(x) else _fmt_float(x) for x in row)
+        rows.append(open_ + text + close)
+    return between.join(rows)
+
+
+FORMATS = [(", ", "[", "]", ", "), (",", "", "", ",")]  # JSON rows and CSV cells
+
+
+def powers_of_ten_and_neighbours() -> np.ndarray:
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+
+
+class TestBulkFloatFormat:
+    """_float_blocks gives the bytes of "%.17g" per item (_fmt_float's for NaN and the
+    infinities) for any float64 table, in C or Fortran order and in blocks of rows."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(bits=st.lists(st.one_of(st.integers(0, 2 ** 64 - 1),
+                                   st.sampled_from([0, 1 << 63, 1, 0x7FF0 << 48, 0xFFF0 << 48,
+                                                    0x7FF8 << 48, 0x000F_FFFF_FFFF_FFFF])),
+                         min_size=1, max_size=60),
+           columns=st.integers(1, 7), fortran=st.booleans(), fmt=st.sampled_from(FORMATS))
+    def test_bit_patterns(self, bits, columns, fortran, fmt):
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        table = x[:len(x) // columns * columns].reshape(-1, columns) if len(x) >= columns else x[None]
+        table = np.asfortranarray(table) if fortran else table
+        assert "".join(_float_blocks(table, *fmt)) == percent_rows(table, *fmt)
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(30)
+        ties = np.array([9.9999999999999995e-5, 1e16, 1e17, 1 + 2 ** -17, 0.5, -0.0, 0.0, 5e-324])
+        sweep = [
+            rng.uniform(1e15, 1e17, 40000),  # exact ties sit here
+            rng.integers(10 ** 15, 10 ** 17, 10000).astype(float),
+            powers_of_ten_and_neighbours(),
+            rng.uniform(-1, 1, 40000) * 10.0 ** rng.integers(-330, 300, 40000),
+            rng.integers(0, 2 ** 64, 40000, dtype=np.uint64).view(np.float64),
+            rng.uniform(-1, 1, 40000),
+            np.repeat(ties, 50),
+        ]
+        x = rng.permutation(np.concatenate(sweep))
+        assert (x == 1 + 2 ** -17).any() and (x == 1e17).any()
+        # one row to several blocks of rows, both orders, both formats
+        for columns, fortran, fmt in [(1, False, FORMATS[0]), (3, True, FORMATS[1]),
+                                      (1000, True, FORMATS[0]), (3 * _BLOCK + 7, False, FORMATS[1])]:
+            table = x[:len(x) // columns * columns].reshape(-1, columns)
+            table = np.asfortranarray(table) if fortran else table
+            assert "".join(_float_blocks(table, *fmt)) == percent_rows(table, *fmt), (columns, fmt)
+
+    def test_blocks_join_to_the_whole(self):
+        table = np.random.default_rng(31).standard_normal((3 * _BLOCK // 100 + 5, 100))
+        pieces = list(_float_blocks(table, ", ", "[", "]", ", "))
+        assert len(pieces) == 2 * 4 - 1  # four blocks, and the text between them
+        assert "".join(pieces) == percent_rows(table, ", ", "[", "]", ", ")
 
 
 class TestStreamedOutput:
