@@ -101,9 +101,10 @@ def tridiagonal_matrix(potential: Potential, bc: BoundaryCondition) -> tuple[np.
 def cyclic_matrix(potential: Potential, bc: BoundaryCondition) -> np.ndarray:
     """Dense Hermitian matrix for periodic/twisted conditions.
 
-    The twist phase exp(2 pi i tau), exactly +-1 at tau = 1 and 1/2 so that
-    those H are real, sits on the wrap-around couplings; for nu = 1 and
-    nu = 2 the wrap-around and nearest-neighbour couplings merge.
+    The twist phase exp(2 pi i tau), exactly +-1 at tau = 1 and 1/2, where H
+    is a float64 matrix, sits on the wrap-around couplings; for nu = 1 and
+    nu = 2 the wrap-around and nearest-neighbour couplings merge.  The
+    entries are written through a flat view, with no nu x nu temporaries.
     """
     import numpy as np
     if not bc.is_circle:
@@ -113,11 +114,13 @@ def cyclic_matrix(potential: Potential, bc: BoundaryCondition) -> np.ndarray:
         raise ValueError("need nu >= 1")
     theta = 2.0 * math.pi * bc.twist
     phase = {1.0: 1.0, 0.5: -1.0}.get(bc.twist, complex(math.cos(theta), math.sin(theta)))
-    H = np.diag((2.0 + potential.as_array()).astype(complex))
+    H = np.zeros((nu, nu), type(phase))
+    flat = H.reshape(-1)
+    flat[::nu + 1] = 2.0 + potential.as_array()
     if nu == 1:
         H[0, 0] -= phase + phase.conjugate()
         return H
-    H -= np.eye(nu, k=1) + np.eye(nu, k=-1)
+    flat[1::nu + 1] = flat[nu::nu + 1] = -1.0
     H[0, nu - 1] -= phase.conjugate()
     H[nu - 1, 0] -= phase
     return H
@@ -400,8 +403,9 @@ def oracle_spectrum(potential: Potential, bc: BoundaryCondition,
     whose Gershgorin bound min d - 2 or max d + 2 reaches 2^1023 in
     magnitude raises ValueError: bisection's midpoints would overflow to
     infinite eigenvalues.  Circle conditions diagonalise the nu x nu
-    Hermitian H, as a real symmetric matrix when H is real (periodic and
-    tau = 1/2).  A given ``spec`` must fit the potential and ``bc``.
+    Hermitian H of :func:`cyclic_matrix`, a real symmetric matrix when the
+    twist phase is +-1 (periodic and tau = 1/2).  A given ``spec`` must fit
+    the potential and ``bc``.
     """
     if spec is not None:
         _check_lattice(potential, bc, spec)
@@ -422,10 +426,7 @@ def oracle_spectrum(potential: Potential, bc: BoundaryCondition,
         return Spectrum(tuple(lams), spec)
     if nu > ORACLE_MAX_NU_CYCLIC:
         raise ValueError(f"oracle supports nu <= {ORACLE_MAX_NU_CYCLIC} for circle conditions")
-    H = cyclic_matrix(potential, bc)
-    if not H.imag.any():
-        H = H.real
-    return Spectrum(tuple(np.linalg.eigvalsh(H)), spec)
+    return Spectrum(tuple(np.linalg.eigvalsh(cyclic_matrix(potential, bc))), spec)
 
 
 # ---------------------------------------------------------------------------
