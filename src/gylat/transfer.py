@@ -326,12 +326,12 @@ def _unpack(y, n: int, slot: int | None, rows: int = 1) -> CharPoly:
     the sums fit their slots (:func:`_slot_bits` bounds the sum of every
     |coefficient|), so taking ``rows`` - 1 offsets off leaves n plain fields.
     Float columns add in order from column 0 (``cumsum``; ``sum`` is pairwise), as
-    CharPoly sums the e^k parts, then 0.0 to each entry; a coefficient that is not
-    finite raises OverflowError.
+    CharPoly sums the e^k parts, and one column is read as it is; then 0.0 is added to
+    each entry.  A coefficient that is not finite raises OverflowError.
     """
     if not isinstance(y, int):  # a float state, one ndarray
         import numpy as np
-        c = np.cumsum(y, axis=1)[:, -1] + 0.0
+        c = (y[:, 0] if y.shape[1] == 1 else np.cumsum(y, axis=1)[:, -1]) + 0.0
         bad = np.flatnonzero(~np.isfinite(c))
         if bad.size:
             k = int(bad[0])
