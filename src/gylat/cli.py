@@ -93,6 +93,7 @@ _E0 = 325  # decimal exponent E sits at index E + _E0 of the per-exponent tables
 # have E in -324..308
 _TIE = 0.5 - 2.0 ** -30  # |y - N| beyond this is too near a tie for y's error of 2^-46
 _FEW = 64  # fewer items of a block than this take _rare's "%.17g" path alone
+_SMALL = 512  # arrays of fewer floats are formatted faster by one "%" format per row
 
 
 @functools.cache
@@ -107,12 +108,13 @@ def _tables():
     kept = np.logical_or.accumulate(digits[::-1] != 48)[::-1]  # the digits before trailing zeros
     ascii4, stripped = (d[0] | d[1] << u(8) | d[2] << u(16) | d[3] << u(24) for d in (digits, digits * kept))
     # the head, right-aligned to byte 7, at ((E + _E0) * 2 + negative) * 10 + d0: "-d." for the
-    # exponent form and for E >= 0, "-0.d" to "-0.000d" for E = -1..-4
+    # exponent form and E = 0, "-0.d" to "-0.000d" for E = -1..-4, and "-d" for E = 1..16,
+    # where the point goes after d_E and d1 fills byte 7
     E = np.arange(_E0 + 310) - _E0
     small = (E < 0) & (E >= -4)
     z = np.where(small, -E - 1, 0)  # zeros after "0."
     fixed = np.where(small, 46 << 8 * (6 - z) | 48 << 8 * (5 - z) | 0x303030 >> 8 * (3 - z) << 8 * (7 - z),
-                     46 << 56).astype(u)
+                     np.where((E >= 1) & (E <= 16), 0, 46 << 56)).astype(u)
     sign = (u(45) << np.where(small, 4 - z, 5).astype(u) * u(8))[:, None] * np.arange(2, dtype=u)
     d0 = (np.arange(10, dtype=u) + u(48)) << np.where(small, 56, 48).astype(u)[:, None]
     head = fixed[:, None, None] | sign[:, :, None] | d0[:, None, :]
@@ -179,8 +181,12 @@ def _float_blocks(a, sep: str, open_: str, close: str, between: str):
     separator.  The slots are written at the runs' offsets in the output, in phases whose
     slots do not overlap, and the phases OR-ed together.  Items near a tie, not finite,
     zero, with the point inside the digits or with their last four digits zero take
-    :func:`_rare`.  All blocks share one set of scratch arrays.
+    :func:`_rare`.  All blocks share one set of scratch arrays.  An array of fewer than
+    _SMALL floats takes :func:`_float_text` per row.
     """
+    if a.size < _SMALL:
+        yield between.join(open_ + _float_text(row, sep) + close for row in a.tolist())
+        return
     np, ascii4, ascii4_hi, stripped_hi, kept, head, size, perm = _tables()
     scale, mh, ml = _powers()
     tails = [_tail(s) for s in (sep, close + between, close)]
@@ -281,13 +287,22 @@ def _float_blocks(a, sep: str, open_: str, close: str, between: str):
         np.bitwise_or(word, tmp, out=G[:k, 2])
         np.subtract(u(64), shift, out=shift)
         np.right_shift(tail, shift, out=G[:k, 3])
+        if hi >= 1:  # for E = 1..12, d1 joins the head and the point goes after d_E
+            at = np.flatnonzero((e > _E0) & (e <= _E0 + 12))
+            h, a1, b1 = (G[at, j] for j in range(3))
+            q = (e[at] - (_E0 + 1)).astype(u)  # the point's byte in d2..d16, once shifted down one
+            low, high = a1 >> u(8) | b1 << u(56), b1 >> u(8)
+            in_a = q < u(8)
+            G[at, 0] = h | a1 << u(56)
+            G[at, 1] = np.where(in_a, _point(a1, low, np.minimum(q, u(7))), low)
+            G[at, 2] = np.where(in_a, b1, _point(b1, high, np.maximum(q, u(8)) - u(8)))
         if open_:  # the row's opening byte just before its first head
             G[:k:nc, 0] |= u(ord(open_)) << (u(7) - back[::nc].astype(u)) * u(8)
             back[::nc] += 1
             length[::nc] += 1
         np.equal(lo4[1], 0, out=flag)
         rare |= flag
-        np.greater(e, _E0, out=flag)
+        np.greater(e, _E0 + 12, out=flag)
         rare |= flag
         if rare.any():
             ends = (sep, close + between, close)
@@ -316,6 +331,13 @@ def _float_blocks(a, sep: str, open_: str, close: str, between: str):
         yield str(phases[0][0][32:32 + total], "ascii")
 
 
+def _point(word, shifted, r):
+    """The bytes of shifted below byte r, a point at r, and word's bytes above r."""
+    from numpy import uint64 as u
+    below = (u(1) << r * u(8)) - u(1)
+    return word & ~(below << u(8) | u(255)) | shifted & below | u(46) << r * u(8)
+
+
 def _rare(np, perm, ascii4, G, length, back, x, idx, wild, Nw, err, e, d0, hi4, lo4, nc, open_, ends):
     """The slots of items idx of a block of _float_blocks, their text from byte 0: by byte
     permutations of their digits, or by "%.17g" % x (:func:`_fmt_float` if not finite)
@@ -323,7 +345,6 @@ def _rare(np, perm, ascii4, G, length, back, x, idx, wild, Nw, err, e, d0, hi4, 
     ends holds the text after an item inside a row, at a row's end, and at the block's end."""
     u = np.uint64
     slots = G.view(np.uint8).reshape(-1, 32)
-    back[idx] = 8
     end = np.where(idx % nc == nc - 1, 1, 0)
     end[idx == len(x) - 1] = 2
     if idx.size >= _FEW:
@@ -335,9 +356,9 @@ def _rare(np, perm, ascii4, G, length, back, x, idx, wild, Nw, err, e, d0, hi4, 
         ok &= (N < 10 ** 17) & (np.abs(d) <= _TIE) & np.isfinite(v)
         rows = np.empty((idx.size, 4), u)
         d0c = np.where(v == 0, 48, d0[idx] + 48).astype(u)
-        rows[:, 0] = np.signbit(v) * u(45) | d0c << u(8) | u(48 << 16 | 46 << 24)
-        if open_:
-            rows[:, 0] |= (idx % nc == 0) * u(ord(open_) << 32)
+        # bytes 4 and 0 lead: the opening byte and the sign, or the opening byte alone in 0
+        neg, first = np.signbit(v), (idx % nc == 0) * u(ord(open_ or "\0"))
+        rows[:, 0] = np.where(neg, u(45) | first << u(32), first) | d0c << u(8) | u(48 << 16 | 46 << 24)
         rows[:, 1] = ascii4.take(hi4[0, idx]) | ascii4.take(lo4[0, idx]) << u(32)
         rows[:, 2] = ascii4.take(hi4[1, idx]) | ascii4.take(lo4[1, idx]) << u(32)
         rows[:, 3] = np.choose(end, [_tail(s)[0].take(ei) for s in ends])
@@ -345,15 +366,15 @@ def _rare(np, perm, ascii4, G, length, back, x, idx, wild, Nw, err, e, d0, hi4, 
         nk = 16 - (frac[:, None] % 10 ** np.arange(1, 17) == 0).sum(axis=1)
         E = ei - _E0
         form = np.where((E < -4) | (E > 16), 0, np.where(E < 0, -E, 5 + E))
-        text = np.take_along_axis(rows.view(np.uint8).reshape(-1, 32), perm[form * 17 + nk], axis=1)
-        text = np.take_along_axis(text, np.argsort(text == 0, axis=1, kind="stable"), axis=1)[ok]
-        slots[idx[ok]] = text
+        text = np.take_along_axis(rows.view(np.uint8).reshape(-1, 32), perm[form * 17 + nk], axis=1)[ok]
+        slots[idx[ok]] = text  # one run of bytes after at most two NULs
         length[idx[ok]] = (text != 0).sum(axis=1)
+        back[idx[ok]] = 8 - (text != 0).argmax(axis=1)
         idx, end = idx[~ok], end[~ok]
     texts = [((open_ if i % nc == 0 else "") + ("%.17g" % y if math.isfinite(y) else _fmt_float(y))
               + ends[j]).encode() for i, y, j in zip(idx.tolist(), x[idx].tolist(), end.tolist())]
     slots[idx] = np.frombuffer(b"".join(t.ljust(32, b"\0") for t in texts), np.uint8).reshape(-1, 32)
-    length[idx] = [len(t) for t in texts]
+    length[idx], back[idx] = [len(t) for t in texts], 8
 
 
 def _floats(obj) -> bool:
