@@ -92,15 +92,14 @@ _BLOCK = 1 << 14  # floats per pass of _float_blocks
 _E0 = 325  # decimal exponent E sits at index E + _E0 of the per-exponent tables; finite floats
 # have E in -324..308
 _TIE = 0.5 - 2.0 ** -30  # |y - N| beyond this is too near a tie for y's error of 2^-46
-_FEW = 64  # fewer items of a block than this take _rare's "%.17g" path alone
 _SMALL = 512  # arrays of fewer floats are formatted faster by one "%" format per row
 
 
 @functools.cache
 def _tables():
     """numpy and the tables of :func:`_float_blocks`: four digits as ASCII bytes (also shifted
-    to the high half, and with their trailing zeros cut), the digits kept by the cut, the
-    head word and its length per exponent, sign and first digit, and _rare's permutations."""
+    to the high half, and with their trailing zeros cut), the digits kept by the cut, and the
+    head word and its length per exponent, sign and first digit."""
     import numpy as np
     u = np.uint64
     v = np.arange(10000)
@@ -119,22 +118,7 @@ def _tables():
     d0 = (np.arange(10, dtype=u) + u(48)) << np.where(small, 56, 48).astype(u)[:, None]
     head = fixed[:, None, None] | sign[:, :, None] | d0[:, None, :]
     size = np.where(small, 3 + z, 2)[:, None, None] + np.arange(2)[:, None] + np.zeros(10, int)
-    # _rare's byte permutations of its rows, by form and by the count of digits after d0:
-    # exponent form; "0.0..0d" for E = -1..-4; E = 0..16 with the point after d_E
-    digit = [None, *range(8, 24)]
-    perm = []
-    for form in range(22):
-        for nk in range(17):
-            if form == 0:
-                body = [1, *([3, *digit[1:nk + 1]] if nk else [])]
-            elif form <= 4:
-                body = [2, 3, *[2] * (form - 1), 1, *digit[1:nk + 1]]
-            else:
-                body = [1, *digit[1:form - 4], *([3, *digit[form - 4:nk + 1]] if nk > form - 5 else [])]
-            row = [4, 0, *body, *range(24, 32)]
-            perm.append(row + [7] * (32 - len(row)))
-    return (np, ascii4, ascii4 << u(32), stripped << u(32), kept.sum(axis=0), head.reshape(-1),
-            size.reshape(-1), np.array(perm))
+    return np, ascii4, ascii4 << u(32), stripped << u(32), kept.sum(axis=0), head.reshape(-1), size.reshape(-1)
 
 
 @functools.cache
@@ -179,15 +163,16 @@ def _float_blocks(a, sep: str, open_: str, close: str, between: str):
     is one run of bytes in a 32-byte slot: a head ("-d." or "-0.00d") ending at byte 7,
     digits d1..d8, then d9..d16 without their trailing zeros, the exponent suffix and the
     separator.  The slots are written at the runs' offsets in the output, in phases whose
-    slots do not overlap, and the phases OR-ed together.  Items near a tie, not finite,
-    zero, with the point inside the digits or with their last four digits zero take
-    :func:`_rare`.  All blocks share one set of scratch arrays.  An array of fewer than
-    _SMALL floats takes :func:`_float_text` per row.
+    slots do not overlap, and the phases OR-ed together.  For 1 <= E <= 12 a byte shift of
+    the digit words puts the point after d_E, and a zero reads "0".  Items near a tie, not
+    finite, with E >= 13 or with their last four digits zero take "%.17g" one at a time.
+    All blocks share one set of scratch arrays.  An array of fewer than _SMALL floats takes
+    :func:`_float_text` per row.
     """
     if a.size < _SMALL:
         yield between.join(open_ + _float_text(row, sep) + close for row in a.tolist())
         return
-    np, ascii4, ascii4_hi, stripped_hi, kept, head, size, perm = _tables()
+    np, ascii4, ascii4_hi, stripped_hi, kept, head, size = _tables()
     scale, mh, ml = _powers()
     tails = [_tail(s) for s in (sep, close + between, close)]
     u = np.uint64
@@ -207,17 +192,19 @@ def _float_blocks(a, sep: str, open_: str, close: str, between: str):
         w = pool[:, :k]
         f, b = w.view(np.float64), w.view(u)
         rare, flag, neg = flags[:, :k]
-        x, ax, xs, m, p, xh, xl, err, t = f[:9]  # x, err, e, d0, lo4 and hi4 stay for _rare
+        x, ax, xs, m, p, xh, xl, err, t = f[:9]
         e, N, q = w[9:12]
         np.copyto(x.reshape(block.shape), block)
         np.abs(x, out=ax)
         with np.errstate(divide="ignore", invalid="ignore"):
             E = np.floor(np.log10(ax, out=xh), out=xh)
         lo, hi = E.min(), E.max()
-        if not (math.isfinite(lo) and math.isfinite(hi)):  # zero, infinity or NaN: to _rare
+        zeros = None
+        if not (math.isfinite(lo) and math.isfinite(hi)):  # zero, infinity or NaN
             special = ~np.isfinite(E)
             ax[special], E[special] = 1.0, 0.0
             lo, hi = E.min(), E.max()
+            zeros = np.flatnonzero(x == 0)
         if np.isnan(scale[int(lo) - 1 + _E0:int(hi) + 2 + _E0]).any():
             _build_powers(int(lo) - 1 + _E0, int(hi) + 1 + _E0)
         np.add(E, _E0, out=e, casting="unsafe")
@@ -242,15 +229,12 @@ def _float_blocks(a, sep: str, open_: str, close: str, between: str):
         np.copyto(N, p, casting="unsafe")
         np.copyto(q, t, casting="unsafe")
         N += q
-        np.subtract(N, 10 ** 16 + 1, out=q)  # N outside (10^16, 10^17) or y near a tie: to _rare
+        np.subtract(N, 10 ** 16 + 1, out=q)  # N outside (10^16, 10^17) or y near a tie: rare
         np.greater_equal(q.view(u), u(9 * 10 ** 16 - 1), out=rare)
         np.abs(err, out=t)
         np.greater(t, _TIE, out=flag)
         rare |= flag
-        wild = np.flatnonzero(rare)
-        Nw = N[wild]
-        N[wild] = 10 ** 16  # for the digits; _rare reads Nw
-        lo4, hi4, d0, idx = w[1:3], w[3:5], w[5], w[6]
+        lo4, hi4, d0, idx = w[1:3], w[3:5], w[5], w[6]  # the rare items' are any in range
         np.floor_divide(N, 10 ** 8, out=q)
         np.multiply(q, 10 ** 8, out=idx)
         np.subtract(N, idx, out=lo4[1])
@@ -290,12 +274,18 @@ def _float_blocks(a, sep: str, open_: str, close: str, between: str):
         if hi >= 1:  # for E = 1..12, d1 joins the head and the point goes after d_E
             at = np.flatnonzero((e > _E0) & (e <= _E0 + 12))
             h, a1, b1 = (G[at, j] for j in range(3))
-            q = (e[at] - (_E0 + 1)).astype(u)  # the point's byte in d2..d16, once shifted down one
+            r = (e[at] - (_E0 + 1)).astype(u)  # the point's byte in d2..d16, once shifted down one
             low, high = a1 >> u(8) | b1 << u(56), b1 >> u(8)
-            in_a = q < u(8)
+            in_a = r < u(8)
             G[at, 0] = h | a1 << u(56)
-            G[at, 1] = np.where(in_a, _point(a1, low, np.minimum(q, u(7))), low)
-            G[at, 2] = np.where(in_a, b1, _point(b1, high, np.maximum(q, u(8)) - u(8)))
+            G[at, 1] = np.where(in_a, _point(a1, low, np.minimum(r, u(7))), low)
+            G[at, 2] = np.where(in_a, b1, _point(b1, high, np.maximum(r, u(8)) - u(8)))
+        if zeros is not None:  # "0" or "-0" and what follows
+            G[zeros] = 0
+            G[zeros, 0] = np.where(neg[zeros], u(45 << 48 | 48 << 56), u(48 << 56))
+            G[zeros, 1] = tail[zeros]
+            back[zeros] = neg[zeros] + 1
+            length[zeros] = back[zeros] + idx[zeros]
         if open_:  # the row's opening byte just before its first head
             G[:k:nc, 0] |= u(ord(open_)) << (u(7) - back[::nc].astype(u)) * u(8)
             back[::nc] += 1
@@ -304,10 +294,17 @@ def _float_blocks(a, sep: str, open_: str, close: str, between: str):
         rare |= flag
         np.greater(e, _E0 + 12, out=flag)
         rare |= flag
-        if rare.any():
-            ends = (sep, close + between, close)
-            _rare(np, perm, ascii4, G, length, back, x, np.flatnonzero(rare), wild, Nw, err, e, d0, hi4, lo4,
-                  nc, open_, ends)
+        if zeros is not None:
+            rare[zeros] = False
+        if rare.any():  # "%.17g" % x one at a time, the text from byte 0 of its slot
+            at = np.flatnonzero(rare)
+            col = (at % nc).tolist()
+            ends = [sep if c < nc - 1 else close + between if i < k - 1 else close
+                    for i, c in zip(at.tolist(), col)]
+            texts = [((open_ if c == 0 else "") + ("%.17g" % y if math.isfinite(y) else _fmt_float(y))
+                      + end).encode() for y, c, end in zip(x[at].tolist(), col, ends)]
+            G[at] = np.frombuffer(b"".join(t.ljust(32, b"\0") for t in texts), u).reshape(-1, 4)
+            length[at], back[at] = [len(t) for t in texts], 8
         # slot i goes to 24 + c_i + back_i of a buffer whose output starts at byte 32, c_i
         # the offset of its text there; no two slots of a phase i % K overlap
         c = t.view(np.int64)
@@ -336,45 +333,6 @@ def _point(word, shifted, r):
     from numpy import uint64 as u
     below = (u(1) << r * u(8)) - u(1)
     return word & ~(below << u(8) | u(255)) | shifted & below | u(46) << r * u(8)
-
-
-def _rare(np, perm, ascii4, G, length, back, x, idx, wild, Nw, err, e, d0, hi4, lo4, nc, open_, ends):
-    """The slots of items idx of a block of _float_blocks, their text from byte 0: by byte
-    permutations of their digits, or by "%.17g" % x (:func:`_fmt_float` if not finite)
-    where N is not the correct rounding, and where there are fewer than _FEW items.
-    ends holds the text after an item inside a row, at a row's end, and at the block's end."""
-    u = np.uint64
-    slots = G.view(np.uint8).reshape(-1, 32)
-    end = np.where(idx % nc == nc - 1, 1, 0)
-    end[idx == len(x) - 1] = 2
-    if idx.size >= _FEW:
-        v, d, ei = x[idx], err[idx], e[idx]
-        n = hi4[:, idx] * 10000 + lo4[:, idx]  # d1..d8, d9..d16
-        N = d0[idx] * 10 ** 16 + n[0] * 10 ** 8 + n[1]
-        N[np.searchsorted(idx, wild)] = Nw
-        ok = (N > 10 ** 16) | (N == 10 ** 16) & (d >= 0)
-        ok &= (N < 10 ** 17) & (np.abs(d) <= _TIE) & np.isfinite(v)
-        rows = np.empty((idx.size, 4), u)
-        d0c = np.where(v == 0, 48, d0[idx] + 48).astype(u)
-        # bytes 4 and 0 lead: the opening byte and the sign, or the opening byte alone in 0
-        neg, first = np.signbit(v), (idx % nc == 0) * u(ord(open_ or "\0"))
-        rows[:, 0] = np.where(neg, u(45) | first << u(32), first) | d0c << u(8) | u(48 << 16 | 46 << 24)
-        rows[:, 1] = ascii4.take(hi4[0, idx]) | ascii4.take(lo4[0, idx]) << u(32)
-        rows[:, 2] = ascii4.take(hi4[1, idx]) | ascii4.take(lo4[1, idx]) << u(32)
-        rows[:, 3] = np.choose(end, [_tail(s)[0].take(ei) for s in ends])
-        frac = n[0] * 10 ** 8 + n[1]
-        nk = 16 - (frac[:, None] % 10 ** np.arange(1, 17) == 0).sum(axis=1)
-        E = ei - _E0
-        form = np.where((E < -4) | (E > 16), 0, np.where(E < 0, -E, 5 + E))
-        text = np.take_along_axis(rows.view(np.uint8).reshape(-1, 32), perm[form * 17 + nk], axis=1)[ok]
-        slots[idx[ok]] = text  # one run of bytes after at most two NULs
-        length[idx[ok]] = (text != 0).sum(axis=1)
-        back[idx[ok]] = 8 - (text != 0).argmax(axis=1)
-        idx, end = idx[~ok], end[~ok]
-    texts = [((open_ if i % nc == 0 else "") + ("%.17g" % y if math.isfinite(y) else _fmt_float(y))
-              + ends[j]).encode() for i, y, j in zip(idx.tolist(), x[idx].tolist(), end.tolist())]
-    slots[idx] = np.frombuffer(b"".join(t.ljust(32, b"\0") for t in texts), np.uint8).reshape(-1, 32)
-    length[idx], back[idx] = [len(t) for t in texts], 8
 
 
 def _floats(obj) -> bool:

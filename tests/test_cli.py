@@ -1079,6 +1079,13 @@ def percent_rows(table, sep: str, open_: str, close: str, between: str) -> str:
 FORMATS = [(", ", "[", "]", ", "), (",", "", "", ",")]  # JSON rows and CSV cells
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """got == want, failing with the first difference rather than a diff of megabytes."""
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"first difference at {i}: {got[i - 30:i + 30]!r} against {want[i - 30:i + 30]!r}")
+
+
 def powers_of_ten_and_neighbours() -> np.ndarray:
     tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
     return np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
@@ -1099,7 +1106,7 @@ class TestBulkFloatFormat:
         table = x[:len(x) // columns * columns].reshape(-1, columns) if len(x) >= columns else x[None]
         table = np.asfortranarray(table) if fortran else table
         with mock.patch.object(gylat.cli, "_SMALL", 0):  # numpy's path at any size
-            assert "".join(_float_blocks(table, *fmt)) == percent_rows(table, *fmt)
+            assert_same_text("".join(_float_blocks(table, *fmt)), percent_rows(table, *fmt))
 
     def test_seeded_sweep(self):
         rng = np.random.default_rng(30)
@@ -1120,13 +1127,13 @@ class TestBulkFloatFormat:
                                       (1000, True, FORMATS[0]), (3 * _BLOCK + 7, False, FORMATS[1])]:
             table = x[:len(x) // columns * columns].reshape(-1, columns)
             table = np.asfortranarray(table) if fortran else table
-            assert "".join(_float_blocks(table, *fmt)) == percent_rows(table, *fmt), (columns, fmt)
+            assert_same_text("".join(_float_blocks(table, *fmt)), percent_rows(table, *fmt))
 
     def test_blocks_join_to_the_whole(self):
         table = np.random.default_rng(31).standard_normal((3 * _BLOCK // 100 + 5, 100))
         pieces = list(_float_blocks(table, ", ", "[", "]", ", "))
         assert len(pieces) == 2 * 4 - 1  # four blocks, and the text between them
-        assert "".join(pieces) == percent_rows(table, ", ", "[", "]", ", ")
+        assert_same_text("".join(pieces), percent_rows(table, ", ", "[", "]", ", "))
 
 
 class TestStreamedOutput:
