@@ -97,9 +97,9 @@ _SMALL = 512  # arrays of fewer floats are formatted faster by one "%" format pe
 
 @functools.cache
 def _tables():
-    """numpy and the tables of :func:`_float_blocks`: four digits as ASCII bytes (also shifted
-    to the high half, and with their trailing zeros cut), the digits kept by the cut, and the
-    head word and its length per exponent, sign and first digit."""
+    """The tables of :func:`_float_blocks`: four digits as ASCII bytes (also shifted to the
+    high half, and with their trailing zeros cut), the digits kept by the cut, and the head
+    word and its length per exponent, sign and first digit."""
     import numpy as np
     u = np.uint64
     v = np.arange(10000)
@@ -118,7 +118,7 @@ def _tables():
     d0 = (np.arange(10, dtype=u) + u(48)) << np.where(small, 56, 48).astype(u)[:, None]
     head = fixed[:, None, None] | sign[:, :, None] | d0[:, None, :]
     size = np.where(small, 3 + z, 2)[:, None, None] + np.arange(2)[:, None] + np.zeros(10, int)
-    return np, ascii4, ascii4 << u(32), stripped << u(32), kept.sum(axis=0), head.reshape(-1), size.reshape(-1)
+    return ascii4, ascii4 << u(32), stripped << u(32), kept.sum(axis=0), head.reshape(-1), size.reshape(-1)
 
 
 @functools.cache
@@ -172,7 +172,8 @@ def _float_blocks(a, sep: str, open_: str, close: str, between: str):
     if a.size < _SMALL:
         yield between.join(open_ + _float_text(row, sep) + close for row in a.tolist())
         return
-    np, ascii4, ascii4_hi, stripped_hi, kept, head, size = _tables()
+    import numpy as np
+    ascii4, ascii4_hi, stripped_hi, kept, head, size = _tables()
     scale, mh, ml = _powers()
     tails = [_tail(s) for s in (sep, close + between, close)]
     u = np.uint64
