@@ -1091,6 +1091,32 @@ def powers_of_ten_and_neighbours() -> np.ndarray:
     return np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
 
 
+def below_ten(x: np.ndarray) -> np.ndarray:
+    """x's finite items moved to |x| < 8 by their binary exponent, subnormals and zeros
+    included; numpy's path formats blocks whose items are all below ten."""
+    m, e = np.frexp(x)
+    return np.where(np.isfinite(x), np.ldexp(m, e % 1078 - 1074), x)
+
+
+def near_ties() -> np.ndarray:
+    """Floats x = m 2^q below ten whose y = x 10^(16 - E) lies 1-3 units of 2^-s from a
+    rounding tie of its last digit, not on it (s = -(q + 16 - E)): the double-double y
+    may round either way, so numpy's path must leave these to "%.17g"."""
+    xs = []
+    for E in range(-30, 1):
+        for q in range(-200, 0):
+            s = E - 16 - q
+            if s > 1 and 2.0 ** (q + 53) > 10.0 ** E and 2.0 ** (q + 52) < 10.0 ** (E + 1):
+                inverse = pow(5 ** (16 - E), -1, 2 ** s)
+                for j in (-3, -2, -1, 1, 2, 3):
+                    m = (2 ** (s - 1) + j) * inverse % 2 ** s
+                    m += max(0, -(-(2 ** 52 - m) // 2 ** s)) * 2 ** s  # the least m >= 2^52
+                    x = math.ldexp(m, q)
+                    if m < 2 ** 53 and 10.0 ** E <= x < 10.0 ** (E + 1):
+                        xs.append(x)
+    return np.array(xs)
+
+
 class TestBulkFloatFormat:
     """_float_blocks gives the bytes of "%.17g" per item (_fmt_float's for NaN and the
     infinities) for any float64 table, in C or Fortran order and in blocks of rows."""
@@ -1102,32 +1128,44 @@ class TestBulkFloatFormat:
                          min_size=1, max_size=60),
            columns=st.integers(1, 7), fortran=st.booleans(), fmt=st.sampled_from(FORMATS))
     def test_bit_patterns(self, bits, columns, fortran, fmt):
-        x = np.array(bits, dtype=np.uint64).view(np.float64)
-        table = x[:len(x) // columns * columns].reshape(-1, columns) if len(x) >= columns else x[None]
-        table = np.asfortranarray(table) if fortran else table
-        with mock.patch.object(gylat.cli, "_SMALL", 0):  # numpy's path at any size
-            assert_same_text("".join(_float_blocks(table, *fmt)), percent_rows(table, *fmt))
+        raw = np.array(bits, dtype=np.uint64).view(np.float64)
+        for x in (raw, below_ten(raw)):
+            table = x[:len(x) // columns * columns].reshape(-1, columns) if len(x) >= columns else x[None]
+            table = np.asfortranarray(table) if fortran else table
+            with mock.patch.object(gylat.cli, "_SMALL", 0):  # numpy's path at any size
+                assert_same_text("".join(_float_blocks(table, *fmt)), percent_rows(table, *fmt))
 
     def test_seeded_sweep(self):
         rng = np.random.default_rng(30)
-        ties = np.array([9.9999999999999995e-5, 1e16, 1e17, 1 + 2 ** -17, 0.5, -0.0, 0.0, 5e-324])
-        sweep = [
-            rng.uniform(1e15, 1e17, 40000),  # exact ties sit here
-            rng.integers(10 ** 15, 10 ** 17, 10000).astype(float),
-            powers_of_ten_and_neighbours(),
-            rng.uniform(-1, 1, 40000) * 10.0 ** rng.integers(-330, 300, 40000),
-            rng.integers(0, 2 ** 64, 40000, dtype=np.uint64).view(np.float64),
+        ties = np.array([9.9999999999999995e-5, 1 + 2 ** -17, 0.5, -0.0, 0.0, 5e-324])
+        tens = powers_of_ten_and_neighbours()
+        bits = rng.integers(0, 2 ** 64, 40000, dtype=np.uint64).view(np.float64)
+        small = [
+            tens[np.abs(tens) < 10],
+            rng.uniform(-1, 1, 40000) * 10.0 ** rng.integers(-330, 1, 40000),
+            below_ten(bits[np.isfinite(bits)]),
             rng.uniform(-1, 1, 40000),
             np.repeat(ties, 50),
+            np.repeat(near_ties(), 10),
         ]
-        x = rng.permutation(np.concatenate(sweep))
-        assert (x == 1 + 2 ** -17).any() and (x == 1e17).any()
-        # one row to several blocks of rows, both orders, both formats
-        for columns, fortran, fmt in [(1, False, FORMATS[0]), (3, True, FORMATS[1]),
-                                      (1000, True, FORMATS[0]), (3 * _BLOCK + 7, False, FORMATS[1])]:
-            table = x[:len(x) // columns * columns].reshape(-1, columns)
-            table = np.asfortranarray(table) if fortran else table
-            assert_same_text("".join(_float_blocks(table, *fmt)), percent_rows(table, *fmt))
+        large = [
+            rng.uniform(1e15, 1e17, 40000),  # exact ties sit here
+            rng.integers(10 ** 15, 10 ** 17, 10000).astype(float),
+            tens,
+            np.repeat([1e16, 1e17], 50),
+            rng.uniform(-1, 1, 40000) * 10.0 ** rng.integers(-330, 300, 40000),
+            bits,
+        ]
+        below = rng.permutation(np.concatenate(small))
+        assert (below == 1 + 2 ** -17).any() and (below == 9.9999999999999995e-5).any()
+        # numpy's path for the items below ten, "%" for blocks holding any other item
+        for x in (below, rng.permutation(np.concatenate(small + large))):
+            # one row to several blocks of rows, both orders, both formats
+            for columns, fortran, fmt in [(1, False, FORMATS[0]), (3, True, FORMATS[1]),
+                                          (1000, True, FORMATS[0]), (3 * _BLOCK + 7, False, FORMATS[1])]:
+                table = x[:len(x) // columns * columns].reshape(-1, columns)
+                table = np.asfortranarray(table) if fortran else table
+                assert_same_text("".join(_float_blocks(table, *fmt)), percent_rows(table, *fmt))
 
     def test_blocks_join_to_the_whole(self):
         table = np.random.default_rng(31).standard_normal((3 * _BLOCK // 100 + 5, 100))
