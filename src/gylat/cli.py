@@ -8,9 +8,11 @@ rendered with 17 significant digits.  CSV output is the flattened JSON.
 Output is written to stdout as it is rendered, in 64 KiB batches, with the
 bytes of rendering it whole.  Lists of Python floats take one ``%`` format;
 float64 arrays (the eigenvalue lists and the eigenfunction table) are
-formatted in numpy, about 16k floats at a time, with the bytes of "%.17g"
-(:func:`_float_blocks`), so ``spectrum --eigenfunctions`` peaks at about the
-nu x nu table plus the two pivot tables of :func:`transfer.eigenfunctions`.
+formatted about 16k floats at a time with the bytes of "%.17g"
+(:func:`_float_blocks`), in numpy where the floats of a block are all below
+ten (the eigenfunction table, the dimensionless eigenvalues), so
+``spectrum --eigenfunctions`` peaks at about the nu x nu table plus the two
+pivot tables of :func:`transfer.eigenfunctions`.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical-consistency failure.
 """
