@@ -94,15 +94,15 @@ _BLOCK = 1 << 14  # floats per pass of _float_blocks
 _E0 = 325  # decimal exponent E sits at index E + _E0 of the per-exponent tables; finite floats
 # have E in -324..308
 _TIE = 0.5 - 2.0 ** -30  # |y - N| beyond this is too near a tie for y's error of 2^-46
-_SMALL = 400  # blocks of fewer floats take one "%" format per row, about 0.4 us a float against
-# 115-150 us for numpy's path at 100-400 floats
+_SMALL = 200  # blocks of fewer floats take one "%" format per row, about 0.45 us a float against
+# 80-90 us for numpy's path at 100-250 floats
 
 
 @functools.cache
 def _tables():
     """The tables of :func:`_float_blocks`: four digits as ASCII bytes (also shifted to the
-    high half, and with their trailing zeros cut), the digits kept by the cut, and the head
-    word and its length per exponent, sign and first digit."""
+    high half, and with their trailing zeros NUL), and the head word per exponent, sign and
+    first digit."""
     import numpy as np
     u = np.uint64
     v = np.arange(10000)
@@ -119,8 +119,7 @@ def _tables():
     sign = (u(45) << np.where(small, 4 - z, 5).astype(u) * u(8))[:, None] * np.arange(2, dtype=u)
     d0 = (np.arange(10, dtype=u) + u(48)) << np.where(small, 56, 48).astype(u)[:, None]
     head = fixed[:, None, None] | sign[:, :, None] | d0[:, None, :]
-    size = np.where(small, 3 + z, 2)[:, None, None] + np.arange(2)[:, None] + np.zeros(10, int)
-    return ascii4, ascii4 << u(32), stripped << u(32), kept.sum(axis=0), head.reshape(-1), size.reshape(-1)
+    return ascii4, ascii4 << u(32), stripped << u(32), head.reshape(-1)
 
 
 @functools.cache
@@ -146,12 +145,10 @@ def _build_powers(lo: int, hi: int) -> None:
 
 @functools.cache
 def _tail(s: str):
-    """Per exponent E, %g's exponent suffix ("" for -4 <= E < 17) and then s: the bytes as one
-    word, and their number."""
+    """Per exponent E, %g's exponent suffix ("" for -4 <= E < 17) and then s, as one word."""
     import numpy as np
     text = [(b"" if -4 <= E < 17 else b"e%+03d" % E) + s.encode() for E in range(-_E0, 310)]
-    return (np.array([int.from_bytes(t, "little") for t in text], dtype=np.uint64),
-            np.array(list(map(len, text))))
+    return np.array([int.from_bytes(t, "little") for t in text], dtype=np.uint64)
 
 
 def _float_blocks(a, sep: str, open_: str, close: str, between: str):
@@ -162,24 +159,22 @@ def _float_blocks(a, sep: str, open_: str, close: str, between: str):
     Each x is scaled to y = |x| 10^(16 - E), E = floor(log10 |x|), as a double-double by
     Dekker's product (Numer. Math. 18 (1971) 224) with a table of 10^k; y is within 2^-46
     of exact, so N = round(y) holds the 17 significant digits %.17g prints.  The text of x
-    is one run of bytes in a 32-byte slot: a head ("-d." or "-0.00d") ending at byte 7,
-    digits d1..d8, then d9..d16 without their trailing zeros, the exponent suffix and the
-    separator.  The slots are written at the runs' offsets in the output, in phases whose
-    slots do not overlap, and the phases OR-ed together.  A zero reads "0"; items near a
-    tie or with their last four digits zero take "%.17g" one at a time.  A block of fewer
-    than _SMALL floats, or holding an |x| >= 10, NaN or an infinity, takes
-    :func:`_float_text` per row.  All blocks share one set of scratch arrays.
+    sits in a 32-byte slot whose other bytes are NUL: the row's opening byte at byte 0, a
+    head ("-d." or "-0.00d") right-aligned to byte 7, digits d1..d8, then d9..d16 with their
+    trailing zeros left NUL, and from byte 24 the exponent suffix and the separator as one
+    word.  A block's text is its slots with the NULs deleted.  A zero reads "0"; items near
+    a tie or with their last four digits zero take "%.17g" one at a time, from byte 0 of
+    their slot.  A block of fewer than _SMALL floats, or holding an |x| >= 10, NaN or an
+    infinity, takes :func:`_float_text` per row.  All blocks share one set of scratch arrays.
     """
     import numpy as np
     u = np.uint64
     nr, nc = a.shape
     step = max(1, _BLOCK // nc)
     n = min(step, nr) * nc
-    pool = np.empty((16, n), np.int64)
+    pool = np.empty((12, n), np.int64)
     flags = np.empty((3, n), bool)
-    G = np.empty((n, 4), u)
-    slots = G.view(np.dtype((np.void, 32))).reshape(-1)
-    phases = []  # a byte buffer and its 32-byte windows per phase
+    G = np.empty((n, 4), u)  # the 32-byte slots
     for first in range(0, nr, step):
         if first:
             yield between
@@ -198,7 +193,7 @@ def _float_blocks(a, sep: str, open_: str, close: str, between: str):
         if k < _SMALL or not hi < 1:
             yield between.join(open_ + _float_text(row, sep) + close for row in block.tolist())
             continue
-        ascii4, ascii4_hi, stripped_hi, kept, head, size = _tables()
+        ascii4, ascii4_hi, stripped_hi, head = _tables()
         scale, mh, ml = _powers()
         tails = [_tail(s) for s in (sep, close + between, close)]
         zeros = None
@@ -250,42 +245,24 @@ def _float_blocks(a, sep: str, open_: str, close: str, between: str):
         np.signbit(x, out=neg)
         np.multiply(neg, 10, out=q)
         idx += q
-        length, back, word, tail, shift, tmp = w[12], w[13], b[14], b[15], b[10], b[11]
+        word, tmp = b[10], b[11]
         np.take(head, idx, out=G[:k, 0], mode="clip")
-        np.take(size, idx, out=back, mode="clip")  # the text starts at byte 8 - back of the slot
         np.take(ascii4_hi, lo4[0], out=word, mode="clip")
         np.take(ascii4, hi4[0], out=tmp, mode="clip")
         np.bitwise_or(word, tmp, out=G[:k, 1])
-        np.take(kept, lo4[1], out=shift.view(np.int64), mode="clip")
-        np.add(back, shift.view(np.int64), out=length)
-        for (words, sizes), at in zip(tails, (slice(None), slice(nc - 1, None, nc), slice(k - 1, k))):
-            np.take(words, e[at], out=tail[at], mode="clip")
-            np.take(sizes, e[at], out=idx[at], mode="clip")
-        length += idx
-        length += 12
-        shift += u(4)
-        shift <<= u(3)
         np.take(stripped_hi, lo4[1], out=word, mode="clip")
         np.take(ascii4, hi4[1], out=tmp, mode="clip")
-        word |= tmp
-        np.left_shift(tail, shift, out=tmp)
         np.bitwise_or(word, tmp, out=G[:k, 2])
-        np.subtract(u(64), shift, out=shift)
-        np.right_shift(tail, shift, out=G[:k, 3])
-        if zeros is not None:  # "0" or "-0" and what follows
-            G[zeros] = 0
-            G[zeros, 0] = np.where(neg[zeros], u(45 << 48 | 48 << 56), u(48 << 56))
-            G[zeros, 1] = tail[zeros]
-            back[zeros] = neg[zeros] + 1
-            length[zeros] = back[zeros] + idx[zeros]
-        if open_:  # the row's opening byte just before its first head
-            G[:k:nc, 0] |= u(ord(open_)) << (u(7) - back[::nc].astype(u)) * u(8)
-            back[::nc] += 1
-            length[::nc] += 1
+        for words, at in zip(tails, (slice(None), slice(nc - 1, None, nc), slice(k - 1, k))):
+            np.take(words, e[at], out=G[:k, 3][at], mode="clip")
         np.equal(lo4[1], 0, out=flag)
         rare |= flag
-        if zeros is not None:
+        if zeros is not None:  # "0" or "-0" and what follows
+            G[zeros, 0] = np.where(neg[zeros], u(45 << 48 | 48 << 56), u(48 << 56))
+            G[zeros, 1:3] = 0
             rare[zeros] = False
+        if open_:  # the row's opening byte
+            G[:k:nc, 0] |= u(ord(open_))
         if rare.any():  # "%.17g" % x one at a time, the text from byte 0 of its slot
             at = np.flatnonzero(rare)
             col = (at % nc).tolist()
@@ -294,28 +271,7 @@ def _float_blocks(a, sep: str, open_: str, close: str, between: str):
             texts = [((open_ if c == 0 else "") + "%.17g" % y + end).encode()
                      for y, c, end in zip(x[at].tolist(), col, ends)]
             G[at] = np.frombuffer(b"".join(t.ljust(32, b"\0") for t in texts), u).reshape(-1, 4)
-            length[at], back[at] = [len(t) for t in texts], 8
-        # slot i goes to 24 + c_i + back_i of a buffer whose output starts at byte 32, c_i
-        # the offset of its text there; no two slots of a phase i % K overlap
-        c = t.view(np.int64)
-        np.cumsum(length, out=c)
-        total = int(c[-1])
-        c -= length
-        c += back
-        c += 24
-        K = 2
-        while K < k and (c[K:] - c[:-K]).min() < 32:
-            K += 1
-        for ph in range(min(K, k)):
-            if ph == len(phases):
-                buf = np.empty(32 * n + 96, np.uint8)
-                phases.append((buf, np.ndarray((32 * n + 65,), slots.dtype, buf, strides=(1,))))
-            buf, windows = phases[ph]
-            buf[:total + 96].fill(0)
-            windows[c[ph::K]] = slots[ph:k:K]
-            if ph:
-                phases[0][0][:total + 96] |= buf[:total + 96]
-        yield str(phases[0][0][32:32 + total], "ascii")
+        yield str(G[:k].tobytes().translate(None, b"\0"), "ascii")
 
 
 def _floats(obj) -> bool:
@@ -546,7 +502,7 @@ def _build_potential(args, spec: LatticeSpec) -> Potential:
     if args.potential is not None:
         try:
             pot = load_potential(args.potential, nu=spec.nu)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load potential: {exc}") from exc
     elif args.delta_site is not None:
         if args.delta_v is None:
@@ -905,7 +861,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ArithmeticError, ZeroDivisionError) as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
     emit(payload, args.format)

@@ -20,7 +20,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -1078,6 +1078,13 @@ def percent_rows(table, sep: str, open_: str, close: str, between: str) -> str:
 
 FORMATS = [(", ", "[", "]", ", "), (",", "", "", ",")]  # JSON rows and CSV cells
 
+# Texts that fill a 32-byte slot of _float_blocks to its limits, as three rows of three: the
+# widest head ("[-0.000d" and 16 digits) with a zero and -0.0 after it, a rare item (0.5 takes
+# "%.17g"), the widest tail ("e-300], " after 16 digits), and the least subnormal.
+SLOT_LIMITS = np.array([-9.8765432109876533e-4, 0.0, -0.0,
+                        0.5, 0.1, -1.2345678901234568e-300,
+                        -7.1234567890123452e-05, 0.1, 4.9406564584124654e-324]).view(np.uint64).tolist()
+
 
 def assert_same_text(got: str, want: str) -> None:
     """got == want, failing with the first difference rather than a diff of megabytes."""
@@ -1127,6 +1134,10 @@ class TestBulkFloatFormat:
                                                     0x7FF8 << 48, 0x000F_FFFF_FFFF_FFFF])),
                          min_size=1, max_size=60),
            columns=st.integers(1, 7), fortran=st.booleans(), fmt=st.sampled_from(FORMATS))
+    @example(bits=SLOT_LIMITS, columns=3, fortran=False, fmt=FORMATS[0])
+    @example(bits=SLOT_LIMITS, columns=3, fortran=True, fmt=FORMATS[1])
+    @example(bits=SLOT_LIMITS, columns=1, fortran=False, fmt=FORMATS[0])  # each item opens and closes a row
+    @example(bits=SLOT_LIMITS, columns=1, fortran=False, fmt=FORMATS[1])
     def test_bit_patterns(self, bits, columns, fortran, fmt):
         raw = np.array(bits, dtype=np.uint64).view(np.float64)
         for x in (raw, below_ten(raw)):

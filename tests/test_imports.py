@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 module it imports is from the standard library or numpy, every parameter
-with a default is set by some call in the repository, and every public name
-has a caller outside the tests or a stated reason to stay.
+with a default is set by some call in the repository, every public name
+has a caller outside the tests or a stated reason to stay, and every private
+module-level name has a reader outside the tests.
 
 Checked on the syntax tree with the standard library only; the package's
 ``__init__.py`` re-exports its imports and is exempt from the first rule.
@@ -152,8 +153,9 @@ def test_the_option_check_sees_a_leftover():
     assert options_only_tests_set([source], [source], ["f(1, z=3)\nC(b=1)\n"]) == ["f(z=)"]
 
 
-def public_names(source: str) -> list[str]:
-    """The public module-level functions, classes and constants ``source`` defines."""
+def module_names(source: str, private: bool = False) -> list[str]:
+    """The public (or the private) module-level functions, classes and constants
+    ``source`` defines."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -161,7 +163,7 @@ def public_names(source: str) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [name for name in names if not name.startswith("_")]
+    return [name for name in names if name.startswith("_") == private]
 
 
 def loaded_names(source: str) -> set[str]:
@@ -171,10 +173,10 @@ def loaded_names(source: str) -> set[str]:
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
 
 
-def uncalled(library: list[str], callers: list[str]) -> set[str]:
-    """The public names of ``library`` that no source in ``callers`` reads."""
+def uncalled(library: list[str], callers: list[str], private: bool = False) -> set[str]:
+    """The public (or the private) names of ``library`` that no source in ``callers`` reads."""
     read = set().union(*map(loaded_names, callers))
-    return {name for source in library for name in public_names(source) if name not in read}
+    return {name for source in library for name in module_names(source, private) if name not in read}
 
 
 _PAPER = "the paper's formalism, kept as the tests' reference: "
@@ -253,6 +255,30 @@ def test_the_caller_check_sees_a_leftover():
     """)
     callers = [library, "import lib\nlib.Kept()\n"]
     assert uncalled([library], callers) == {"leftover"}
+
+
+def test_every_private_name_has_a_reader():
+    """A private module-level name that no library, demo or perfbench source reads is
+    a leftover, such as a table or helper whose last reader went; tests are no reader."""
+    library = [p.read_text() for p in MODULES]
+    assert sorted(uncalled(library, library + _sources("demos", "perfbench"), private=True)) == []
+
+
+def test_the_caller_check_sees_a_private_leftover():
+    library = textwrap.dedent("""
+        _SIZE = 3
+        _WIDTHS: list = [1, 2]
+        def _used(x):
+            return x + _SIZE
+        def _leftover(x):
+            return _used(x)
+        class _Kept:
+            pass
+        def run():
+            return _Kept()
+    """)
+    assert uncalled([library], [library], private=True) == {"_WIDTHS", "_leftover"}
+    assert uncalled([library], [library]) == {"run"}
 
 
 def imported_modules(source: str) -> set[str]:
