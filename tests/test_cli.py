@@ -1078,9 +1078,10 @@ def percent_rows(table, sep: str, open_: str, close: str, between: str) -> str:
 
 FORMATS = [(", ", "[", "]", ", "), (",", "", "", ",")]  # JSON rows and CSV cells
 
-# Texts that fill a 32-byte slot of _float_blocks to its limits, as three rows of three: the
-# widest head ("[-0.000d" and 16 digits) with a zero and -0.0 after it, a rare item (0.5 takes
-# "%.17g"), the widest tail ("e-300], " after 16 digits), and the least subnormal.
+# Texts that fill a 32-byte slot of _float_blocks to its limits, read as three rows of three and
+# as nine rows of one: the widest head ("[-0.000d" and 16 digits) with a zero and -0.0 after it,
+# a rare item (0.5 takes "%.17g"), the widest tail ("e-300], " after 16 digits), and the least
+# subnormal.
 SLOT_LIMITS = np.array([-9.8765432109876533e-4, 0.0, -0.0,
                         0.5, 0.1, -1.2345678901234568e-300,
                         -7.1234567890123452e-05, 0.1, 4.9406564584124654e-324]).view(np.uint64).tolist()
