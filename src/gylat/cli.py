@@ -151,6 +151,15 @@ def _tail(s: str):
     return np.array([int.from_bytes(t, "little") for t in text], dtype=np.uint64)
 
 
+def _exponents(block, f):
+    """E = floor(log10 |x|) of the floats x of ``block``, with x, |x| and E in f[0], f[1], f[5]."""
+    import numpy as np
+    np.copyto(f[0].reshape(block.shape), block)
+    np.abs(f[0], out=f[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.floor(np.log10(f[1], out=f[5]), out=f[5])
+
+
 def _float_blocks(a, sep: str, open_: str, close: str, between: str):
     """The text of ``between.join(open_ + sep.join("%.17g" % x for x in row) + close for row
     in a)`` for a 2-D float64 array, in pieces of about _BLOCK floats; a non-finite x reads
@@ -181,18 +190,15 @@ def _float_blocks(a, sep: str, open_: str, close: str, between: str):
         block = a[first:first + step]
         k = block.size
         w = pool[:, :k]
-        f, b = w.view(np.float64), w.view(u)
+        f = w.view(np.float64)
+        if k < _SMALL or not (E := _exponents(block, f)).max() < 1:
+            yield between.join(open_ + _float_text(row, sep) + close for row in block.tolist())
+            continue
+        lo, hi = E.min(), E.max()
+        b = w.view(u)
         rare, flag, neg = flags[:, :k]
         x, ax, xs, m, p, xh, xl, err, t = f[:9]
         e, N, q = w[9:12]
-        np.copyto(x.reshape(block.shape), block)
-        np.abs(x, out=ax)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            E = np.floor(np.log10(ax, out=xh), out=xh)
-        lo, hi = E.min(), E.max()
-        if k < _SMALL or not hi < 1:
-            yield between.join(open_ + _float_text(row, sep) + close for row in block.tolist())
-            continue
         ascii4, ascii4_hi, stripped_hi, head = _tables()
         scale, mh, ml = _powers()
         tails = [_tail(s) for s in (sep, close + between, close)]
@@ -730,6 +736,8 @@ def cmd_limit(args) -> tuple[dict, int]:
         raise ConfigError("limit needs --L (the physical size is held fixed)")
     spec = _build_spec(args, bc)
     nu = spec.nu
+    if nu < 2:
+        raise ConfigError("limit needs --nu >= 2 (its half-resolution run has max(2, nu // 2) sites)")
     target = continuum_limit_targets(bc, args.mass, bc.alpha, bc.beta, spec.L)
     coarse_nu = max(2, nu // 2)
     fine_val, fine_h = _limit_point(bc, nu, spec.L, args.mass)

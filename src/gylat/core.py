@@ -309,12 +309,12 @@ class BoundaryCondition:
 
     @property
     def robin_alpha(self):
-        """Effective left Robin parameter (0 for Neumann)."""
-        return self.alpha if self.kind == ROBIN else 0.0
+        """Effective left Robin parameter (an exact 0 for the other kinds)."""
+        return self.alpha if self.kind == ROBIN else 0
 
     @property
     def robin_beta(self):
-        return self.beta if self.kind == ROBIN else 0.0
+        return self.beta if self.kind == ROBIN else 0
 
     @property
     def twist(self) -> float:
@@ -400,7 +400,7 @@ def _lift(xs: list) -> tuple[list[int], int]:
     (1 for ints, a power of two for floats) and ns ints."""
     xs = [_exactify(x) for x in xs]
     d = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
+    return (xs if d == 1 else [x.numerator * (d // x.denominator) for x in xs]), d  # d 1: all ints
 
 
 class CharPoly:

@@ -13,12 +13,12 @@ polynomials V and the zeroth-order term is V_nu - V_{nu-1}.  Setting
 lambda = 0 (U_n -> n+1, V_n -> 1) gives the determinant series.
 
 The order-k term is the e^k part of P when the potential is scaled to e v,
-so the whole series is one GY sweep (:func:`gylat.transfer._graded_terminal`)
-over the weights (2 - lambda) + e v_j, each y(j) truncated above the
-requested order: the packed states of ``char_poly``, graded by e, one int
-per state when exact and one float64 array otherwise, read out as
-``char_poly``'s are (a float outside the float range raises OverflowError).
-The determinant series is the same sweep with 2 in place of 2 - lambda.
+so the whole series is ``char_poly``'s read (:func:`gylat.transfer._terminal`)
+graded by e: one GY sweep over the weights (2 - lambda) + e v_j from the
+Dirichlet or Neumann end vectors, each y(j) truncated above the requested
+order, one int per state when exact and one float64 array otherwise (a
+float outside the float range raises OverflowError).  The determinant series
+is the same read at lambda = 0.
 The vertex-tuple enumeration :func:`trace_series_by_tuples` shares no code
 with the sweep and stays as the independent reference for small nu.
 """
@@ -30,10 +30,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from .chebyshev import cheb_u_poly, cheb_u_poly_path, cheb_v_poly_path
-from .core import CharPoly, Potential, _exactify, dirichlet
-from .transfer import _graded_terminal, char_poly
+from .core import CharPoly, Potential, _exactify, dirichlet, neumann
+from .transfer import _terminal, char_poly
 
 FULL_ORDER = None  # sentinel: include every order up to nu
+
+_BCS = (dirichlet(), neumann())  # the series' end vectors, by the neumann flag
 
 
 def _is_exact_potential(potential: Potential) -> bool:
@@ -52,7 +54,7 @@ def _resolve_order(potential: Potential, order) -> int:
 def _trace_series(potential: Potential, order, exact: bool | None, neumann: bool) -> CharPoly:
     order = _resolve_order(potential, order)
     exact = _is_exact_potential(potential) if exact is None else exact
-    return _graded_terminal(potential.values, order, potential.nu + 1, neumann, exact)
+    return _terminal(potential, _BCS[neumann], CharPoly.lam(exact), None, order)
 
 
 def dirichlet_trace_series(potential: Potential, order=FULL_ORDER,
@@ -84,7 +86,8 @@ def _det_series(potential: Potential, order, neumann: bool):
         return 1  # the empty product (the Neumann seed would give y(1) - y(0) = 0)
     if not (order and any(vs)):
         return 0 if neumann else nu + 1  # the free determinant, the order-0 term
-    p = _graded_terminal(vs, order, 1, neumann, _is_exact_potential(potential)).coeffs[0]
+    lam = CharPoly.lam(_is_exact_potential(potential))
+    p = _terminal(potential, _BCS[neumann], lam, 0, order).coeffs[0]
     return Fraction(p) if any(v and isinstance(v, Fraction) for v in vs) else p
 
 

@@ -26,18 +26,19 @@ y(j+1) = w_j y(j) - y(j-1) over weights w_j = v_j + 2 - lambda; each column
 of K is one sweep from a unit seed (:class:`Propagator`; :func:`periodic_char_fn`
 is its trace at a float lambda).  Every read of the polynomial P is one call of
 :func:`_terminal`, float or exact, whole or, truncated, its low coefficients
-(``det --exact`` reads P(0), ``sums --exact`` the Taylor coefficients at 0).
+(``det --exact`` reads P(0), ``sums --exact`` the Taylor coefficients at 0),
+and graded by the order of the potential for the perturbation series.
 Exact reads sweep Python integers over the inputs' common denominator and
 divide once at the end (the fraction-free idea of Bareiss, Math. Comp. 22
 (1968) 565).
 
-Those reads and the perturbation series pack the states of the sweep
-(:class:`_Packed`): an exact Y(j) into one Python int, coefficient k in slot
-k of S bits (Kronecker substitution, lambda -> 2**S, S from an a-priori
-bound on every coefficient), a float one into one float64 array, so that a
-site costs a few whole-object operations; :func:`_unpack` reads out every
-one.  A read of the coefficients up to lambda^m keeps each exact state
-modulo 2**(S (m + 1)), a float one as its m + 1 low rows.
+That read packs the states of the sweep (:class:`_Packed`): an exact Y(j)
+into one Python int, coefficient k in slot k of S bits (Kronecker
+substitution, lambda -> 2**S, S from an a-priori bound on every
+coefficient), a float one into one float64 array, so that a site costs a
+few whole-object operations; :func:`_unpack` reads out every one.  A read
+of the coefficients up to lambda^m keeps each exact state modulo
+2**(S (m + 1)), a float one as its m + 1 low rows.
 
 Determinants and the float sums read the Taylor coefficients of P at 0
 from :func:`_taylor_at_zero`, one zero test for both
@@ -56,6 +57,7 @@ so a short determinant or an exact read never loads it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from collections import namedtuple
@@ -165,24 +167,27 @@ class Propagator:
 
 
 def _terminal(potential: Potential, bc: BoundaryCondition, lam: CharPoly,
-              order: int | None = None) -> CharPoly:
+              order: int | None = None, grades: int | None = None) -> CharPoly:
     """P(lambda), the terminal value of one GY sweep, for ``lam`` = ``CharPoly.lam(exact)``.
 
     out . K(lambda; nu) . in on the interval, tr K(lambda; nu) - 2 cos(2 pi tau)
     on the circle: the polynomial in the backend of ``lam``, or with ``order``
-    = m its coefficients of lambda^0..lambda^m (P modulo lambda^(m+1)).
+    = m its coefficients of lambda^0..lambda^m (P modulo lambda^(m+1)).  With
+    ``grades`` = g the potential enters as e v_j and P is read up to e^g at e = 1:
+    the perturbation series (``order`` None or 0; 1 < m + 1 <= nu is not supported).
 
     The sweep runs on packed states (:class:`_Packed`), unpacked once
     (:func:`_unpack`) into the coefficients, float bits included, that
     CharPoly states would give; a float read that is not finite raises
     OverflowError.  An exact read lifts the potential and the boundary
-    vectors' entries once into ints over their common denominator D (a
+    vectors' entries once into ints n_j over their common denominator D (a
     power of two for float inputs, 1 for integers) and carries Y(j) = D^j
     y(j), Y(j+1) = D w_j Y(j) - D^2 Y(j-1), each one int of slots of S bits
     (:func:`_slot_bits`).  The result is divided by a power of D once
     (:func:`_unscale`), and only then is the twist subtracted.  A
-    truncated exact read keeps each state modulo 2**(S (m + 1)): a ring map
-    that sends every slot above m to 0 and leaves the low ones as they are.
+    truncated exact read keeps each state modulo 2**(S (m + 1)), a graded one
+    modulo 2**(S (m + 1) (g + 1)) for 0 < g < nu: a ring map that sends every
+    slot above those read to 0 and leaves the low ones as they are.
     """
     nu = potential.nu
     if bc.is_circle and nu < 1:
@@ -194,33 +199,43 @@ def _terminal(potential: Potential, bc: BoundaryCondition, lam: CharPoly,
     # the in-vector and the out-adjoint, (y(0), y(1)) and the row read at nu
     ends = [*bc.in_vector(), *bc.out_adjoint()] if bc.is_interval else []
     n = nu + 1 if order is None else min(order + 1, nu + 1)  # coefficients read
+    rows = 1 if grades is None else grades + 1  # e^0..e^g
     vs, d, d2, slot, mask, shape = potential, 1, None, None, None, None
     if exact:  # one int per state, see _Packed
         vs, d = _lift([*potential, *ends])
         vs, ends = vs[:nu], vs[nu:]
-        if n > 1:  # a read of P(0) alone sweeps the plain ints
-            slot = _slot_bits([v + 2 * d for v in vs], d, ends)
-            mask = (1 << slot * n) - 1 if n <= nu else None  # truncated reads only
-        lam, d2 = slot and _Scale(d, slot), _Scale(d * d) if d != 1 else None  # D = 2^e: shifts
-    else:  # one float64 column per state
-        lam, ends, shape = n > 1, [float(x) for x in ends], (n, 1)
-    ws = [_Packed(v + 2 * d if exact else float(v + 2), lam, None, mask) for v in vs]
-    if bc.is_interval:
-        # seeded with D (y(0), D y(1)), the sweep ends on D^(nu+1) (y(nu), D y(nu+1))
-        ia, ib, oa, ob = ends
-        a, b = _sweep(ws, _pack(ia, shape), _pack(d * ib, shape), d2=d2)
-        p, power = oa * d * a + ob * b, nu + 3
-    else:
-        seed, nil = _pack(d, shape), _pack(0, shape)
-        # tr K = top of the (1, 0) column + bottom of the (0, 1) column, both seeded with D
-        p, power = _sweep(ws, seed, nil, d2=d2)[0] + _sweep(ws, nil, seed, d2=d2)[1], nu + 1
-    p = _unscale(_unpack(p, n, slot), d, power)
+        if n * rows > 1:  # a read of P(0) alone sweeps the plain ints
+            slot = _slot_bits([2 * d + (v if grades is None else abs(v)) for v in vs], d, ends)
+            if (n <= nu) if grades is None else (0 < grades < nu):  # truncated reads only
+                mask = (1 << slot * n * rows) - 1
+        lam, d2 = n > 1 and _Scale(d, slot), _Scale(d * d) if d != 1 else None  # D = 2^e: shifts
+        guard = contextlib.nullcontext()
+    else:  # one float64 array per state
+        import numpy as np
+        lam, ends, shape = n > 1, [float(x) for x in ends], (n, rows)
+        guard = np.errstate(over="ignore", invalid="ignore")  # a non-finite float raises below
+    if grades is None:
+        ws = [_Packed(v + 2 * d if exact else float(v + 2), lam, None, mask) for v in vs]
+    else:  # D w_j = 2 D - D lambda + e n_j
+        ws = [_Packed(2 * d, lam, v and grades and _Scale(v, slot * n), mask) if exact
+              else _Packed(2.0, lam, float(v), None) for v in vs]
+    with guard:
+        if bc.is_interval:
+            # seeded with D (y(0), D y(1)), the sweep ends on D^(nu+1) (y(nu), D y(nu+1))
+            ia, ib, oa, ob = ends
+            a, b = _sweep(ws, _pack(ia, shape), _pack(d * ib, shape), d2=d2)
+            p, power = oa * d * a + ob * b, nu + 3
+        else:
+            seed, nil = _pack(d, shape), _pack(0, shape)
+            # tr K = top of the (1, 0) column + bottom of the (0, 1) column, both seeded with D
+            p, power = _sweep(ws, seed, nil, d2=d2)[0] + _sweep(ws, nil, seed, d2=d2)[1], nu + 1
+        p = _unscale(_unpack(p, n, slot, rows), d, power)
     return p if bc.is_interval else p - _twist_shift(bc.twist, exact)
 
 
 class _Packed:
-    """A weight acting on a packed state: D w_j = a0 - D lambda in :func:`_terminal`,
-    plus e n_j (n_j = D v_j) in the graded sweeps of :mod:`gylat.perturbation`.
+    """A weight acting on a packed state in :func:`_terminal`: D w_j = a0 - D lambda,
+    plus e n_j (n_j = D v_j) in a graded read, the perturbation series.
 
     A packed state holds the coefficients of y(j), or of Y(j) = D^j y(j) when
     exact, in one object, so that a site costs a few whole-object operations
@@ -285,8 +300,8 @@ def _slot_bits(a0s: list[int], d: int, ends: list[int]) -> int:
     from the seeds D (y(0), D y(1)); both circle sweeps are bounded by one from
     (D, D), read as B(nu) + B(nu+1).  B grows from j = 1 on, so its largest
     value is B(0) or B(nu+1).  A truncated read needs no other bound: its
-    slots are the low ones of the full read-out.  A graded sweep passes a0_j =
-    D (2 + |v_j|), which bounds its e n_j term too.
+    slots are the low ones of the full read-out.  A graded read passes a0_j =
+    2 D + |n_j|, which bounds its e n_j term too.
 
     The recursion keeps B(j - 1) and B(j) as ints times a common 2**e, both
     cut to 64 bits of B(j - 1) and rounded up, so a site costs a few word
@@ -321,7 +336,7 @@ def _unpack(y, n: int, slot: int | None, rows: int = 1) -> CharPoly:
     e = 1: the sum of an exact one's ``rows`` blocks of n slots, or of a float one's columns.
     Adding 2**(S - 1) to each of the n low slots of an int and keeping the sum
     modulo 2**(S n) makes each slot a plain unsigned field of its bytes,
-    whatever lies above them.  A graded state's ``rows`` blocks so offset add
+    whatever lies above them.  A graded read's ``rows`` blocks so offset add
     up as plain ints into one block, each field the sum of ``rows`` of them;
     the sums fit their slots (:func:`_slot_bits` bounds the sum of every
     |coefficient|), so taking ``rows`` - 1 offsets off leaves n plain fields.
@@ -353,33 +368,6 @@ def _unpack(y, n: int, slot: int | None, rows: int = 1) -> CharPoly:
                      for i in range(0, n * width, width)], backend="exact")
 
 
-def _graded_terminal(values, order: int, width: int, neumann: bool, exact: bool) -> CharPoly:
-    """The terminal value on the weights (2 - lambda) + e v_j (no e term where v_j = 0;
-    2 + e v_j at width 1) up to e^order, y(nu+1) from the seed (0, 1) or y(nu+1) - y(nu)
-    from the Neumann seed (1, 1), by one packed sweep (:class:`_Packed`) over e^k
-    lambda^i, k <= order, i < width: the perturbation series, P at e = 1 read out as
-    ``char_poly`` reads it.  Exact ``values`` lift to ints n_j over their common
-    denominator D, step Y(j+1) = (2D - D lambda + e n_j) Y(j) - D^2 Y(j-1) with S from
-    :func:`_slot_bits` at a0_j = D (2 + |v_j|), and are divided by D^(nu+1) once.
-    """
-    nu = len(values)
-    if exact:
-        ns, d = _lift(values)
-        # the seeds y(0), y(1) and the read of y(nu), y(nu + 1): -y(nu) + y(nu + 1) for Neumann
-        slot = _slot_bits([2 * d + abs(n) for n in ns], d, [+neumann, 1, -neumann, 1])
-        mask = (1 << slot * width * (order + 1)) - 1 if 0 < order < nu else None
-        lam = _Scale(d, slot) if width > 1 else None
-        ws = [_Packed(2 * d, lam, n and order and _Scale(n, slot * width), mask) for n in ns]
-        a, b = _sweep(ws, int(neumann), d, d2=_Scale(d * d) if d != 1 else None)
-        return _unscale(_unpack(b - d * a if neumann else b, width, slot, order + 1), d, nu + 1)
-    import numpy as np
-    ws = [_Packed(2.0, width > 1, float(v), None) for v in values]
-    shape = (width, order + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite float raises below
-        a, b = _sweep(ws, _pack(float(neumann), shape), _pack(1.0, shape))
-        return _unpack(b - a if neumann else b, width, None)
-
-
 def _unscale(p: CharPoly, d: int, power: int) -> CharPoly:
     """p / d**power for the exact carrier, one exact scalar per coefficient; p if d is 1."""
     if d == 1:
@@ -409,11 +397,7 @@ def char_poly(potential: Potential, bc: BoundaryCondition, exact: bool = False) 
     coefficient outside the float range raises OverflowError; ``exact``
     has no such limit.
     """
-    if exact:
-        return _terminal(potential, bc, CharPoly.lam(exact=True))
-    import numpy as np
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite float raises below
-        return _terminal(potential, bc, CharPoly.lam())
+    return _terminal(potential, bc, CharPoly.lam(exact))
 
 
 def _twist_shift(tau: float, exact: bool):

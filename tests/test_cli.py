@@ -751,6 +751,13 @@ class TestLimit:
         assert data["coarse_nu"] == data["nu"] == 2
         assert data["observed_order"] is None
 
+    @pytest.mark.parametrize("bc", [["dirichlet"], ["periodic"]], ids=str)
+    def test_one_site_is_refused(self, capsys, bc):
+        """At nu = 1 the half-resolution run, at max(2, nu // 2) = 2 sites, would be the finer one."""
+        code, out, err = run_cli(capsys, "limit", "--bc", *bc, "--nu", "1", "--L", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: limit needs --nu >= 2")
+
 
 class TestChebyshevSelfTest:
     def test_all_pass(self, capsys):

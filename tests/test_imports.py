@@ -281,6 +281,44 @@ def test_the_caller_check_sees_a_private_leftover():
     assert uncalled([library], [library]) == {"run"}
 
 
+#: The packed states of the GY sweep (transfer.py), which one function drives.
+CARRIER = {"_Packed", "_Scale", "_slot_bits", "_pack", "_unpack", "_unscale"}
+
+
+def carrier_readers(source: str, driver: str | None) -> list[str]:
+    """The module-level functions and classes of ``source`` other than ``driver``, and
+    ``<module>`` for its other statements, that read a CARRIER name not their own."""
+    readers = set()
+    for node in ast.parse(source).body:
+        name = getattr(node, "name", "<module>")
+        if name != driver and loaded_names(ast.unparse(node)) & (CARRIER - {name}):
+            readers.add(name)
+    return sorted(readers)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_function_drives_the_packed_carrier(path):
+    """Every polynomial read of P, the perturbation series included, is one call of
+    transfer._terminal: no other function or class builds, sweeps or reads packed states."""
+    driver = "_terminal" if path.name == "transfer.py" else None
+    assert carrier_readers(path.read_text(), driver) == []
+
+
+def test_the_carrier_check_sees_a_second_driver():
+    source = textwrap.dedent("""
+        class _Scale:
+            def again(self):
+                return _Scale()
+        def _terminal(p):
+            return _unscale(_unpack(_pack(p)))
+        def _graded(p):
+            return transfer._unpack(p)
+        WIDTH = _slot_bits([])
+    """)
+    assert carrier_readers(source, "_terminal") == ["<module>", "_graded"]
+    assert carrier_readers(source, None) == ["<module>", "_graded", "_terminal"]
+
+
 def imported_modules(source: str) -> set[str]:
     """Absolute or package-relative names of the modules ``source`` imports from,
     at any depth (function bodies included)."""
