@@ -88,14 +88,14 @@ def cheb_matrix_power(n: int, x) -> Mat2:
     return Mat2(-unm2, um1, -um1, un)
 
 
-def _poly_path(n: int, seed_prev, seed_cur) -> list[CharPoly]:
+def _poly_path(n: int, seed_prev: int) -> list[CharPoly]:
     """[P_0, ..., P_n] of P_{k+1} = (2 - lambda) P_k - P_{k-1}, i.e. x = 1 - lambda/2,
-    from one sweep; n >= 0."""
+    from one sweep with P_0 = 1 and P_{-1} = ``seed_prev``; n >= 0."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     two_x = CharPoly([2, -1], backend="exact")
-    path = [CharPoly(seed_cur, backend="exact")]
-    _sweep(repeat(two_x, n), CharPoly(seed_prev, backend="exact"), path[0], path)
+    path = [CharPoly([1], backend="exact")]
+    _sweep(repeat(two_x, n), CharPoly([seed_prev], backend="exact"), path[0], path)
     return path
 
 
@@ -115,12 +115,12 @@ def cheb_v_poly(n: int) -> CharPoly:
 
 def cheb_u_poly_path(n: int) -> list[CharPoly]:
     """[cheb_u_poly(0), ..., cheb_u_poly(n)] from one sweep; n >= 0."""
-    return _poly_path(n, [0], [1])
+    return _poly_path(n, 0)
 
 
 def cheb_v_poly_path(n: int) -> list[CharPoly]:
     """[cheb_v_poly(0), ..., cheb_v_poly(n)] from one sweep; n >= 0."""
-    return _poly_path(n, [1], [1])
+    return _poly_path(n, 1)
 
 
 def cheb_t_poly(n: int) -> CharPoly:

@@ -42,7 +42,6 @@ from .core import (
     ROBIN,
     TWISTED,
     BoundaryCondition,
-    CharPoly,
     LatticeSpec,
     LogDet,
     Potential,
@@ -160,8 +159,8 @@ def _exponents(block, f):
         return np.floor(np.log10(f[1], out=f[5]), out=f[5])
 
 
-def _float_blocks(a, sep: str, open_: str, close: str, between: str):
-    """The text of ``between.join(open_ + sep.join("%.17g" % x for x in row) + close for row
+def _float_blocks(a, sep: str, open_: str, close: str):
+    """The text of ``sep.join(open_ + sep.join("%.17g" % x for x in row) + close for row
     in a)`` for a 2-D float64 array, in pieces of about _BLOCK floats; a non-finite x reads
     as :func:`_fmt_float` has it.
 
@@ -186,13 +185,13 @@ def _float_blocks(a, sep: str, open_: str, close: str, between: str):
     G = np.empty((n, 4), u)  # the 32-byte slots
     for first in range(0, nr, step):
         if first:
-            yield between
+            yield sep
         block = a[first:first + step]
         k = block.size
         w = pool[:, :k]
         f = w.view(np.float64)
         if k < _SMALL or not (E := _exponents(block, f)).max() < 1:
-            yield between.join(open_ + _float_text(row, sep) + close for row in block.tolist())
+            yield sep.join(open_ + _float_text(row, sep) + close for row in block.tolist())
             continue
         lo, hi = E.min(), E.max()
         b = w.view(u)
@@ -201,7 +200,7 @@ def _float_blocks(a, sep: str, open_: str, close: str, between: str):
         e, N, q = w[9:12]
         ascii4, ascii4_hi, stripped_hi, head = _tables()
         scale, mh, ml = _powers()
-        tails = [_tail(s) for s in (sep, close + between, close)]
+        tails = [_tail(s) for s in (sep, close + sep, close)]
         zeros = None
         if lo == -math.inf:
             zeros = np.flatnonzero(x == 0)
@@ -272,7 +271,7 @@ def _float_blocks(a, sep: str, open_: str, close: str, between: str):
         if rare.any():  # "%.17g" % x one at a time, the text from byte 0 of its slot
             at = np.flatnonzero(rare)
             col = (at % nc).tolist()
-            ends = [sep if c < nc - 1 else close + between if i < k - 1 else close
+            ends = [sep if c < nc - 1 else close + sep if i < k - 1 else close
                     for i, c in zip(at.tolist(), col)]
             texts = [((open_ if c == 0 else "") + "%.17g" % y + end).encode()
                      for y, c, end in zip(x[at].tolist(), col, ends)]
@@ -312,7 +311,7 @@ def _rows(a, sep: str, brackets: bool):
     opening, closing = ("[", "]") if brackets else ("", "")
     if brackets and a.ndim == 2:
         yield "["
-    yield from _float_blocks(rows, sep, opening, closing, sep)
+    yield from _float_blocks(rows, sep, opening, closing)
     if brackets and a.ndim == 2:
         yield "]"
 
@@ -606,7 +605,7 @@ def cmd_det(args) -> tuple[dict, int]:
     if args.exact and spec.nu <= 64 and bc.is_interval:
         # the exact sweep at lambda = 0: Det = (-1)^degree P(0) / lead
         lead, degree = _lead_and_degree(bc, spec.nu, exact=True)
-        exact_det = Fraction(_terminal(pot, bc, CharPoly.lam(exact=True), order=0).coeffs[0]) / lead
+        exact_det = Fraction(_terminal(pot, bc, True, order=0).coeffs[0]) / lead
         exact_det = -exact_det if degree % 2 else exact_det
         payload["dimensionless_det_exact"] = f"{exact_det.numerator}/{exact_det.denominator}"
     return payload, code
@@ -638,7 +637,7 @@ def cmd_sums(args) -> tuple[dict, int]:
     if not 1 <= kmax <= 4:
         raise ConfigError("--order must be 1..4 for sums")
     if args.exact:
-        coeffs = _terminal(pot, bc, CharPoly.lam(exact=True), order=kmax).coeffs
+        coeffs = _terminal(pot, bc, True, order=kmax).coeffs
         if coeffs[0] == 0:
             raise ConfigError(ZERO_MODE_MESSAGE)
         sums = _exact_newton_sums(coeffs, kmax)

@@ -38,10 +38,6 @@ FULL_ORDER = None  # sentinel: include every order up to nu
 _BCS = (dirichlet(), neumann())  # the series' end vectors, by the neumann flag
 
 
-def _is_exact_potential(potential: Potential) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in potential.values)
-
-
 def _resolve_order(potential: Potential, order) -> int:
     if order is FULL_ORDER:
         return potential.nu
@@ -53,8 +49,9 @@ def _resolve_order(potential: Potential, order) -> int:
 
 def _trace_series(potential: Potential, order, exact: bool | None, neumann: bool) -> CharPoly:
     order = _resolve_order(potential, order)
-    exact = _is_exact_potential(potential) if exact is None else exact
-    return _terminal(potential, _BCS[neumann], CharPoly.lam(exact), None, order)
+    if exact is None:  # the entries' own backend; no entries at all count as exact
+        exact = potential._exact is not None or not potential.nu
+    return _terminal(potential, _BCS[neumann], exact, None, order)
 
 
 def dirichlet_trace_series(potential: Potential, order=FULL_ORDER,
@@ -81,14 +78,13 @@ def _det_series(potential: Potential, order, neumann: bool):
     """Order-by-order determinant at lambda = 0, summed up to ``order``: an int from int
     insertions or none, else a Fraction or a float (finite, or OverflowError) as they are."""
     order = _resolve_order(potential, order)
-    nu, vs = potential.nu, potential.values
+    nu, entries = potential.nu, potential._exact  # the exact entries, or None
     if not nu:
         return 1  # the empty product (the Neumann seed would give y(1) - y(0) = 0)
-    if not (order and any(vs)):
+    if not order or potential.is_free():
         return 0 if neumann else nu + 1  # the free determinant, the order-0 term
-    lam = CharPoly.lam(_is_exact_potential(potential))
-    p = _terminal(potential, _BCS[neumann], lam, 0, order).coeffs[0]
-    return Fraction(p) if any(v and isinstance(v, Fraction) for v in vs) else p
+    p = _terminal(potential, _BCS[neumann], entries is not None, 0, order).coeffs[0]
+    return Fraction(p) if entries and any(v and isinstance(v, Fraction) for v in entries) else p
 
 
 def dirichlet_det_series(potential: Potential, order=FULL_ORDER):
@@ -119,7 +115,7 @@ def trace_series_by_tuples(potential: Potential, order=FULL_ORDER,
     """
     nu = potential.nu
     order = _resolve_order(potential, order)
-    exact = _is_exact_potential(potential)
+    exact = potential._exact is not None or not nu  # no entries count as exact
     u = [p if exact else p.to_float() for p in cheb_u_poly_path(nu)]
     v = [p if exact else p.to_float() for p in cheb_v_poly_path(nu)]
     end = v if neumann else u

@@ -166,12 +166,12 @@ class Propagator:
         return Mat2(a1, a2, b1, b2)
 
 
-def _terminal(potential: Potential, bc: BoundaryCondition, lam: CharPoly,
+def _terminal(potential: Potential, bc: BoundaryCondition, exact: bool,
               order: int | None = None, grades: int | None = None) -> CharPoly:
-    """P(lambda), the terminal value of one GY sweep, for ``lam`` = ``CharPoly.lam(exact)``.
+    """P(lambda), the terminal value of one GY sweep, exact or in floats.
 
     out . K(lambda; nu) . in on the interval, tr K(lambda; nu) - 2 cos(2 pi tau)
-    on the circle: the polynomial in the backend of ``lam``, or with ``order``
+    on the circle: the polynomial, or with ``order``
     = m its coefficients of lambda^0..lambda^m (P modulo lambda^(m+1)).  With
     ``grades`` = g the potential enters as e v_j and P is read up to e^g at e = 1:
     the perturbation series (``order`` None or 0; 1 < m + 1 <= nu is not supported).
@@ -192,10 +192,9 @@ def _terminal(potential: Potential, bc: BoundaryCondition, lam: CharPoly,
     nu = potential.nu
     if bc.is_circle and nu < 1:
         raise ValueError("circle topology needs nu >= 1")
-    exact = lam.backend == "exact"
     if bc.is_interval and nu in (1, 2) and _lead_and_degree(bc, nu)[1] == 0:
         # every site pinned: no eigenvalues, P is lead (the sweep's 0 at nu = 1)
-        return (lam - lam) + _lead_and_degree(bc, nu, exact)[0]
+        return CharPoly([_lead_and_degree(bc, nu, exact)[0]], backend="exact" if exact else "float")
     # the in-vector and the out-adjoint, (y(0), y(1)) and the row read at nu
     ends = [*bc.in_vector(), *bc.out_adjoint()] if bc.is_interval else []
     n = nu + 1 if order is None else min(order + 1, nu + 1)  # coefficients read
@@ -397,7 +396,7 @@ def char_poly(potential: Potential, bc: BoundaryCondition, exact: bool = False) 
     coefficient outside the float range raises OverflowError; ``exact``
     has no such limit.
     """
-    return _terminal(potential, bc, CharPoly.lam(exact))
+    return _terminal(potential, bc, exact)
 
 
 def _twist_shift(tau: float, exact: bool):

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -272,6 +273,22 @@ class TestDet:
         closed = free_determinant(robin(0.5, 0.5), unit, MassParam.physical(2.0, spec))
         assert data["closed_form_rel_diff"] == abs(math.expm1(transfer.log_abs - closed.log_abs))
         assert data["closed_form_rel_diff"] not in (0.0, 4.6566128741615948e-10)
+
+    def test_closed_form_sign_disagreement_exits_3(self, capsys, monkeypatch):
+        closed = gylat.cli.free_determinant
+        monkeypatch.setattr(gylat.cli, "free_determinant",
+                            lambda *a, **k: dataclasses.replace(ld := closed(*a, **k), sign=-ld.sign))
+        code, data = run_json(capsys, "det", "--bc", "dirichlet", "--nu", "3", "--h", "1")
+        assert code == 3 and data["closed_form_agreement"] is False
+        assert data["sign"] == 1 and data["closed_form_sign"] == -1
+
+    def test_closed_form_log_disagreement_exits_3(self, capsys, monkeypatch):
+        closed = gylat.cli.free_determinant
+        monkeypatch.setattr(gylat.cli, "free_determinant", lambda *a, **k: dataclasses.replace(
+            ld := closed(*a, **k), log_abs=ld.log_abs + 1e-6))
+        code, data = run_json(capsys, "det", "--bc", "dirichlet", "--nu", "3", "--h", "1")
+        assert code == 3 and data["closed_form_agreement"] is False
+        assert data["closed_form_rel_diff"] == pytest.approx(1e-6, rel=1e-3)
 
 
 class TestConfigErrors:
@@ -1152,7 +1169,7 @@ class TestBulkFloatFormat:
             table = x[:len(x) // columns * columns].reshape(-1, columns) if len(x) >= columns else x[None]
             table = np.asfortranarray(table) if fortran else table
             with mock.patch.object(gylat.cli, "_SMALL", 0):  # numpy's path at any size
-                assert_same_text("".join(_float_blocks(table, *fmt)), percent_rows(table, *fmt))
+                assert_same_text("".join(_float_blocks(table, *fmt[:3])), percent_rows(table, *fmt))
 
     def test_seeded_sweep(self):
         rng = np.random.default_rng(30)
@@ -1184,11 +1201,11 @@ class TestBulkFloatFormat:
                                           (1000, True, FORMATS[0]), (3 * _BLOCK + 7, False, FORMATS[1])]:
                 table = x[:len(x) // columns * columns].reshape(-1, columns)
                 table = np.asfortranarray(table) if fortran else table
-                assert_same_text("".join(_float_blocks(table, *fmt)), percent_rows(table, *fmt))
+                assert_same_text("".join(_float_blocks(table, *fmt[:3])), percent_rows(table, *fmt))
 
     def test_blocks_join_to_the_whole(self):
         table = np.random.default_rng(31).standard_normal((3 * _BLOCK // 100 + 5, 100))
-        pieces = list(_float_blocks(table, ", ", "[", "]", ", "))
+        pieces = list(_float_blocks(table, ", ", "[", "]"))
         assert len(pieces) == 2 * 4 - 1  # four blocks, and the text between them
         assert_same_text("".join(pieces), percent_rows(table, ", ", "[", "]", ", "))
 

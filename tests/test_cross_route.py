@@ -11,6 +11,14 @@ c eps (max|d| + 2), which moves log|det| by |tr(T^-1 dT)| <= |dT| sum_k
 carries a Robin parameter p itself where the matrix carries 1/(1 + p), and a
 rounding of p (relative eps) moves that end's diagonal entry by eps |p| / (1 +
 p)^2, so log|det| by that times |T^-1| at the end, sum_k q_k(end)^2 / |lambda_k|.
+
+The same dense matrix checks three more routes through ``np.linalg.eigvalsh``: the
+interval eigenvalue oracle, the Casimir contour of ``vacuum_energy``, and
+``determinant(prime=True)`` on operators built with an exact zero mode.  The sums
+(the root sum, log|Det'|) are bounded as above, with a few roundings in each row;
+single eigenvalues by eigvalsh's p(n) eps |T|, p(n) = n (LAPACK Users' Guide,
+section 4.7): against bisection to full accuracy its error grows like 1.4 sqrt(nu)
+eps |T| at nu 300-3000.
 """
 
 import contextlib
@@ -33,9 +41,11 @@ from gylat import (
     periodic,
     robin,
     twisted,
+    vacuum_energy,
 )
 from gylat.cli import main
 from gylat.spectrum import cyclic_matrix, oracle_spectrum, tridiagonal_matrix
+from gylat.vacuum import _CONTOUR_STEP, _CONTOUR_TAIL
 from test_closedform import spec_for
 
 EPS = 2.0 ** -52
@@ -96,6 +106,92 @@ class TestDeterminantAgainstDenseMatrix:
         ld = determinant(pot, bc, spec_for(bc, pot.nu))
         bound = rounding_bound(matrix, bc, log_abs)
         assert ld.sign == np.sign(sign.real) or bound >= 1.0  # past 1, no digit is certain
+        assert abs(ld.log_abs - log_abs) <= bound
+
+
+def gershgorin(matrix) -> float:
+    """max|d| + 2, a bound on |T| for the interval matrix, whose couplings are -1."""
+    return float(np.max(np.abs(np.diag(matrix)))) + 2.0
+
+
+@st.composite
+def interval_cases(draw, max_nu: int, positive: bool = False):
+    """An interval potential and condition; with ``positive``, v >= 0 and Robin p >= 0, so
+    that the operator is positive definite."""
+    nu = draw(st.one_of(st.integers(1, 40), st.integers(1, max_nu),
+                        st.integers(max_nu // 2, max_nu)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = draw(st.sampled_from(["uniform", "well", "sparse"]))
+    if shape == "uniform":
+        values = rng.uniform(0.0 if positive else -1.0, 2.0, nu)
+    elif shape == "well":  # tall barriers, or deep wells with many bound states
+        values = rng.uniform(0.0, 50.0, nu) if positive else rng.uniform(-50.0, 5.0, nu)
+    else:  # a few tall sites, at least one, on a free background
+        values = np.where(rng.random(nu) < 0.05, rng.uniform(0.0, 1e3, nu), 0.0)
+        values[rng.integers(nu)] = 1.0
+    ends = [0.3, 2.5] if positive else ROBIN_ENDS
+    bc = draw(st.sampled_from([dirichlet(), neumann(), None]))
+    if bc is None:
+        bc = robin(draw(st.sampled_from(ends)), draw(st.sampled_from(ends)))
+    return Potential(values), bc
+
+
+@st.composite
+def zero_mode_cases(draw):
+    """A potential whose operator has the exact zero mode y_j = 2^(k_j), k_j in -3..3:
+    v_j = (y_(j+1) + y_(j-1)) / y_j - 2, with y_0 and y_(nu+1) from the condition, a
+    dyadic rational that is exact in float."""
+    nu = draw(st.integers(10, 1500))
+    y = np.ldexp(1.0, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).integers(-3, 4, nu))
+    bc = draw(st.sampled_from([dirichlet(), neumann()]))
+    ends = (y[0], y[-1]) if bc.kind == "neumann" else (0.0, 0.0)
+    padded = np.concatenate([ends[:1], y, ends[1:]])
+    return Potential((padded[2:] + padded[:-2]) / y - 2.0), bc, y
+
+
+class TestSpectralRoutesAgainstEigvalsh:
+    @settings(max_examples=8)
+    @given(case=interval_cases(3000))
+    def test_oracle_spectrum(self, case):
+        pot, bc = case
+        matrix = dense(pot, bc)
+        got = np.array(oracle_spectrum(pot, bc).lambdas)
+        # eigvalsh's p(n) eps |T| and the oracle's few roundings a row, |T| <= max|d| + 2;
+        # the oracle's brackets end 1e-14 wide, or an ulp wide above 64
+        bound = 1e-14 + (pot.nu + 8) * EPS * gershgorin(matrix)
+        assert np.max(np.abs(got - np.linalg.eigvalsh(matrix))) <= bound
+
+    @settings(max_examples=12)
+    @given(case=interval_cases(2000, positive=True))
+    def test_vacuum_energy_contour(self, case):
+        pot, bc = case
+        matrix = dense(pot, bc)
+        lams = np.linalg.eigvalsh(matrix)
+        want = 0.5 * math.fsum(np.sqrt(lams))
+        got = vacuum_energy(pot, bc, LatticeSpec.interval(pot.nu, h=1.0))
+        # 8 eps (max|d| + 2) on an eigenvalue moves its half root by that over 4 sqrt(lambda);
+        # the contour's sums of positive terms over nu sites and < 400 nodes add (nu + 400)
+        # eps of E, each cut tail 2 _CONTOUR_TAIL and the trapezoid rule exp(-pi^2 / step)
+        quadrature = 4 * _CONTOUR_TAIL + math.exp(-math.pi ** 2 / _CONTOUR_STEP)
+        bound = (((pot.nu + 400) * EPS + quadrature) * want
+                 + 2 * EPS * gershgorin(matrix) * float(np.sum(lams ** -0.5)))
+        assert abs(got - want) <= bound
+
+    @settings(max_examples=30)
+    @given(case=zero_mode_cases())
+    def test_primed_determinant_of_an_exact_zero_mode(self, case):
+        pot, bc, y = case
+        matrix = dense(pot, bc)
+        assert not np.any(matrix @ y)  # T y = 0 in exact arithmetic
+        lams = np.linalg.eigvalsh(matrix)
+        others = np.delete(lams, np.argmin(np.abs(lams)))
+        sign, log_abs = (-1) ** int(np.sum(others < 0)), math.fsum(np.log(np.abs(others)))
+        # rounding_bound's terms, the removed mode's left out
+        bound = (8 * pot.nu * EPS * (1.0 + abs(log_abs))
+                 + 8 * EPS * gershgorin(matrix) * float(np.sum(1 / np.abs(others))))
+        ld = determinant(pot, bc, spec_for(bc, pot.nu), prime=True)
+        assert ld.zero_modes_removed == 1
+        assert ld.sign == sign or bound >= 1.0  # past 1, no digit is certain
         assert abs(ld.log_abs - log_abs) <= bound
 
 

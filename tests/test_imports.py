@@ -217,6 +217,7 @@ TEST_ONLY_OPTIONS = {
     "free_eigenvalues(mass=)": "the massive free spectrum that tests/test_cli.py checks "
                                "`casimir --mass` against",
     "Mat2.identity(one=)": "the identity over the ring of the tests' matrix products",
+    "CharPoly.lam(exact=)": "the exact lambda of the tests' reference sweeps over CharPoly states",
     "Propagator.matrix(jprime=)": _PAPER + "K(lambda; j, j') for j' > 0, the composition law",
     "_blocked_difference_sweep(block=)": _HOOK,
     "_blocked_jet_sweep(block=)": _HOOK,

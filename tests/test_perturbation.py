@@ -2,6 +2,7 @@
 
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -179,6 +180,13 @@ class TestGradedSweep:
         assert dirichlet_trace_series(empty) == CharPoly([1])
         assert neumann_trace_series(empty) == CharPoly([0])
 
+    def test_nu_zero_reads_exact_however_built(self):
+        """No entries count as exact, from a tuple or from an empty float buffer."""
+        for empty in (Potential(()), Potential(np.empty(0)), Potential(array("d"))):
+            for trace, is_neumann in ((dirichlet_trace_series, False), (neumann_trace_series, True)):
+                assert trace(empty).backend == "exact"
+                assert trace_series_by_tuples(empty, neumann=is_neumann).backend == "exact"
+
 
 class TestDeltaPotential:
     def test_polynomial_and_det(self):
@@ -352,7 +360,16 @@ M = 2 ** 40 + 3
 # exact inputs whose graded coefficients come near the slot bound
 GRADED_ADVERSARIAL = {"all -M": [-M] * 30, "alternating M": [(-1) ** j * M for j in range(30)],
                       "all weight zero": [-2] * 30,
-                      "-M thirds": [Fraction(-M, 3)] * 12 + [Fraction(M, 7)] * 12}
+                      "-M thirds": [Fraction(-M, 3)] * 12 + [Fraction(M, 7)] * 12,
+                      "-M thirds in floats": [-M / 3] * 12 + [M / 7] * 12}  # D = 2^14
+
+
+def graded_slot_args(pot, is_neumann):
+    """``_terminal``'s arguments to ``_slot_bits`` for the series of ``pot``: the potential
+    and the end vectors lifted together over their common denominator D."""
+    bc = neumann() if is_neumann else dirichlet()
+    ns, d = _lift([*pot, *bc.in_vector(), *bc.out_adjoint()])
+    return [2 * d + abs(n) for n in ns[:pot.nu]], d, ns[pot.nu:]
 
 
 class TestGradedSlots:
@@ -360,26 +377,30 @@ class TestGradedSlots:
 
     @pytest.mark.parametrize("is_neumann", [False, True])
     @pytest.mark.parametrize("name", sorted(GRADED_ADVERSARIAL))
-    def test_every_state_fits(self, name, is_neumann):
+    def test_every_state_fits(self, name, is_neumann, monkeypatch):
         pot = Potential(GRADED_ADVERSARIAL[name])
-        ns, d = _lift(list(pot))
-        slot = _slot_bits([2 * d + abs(n) for n in ns], d,
-                          [1, 1, -1, 1] if is_neumann else [0, 1, 0, 1])
-        # the packed sweep holds D^j y(j), j = 0..nu+1, and reads D^(nu+1) times the
-        # result, its e^k parts and their sum
+        args = graded_slot_args(pot, is_neumann)
+        slot, d = _slot_bits(*args), args[1]
+        used = []  # the widths the exact series sweep at
+        monkeypatch.setattr(transfer, "_slot_bits", lambda *a: used.append(_slot_bits(*a)) or used[-1])
+        (neumann_trace_series if is_neumann else dirichlet_trace_series)(pot, exact=True)
+        (neumann_det_series if is_neumann else dirichlet_det_series)(pot)  # floats on floats
+        assert used == [slot] * (1 + (pot._exact is not None))
+        # seeded with D (y(0), D y(1)), the packed sweep holds D^(j+1) y(j), j = 0..nu+1,
+        # and reads D^(nu+3) times the result, its e^k parts and their sum
         states = []
-        read = graded_reference(pot.values, pot.nu, CharPoly([2, -1], backend="exact"),
-                                is_neumann, states)
-        scaled = [(y, d ** j) for j, y in enumerate(states)]
-        scaled += [(read, d ** (pot.nu + 1)), ([sum(read[1:], read[0])], d ** (pot.nu + 1))]
-        assert max(abs(int(c * scale)).bit_length()
-                   for y, scale in scaled for t in y for c in t.coeffs) <= slot - 1
+        read = graded_reference([_exactify(v) for v in pot], pot.nu,
+                                CharPoly([2, -1], backend="exact"), is_neumann, states)
+        scaled = [(y, d ** (j + 1)) for j, y in enumerate(states)]
+        scaled += [(read, d ** (pot.nu + 3)), ([sum(read[1:], read[0])], d ** (pot.nu + 3))]
+        coeffs = [c * scale for y, scale in scaled for t in y for c in t.coeffs]
+        assert all(c.denominator == 1 for c in coeffs)
+        assert max(abs(int(c)).bit_length() for c in coeffs) <= slot - 1
 
     @pytest.mark.parametrize("is_neumann", [False, True])
     @pytest.mark.parametrize("name", sorted(GRADED_ADVERSARIAL))
     def test_slot_is_never_narrower_than_the_exact_bound(self, name, is_neumann):
-        ns, d = _lift(list(Potential(GRADED_ADVERSARIAL[name])))
-        args = [2 * d + abs(n) for n in ns], d, [1, 1, -1, 1] if is_neumann else [0, 1, 0, 1]
+        args = graded_slot_args(Potential(GRADED_ADVERSARIAL[name]), is_neumann)
         assert _slot_bits(*args) >= exact_slot_bits(*args)
 
     @pytest.mark.parametrize("is_neumann", [False, True])

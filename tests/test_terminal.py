@@ -1,9 +1,8 @@
 """One terminal-value routine for every read of P(lambda).
 
-``transfer._terminal`` sweeps once in the arithmetic of lambda: a float gives
-the value, ``CharPoly.lam`` the polynomial, and ``order=m`` only its
-coefficients of lambda^0..lambda^m, read from the same packed sweep kept
-modulo lambda^(m+1).  They must be the polynomial's own coefficients
+``transfer._terminal`` sweeps once, exact or in floats: the polynomial, and
+``order=m`` only its coefficients of lambda^0..lambda^m, read from the same
+packed sweep kept modulo lambda^(m+1).  They must be the polynomial's own coefficients
 (bit for bit in floats), and the routes rebuilt on it must keep their answers.
 """
 
@@ -239,20 +238,20 @@ class TestTruncatedRead:
         want = truncated(full, m)
         with np.errstate(over="ignore", invalid="ignore"):
             if all(map(math.isfinite, want.coeffs)):
-                assert_same(_terminal(pot, bc, CharPoly.lam(exact), order=m), want)
+                assert_same(_terminal(pot, bc, exact, order=m), want)
                 return
             # the error counts the non-finite coefficients among those read
             n = min(m + 1, pot.nu + 1)
             bad = sum(not math.isfinite(c) for c in full.coeffs[:n])
             with pytest.raises(OverflowError, match=rf"\({bad} of {n} not finite\)"):
-                _terminal(pot, bc, CharPoly.lam(exact), order=m)
+                _terminal(pot, bc, exact, order=m)
 
     @settings(max_examples=150)
     @given(case=carrier_cases(), m=st.sampled_from([0, 4]))
     def test_equals_fraction_sweep(self, case, m):
         pot, bc = case
         lam = CharPoly.lam(exact=True)
-        assert_same(_terminal(pot, bc, lam, order=m), truncated(fraction_terminal(pot, bc, lam), m))
+        assert_same(_terminal(pot, bc, True, order=m), truncated(fraction_terminal(pot, bc, lam), m))
 
     @pytest.mark.parametrize("bc", PACKED_BCS)
     @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
@@ -260,14 +259,13 @@ class TestTruncatedRead:
         pot = Potential(ADVERSARIAL[name])
         full = charpoly_terminal(pot, bc, True)
         for m in range(5):
-            assert_same(_terminal(pot, bc, CharPoly.lam(exact=True), order=m), truncated(full, m))
+            assert_same(_terminal(pot, bc, True, order=m), truncated(full, m))
 
     def test_integer_inputs_stay_integers(self):
         """D = 1: no scaling, and the packed sweep's ints come back."""
-        lam = CharPoly.lam(exact=True)
         for bc in (robin(1, 3), periodic()):
             for m in (0, 2, None):
-                p = _terminal(Potential([1, -2, 3]), bc, lam, order=m)
+                p = _terminal(Potential([1, -2, 3]), bc, True, order=m)
                 assert p.coeffs != [0] and all(type(c) is int for c in p.coeffs)
 
 
